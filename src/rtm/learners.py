@@ -104,6 +104,16 @@ class _Ridge:
         return Z @ self.coefs + self.intercept
 
 
+# Block predictions so each block's temporaries stay near this many bytes.
+_BLOCK_BYTES = 16 << 20
+
+
+def _row_blocks(n_rows: int, bytes_per_row: int):
+    """Slices covering ``range(n_rows)``, each within the block byte budget."""
+    step = max(1, _BLOCK_BYTES // max(1, bytes_per_row))
+    return [slice(i, i + step) for i in range(0, n_rows, step)]
+
+
 class _Knn:
     def __init__(self, Z, y, spec):
         self.Z = Z
@@ -111,10 +121,14 @@ class _Knn:
         self.k = min(spec.k, len(y))
 
     def predict(self, Z):
-        d2 = ((Z[:, None, :] - self.Z[None, :, :]) ** 2).sum(axis=2)
-        # stable argsort: equal distances resolve to the lower training index
-        nearest = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
-        return self.y[nearest].mean(axis=1)
+        out = np.empty(len(Z))
+        # each row's distances reduce on their own, so blocking changes no bit
+        for rows in _row_blocks(len(Z), 8 * self.Z.size):
+            d2 = ((Z[rows, None, :] - self.Z[None, :, :]) ** 2).sum(axis=2)
+            # stable argsort: equal distances resolve to the lower training index
+            nearest = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
+            out[rows] = self.y[nearest].mean(axis=1)
+        return out
 
 
 class _Const:
@@ -125,71 +139,105 @@ class _Const:
         return np.full(len(Z), self.value)
 
 
-class _TreeNode:
-    __slots__ = ("feature", "cut", "left", "right", "value")
+def _grow_preorder(ZY, y, min_leaf, min_split, rng, nodes) -> int:
+    """Append one tree to ``nodes`` in depth-first preorder; returns its depth.
 
-    def __init__(self, value=None, feature=None, cut=None, left=None, right=None):
-        self.value = value
-        self.feature = feature
-        self.cut = cut
-        self.left = left
-        self.right = right
-
-
-def _grow_tree(Z, y, idx, min_leaf, min_split, rng):
-    n = len(idx)
-    targets = y[idx]
-    if n < min_split or n < 2 * min_leaf or targets.min() == targets.max():
-        return _TreeNode(value=float(targets.mean()))
-    rows = Z[idx]
-    lo = rows.min(axis=0)
-    hi = rows.max(axis=0)
-    candidates = np.flatnonzero(hi > lo)
-    if candidates.size == 0:
-        return _TreeNode(value=float(y[idx].mean()))
-    for _ in range(10):
-        feat = int(candidates[rng.integers(candidates.size)])
-        cut = rng.uniform(lo[feat], hi[feat])
-        if cut <= lo[feat]:
-            cut = np.nextafter(lo[feat], hi[feat])
-        mask = rows[:, feat] < cut
-        n_left = int(mask.sum())
-        if min_leaf <= n_left <= n - min_leaf:
-            left = _grow_tree(Z, y, idx[mask], min_leaf, min_split, rng)
-            right = _grow_tree(Z, y, idx[~mask], min_leaf, min_split, rng)
-            return _TreeNode(feature=feat, cut=float(cut), left=left, right=right)
-    return _TreeNode(value=float(y[idx].mean()))
-
-
-def _tree_predict(node, Z, idx, out):
-    if node.value is not None:
-        out[idx] = node.value
-        return
-    mask = Z[idx, node.feature] < node.cut
-    _tree_predict(node.left, Z, idx[mask], out)
-    _tree_predict(node.right, Z, idx[~mask], out)
+    ``ZY`` is the design matrix with ``y`` as its last column, so one min/max
+    pass gives both the cut ranges and the constant-target test.  The RNG
+    draws (feature, then cut, up to 10 tries per node) come in the same order
+    as a recursive left-first grow.  ``lo + (hi - lo) * random()`` is how
+    ``Generator.uniform`` computes its draw.
+    """
+    feature, cut, left, right, value = nodes
+    min_rows = max(min_split, 2 * min_leaf)
+    stack = [(np.arange(len(y)), -1, 1)]  # (rows, parent awaiting a right child, level)
+    depth = 0
+    while stack:
+        idx, parent, level = stack.pop()
+        node = len(feature)
+        if parent >= 0:
+            right[parent] = node
+        depth = max(depth, level)
+        n = len(idx)
+        split = None
+        if n >= min_rows:
+            rows = ZY[idx]
+            lo = rows.min(axis=0)
+            hi = rows.max(axis=0)
+            if lo[-1] != hi[-1]:
+                candidates = (hi > lo)[:-1].nonzero()[0]
+                for _ in range(10 if candidates.size else 0):
+                    feat = int(candidates[rng.integers(candidates.size)])
+                    a, b = lo[feat], hi[feat]
+                    c = a + (b - a) * rng.random()
+                    if c <= a:
+                        c = np.nextafter(a, b)
+                    mask = rows[:, feat] < c
+                    if min_leaf <= np.count_nonzero(mask) <= n - min_leaf:
+                        split = feat, float(c), mask
+                        break
+        if split is None:
+            # leaf: both children point back at it, so a descent stays put
+            feature.append(-1)
+            cut.append(math.inf)
+            left.append(node)
+            right.append(node)
+            value.append(float(y[idx[0]]) if n == 1 else float(y[idx].sum() / n))
+            continue
+        feat, c, mask = split
+        feature.append(feat)
+        cut.append(c)
+        left.append(node + 1)  # preorder: the left child comes next
+        right.append(-1)
+        value.append(math.nan)
+        stack.append((idx[~mask], node, level + 1))
+        stack.append((idx[mask], -1, level + 1))
+    return depth
 
 
 class _ExtraTrees:
-    """Totally randomized trees: uniform random feature, uniform random cut."""
+    """Totally randomized trees: uniform random feature, uniform random cut.
+
+    All trees live in one set of flat node arrays (``feature``, ``cut``,
+    ``left``, ``right``, ``value``), each tree numbered in depth-first
+    preorder from ``roots[t]``.  A row goes left when ``row[feature] < cut``.
+    Leaves have ``feature == -1`` and point both children at themselves.
+    """
 
     def __init__(self, Z, y, spec):
         y = np.asarray(y, dtype=float)
+        ZY = np.column_stack([Z, y])
         seeds = np.random.SeedSequence(spec.seed).spawn(spec.n_estimators)
-        idx = np.arange(len(y))
-        self.trees = [
-            _grow_tree(Z, y, idx, spec.min_leaf, spec.min_split, np.random.default_rng(s))
-            for s in seeds
-        ]
+        nodes = ([], [], [], [], [])
+        roots, self.depth = [], 0
+        for s in seeds:
+            roots.append(len(nodes[0]))
+            depth = _grow_preorder(ZY, y, spec.min_leaf, spec.min_split,
+                                   np.random.default_rng(s), nodes)
+            self.depth = max(self.depth, depth)
+        self.roots = np.asarray(roots, dtype=np.intp)
+        self.feature = np.asarray(nodes[0], dtype=np.intp)
+        self.cut = np.asarray(nodes[1], dtype=float)
+        self.left = np.asarray(nodes[2], dtype=np.intp)
+        self.right = np.asarray(nodes[3], dtype=np.intp)
+        self.value = np.asarray(nodes[4], dtype=float)
 
     def predict(self, Z):
+        Z = np.ascontiguousarray(Z, dtype=float)
+        n_trees = len(self.roots)
         total = np.zeros(len(Z))
-        idx = np.arange(len(Z))
-        out = np.empty(len(Z))
-        for tree in self.trees:
-            _tree_predict(tree, Z, idx, out)
-            total += out
-        return total / len(self.trees)
+        flat = Z.ravel()
+        for rows in _row_blocks(len(Z), 64 * n_trees):
+            # (tree, row) positions descend all trees at once, one level a step
+            offsets = np.arange(rows.start, min(rows.stop, len(Z)))[None, :] * Z.shape[1]
+            node = np.repeat(self.roots[:, None], offsets.shape[1], axis=1)
+            for _ in range(self.depth - 1):
+                go_left = flat[offsets + self.feature[node]] < self.cut[node]
+                node = np.where(go_left, self.left[node], self.right[node])
+            leaf = self.value[node]
+            for t in range(n_trees):  # tree order, as a sequential sum
+                total[rows] += leaf[t]
+        return total / n_trees
 
 
 class _Stump:
@@ -201,38 +249,61 @@ class _Stump:
         return np.where(Z[:, self.feature] <= self.cut, self.left, self.right)
 
 
-def _fit_stump(Z, y, w):
-    """Depth-1 regression stump minimizing weighted squared error."""
-    best = _Stump()
-    best.feature, best.cut = None, None
-    best.left = best.right = float(np.average(y, weights=w))
-    total_w = w.sum()
-    total_wy = (w * y).sum()
-    base_sse = (w * y * y).sum() - total_wy**2 / total_w
-    best_sse = base_sse
-    for j in range(Z.shape[1]):
-        order = np.argsort(Z[:, j], kind="stable")
-        zv = Z[order, j]
-        wv = w[order]
-        wy = wv * y[order]
-        cw = np.cumsum(wv)
-        cwy = np.cumsum(wy)
-        cwyy = np.cumsum(wy * y[order])
-        # split after position i (i.e. between zv[i] and zv[i+1]) where values differ
-        splits = np.flatnonzero(zv[:-1] < zv[1:])
-        for i in splits:
-            lw, lwy, lwyy = cw[i], cwy[i], cwyy[i]
-            rw = total_w - lw
-            rwy = total_wy - lwy
-            rwyy = cwyy[-1] - lwyy
-            sse = (lwyy - lwy**2 / lw) + (rwyy - rwy**2 / rw)
-            if sse < best_sse - 1e-15:
-                best_sse = sse
-                best.feature = j
-                best.cut = float((zv[i] + zv[i + 1]) / 2.0)
-                best.left = float(lwy / lw)
-                best.right = float(rwy / rw)
-    return best
+class _StumpScan:
+    """Weighted least-squares depth-1 stumps over columns presorted once.
+
+    ``fit(w)`` scans every split between distinct sorted values of every
+    column, feature by feature and left to right, and keeps a split only if
+    its SSE beats the best so far by more than 1e-15.  The cumulative sums
+    run along each sorted column, so each split's sums and SSE are the ones
+    a per-column scalar scan computes.
+    """
+
+    def __init__(self, Z, y):
+        n = len(y)
+        self.y = y
+        self.order = np.argsort(Z.T, axis=1, kind="stable")  # (feature, rank)
+        self.ys = y[self.order]
+        zs = np.take_along_axis(Z.T, self.order, axis=1)
+        # split after rank i of feature j, in (feature, split) scan order
+        self.feat, split = np.nonzero(zs[:, :-1] < zs[:, 1:])
+        self.pos = self.feat * n + split
+        self.last = self.feat * n + (n - 1)
+        self.cuts = (zs[self.feat, split] + zs[self.feat, split + 1]) / 2.0
+
+    def fit(self, w):
+        y = self.y
+        best = _Stump()
+        best.feature, best.cut = None, None
+        best.left = best.right = float(np.average(y, weights=w))
+        total_w = w.sum()
+        total_wy = (w * y).sum()
+        best_sse = (w * y * y).sum() - total_wy**2 / total_w
+        wv = w[self.order]
+        wy = wv * self.ys
+        cw = np.cumsum(wv, axis=1).ravel()
+        cwy = np.cumsum(wy, axis=1).ravel()
+        cwyy = np.cumsum(wy * self.ys, axis=1).ravel()
+        lw, lwy, lwyy = cw[self.pos], cwy[self.pos], cwyy[self.pos]
+        rw = total_w - lw
+        rwy = total_wy - lwy
+        rwyy = cwyy[self.last] - lwyy
+        # float_power is C pow per element, as in scalar ``x**2``; an array
+        # ``x**2`` multiplies, which differs in the last bit for ~0.1% of x
+        sse = (lwyy - np.float_power(lwy, 2) / lw) + (rwyy - np.float_power(rwy, 2) / rw)
+        k = -1
+        while True:
+            ahead = np.flatnonzero(sse[k + 1 :] < best_sse - 1e-15)
+            if ahead.size == 0:
+                break
+            k += 1 + int(ahead[0])
+            best_sse = sse[k]
+        if k >= 0:
+            best.feature = int(self.feat[k])
+            best.cut = float(self.cuts[k])
+            best.left = float(lwy[k] / lw[k])
+            best.right = float(rwy[k] / rw[k])
+        return best
 
 
 class _AdaBoostR2:
@@ -244,8 +315,9 @@ class _AdaBoostR2:
         w = np.full(n, 1.0 / n)
         self.stumps: list[_Stump] = []
         self.alphas: list[float] = []
+        scan = _StumpScan(Z, y)
         for _ in range(spec.n_estimators):
-            stump = _fit_stump(Z, y, w)
+            stump = scan.fit(w)
             err = np.abs(stump.predict(Z) - y)
             d = err.max()
             if d <= 1e-15:

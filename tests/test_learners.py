@@ -120,23 +120,20 @@ class TestExtraTrees:
         X = rng.normal(size=(30, 2))
         y = rng.normal(size=30)
         model = train_extra_trees(X, y, n_estimators=5, min_leaf=5, min_split=10, seed=2)
+        forest = model.inner
 
-        def leaf_sizes(node, size):
-            if node.value is not None:
-                yield size
-            # structural check only: leaves cannot be smaller than min_leaf
-        # walk trees counting rows per leaf
+        # walk each tree's flat node arrays counting training rows per leaf
         def walk(node, Z, idx):
-            if node.value is not None:
+            if forest.feature[node] < 0:
                 yield len(idx)
                 return
-            mask = Z[idx, node.feature] < node.cut
-            yield from walk(node.left, Z, idx[mask])
-            yield from walk(node.right, Z, idx[~mask])
+            mask = Z[idx, forest.feature[node]] < forest.cut[node]
+            yield from walk(forest.left[node], Z, idx[mask])
+            yield from walk(forest.right[node], Z, idx[~mask])
 
         Z = model.scaler.transform(X)
-        for tree in model.inner.trees:
-            assert min(walk(tree, Z, np.arange(30))) >= 5
+        for root in forest.roots:
+            assert min(walk(root, Z, np.arange(30))) >= 5
 
 
 class TestAdaBoostR2:
