@@ -161,9 +161,9 @@ def _grow_preorder(ZY, y, min_leaf, min_split, rng, nodes) -> int:
         n = len(idx)
         split = None
         if n >= min_rows:
-            rows = ZY[idx]
-            lo = rows.min(axis=0)
-            hi = rows.max(axis=0)
+            rows = ZY.take(idx, axis=0)
+            lo = np.minimum.reduce(rows)
+            hi = np.maximum.reduce(rows)
             if lo[-1] != hi[-1]:
                 candidates = (hi > lo)[:-1].nonzero()[0]
                 for _ in range(10 if candidates.size else 0):
@@ -291,13 +291,16 @@ class _StumpScan:
         # float_power is C pow per element, as in scalar ``x**2``; an array
         # ``x**2`` multiplies, which differs in the last bit for ~0.1% of x
         sse = (lwyy - np.float_power(lwy, 2) / lw) + (rwyy - np.float_power(rwy, 2) / rw)
+        # A split is kept only if it beats the best so far by 1e-15, and the
+        # best stays within 1e-15 of the running minimum, so every kept split
+        # is a strict running-minimum record (NaN never is).  Walk only those.
+        running = np.fmin.accumulate(np.concatenate(([best_sse], sse[:-1])))
+        records = np.flatnonzero(sse < running)
         k = -1
-        while True:
-            ahead = np.flatnonzero(sse[k + 1 :] < best_sse - 1e-15)
-            if ahead.size == 0:
-                break
-            k += 1 + int(ahead[0])
-            best_sse = sse[k]
+        best_sse = float(best_sse)
+        for j, value in zip(records.tolist(), sse[records].tolist()):
+            if value < best_sse - 1e-15:
+                k, best_sse = j, value
         if k >= 0:
             best.feature = int(self.feat[k])
             best.cut = float(self.cuts[k])

@@ -252,9 +252,13 @@ def test_stump_scan_matches_scalar_reference(seed):
         w = w / w.sum()
         s = scan.fit(w)
         assert bits((s.feature, s.cut, s.left, s.right)) == bits(ref_fit_stump(Z, y, w))
+    uniform = np.full(len(y), 1.0 / len(y))
     yc = np.full(len(y), 1.5)
-    s = _StumpScan(Z, yc).fit(np.full(len(y), 1.0 / len(y)))
-    assert bits((s.feature, s.cut, s.left, s.right)) == bits(ref_fit_stump(Z, yc, np.full(len(y), 1.0 / len(y))))
+    s = _StumpScan(Z, yc).fit(uniform)
+    assert bits((s.feature, s.cut, s.left, s.right)) == bits(ref_fit_stump(Z, yc, uniform))
+    Zc = np.ones_like(Z)  # no column has a split
+    s = _StumpScan(Zc, y).fit(uniform)
+    assert bits((s.feature, s.cut, s.left, s.right)) == bits(ref_fit_stump(Zc, y, uniform))
 
 
 def test_adaboost_500_rounds_matches_scalar_reference():
