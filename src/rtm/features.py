@@ -79,12 +79,14 @@ def weighted_overlap(
         raise ValueError("orders must be nonempty")
     src_grams = _distinct_ngrams(src, orders)
     tgt_grams = _distinct_ngrams(tgt, orders)
-    src_total = sum(table.weight(g) for g in src_grams)
-    tgt_total = sum(table.weight(g) for g in tgt_grams)
+    # fsum is exactly rounded, so the sums do not depend on the set's
+    # iteration order, which follows PYTHONHASHSEED
+    src_total = math.fsum(table.weight(g) for g in src_grams)
+    tgt_total = math.fsum(table.weight(g) for g in tgt_grams)
     if not src_grams or not tgt_grams or src_total == 0.0 or tgt_total == 0.0:
         return OverlapScores(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     common = src_grams & tgt_grams
-    common_w = sum(table.weight(g) for g in common)
+    common_w = math.fsum(table.weight(g) for g in common)
     wprec = common_w / src_total
     wrec = common_w / tgt_total
     wf1 = 2.0 * wprec * wrec / (wprec + wrec) if wprec + wrec > 0 else 0.0

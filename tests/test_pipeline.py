@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import rtm
 from rtm.cli import main
 from rtm.metrics import parse_report
 from rtm.pipeline import (
@@ -319,3 +325,21 @@ class TestCli:
         a = (root / "s7" / "report.txt").read_text()
         b = (root / "s123" / "report.txt").read_text()
         assert "seed = 123" in b and a != b
+
+    def test_features_independent_of_hash_seed(self, tiny_intensity_cfg):
+        # n-gram sets iterate in PYTHONHASHSEED order; feature values must not
+        root = tiny_intensity_cfg.parent
+        script = (
+            "import sys\n"
+            "from rtm.cli import main\n"
+            "for stage in ('select-interpretants', 'build-resources', 'extract-features'):\n"
+            "    if main([stage, '--config', sys.argv[1], '--out', sys.argv[2]]):\n"
+            "        sys.exit(1)\n"
+        )
+        src = str(Path(rtm.__file__).resolve().parents[1])
+        for hash_seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+            subprocess.run([sys.executable, "-c", script, str(tiny_intensity_cfg),
+                            str(root / f"hash{hash_seed}")], env=env, check=True, timeout=300)
+        for name in ("interpretants.tsv", "features_train.tsv", "features_test.tsv"):
+            assert (root / "hash1" / name).read_bytes() == (root / "hash2" / name).read_bytes(), name
