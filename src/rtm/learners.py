@@ -111,7 +111,7 @@ _BLOCK_BYTES = 16 << 20
 def _row_blocks(n_rows: int, bytes_per_row: int):
     """Slices covering ``range(n_rows)``, each within the block byte budget."""
     step = max(1, _BLOCK_BYTES // max(1, bytes_per_row))
-    return [slice(i, i + step) for i in range(0, n_rows, step)]
+    return [slice(i, min(i + step, n_rows)) for i in range(0, n_rows, step)]
 
 
 class _Knn:
@@ -229,7 +229,7 @@ class _ExtraTrees:
         flat = Z.ravel()
         for rows in _row_blocks(len(Z), 64 * n_trees):
             # (tree, row) positions descend all trees at once, one level a step
-            offsets = np.arange(rows.start, min(rows.stop, len(Z)))[None, :] * Z.shape[1]
+            offsets = np.arange(rows.start, rows.stop)[None, :] * Z.shape[1]
             node = np.repeat(self.roots[:, None], offsets.shape[1], axis=1)
             for _ in range(self.depth - 1):
                 go_left = flat[offsets + self.feature[node]] < self.cut[node]

@@ -297,7 +297,11 @@ def _write_pickle(path: Path, obj):
 
 def _read_pickle(path: Path) -> dict:
     with open(path, "rb") as fh:
-        obj = pickle.load(fh)
+        try:
+            obj = pickle.load(fh)
+        except (AttributeError, ImportError, pickle.UnpicklingError) as exc:
+            # e.g. a model pickled before trees became flat node arrays
+            raise StageError(f"{path}: written by an incompatible build ({exc})") from exc
     if obj.get("version") != __version__:
         raise StageError(f"{path}: written by version {obj.get('version')}")
     return obj

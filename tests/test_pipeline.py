@@ -1,4 +1,5 @@
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -164,6 +165,26 @@ class TestPipelineRun:
         )
         with pytest.raises(StageError, match="fingerprint"):
             run_stage(cfg, out, "train")
+
+    def test_incompatible_model_pickle_refused(self, tiny_intensity_cfg, monkeypatch):
+        import rtm.learners
+
+        cfg = parse_config(tiny_intensity_cfg)
+        out = tiny_intensity_cfg.parent / "out_old"
+        for stage in STAGES[:4]:
+            run_stage(cfg, out, stage)
+
+        class _Gone:  # stands for a class an older build pickled
+            pass
+
+        _Gone.__module__, _Gone.__qualname__ = "rtm.learners", "_Gone"
+        monkeypatch.setattr(rtm.learners, "_Gone", _Gone, raising=False)
+        blob = pickle.loads((out / "model.pkl").read_bytes())
+        blob["model"] = _Gone()
+        (out / "model.pkl").write_bytes(pickle.dumps(blob))
+        monkeypatch.delattr(rtm.learners, "_Gone")
+        with pytest.raises(StageError, match="incompatible build"):
+            run_stage(cfg, out, "predict")
 
     def test_stage_error_names_stage(self, tiny_intensity_cfg):
         cfg = parse_config(tiny_intensity_cfg)
