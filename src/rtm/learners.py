@@ -182,6 +182,7 @@ def _grow_preorder(ZY, y, min_leaf, min_split, rng, nodes) -> int:
             cut.append(math.inf)
             left.append(node)
             right.append(node)
+            # np.mean's arithmetic (pairwise sum, one division); a row is its own mean
             value.append(float(y[idx[0]]) if n == 1 else float(y[idx].sum() / n))
             continue
         feat, c, mask = split
