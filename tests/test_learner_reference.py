@@ -12,7 +12,8 @@ import warnings
 import numpy as np
 import pytest
 
-from rtm.learners import ModelSpec, _AdaBoostR2, _ExtraTrees, _StumpScan
+import rtm.learners
+from rtm.learners import ModelSpec, _AdaBoostR2, _ExtraTrees, _Knn, _StumpScan
 
 # ---------------------------------------------------------------------------
 # Reference implementations.
@@ -78,6 +79,12 @@ def ref_forest_predict(trees, Z):
         ref_tree_predict(tree, Z, idx, out)
         total += out
     return total / len(trees)
+
+
+def ref_knn_predict(Ztrain, y, k, Z):
+    d2 = ((Z[:, None, :] - Ztrain[None, :, :]) ** 2).sum(axis=2)
+    nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return y[nearest].mean(axis=1)
 
 
 def ref_preorder(node):
@@ -285,3 +292,16 @@ def test_adaboost_500_rounds_matches_scalar_reference():
     ref_kinds = {w.category for w in ref_warned}
     assert RuntimeWarning in ref_kinds
     assert {w.category for w in new_warned} == ref_kinds
+
+
+def test_predictions_cross_row_blocks_unchanged(monkeypatch):
+    Z, y, Zq = design(4)
+    Zq = np.vstack([Zq, Z, Zq[:1]])  # 66 rows, a tie-heavy KNN query set
+    spec = ModelSpec("tree", n_estimators=20, seed=4)
+    forest = _ExtraTrees(Z, y, spec)
+    knn = _Knn(Z, y, ModelSpec("knn", k=5))
+    # 3 query rows per tree block, 7 per KNN block
+    monkeypatch.setattr(rtm.learners, "_BLOCK_BYTES", 64 * 20 * 3)
+    assert bits(forest.predict(Zq).tolist()) == bits(ref_forest_predict(ref_forest(Z, y, spec), Zq).tolist())
+    monkeypatch.setattr(rtm.learners, "_BLOCK_BYTES", 8 * Z.size * 7)
+    assert bits(knn.predict(Zq).tolist()) == bits(ref_knn_predict(Z, y, 5, Zq).tolist())
