@@ -30,6 +30,7 @@ from .features import (
     N_FEATURES,
     AlignmentModel,
     FeatureResources,
+    NGramSide,
     alignment_features,
     build_feature_matrix,
     extract_feature_vector,

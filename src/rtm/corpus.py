@@ -119,6 +119,8 @@ def _is_word_char(ch: str) -> bool:
 
 
 def _split_chunk(chunk: str) -> list[str]:
+    if chunk.isalnum():  # every character is a word character
+        return [chunk]
     out: list[str] = []
     buf: list[str] = []
     for i, ch in enumerate(chunk):

@@ -58,18 +58,56 @@ class OverlapScores(NamedTuple):
     prec: float
 
 
-def _distinct_ngrams(seq: TokenSeq, orders) -> set:
-    grams = set()
-    for n in orders:
-        grams.update(extract_ngrams(seq, n))
-    return grams
+class NGramSide:
+    """One side of an overlap: its distinct n-grams per order with their weights.
+
+    Orders are filled on first use and weight totals are kept per order set,
+    so a side shared by many rows (a lexicon target) is built once.
+    """
+
+    def __init__(self, seq: TokenSeq, table: NGramWeightTable):
+        self.seq = seq
+        self.table = table
+        self._weights: dict[int, dict] = {}
+        self._totals: dict[tuple, float] = {}
+
+    def weights(self, n: int) -> dict:
+        """Distinct n-grams of order ``n`` mapped to their table weights."""
+        got = self._weights.get(n)
+        if got is None:
+            weight = self.table.weight
+            got = self._weights[n] = {g: weight(g) for g in extract_ngrams(self.seq, n)}
+        return got
+
+    def total(self, orders: tuple) -> float:
+        """Total weight of the distinct n-grams of ``orders``.
+
+        Grams of different orders differ, so this is the fsum over the union;
+        fsum is exactly rounded, so it does not depend on iteration order,
+        which follows PYTHONHASHSEED.
+        """
+        got = self._totals.get(orders)
+        if got is None:
+            got = self._totals[orders] = math.fsum(
+                w for n in orders for w in self.weights(n).values()
+            )
+        return got
+
+
+def _side(seq: TokenSeq | NGramSide, table: NGramWeightTable) -> NGramSide:
+    if not isinstance(seq, NGramSide):
+        return NGramSide(seq, table)
+    if seq.table is not table:
+        raise ValueError("n-gram side was built from another weight table")
+    return seq
 
 
 def weighted_overlap(
-    src: TokenSeq, tgt: TokenSeq, table: NGramWeightTable, orders
+    src: TokenSeq | NGramSide, tgt: TokenSeq | NGramSide, table: NGramWeightTable, orders
 ) -> OverlapScores:
     """Likelihood-weighted and plain n-gram overlap over the given orders.
 
+    ``src`` and ``tgt`` are TokenSeqs or NGramSides built from ``table``.
     wrec sums the weights of target n-grams also present in the source over
     the total target weight; wprec mirrors it on the source side.  Any empty
     denominator makes all six outputs 0.
@@ -77,22 +115,26 @@ def weighted_overlap(
     orders = tuple(orders)
     if not orders:
         raise ValueError("orders must be nonempty")
-    src_grams = _distinct_ngrams(src, orders)
-    tgt_grams = _distinct_ngrams(tgt, orders)
-    # fsum is exactly rounded, so the sums do not depend on the set's
-    # iteration order, which follows PYTHONHASHSEED
-    src_total = math.fsum(table.weight(g) for g in src_grams)
-    tgt_total = math.fsum(table.weight(g) for g in tgt_grams)
-    if not src_grams or not tgt_grams or src_total == 0.0 or tgt_total == 0.0:
+    src, tgt = _side(src, table), _side(tgt, table)
+    n_src = sum(len(src.weights(n)) for n in orders)
+    n_tgt = sum(len(tgt.weights(n)) for n in orders)
+    src_total = src.total(orders)
+    tgt_total = tgt.total(orders)
+    if not n_src or not n_tgt or src_total == 0.0 or tgt_total == 0.0:
         return OverlapScores(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    common = src_grams & tgt_grams
-    common_w = math.fsum(table.weight(g) for g in common)
+    common: list[float] = []
+    for n in orders:
+        small, large = src.weights(n), tgt.weights(n)
+        if len(large) < len(small):
+            small, large = large, small
+        common.extend(w for g, w in small.items() if g in large)
+    common_w = math.fsum(common)
     wprec = common_w / src_total
     wrec = common_w / tgt_total
     wf1 = 2.0 * wprec * wrec / (wprec + wrec) if wprec + wrec > 0 else 0.0
     wgm = math.sqrt(wprec * wrec)
-    rec = len(common) / len(tgt_grams)
-    prec = len(common) / len(src_grams)
+    rec = len(common) / n_tgt
+    prec = len(common) / n_src
     return OverlapScores(wprec, wrec, wf1, wgm, rec, prec)
 
 
@@ -132,18 +174,27 @@ class AlignmentModel:
         higher probability.  Target words with no probability mass anywhere
         go to null.
         """
-        links: list[int | None] = []
-        for f in tgt.tokens:
-            best_i: int | None = None
-            best_p = 0.0
-            for i, e in enumerate(src.tokens):
-                p = self.prob(f, e)
-                if p > best_p:
-                    best_i, best_p = i, p
-            if self.prob(f, NULL) > best_p:
-                best_i = None
-            links.append(best_i)
-        return links
+        # Per target type, the first source index with the highest positive
+        # probability.  Each source position walks the smaller of its table
+        # row and the target's types; the strict > keeps the lowest index.
+        best_p = dict.fromkeys(tgt.tokens, 0.0)
+        best_i: dict[str, int] = {}
+        for i, e in enumerate(src.tokens):
+            row = self.table.get(e, {})
+            if len(row) < len(best_p):
+                for f, p in row.items():
+                    if p > best_p.get(f, math.inf):
+                        best_p[f] = p
+                        best_i[f] = i
+            else:
+                for f, bp in best_p.items():
+                    p = row.get(f, 0.0)
+                    if p > bp:
+                        best_p[f] = p
+                        best_i[f] = i
+        null_row = self.table.get(NULL, {})
+        link = {f: i for f, i in best_i.items() if null_row.get(f, 0.0) <= best_p[f]}
+        return [link.get(f) for f in tgt.tokens]
 
 
 def train_aligner(pairs: list[tuple[TokenSeq, TokenSeq]], iterations: int = 5) -> AlignmentModel:
@@ -241,14 +292,24 @@ class FeatureResources:
     aligner: AlignmentModel
 
 
-def extract_feature_vector(src: TokenSeq, tgt: TokenSeq, resources: FeatureResources) -> np.ndarray:
-    """The full 41-feature vector for one (src, tgt) pair; never NaN/inf."""
+def extract_feature_vector(
+    src: TokenSeq, tgt: TokenSeq | NGramSide, resources: FeatureResources
+) -> np.ndarray:
+    """The full 41-feature vector for one (src, tgt) pair; never NaN/inf.
+
+    ``tgt`` is a TokenSeq or an NGramSide of it built from the resources'
+    weight table, which lets many rows share one target's n-grams.
+    """
     for name in ("weight_table", "lm", "aligner"):
         if getattr(resources, name, None) is None:
             raise ValueError(f"missing resource: {name}")
+    table = resources.weight_table
+    tgt_side = _side(tgt, table)
+    tgt = tgt_side.seq
+    src_side = NGramSide(src, table)
     values: list[float] = []
     for orders in ORDER_SETS:
-        values.extend(weighted_overlap(src, tgt, resources.weight_table, orders))
+        values.extend(weighted_overlap(src_side, tgt_side, table, orders))
     values.extend(lm_features(resources.lm, src))
     values.extend(alignment_features(resources.aligner, src, tgt))
     values.extend(length_features(src, tgt))
@@ -260,7 +321,17 @@ def extract_feature_vector(src: TokenSeq, tgt: TokenSeq, resources: FeatureResou
 
 
 def build_feature_matrix(rows: list[tuple[TokenSeq, TokenSeq]], resources: FeatureResources) -> np.ndarray:
-    """Stack feature vectors for each (src, tgt) row, preserving order."""
+    """Stack feature vectors for each (src, tgt) row, preserving order.
+
+    Each distinct target's n-gram side is built once and shared by its rows.
+    """
     if not rows:
         return np.empty((0, N_FEATURES))
-    return np.vstack([extract_feature_vector(s, t, resources) for s, t in rows])
+    sides: dict[TokenSeq, NGramSide] = {}
+    vectors = []
+    for src, tgt in rows:
+        side = sides.get(tgt)
+        if side is None:
+            side = sides[tgt] = NGramSide(tgt, resources.weight_table)
+        vectors.append(extract_feature_vector(src, side, resources))
+    return np.vstack(vectors)

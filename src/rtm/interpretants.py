@@ -14,6 +14,7 @@ interpolated Witten-Bell language model.
 from __future__ import annotations
 
 import collections
+import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -56,9 +57,13 @@ class InterpretantSet:
 
 
 def _sentence_ngrams(seq: TokenSeq, max_order: int) -> set:
+    # The insertion order (by order, then first occurrence) fixes the set's
+    # iteration order and with it the order of the float sums in
+    # select_interpretants; changing it can change the last bit of a score.
+    toks = seq.tokens
     grams = set()
     for n in range(1, max_order + 1):
-        grams.update(extract_ngrams(seq, n))
+        grams.update(toks[i : i + n] for i in range(len(toks) - n + 1))
     return grams
 
 
@@ -85,36 +90,34 @@ def select_interpretants(
     # Per sentence: its matching features and 1/len**a normalizer.
     sent_features: list[tuple] = []
     inv_norm: list[float] = []
-    containing: dict = collections.defaultdict(list)
-    for i, sent in enumerate(corpus.sentences):
-        feats = tuple(_sentence_ngrams(sent, cfg.max_order) & task_features)
-        sent_features.append(feats)
+    for sent in corpus.sentences:
+        sent_features.append(tuple(_sentence_ngrams(sent, cfg.max_order) & task_features))
         inv_norm.append(1.0 / (len(sent) ** cfg.length_exponent))
-        for g in feats:
-            containing[g].append(i)
 
     def score(i: int) -> float:
-        return sum(weights[g] for g in sent_features[i]) * inv_norm[i]
+        return sum(map(weights.__getitem__, sent_features[i])) * inv_norm[i]
 
-    scores = [score(i) for i in range(len(corpus))]
-    active = [True] * len(corpus)
+    # Lazy greedy: a heap key is the sentence's score when it was last
+    # computed.  Weights only shrink and rounded sums and products are
+    # monotone, so a key never falls below the current score; a popped
+    # sentence whose re-score still equals its key beats every other current
+    # score, and (-score, index) order keeps the lowest-index tie rule.
+    heap = [(-score(i), i) for i in range(len(corpus))]
+    heapq.heapify(heap)
     selected: list[int] = []
     picked_scores: list[float] = []
     for _ in range(cfg.budget):
-        best, best_score = -1, -math.inf
-        for i, s in enumerate(scores):
-            if active[i] and s > best_score:
-                best, best_score = i, s
+        while True:
+            neg_key, best = heap[0]
+            best_score = score(best)
+            if best_score == -neg_key:
+                heapq.heappop(heap)
+                break
+            heapq.heapreplace(heap, (-best_score, best))
         selected.append(best)
         picked_scores.append(best_score)
-        active[best] = False
-        touched = set()
         for g in sent_features[best]:
             weights[g] *= cfg.decay
-            touched.update(containing[g])
-        for i in touched:
-            if active[i]:
-                scores[i] = score(i)
     return InterpretantSet(selected, picked_scores)
 
 
