@@ -175,11 +175,18 @@ def _read_lines(path):
         return fh.read().split("\n")
 
 
+def _check_new_id(path, lineno: int, rid: str, first_line: dict[str, int]):
+    """Reject an instance id already seen; ids key gold and prediction maps."""
+    if rid in first_line:
+        _fail(path, lineno, f"duplicate id {rid!r} (first on line {first_line[rid]})")
+    first_line[rid] = lineno
+
+
 def load_intensity_dataset(path) -> list[IntensityInstance]:
     """Load an intensity TSV: header ``id\\ttext\\taffect\\tscore`` then rows.
 
     The score column may be omitted entirely or hold ``NONE`` per row (test
-    mode).  Scores must lie in [0, 1].
+    mode).  Scores must lie in [0, 1] and ids must be unique.
     """
     lines = _read_lines(path)
     if not lines or not lines[0].strip():
@@ -189,12 +196,14 @@ def load_intensity_dataset(path) -> list[IntensityInstance]:
         _fail(path, 1, f"bad header {header!r}")
     ncols = len(header)
     out = []
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         fields = line.rstrip("\r").split("\t")
         if len(fields) != ncols:
             _fail(path, lineno, f"expected {ncols} columns, got {len(fields)}")
+        _check_new_id(path, lineno, fields[0], first_line)
         gold = None
         if ncols == 4 and fields[3] != "NONE":
             try:
@@ -226,15 +235,17 @@ def save_intensity_dataset(instances, path):
 def load_triple_dataset(path) -> list[TripleInstance]:
     """Load a triples TSV: ``id\\tword1\\tword2\\tattribute\\tlabel``, no header.
 
-    Labels are ``0``, ``1`` or ``NONE``.
+    Labels are ``0``, ``1`` or ``NONE``; ids must be unique.
     """
     out = []
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(_read_lines(path), start=1):
         if not line.strip():
             continue
         fields = line.rstrip("\r").split("\t")
         if len(fields) != 5:
             _fail(path, lineno, f"expected 5 columns, got {len(fields)}")
+        _check_new_id(path, lineno, fields[0], first_line)
         if fields[4] == "NONE":
             gold = None
         elif fields[4] in ("0", "1"):

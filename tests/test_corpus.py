@@ -125,6 +125,14 @@ class TestIntensityDataset:
         save_intensity_dataset(insts, tmp_path / "copy.tsv")
         assert load_intensity_dataset(tmp_path / "copy.tsv") == insts
 
+    def test_duplicate_id_rejected(self, tmp_path):
+        path = tmp_path / "d.tsv"
+        path.write_text(
+            "id\ttext\taffect\tscore\na\tone\tjoy\t0.1\n\nb\ttwo\tjoy\t0.2\na\tthree\tjoy\t0.3\n"
+        )
+        with pytest.raises(DataFormatError, match=r"d.tsv:5: duplicate id 'a' \(first on line 2\)"):
+            load_intensity_dataset(path)
+
 
 class TestTripleDataset:
     def test_load(self, tmp_path):
@@ -146,6 +154,12 @@ class TestTripleDataset:
         insts = load_triple_dataset(path)
         save_triple_dataset(insts, tmp_path / "copy.tsv")
         assert load_triple_dataset(tmp_path / "copy.tsv") == insts
+
+    def test_duplicate_id_rejected(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_text("q1\tapple\tbanana\tred\t1\nq2\tdog\tcat\tbark\t0\nq1\tsun\tmoon\thot\t1\n")
+        with pytest.raises(DataFormatError, match=r"t.tsv:3: duplicate id 'q1' \(first on line 1\)"):
+            load_triple_dataset(path)
 
 
 class TestLexicon:
