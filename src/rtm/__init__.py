@@ -47,7 +47,6 @@ from .interpretants import (
     WittenBellLM,
     build_ngram_weights,
     select_interpretants,
-    train_language_model,
 )
 from .learners import (
     AveragedModel,

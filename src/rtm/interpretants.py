@@ -282,7 +282,3 @@ class WittenBellLM:
 
     def prediction_vocab(self) -> set:
         return set(self._pred_vocab)
-
-
-def train_language_model(sentences: list[TokenSeq], order: int = 3, **kwargs) -> WittenBellLM:
-    return WittenBellLM(sentences, order=order, **kwargs)

@@ -9,7 +9,6 @@ from rtm.interpretants import (
     WittenBellLM,
     build_ngram_weights,
     select_interpretants,
-    train_language_model,
 )
 
 
@@ -96,7 +95,7 @@ class TestNGramWeights:
 class TestWittenBellLM:
     def test_repeated_sentence_near_certain(self):
         sentences = seqs(*["the cat sat on the mat"] * 40)
-        lm = train_language_model(sentences, order=3)
+        lm = WittenBellLM(sentences, order=3)
         logprob, events = lm.sequence_logprob2(sentences[0])
         assert -logprob / events < 0.2
 
@@ -114,7 +113,7 @@ class TestWittenBellLM:
         sentences = [
             TokenSeq.from_tokens(rng.choice(vocab, size=rng.integers(1, 7))) for _ in range(30)
         ]
-        lm = train_language_model(sentences, order=3)
+        lm = WittenBellLM(sentences, order=3)
         words = sorted(lm.prediction_vocab())
         histories = [tuple(rng.choice(vocab + ["<unk>"], size=rng.integers(0, 3))) for _ in range(100)]
         histories += [("<s>", "<s>"), ("<s>", words[0])]
@@ -123,13 +122,13 @@ class TestWittenBellLM:
             assert total == pytest.approx(1.0, abs=1e-6)
 
     def test_any_sentence_has_positive_probability(self):
-        lm = train_language_model(seqs("a b c"), order=2)
+        lm = WittenBellLM(seqs("a b c"), order=2)
         logprob, _ = lm.sequence_logprob2(tokenize("zz qq a"))
         assert math.isfinite(logprob)
 
     def test_order_validation(self):
         with pytest.raises(ValueError):
-            train_language_model(seqs("a b"), order=0)
+            WittenBellLM(seqs("a b"), order=0)
         with pytest.raises(ValueError):
             WittenBellLM(seqs("a b"), order=2, use_boundaries=False)
 
