@@ -280,10 +280,8 @@ def test_align_matches_probe_loop(table, src, tgt):
 
 def test_align_null_wins_only_when_strictly_higher():
     model = AlignmentModel({"a": {"x": 0.5, "y": 0.5}, NULL: {"x": 0.5, "y": 0.75}}, [])
-    assert model.align(seq(["a", "a"]), seq(["x", "y", "x", "z"])) == [0, None, 0, None]
-    assert model.align(seq(["a", "a"]), seq(["x", "y", "x", "z"])) == ref_align(
-        model, seq(["a", "a"]), seq(["x", "y", "x", "z"])
-    )
+    src, tgt = seq(["a", "a"]), seq(["x", "y", "x", "z"])
+    assert model.align(src, tgt) == ref_align(model, src, tgt) == [0, None, 0, None]
 
 
 def test_align_both_walks_on_trained_model():
