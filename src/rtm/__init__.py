@@ -57,15 +57,10 @@ from .learners import (
     cross_validate,
     default_grid,
     fit_model,
-    fit_pls,
     fold_indices,
     grid_search,
     select_features,
     small_grid,
-    train_adaboost_r2,
-    train_extra_trees,
-    train_knn,
-    train_ridge,
 )
 from .metrics import (
     MetricConfig,
@@ -92,12 +87,8 @@ from .metrics import (
 from .pipeline import RunConfig, RunReport, evaluate_files, parse_config, run_pipeline
 from .stacking import (
     LinearCombiner,
-    PairedInstance,
     StackConfig,
     StackModel,
     combo_features,
     fit_linear_combiner,
-    predict_stack,
-    train_combined_stack,
-    train_separate_stack,
 )

@@ -21,7 +21,7 @@ scores (FS first, then PLS).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,9 +39,6 @@ class Scaler:
     def transform(self, X: np.ndarray) -> np.ndarray:
         return (np.asarray(X, dtype=float) - self.mean_) / self.std_
 
-    def inverse_transform(self, Z: np.ndarray) -> np.ndarray:
-        return np.asarray(Z, dtype=float) * self.std_ + self.mean_
-
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -53,7 +50,6 @@ class ModelSpec:
     min_leaf: int = 1
     min_split: int = 2
     n_estimators: int = 500
-    learning_rate: float = 1.0
     n_features: int | None = None  # FS: keep this many columns
     n_components: int | None = None  # PLS: project to this many scores
     seed: int = 0
@@ -337,8 +333,8 @@ class _AdaBoostR2:
                 break
             beta = avg_loss / (1.0 - avg_loss)
             self.stumps.append(stump)
-            self.alphas.append(spec.learning_rate * math.log(1.0 / beta))
-            w = w * beta ** ((1.0 - loss) * spec.learning_rate)
+            self.alphas.append(math.log(1.0 / beta))
+            w = w * beta ** (1.0 - loss)
             w /= w.sum()
 
     def predict(self, Z):
@@ -430,30 +426,8 @@ class PlsProjection:
         return self.y_mean + self.transform(Z) @ self.Q
 
 
-class StandardizedPls:
-    """PLS fitted on standardized X; transform/predict accept raw feature rows."""
-
-    def __init__(self, X: np.ndarray, y: np.ndarray, n_components: int):
-        self.scaler = Scaler(X)
-        self.projection = PlsProjection(self.scaler.transform(X), y, n_components)
-
-    @property
-    def n_components(self) -> int:
-        return self.projection.n_components
-
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        return self.projection.transform(self.scaler.transform(X))
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return self.projection.predict(self.scaler.transform(X))
-
-
-def fit_pls(X, y, n_components: int) -> StandardizedPls:
-    return StandardizedPls(X, y, n_components)
-
-
 # ---------------------------------------------------------------------------
-# The trained-model wrapper and the public train_* entry points.
+# The trained-model wrapper.
 
 
 class TrainedModel:
@@ -500,24 +474,6 @@ def fit_model(spec: ModelSpec, X, y) -> TrainedModel:
     return TrainedModel(spec, X, y)
 
 
-def train_ridge(X, y, alpha: float) -> TrainedModel:
-    return fit_model(ModelSpec("rr", alpha=alpha), X, y)
-
-
-def train_knn(X, y, k: int) -> TrainedModel:
-    return fit_model(ModelSpec("knn", k=k), X, y)
-
-
-def train_extra_trees(X, y, spec: ModelSpec | None = None, **kwargs) -> TrainedModel:
-    spec = replace(spec or ModelSpec("tree"), kind="tree", **kwargs)
-    return fit_model(spec, X, y)
-
-
-def train_adaboost_r2(X, y, spec: ModelSpec | None = None, **kwargs) -> TrainedModel:
-    spec = replace(spec or ModelSpec("ada"), kind="ada", **kwargs)
-    return fit_model(spec, X, y)
-
-
 # ---------------------------------------------------------------------------
 # Cross-validation, grid search, top-k averaging.
 
@@ -530,22 +486,10 @@ def fold_indices(n: int, folds: int, seed: int) -> list[np.ndarray]:
     return np.array_split(perm, folds)
 
 
-def _fold_score(pred: np.ndarray, gold: np.ndarray, scoring: str) -> float:
-    if scoring == "mae":
-        return float(np.mean(np.abs(pred - gold)))
-    if scoring == "neg_r":
-        sp, sg = pred.std(), gold.std()
-        if sp == 0.0 or sg == 0.0:
-            return 0.0  # uninformative fold: treat as zero correlation
-        r = float(np.mean((pred - pred.mean()) * (gold - gold.mean())) / (sp * sg))
-        return -r
-    raise ValueError(f"unknown scoring {scoring!r}")
-
-
 def cross_validate(
-    spec: ModelSpec, X, y, folds: int = 7, seed: int = 0, scoring: str = "mae"
+    spec: ModelSpec, X, y, folds: int = 7, seed: int = 0
 ) -> tuple[float, list[float]]:
-    """Mean held-out score over a seeded contiguous fold split."""
+    """Mean held-out MAE over a seeded contiguous fold split."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     parts = fold_indices(len(y), folds, seed)
@@ -553,17 +497,17 @@ def cross_validate(
     for i, test_idx in enumerate(parts):
         train_idx = np.concatenate([p for j, p in enumerate(parts) if j != i])
         model = fit_model(spec, X[train_idx], y[train_idx])
-        scores.append(_fold_score(model.predict(X[test_idx]), y[test_idx], scoring))
+        scores.append(float(np.mean(np.abs(model.predict(X[test_idx]) - y[test_idx]))))
     return float(np.mean(scores)), scores
 
 
 def grid_search(
-    specs: list[ModelSpec], X, y, folds: int = 7, seed: int = 0, scoring: str = "mae"
+    specs: list[ModelSpec], X, y, folds: int = 7, seed: int = 0
 ) -> list[tuple[ModelSpec, float]]:
     """Cross-validate every spec and rank ascending; ties keep grid order."""
     if not specs:
         raise ValueError("empty grid")
-    scored = [(spec, cross_validate(spec, X, y, folds, seed, scoring)[0]) for spec in specs]
+    scored = [(spec, cross_validate(spec, X, y, folds, seed)[0]) for spec in specs]
     return sorted(scored, key=lambda pair: pair[1])  # stable -> grid order on ties
 
 
@@ -586,7 +530,7 @@ def average_top_k(ranked, k: int, X, y) -> AveragedModel:
 # Default hyperparameter grids.  The ranges below are the package defaults;
 # "small" is a fast preset for tests and demos.
 
-def default_grid(seed: int = 0, tree_estimators: int = 500, ada_estimators: int = 500) -> list[ModelSpec]:
+def default_grid(seed: int = 0) -> list[ModelSpec]:
     specs: list[ModelSpec] = []
     for alpha in (0.01, 0.1, 1.0, 10.0, 100.0):
         specs.append(ModelSpec("rr", alpha=alpha, seed=seed))
@@ -600,10 +544,9 @@ def default_grid(seed: int = 0, tree_estimators: int = 500, ada_estimators: int 
         specs.append(ModelSpec("knn", k=k, n_components=4, seed=seed))
     for min_leaf in (1, 3, 5):
         specs.append(
-            ModelSpec("tree", min_leaf=min_leaf, min_split=max(2, 2 * min_leaf),
-                      n_estimators=tree_estimators, seed=seed)
+            ModelSpec("tree", min_leaf=min_leaf, min_split=max(2, 2 * min_leaf), seed=seed)
         )
-    specs.append(ModelSpec("ada", n_estimators=ada_estimators, seed=seed))
+    specs.append(ModelSpec("ada", seed=seed))
     return specs
 
 

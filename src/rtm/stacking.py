@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import TokenSeq
-from .features import N_FEATURES, FeatureResources, build_feature_matrix
+from .features import N_FEATURES
 from .learners import (
     AveragedModel,
     ModelSpec,
@@ -35,24 +34,12 @@ N_STACK_FEATURES = 2 * N_FEATURES + N_COMBO
 
 
 @dataclass(frozen=True)
-class PairedInstance:
-    """One instance with its two (src, tgt) rows and an instance-level gold."""
-
-    id: str
-    row_a: tuple[TokenSeq, TokenSeq]
-    row_b: tuple[TokenSeq, TokenSeq]
-    gold: float | None = None
-
-
-@dataclass(frozen=True)
 class StackConfig:
     base_spec: ModelSpec = ModelSpec("rr", alpha=1.0)
-    base_spec_b: ModelSpec | None = None  # separate mode may specialize side b
     final_specs: tuple[ModelSpec, ...] = (ModelSpec("rr", alpha=1.0),)
     top_k: int = 1
     folds: int = 7
     seed: int = 0
-    scoring: str = "mae"
 
 
 @dataclass
@@ -73,9 +60,6 @@ class StackModel:
     cv_table: list[tuple[ModelSpec, float]]
     oof_audit: list[OofAuditRecord] = field(default_factory=list)
 
-    def predict(self, instances, resources: FeatureResources) -> np.ndarray:
-        return predict_stack(self, instances, resources)
-
 
 def combo_features(y1, y2) -> np.ndarray:
     """The five combination features of two predictions.
@@ -87,19 +71,6 @@ def combo_features(y1, y2) -> np.ndarray:
     y2 = np.asarray(y2, dtype=float)
     gm = np.sqrt(np.maximum(y1, 0.0) * np.maximum(y2, 0.0))
     return np.stack([y1, y2, np.abs(y1 - y2), (y1 + y2) / 2.0, gm], axis=-1)
-
-
-def _row_matrices(instances, resources):
-    feats_a = build_feature_matrix([inst.row_a for inst in instances], resources)
-    feats_b = build_feature_matrix([inst.row_b for inst in instances], resources)
-    return feats_a, feats_b
-
-
-def _golds(instances) -> np.ndarray:
-    golds = [inst.gold for inst in instances]
-    if any(g is None for g in golds):
-        raise ValueError("all training instances need gold values")
-    return np.asarray(golds, dtype=float)
 
 
 def _oof_predict_combined(feats_a, feats_b, gold, cfg, audit):
@@ -120,13 +91,13 @@ def _oof_predict_combined(feats_a, feats_b, gold, cfg, audit):
     return yhat[:n], yhat[n:]
 
 
-def _oof_predict_side(feats, gold, spec, cfg, side, offset, audit):
+def _oof_predict_side(feats, gold, cfg, side, offset, audit):
     """Out-of-fold predictions for one row population with its own base model."""
     n = len(gold)
     yhat = np.empty(n)
     for f, test_idx in enumerate(fold_indices(n, cfg.folds, cfg.seed)):
         train_idx = np.setdiff1d(np.arange(n), test_idx)
-        model = fit_model(spec, feats[train_idx], gold[train_idx])
+        model = fit_model(cfg.base_spec, feats[train_idx], gold[train_idx])
         yhat[test_idx] = model.predict(feats[test_idx])
         audit.append(
             OofAuditRecord(
@@ -142,7 +113,7 @@ def _oof_predict_side(feats, gold, spec, cfg, side, offset, audit):
 def _fit_final(feats_a, feats_b, yhat_a, yhat_b, gold, cfg):
     final_X = np.hstack([feats_a, feats_b, combo_features(yhat_a, yhat_b)])
     assert final_X.shape[1] == N_STACK_FEATURES
-    ranked = grid_search(list(cfg.final_specs), final_X, gold, cfg.folds, cfg.seed, cfg.scoring)
+    ranked = grid_search(list(cfg.final_specs), final_X, gold, cfg.folds, cfg.seed)
     return average_top_k(ranked, min(cfg.top_k, len(ranked)), final_X, gold), ranked
 
 
@@ -161,34 +132,21 @@ def train_combined_stack_matrices(feats_a, feats_b, gold, cfg: StackConfig) -> S
 
 
 def train_separate_stack_matrices(feats_a, feats_b, gold, cfg: StackConfig) -> StackModel:
-    """Two per-side base models, each trained only on its own row population."""
+    """Two per-side base models of ``cfg.base_spec``, each trained only on its
+    own row population."""
     gold = np.asarray(gold, dtype=float)
     if len(gold) < 2 or len(feats_a) != len(gold) or len(feats_b) != len(gold):
         raise ValueError("need >= 2 instances with matching row matrices")
-    spec_a = cfg.base_spec
-    spec_b = cfg.base_spec_b or cfg.base_spec
     n = len(gold)
     audit: list[OofAuditRecord] = []
-    yhat_a = _oof_predict_side(feats_a, gold, spec_a, cfg, "a", 0, audit)
-    yhat_b = _oof_predict_side(feats_b, gold, spec_b, cfg, "b", n, audit)
+    yhat_a = _oof_predict_side(feats_a, gold, cfg, "a", 0, audit)
+    yhat_b = _oof_predict_side(feats_b, gold, cfg, "b", n, audit)
     bases = {
-        "a": fit_model(spec_a, feats_a, gold),
-        "b": fit_model(spec_b, feats_b, gold),
+        "a": fit_model(cfg.base_spec, feats_a, gold),
+        "b": fit_model(cfg.base_spec, feats_b, gold),
     }
     final, ranked = _fit_final(feats_a, feats_b, yhat_a, yhat_b, gold, cfg)
     return StackModel("separate", bases, final, ranked, audit)
-
-
-def train_combined_stack(instances, resources: FeatureResources, cfg: StackConfig) -> StackModel:
-    """Combined stack from TokenSeq instances (extracts row features first)."""
-    feats_a, feats_b = _row_matrices(instances, resources)
-    return train_combined_stack_matrices(feats_a, feats_b, _golds(instances), cfg)
-
-
-def train_separate_stack(instances, resources: FeatureResources, cfg: StackConfig) -> StackModel:
-    """Separate stack from TokenSeq instances (extracts row features first)."""
-    feats_a, feats_b = _row_matrices(instances, resources)
-    return train_separate_stack_matrices(feats_a, feats_b, _golds(instances), cfg)
 
 
 def predict_stack_matrices(model: StackModel, feats_a, feats_b) -> np.ndarray:
@@ -202,11 +160,6 @@ def predict_stack_matrices(model: StackModel, feats_a, feats_b) -> np.ndarray:
         yhat_b = model.bases["b"].predict(feats_b)
     final_X = np.hstack([feats_a, feats_b, combo_features(yhat_a, yhat_b)])
     return model.final.predict(final_X)
-
-
-def predict_stack(model: StackModel, instances, resources: FeatureResources) -> np.ndarray:
-    feats_a, feats_b = _row_matrices(instances, resources)
-    return predict_stack_matrices(model, feats_a, feats_b)
 
 
 @dataclass(frozen=True)

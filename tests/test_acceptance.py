@@ -15,11 +15,10 @@ from rtm.corpus import TokenSeq
 from rtm.features import N_FEATURES
 from rtm.learners import (
     ModelSpec,
+    PlsProjection,
     Scaler,
-    fit_pls,
+    fit_model,
     fold_indices,
-    train_extra_trees,
-    train_ridge,
 )
 from rtm.metrics import (
     ScoreStats,
@@ -195,7 +194,7 @@ def test_criterion_5_learner_oracles():
         X = rng.normal(size=(10, 5))
         y = rng.normal(size=10)
         alpha = float(rng.uniform(0.1, 10.0))
-        model = train_ridge(X, y, alpha)
+        model = fit_model(ModelSpec("rr", alpha=alpha), X, y)
         Z = Scaler(X).transform(X)
         yc = y - y.mean()
 
@@ -210,13 +209,14 @@ def test_criterion_5_learner_oracles():
     y = X @ rng.normal(size=6) + 0.3
     design = np.column_stack([X, np.ones(40)])
     coef = np.linalg.lstsq(design, y, rcond=None)[0]
-    assert np.abs(fit_pls(X, y, 6).predict(X) - design @ coef).max() < 1e-6
+    Z = Scaler(X).transform(X)
+    assert np.abs(PlsProjection(Z, y, 6).predict(Z) - design @ coef).max() < 1e-6
     # extremely randomized trees are byte-identical under a fixed seed
     X = rng.normal(size=(60, 4))
     y = rng.normal(size=60)
     Xq = rng.normal(size=(25, 4))
-    first = train_extra_trees(X, y, n_estimators=50, seed=3).predict(Xq)
-    second = train_extra_trees(X, y, n_estimators=50, seed=3).predict(Xq)
+    first = fit_model(ModelSpec("tree", n_estimators=50, seed=3), X, y).predict(Xq)
+    second = fit_model(ModelSpec("tree", n_estimators=50, seed=3), X, y).predict(Xq)
     assert np.array_equal(first, second)
     # IBM-1 EM log-likelihood never decreases; identity corpus aligns perfectly
     from rtm.features import alignment_features, train_aligner

@@ -9,27 +9,18 @@ from rtm.learners import (
     average_top_k,
     cross_validate,
     default_grid,
+    PlsProjection,
     fit_model,
-    fit_pls,
     fold_indices,
     grid_search,
     select_features,
     small_grid,
-    train_adaboost_r2,
-    train_extra_trees,
-    train_knn,
-    train_ridge,
 )
 
 rng = np.random.default_rng(1234)
 
 
 class TestScaler:
-    def test_round_trip(self):
-        X = rng.normal(3.0, 2.5, size=(20, 4))
-        scaler = Scaler(X)
-        assert np.abs(scaler.inverse_transform(scaler.transform(X)) - X).max() < 1e-9
-
     def test_constant_column(self):
         X = np.column_stack([np.ones(5), np.arange(5.0)])
         Z = Scaler(X).transform(X)
@@ -38,13 +29,14 @@ class TestScaler:
 
 class TestRidge:
     def test_exact_line(self):
-        model = train_ridge(np.array([[1.0], [2.0]]), np.array([2.0, 4.0]), 0.0)
+        X, y = np.array([[1.0], [2.0]]), np.array([2.0, 4.0])
+        model = fit_model(ModelSpec("rr", alpha=0.0), X, y)
         assert model.predict(np.array([[3.0]]))[0] == pytest.approx(6.0, abs=1e-9)
 
     def test_huge_penalty_collapses_to_mean(self):
         X = rng.normal(size=(30, 3))
         y = rng.normal(size=30)
-        model = train_ridge(X, y, 1e9)
+        model = fit_model(ModelSpec("rr", alpha=1e9), X, y)
         assert np.abs(model.predict(X) - y.mean()).max() < 1e-6
 
     def test_matches_iterative_minimizer(self):
@@ -53,7 +45,7 @@ class TestRidge:
         X = rng.normal(size=(12, 4))
         y = rng.normal(size=12)
         alpha = 1.0
-        model = train_ridge(X, y, alpha)
+        model = fit_model(ModelSpec("rr", alpha=alpha), X, y)
         Z = Scaler(X).transform(X)
         yc = y - y.mean()
 
@@ -68,9 +60,9 @@ class TestRidge:
         X = rng.normal(size=(25, 4))
         y = rng.normal(size=25)
         Xq = rng.normal(size=(6, 4))
-        base = train_ridge(X, y, 1.0).predict(Xq)
+        base = fit_model(ModelSpec("rr", alpha=1.0), X, y).predict(Xq)
         scale = np.array([3.0, 0.2, 11.0, 1.0])
-        scaled = train_ridge(X * scale, y, 1.0).predict(Xq * scale)
+        scaled = fit_model(ModelSpec("rr", alpha=1.0), X * scale, y).predict(Xq * scale)
         assert np.abs(base - scaled).max() < 1e-8
 
 
@@ -78,32 +70,32 @@ class TestKnn:
     def test_own_point(self):
         X = np.array([[0.0], [1.0], [2.0]])
         y = np.array([5.0, 7.0, 9.0])
-        assert train_knn(X, y, 1).predict(X[1:2])[0] == 7.0
+        assert fit_model(ModelSpec("knn", k=1), X, y).predict(X[1:2])[0] == 7.0
 
     def test_k_equals_n_gives_mean(self):
         X = rng.normal(size=(10, 2))
         y = rng.normal(size=10)
-        preds = train_knn(X, y, 10).predict(rng.normal(size=(4, 2)))
+        preds = fit_model(ModelSpec("knn", k=10), X, y).predict(rng.normal(size=(4, 2)))
         assert np.abs(preds - y.mean()).max() < 1e-12
 
     def test_distance_tie_prefers_lower_index(self):
         X = np.array([[0.0], [2.0]])
         y = np.array([1.0, 5.0])
-        assert train_knn(X, y, 1).predict(np.array([[1.0]]))[0] == 1.0
+        assert fit_model(ModelSpec("knn", k=1), X, y).predict(np.array([[1.0]]))[0] == 1.0
 
 
 class TestExtraTrees:
     def test_constant_target(self):
         X = rng.normal(size=(40, 3))
-        model = train_extra_trees(X, np.full(40, 7.0), n_estimators=20, seed=0)
+        model = fit_model(ModelSpec("tree", n_estimators=20, seed=0), X, np.full(40, 7.0))
         assert np.all(model.predict(rng.normal(size=(10, 3))) == 7.0)
 
     def test_seed_determinism(self):
         X = rng.normal(size=(50, 4))
         y = rng.normal(size=50)
         Xq = rng.normal(size=(20, 4))
-        a = train_extra_trees(X, y, n_estimators=30, seed=9).predict(Xq)
-        b = train_extra_trees(X, y, n_estimators=30, seed=9).predict(Xq)
+        a = fit_model(ModelSpec("tree", n_estimators=30, seed=9), X, y).predict(Xq)
+        b = fit_model(ModelSpec("tree", n_estimators=30, seed=9), X, y).predict(Xq)
         assert np.array_equal(a, b)
 
     def test_step_function_beats_variance(self):
@@ -112,14 +104,15 @@ class TestExtraTrees:
         y = np.where(X[:, 0] > 0.5, 3.0, 1.0)
         Xt = gen.uniform(0, 1, size=(100, 1))
         yt = np.where(Xt[:, 0] > 0.5, 3.0, 1.0)
-        model = train_extra_trees(X, y, n_estimators=200, seed=5)
+        model = fit_model(ModelSpec("tree", n_estimators=200, seed=5), X, y)
         mse = np.mean((model.predict(Xt) - yt) ** 2)
         assert mse < yt.var()
 
     def test_min_leaf_respected(self):
         X = rng.normal(size=(30, 2))
         y = rng.normal(size=30)
-        model = train_extra_trees(X, y, n_estimators=5, min_leaf=5, min_split=10, seed=2)
+        spec = ModelSpec("tree", n_estimators=5, min_leaf=5, min_split=10, seed=2)
+        model = fit_model(spec, X, y)
         forest = model.inner
 
         # walk each tree's flat node arrays counting training rows per leaf
@@ -140,13 +133,13 @@ class TestAdaBoostR2:
     def test_stump_fittable_exact_after_one_round(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([1.0, 1.0, 5.0, 5.0])
-        model = train_adaboost_r2(X, y, n_estimators=50, seed=0)
+        model = fit_model(ModelSpec("ada", n_estimators=50, seed=0), X, y)
         assert np.abs(model.predict(X) - y).max() == 0.0
         assert len(model.inner.stumps) == 1
 
     def test_constant_target(self):
         X = rng.normal(size=(20, 2))
-        model = train_adaboost_r2(X, np.full(20, 2.5), n_estimators=10, seed=0)
+        model = fit_model(ModelSpec("ada", n_estimators=10, seed=0), X, np.full(20, 2.5))
         preds = model.predict(X)
         assert len(np.unique(preds)) == 1
         assert preds[0] == pytest.approx(2.5, abs=1e-12)
@@ -155,7 +148,7 @@ class TestAdaBoostR2:
         gen = np.random.default_rng(3)
         X = gen.uniform(-1, 1, size=(200, 3))
         y = X @ np.array([1.0, 2.0, -1.0]) + gen.normal(0, 0.1, 200)
-        model = train_adaboost_r2(X, y, n_estimators=40, seed=1)
+        model = fit_model(ModelSpec("ada", n_estimators=40, seed=1), X, y)
         inner = model.inner
         maes = []
         for k in range(1, len(inner.stumps) + 1):
@@ -194,16 +187,16 @@ class TestPls:
     def test_single_column_direction(self):
         X = rng.normal(size=(25, 1))
         y = 2.0 * X[:, 0] + 1.0
-        pls = fit_pls(X, y, 1)
-        scores = pls.transform(X)[:, 0]
-        z = Scaler(X).transform(X)[:, 0]
-        ratio = scores / z
+        Z = Scaler(X).transform(X)
+        scores = PlsProjection(Z, y, 1).transform(Z)[:, 0]
+        ratio = scores / Z[:, 0]
         assert np.abs(ratio - ratio[0]).max() < 1e-9
 
     def test_orthogonal_scores(self):
         X = rng.normal(size=(40, 6))
         y = rng.normal(size=40)
-        scores = fit_pls(X, y, 4).transform(X)
+        Z = Scaler(X).transform(X)
+        scores = PlsProjection(Z, y, 4).transform(Z)
         gram = scores.T @ scores
         off = gram - np.diag(np.diag(gram))
         assert np.abs(off).max() < 1e-8
@@ -211,11 +204,12 @@ class TestPls:
     def test_full_components_equal_ols(self):
         X = rng.normal(size=(50, 5))
         y = X @ np.array([1.0, -2.0, 0.5, 0.0, 3.0]) + 0.7
-        pls = fit_pls(X, y, 5)
+        Z = Scaler(X).transform(X)
+        pls = PlsProjection(Z, y, 5)
         design = np.column_stack([X, np.ones(50)])
         coef = np.linalg.lstsq(design, y, rcond=None)[0]
         ols_pred = design @ coef
-        assert np.abs(pls.predict(X) - ols_pred).max() < 1e-6
+        assert np.abs(pls.predict(Z) - ols_pred).max() < 1e-6
 
 
 class TestCrossValidate:

@@ -4,21 +4,16 @@ import numpy as np
 import pytest
 
 from rtm.corpus import tokenize
-from rtm.features import FeatureResources, N_FEATURES
+from rtm.features import FeatureResources, N_FEATURES, build_feature_matrix, train_aligner
 from rtm.interpretants import WittenBellLM, build_ngram_weights
-from rtm.features import train_aligner
 from rtm.learners import ModelSpec, cross_validate
 from rtm.stacking import (
     N_STACK_FEATURES,
-    PairedInstance,
     StackConfig,
     combo_features,
     fit_linear_combiner,
-    predict_stack,
     predict_stack_matrices,
-    train_combined_stack,
     train_combined_stack_matrices,
-    train_separate_stack,
     train_separate_stack_matrices,
 )
 
@@ -149,13 +144,6 @@ class TestSeparateStack:
         model = train_separate_stack_matrices(feats_a, feats_b, gold, _stack_cfg())
         assert model.final.members[0].n_features_in == 87
 
-    def test_per_side_base_specs(self):
-        feats_a, feats_b, gold = _paired_matrices()
-        cfg = _stack_cfg(base_spec_b=ModelSpec("knn", k=3))
-        model = train_separate_stack_matrices(feats_a, feats_b, gold, cfg)
-        assert model.bases["a"].spec.kind == "rr"
-        assert model.bases["b"].spec.kind == "knn"
-
 
 class TestPredictStack:
     def test_finite_and_deterministic(self):
@@ -176,7 +164,7 @@ class TestPredictStack:
         assert np.abs(preds[perm] - shuffled).max() < 1e-12
 
     def test_instance_level_api(self):
-        # end-to-end over TokenSeq instances with tiny real resources
+        # token rows -> feature matrices -> stack, with tiny real resources
         sentences = [tokenize(t) for t in ("a b c d", "b c e", "d e f a", "c f a b")]
         resources = FeatureResources(
             weight_table=build_ngram_weights(sentences, 3),
@@ -185,25 +173,22 @@ class TestPredictStack:
         )
         gen = np.random.default_rng(0)
         vocab = ["a", "b", "c", "d", "e", "f"]
-        instances = []
+        rows_a, rows_b, gold = [], [], []
         for i in range(16):
             words = [
                 tokenize(" ".join(gen.choice(vocab, size=3))),
                 tokenize(" ".join(gen.choice(vocab, size=3))),
             ]
             attr = tokenize(str(gen.choice(vocab)))
-            instances.append(
-                PairedInstance(
-                    id=f"i{i}",
-                    row_a=(words[0], attr),
-                    row_b=(words[1], attr),
-                    gold=float(gen.integers(0, 2)),
-                )
-            )
+            rows_a.append((words[0], attr))
+            rows_b.append((words[1], attr))
+            gold.append(float(gen.integers(0, 2)))
+        feats_a = build_feature_matrix(rows_a, resources)
+        feats_b = build_feature_matrix(rows_b, resources)
         cfg = _stack_cfg(final_specs=(ModelSpec("rr", alpha=1.0),), folds=4)
-        for train_fn in (train_combined_stack, train_separate_stack):
-            model = train_fn(instances, resources, cfg)
-            preds = predict_stack(model, instances, resources)
+        for train_fn in (train_combined_stack_matrices, train_separate_stack_matrices):
+            model = train_fn(feats_a, feats_b, gold, cfg)
+            preds = predict_stack_matrices(model, feats_a, feats_b)
             assert np.isfinite(preds).all() and len(preds) == 16
 
 
