@@ -19,13 +19,13 @@ import argparse
 import sys
 
 from . import __version__
-from .metrics import MetricConfig
 from .pipeline import (
     STAGES,
     ConfigError,
     StageError,
     evaluate_files,
     parse_config,
+    parse_epsilon,
     run_pipeline,
     run_stage,
 )
@@ -62,21 +62,13 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _metric_config(text: str) -> MetricConfig:
-    if text.startswith("half_step:"):
-        return MetricConfig("half_step", float(text.split(":", 1)[1]))
-    if text == "half_mae":
-        return MetricConfig("half_mae")
-    raise ConfigError(f"bad epsilon {text!r}")
-
-
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         if args.command == "evaluate" and args.pred:
             if not args.gold:
                 raise ConfigError("--pred requires --gold")
-            report = evaluate_files(args.pred, args.gold, _metric_config(args.epsilon))
+            report = evaluate_files(args.pred, args.gold, parse_epsilon(args.epsilon))
             print(report.format())
             return 0
         if not args.config:

@@ -28,6 +28,7 @@ import numpy as np
 from . import __version__
 from .corpus import (
     Lexicon,
+    _check_new_id,
     load_corpus,
     load_intensity_dataset,
     load_lexicon,
@@ -67,52 +68,126 @@ STAGES = (
     "evaluate",
 )
 
-_KNOWN_KEYS = {
-    "task",
-    "architecture",
-    "corpus",
-    "train",
-    "test",
-    "lexicon",
-    "emotions",
-    "budget",
-    "fda_max_order",
-    "decay",
-    "length_exponent",
-    "lm_order",
-    "aligner_iterations",
-    "grids",
-    "top_k",
-    "base_learner",
-    "cv_folds",
-    "seed",
-    "epsilon_mode",
-    "grounding",
-    "threshold",
-}
-
-_DEFAULTS = {
-    "fda_max_order": "2",
-    "decay": "0.5",
-    "length_exponent": "0.5",
-    "lm_order": "3",
-    "aligner_iterations": "5",
-    "grids": "default",
-    "top_k": "3",
-    "base_learner": "rr:1.0",
-    "cv_folds": "7",
-    "epsilon_mode": "half_mae",
-    "grounding": "none",
-    "threshold": "none",
-}
-
-
 class ConfigError(ValueError):
     pass
 
 
 class StageError(RuntimeError):
     """A stage failed; carries the stage name in the message."""
+
+
+def parse_epsilon(text: str) -> MetricConfig:
+    """``half_mae`` or ``half_step:<step>`` with step > 0, as written in the
+    ``epsilon_mode`` config key and the ``--epsilon`` flag."""
+    if text == "half_mae":
+        return MetricConfig("half_mae")
+    mode, colon, step = text.partition(":")
+    if mode == "half_step" and colon:
+        try:
+            return MetricConfig("half_step", float(step))
+        except ValueError:
+            pass
+    raise ConfigError(f"epsilon must be half_mae or half_step:<step> with step > 0, got {text!r}")
+
+
+def _base_spec(text: str, seed: int = 0) -> ModelSpec:
+    kind, _, arg = text.partition(":")
+    if kind == "rr":
+        return ModelSpec("rr", alpha=float(arg or 1.0), seed=seed)
+    if kind == "knn":
+        return ModelSpec("knn", k=int(arg or 5), seed=seed)
+    if kind == "const":
+        return ModelSpec("const", seed=seed)
+    raise ValueError(f"must be rr:<alpha>, knn:<k> or const, got {text!r}")
+
+
+_GRIDS = {"default": default_grid, "small": small_grid}
+
+
+# ---------------------------------------------------------------------------
+# The config key table.  Each parser turns a value's text into the RunConfig
+# field or raises ValueError with the reason; parse_config names the key.
+
+
+def _choice(*options):
+    def parse(text):
+        if text not in options:
+            raise ValueError(f"must be {'|'.join(options)}, got {text!r}")
+        return text
+
+    return parse
+
+
+def _integer(low: int):
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise ValueError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+def _checked(parse):
+    """Validate with ``parse`` but keep the text itself as the field value."""
+
+    def check(text):
+        parse(text)
+        return text
+
+    return check
+
+
+def _path(text, base: Path) -> Path:
+    p = base / text
+    if not p.exists():
+        raise ValueError(f"path does not exist: {p}")
+    return p
+
+
+def _labels(text):
+    labels = tuple(e.strip() for e in text.split(",") if e.strip())
+    if not labels:
+        raise ValueError("must list at least one label")
+    return labels
+
+
+def _threshold(text):
+    if text in ("none", "optimized", "grounded"):
+        return text
+    mode, colon, value = text.partition(":")
+    if mode == "fixed" and colon:
+        float(value)
+        return text
+    raise ValueError(f"must be none|optimized|grounded|fixed:<t>, got {text!r}")
+
+
+_REQUIRED = object()
+
+# key -> (default text, or _REQUIRED, or None for "absent unless given"; parser)
+_KEYS = {
+    "task": (_REQUIRED, _choice("intensity", "triples")),
+    "architecture": (_REQUIRED, _choice("plain", "combined", "separate")),
+    "corpus": (_REQUIRED, _path),
+    "train": (_REQUIRED, _path),
+    "test": (_REQUIRED, _path),
+    "lexicon": (None, _path),
+    "emotions": (None, _labels),
+    "budget": (_REQUIRED, _integer(1)),
+    "fda_max_order": ("2", _integer(1)),
+    "decay": ("0.5", float),
+    "length_exponent": ("0.5", float),
+    "lm_order": ("3", _integer(1)),
+    "aligner_iterations": ("5", _integer(0)),
+    "grids": ("default", _choice(*_GRIDS)),
+    "top_k": ("3", _integer(1)),
+    "base_learner": ("rr:1.0", _checked(_base_spec)),
+    "cv_folds": ("7", _integer(2)),
+    "seed": (_REQUIRED, _integer(0)),
+    "epsilon_mode": ("half_mae", _checked(parse_epsilon)),
+    "grounding": ("none", _choice("none", "predictions")),
+    "threshold": ("none", _threshold),
+}
 
 
 @dataclass
@@ -147,30 +222,26 @@ class RunConfig:
         return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
 
     def metric_config(self) -> MetricConfig:
-        if self.epsilon_mode.startswith("half_step:"):
-            return MetricConfig("half_step", float(self.epsilon_mode.split(":", 1)[1]))
-        return MetricConfig("half_mae")
+        return parse_epsilon(self.epsilon_mode)
 
     def base_spec(self) -> ModelSpec:
-        kind, _, arg = self.base_learner.partition(":")
-        if kind == "rr":
-            return ModelSpec("rr", alpha=float(arg or 1.0), seed=self.seed)
-        if kind == "knn":
-            return ModelSpec("knn", k=int(arg or 5), seed=self.seed)
-        if kind == "const":
-            return ModelSpec("const", seed=self.seed)
-        raise ConfigError(f"unknown base_learner {self.base_learner!r}")
+        return _base_spec(self.base_learner, self.seed)
 
     def grid(self) -> list[ModelSpec]:
-        if self.grids == "default":
-            return default_grid(seed=self.seed)
-        if self.grids == "small":
-            return small_grid(seed=self.seed)
-        raise ConfigError(f"unknown grids preset {self.grids!r}")
+        return _GRIDS[self.grids](seed=self.seed)
+
+    def fda_config(self) -> FdaConfig:
+        return FdaConfig(
+            max_order=self.fda_max_order,
+            decay=self.decay,
+            budget=self.budget,
+            length_exponent=self.length_exponent,
+        )
 
 
 def parse_config(path, seed_override: int | None = None) -> RunConfig:
-    """Parse a flat ``key = value`` config file; unknown keys are rejected."""
+    """Parse a flat ``key = value`` config file; unknown keys are rejected and
+    every value is checked against the key table."""
     path = Path(path)
     raw: dict[str, str] = {}
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
@@ -181,97 +252,50 @@ def parse_config(path, seed_override: int | None = None) -> RunConfig:
             raise ConfigError(f"{path}:{lineno}: expected key = value")
         key, _, value = stripped.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in raw:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         raw[key] = value
-    for key, value in _DEFAULTS.items():
-        raw.setdefault(key, value)
     if seed_override is not None:
         raw["seed"] = str(seed_override)
-    if "seed" not in raw:
-        raise ConfigError(f"{path}: seed is mandatory")
 
-    def need(key):
+    fields = {}
+    for key, (default, parse) in _KEYS.items():
         if key not in raw:
-            raise ConfigError(f"{path}: missing required key {key!r}")
-        return raw[key]
+            if default is _REQUIRED:
+                raise ConfigError(f"{path}: missing required key {key!r}")
+            if default is None:
+                fields[key] = None
+                continue
+            raw[key] = default
+        try:
+            fields[key] = parse(raw[key], path.parent) if parse is _path else parse(raw[key])
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {key}: {exc}") from None
 
-    task = need("task")
-    if task not in ("intensity", "triples"):
-        raise ConfigError(f"task must be intensity|triples, got {task!r}")
-    architecture = need("architecture")
-    if architecture not in ("plain", "combined", "separate"):
-        raise ConfigError(f"bad architecture {architecture!r}")
+    task, architecture = fields["task"], fields["architecture"]
     if task == "triples" and architecture == "plain":
         raise ConfigError("triples instances are row pairs: use combined or separate")
-
-    base = path.parent
-
-    def resolve(key):
-        p = base / raw[key]
-        if not p.exists():
-            raise ConfigError(f"{key} path does not exist: {p}")
-        return p
-
-    corpus = resolve("corpus") if "corpus" in raw else _missing(path, "corpus")
-    train = resolve("train") if "train" in raw else _missing(path, "train")
-    test = resolve("test") if "test" in raw else _missing(path, "test")
-
-    emotions: tuple[str, ...] = ()
-    lexicon = None
     if task == "intensity":
-        if "lexicon" not in raw:
+        if fields["lexicon"] is None:
             raise ConfigError("intensity task needs a lexicon")
-        lexicon = resolve("lexicon")
-        emotions = tuple(e.strip() for e in need("emotions").split(",") if e.strip())
-        if not emotions:
-            raise ConfigError("emotions must list at least one label")
-        if architecture in ("combined", "separate") and len(emotions) != 2:
+        if fields["emotions"] is None:
+            raise ConfigError(f"{path}: missing required key 'emotions'")
+        if architecture != "plain" and len(fields["emotions"]) != 2:
             raise ConfigError("paired intensity needs exactly 2 emotions (row a, row b)")
     else:
         for key in ("lexicon", "emotions"):
             if key in raw:
                 raise ConfigError(f"{key} is not used by the triples task")
+        fields["emotions"] = ()
 
-    cfg = RunConfig(
-        task=task,
-        architecture=architecture,
-        corpus=corpus,
-        train=train,
-        test=test,
-        lexicon=lexicon,
-        emotions=emotions,
-        budget=int(need("budget")),
-        fda_max_order=int(raw["fda_max_order"]),
-        decay=float(raw["decay"]),
-        length_exponent=float(raw["length_exponent"]),
-        lm_order=int(raw["lm_order"]),
-        aligner_iterations=int(raw["aligner_iterations"]),
-        grids=raw["grids"],
-        top_k=int(raw["top_k"]),
-        base_learner=raw["base_learner"],
-        cv_folds=int(raw["cv_folds"]),
-        seed=int(raw["seed"]),
-        epsilon_mode=raw["epsilon_mode"],
-        grounding=raw["grounding"],
-        threshold=raw["threshold"],
-        raw=raw,
-    )
-    if cfg.grounding not in ("none", "predictions"):
-        raise ConfigError(f"grounding must be none|predictions, got {cfg.grounding!r}")
-    if cfg.threshold != "none" and cfg.threshold not in ("optimized", "grounded"):
-        if not cfg.threshold.startswith("fixed:"):
-            raise ConfigError(f"bad threshold mode {cfg.threshold!r}")
-        float(cfg.threshold.split(":", 1)[1])
-    cfg.metric_config()
-    cfg.base_spec()
+    cfg = RunConfig(**fields, raw=raw)
+    try:
+        cfg.fda_config()
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     return cfg
-
-
-def _missing(path, key):
-    raise ConfigError(f"{path}: missing required key {key!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -395,13 +419,7 @@ def _out_path(out_dir: Path, name: str) -> Path:
 def stage_select_interpretants(cfg: RunConfig, out_dir: Path):
     corpus = load_corpus(cfg.corpus)
     lexicon = load_lexicon(cfg.lexicon) if cfg.lexicon else None
-    fda = FdaConfig(
-        max_order=cfg.fda_max_order,
-        decay=cfg.decay,
-        budget=cfg.budget,
-        length_exponent=cfg.length_exponent,
-    )
-    selection = select_interpretants(corpus, _task_texts(cfg, lexicon), fda)
+    selection = select_interpretants(corpus, _task_texts(cfg, lexicon), cfg.fda_config())
     lines = [_banner(cfg), "index\tscore\n"]
     lines.extend(
         f"{idx}\t{score:.6f}\n"
@@ -594,10 +612,12 @@ def stage_predict(cfg: RunConfig, out_dir: Path):
 def read_predictions(path) -> tuple[list[str], np.ndarray, np.ndarray | None]:
     """Read a predictions TSV -> (ids, values, classes or None)."""
     ids, values, classes = [], [], []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    first_line: dict[str, int] = {}
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         fields = line.split("\t")
+        _check_new_id(path, lineno, fields[0], first_line)
         ids.append(fields[0])
         values.append(float(fields[1]))
         if len(fields) > 2:
@@ -728,11 +748,12 @@ def _read_gold_file(path) -> dict[str, float]:
     if ncols == 5:
         return {i.id: float(i.gold) for i in load_triple_dataset(path) if i.gold is not None}
     if ncols == 2:
-        out = {}
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
+        out, first_line = {}, {}
+        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
             if not line.strip() or line.startswith("#"):
                 continue
             rid, value = line.split("\t")
+            _check_new_id(path, lineno, rid, first_line)
             out[rid] = float(value)
         return out
     raise ValueError(f"{path}: unrecognized gold format ({ncols} columns)")

@@ -96,6 +96,27 @@ class TestConfig:
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config(path)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("epsilon_mode", "bogus"), ("grids", "bogus"), ("top_k", "0"), ("cv_folds", "1")],
+    )
+    def test_bad_value_rejected_at_parse_time(self, tmp_path, key, value):
+        path = self._minimal(tmp_path, **{key: value})
+        with pytest.raises(ConfigError, match=f": {key}: "):
+            parse_config(path)
+
+    def test_epsilon_flag_and_key_share_one_parser(self, tmp_path, capsys):
+        (tmp_path / "gold.tsv").write_text("a\t0.1\nb\t0.6\n")
+        (tmp_path / "pred.tsv").write_text("a\t0.2\nb\t0.5\n")
+        argv = ["evaluate", "--pred", str(tmp_path / "pred.tsv"),
+                "--gold", str(tmp_path / "gold.tsv"), "--epsilon", "bogus"]
+        assert main(argv) == 1
+        flag_error = capsys.readouterr().err.removeprefix("rtm: ").strip()
+        with pytest.raises(ConfigError) as key_error:
+            parse_config(self._minimal(tmp_path, epsilon_mode="bogus"))
+        assert "bogus" in flag_error
+        assert str(key_error.value).endswith(f"epsilon_mode: {flag_error}")
+
 
 class TestPipelineRun:
     def test_intensity_run_produces_sane_outputs(self, tiny_intensity_cfg):
@@ -291,6 +312,20 @@ class TestEvaluateFiles:
         pred.write_text("a\t0.25\nb\t0.75\nc\t0.5\n")
         report = evaluate_files(pred, gold)
         assert report.r > 0.99
+
+    def test_duplicate_gold_id_rejected(self, tmp_path):
+        (tmp_path / "gold.tsv").write_text("a\t0.1\nb\t0.5\na\t0.9\n")
+        (tmp_path / "pred.tsv").write_text("a\t0.1\nb\t0.5\n")
+        with pytest.raises(ValueError, match=r"gold.tsv:3: duplicate id 'a'"):
+            evaluate_files(tmp_path / "pred.tsv", tmp_path / "gold.tsv")
+
+    def test_duplicate_prediction_id_rejected(self, tmp_path):
+        (tmp_path / "gold.tsv").write_text("a\t0.1\nb\t0.5\n")
+        (tmp_path / "pred.tsv").write_text("# header\na\t0.1\nb\t0.5\nb\t0.7\n")
+        with pytest.raises(ValueError, match=r"pred.tsv:4: duplicate id 'b'"):
+            read_predictions(tmp_path / "pred.tsv")
+        with pytest.raises(ValueError, match="duplicate id"):
+            evaluate_files(tmp_path / "pred.tsv", tmp_path / "gold.tsv")
 
     def test_missing_ids_rejected(self, tmp_path):
         (tmp_path / "gold.tsv").write_text("a\t0.1\n")
