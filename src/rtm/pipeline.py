@@ -16,6 +16,7 @@ parameters) that later stages verify before applying a model.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 import pickle
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .corpus import (
-    Lexicon,
+    TokenSeq,
     _check_new_id,
     load_corpus,
     load_intensity_dataset,
@@ -306,17 +307,35 @@ def _banner(cfg: RunConfig) -> str:
     return f"# rtm {__version__} config={cfg.hash()}\n"
 
 
-def _write_text(path: Path, text: str):
+@contextlib.contextmanager
+def _replacing(path: Path):
+    """Yield a temporary sibling of ``path`` to write, then move it into place,
+    so a reader never sees a half-written file."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
+    yield tmp
     os.replace(tmp, path)
+
+
+def _write_text(path: Path, text: str):
+    with _replacing(path) as tmp:
+        tmp.write_text(text, encoding="utf-8")
 
 
 def _write_pickle(path: Path, obj):
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
+    with _replacing(path) as tmp, open(tmp, "wb") as fh:
         pickle.dump(obj, fh, protocol=4)
-    os.replace(tmp, path)
+
+
+def _read_tsv(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """(``#`` comment lines, data rows) of a tab-separated file; blank lines
+    are skipped and each data row is (line number, fields)."""
+    comments, rows = [], []
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+        if line.startswith("#"):
+            comments.append(line)
+        elif line.strip():
+            rows.append((lineno, line.split("\t")))
+    return comments, rows
 
 
 def _read_pickle(path: Path) -> dict:
@@ -349,88 +368,95 @@ def resource_fingerprint(cfg: RunConfig) -> str:
 
 @dataclass
 class RowSet:
-    """Feature-extraction rows for one dataset: ids, row tags and token pairs."""
+    """One dataset as feature-extraction rows, plus what else stages read from it."""
 
-    ids: list[str]
+    ids: list[str]  # one per row
     tags: list[str]  # "-" for plain rows, "a"/"b" for paired rows
-    pairs: list[tuple]
+    pairs: list[tuple]  # (source, target) TokenSeqs, one per row
     golds: list[float | None]  # one per instance (not per row)
-    paired: bool
+    texts: list[TokenSeq]  # the dataset's own texts, in FDA task-text order
+
+    def gold_array(self) -> np.ndarray:
+        if any(g is None for g in self.golds):
+            raise StageError("training instances must all carry gold values")
+        return np.asarray(self.golds, dtype=float)
+
+    def gold_map(self) -> dict[str, float]:
+        inst_ids = _instance_ids(self.ids, self.tags)
+        return {rid: g for rid, g in zip(inst_ids, self.golds) if g is not None}
 
 
-def _intensity_targets(cfg: RunConfig, lexicon: Lexicon):
-    if cfg.architecture == "plain":
-        return [lexicon_to_target(lexicon, set(cfg.emotions))]
-    return [
-        lexicon_to_target(lexicon, {cfg.emotions[0]}),
-        lexicon_to_target(lexicon, {cfg.emotions[1]}),
-    ]
+def load_rows(cfg: RunConfig, *splits: str) -> tuple[list[TokenSeq], list[RowSet]]:
+    """The emotion target(s) of an intensity task (none for triples) and one
+    RowSet per named split (``"train"``, ``"test"``).  The lexicon and each
+    dataset are loaded and tokenized once.
 
-
-def build_rows(cfg: RunConfig, dataset_path: Path, lexicon: Lexicon | None) -> RowSet:
+    An intensity instance is one row per target: its text against the words of
+    all emotions (plain) or of one emotion each (rows a and b).  A triple is
+    two rows, word1 and word2 against the attribute.
+    """
+    targets = []
     if cfg.task == "intensity":
-        instances = load_intensity_dataset(dataset_path)
-        targets = _intensity_targets(cfg, lexicon)
-        ids, tags, pairs, golds = [], [], [], []
-        for inst in instances:
-            golds.append(inst.gold)
-            if cfg.architecture == "plain":
-                ids.append(inst.id)
-                tags.append("-")
-                pairs.append((inst.source, targets[0]))
-            else:
-                for tag, tgt in zip("ab", targets):
-                    ids.append(inst.id)
-                    tags.append(tag)
-                    pairs.append((inst.source, tgt))
-        return RowSet(ids, tags, pairs, golds, cfg.architecture != "plain")
-    instances = load_triple_dataset(dataset_path)
-    ids, tags, pairs, golds = [], [], [], []
-    for inst in instances:
-        golds.append(None if inst.gold is None else float(inst.gold))
-        for tag, src in (("a", inst.w1), ("b", inst.w2)):
-            ids.append(inst.id)
-            tags.append(tag)
-            pairs.append((src, inst.attribute))
-    return RowSet(ids, tags, pairs, golds, True)
-
-
-def _task_texts(cfg: RunConfig, lexicon: Lexicon | None) -> list:
-    texts = []
-    for path in (cfg.train, cfg.test):
+        lexicon = load_lexicon(cfg.lexicon)
+        groups = [cfg.emotions] if cfg.architecture == "plain" else [[e] for e in cfg.emotions]
+        targets = [lexicon_to_target(lexicon, g) for g in groups]
+    row_tags = "-" if cfg.architecture == "plain" else "ab"
+    out = []
+    for split in splits:
+        path = getattr(cfg, split)
         if cfg.task == "intensity":
-            texts.extend(inst.source for inst in load_intensity_dataset(path))
+            instances = [
+                (i.id, i.gold, (i.source,), [(i.source, t) for t in targets])
+                for i in load_intensity_dataset(path)
+            ]
         else:
-            for inst in load_triple_dataset(path):
-                texts.extend((inst.w1, inst.w2, inst.attribute))
-    if cfg.task == "intensity":
-        texts.extend(_intensity_targets(cfg, lexicon))
-    return texts
+            instances = [
+                (
+                    i.id,
+                    None if i.gold is None else float(i.gold),
+                    (i.w1, i.w2, i.attribute),
+                    [(i.w1, i.attribute), (i.w2, i.attribute)],
+                )
+                for i in load_triple_dataset(path)
+            ]
+        rows = RowSet([], [], [], [], [])
+        for rid, gold, texts, pairs in instances:
+            rows.golds.append(gold)
+            rows.texts.extend(texts)
+            for tag, pair in zip(row_tags, pairs):
+                rows.ids.append(rid)
+                rows.tags.append(tag)
+                rows.pairs.append(pair)
+        out.append(rows)
+    return targets, out
+
+
+def _instance_ids(ids: list[str], tags: list[str]) -> list[str]:
+    if not tags or tags[0] == "-":
+        return ids
+    return [rid for rid, tag in zip(ids, tags) if tag == "a"]
 
 
 # ---------------------------------------------------------------------------
 # Stages.
 
 
-def _out_path(out_dir: Path, name: str) -> Path:
-    return Path(out_dir) / name
-
-
 def stage_select_interpretants(cfg: RunConfig, out_dir: Path):
     corpus = load_corpus(cfg.corpus)
-    lexicon = load_lexicon(cfg.lexicon) if cfg.lexicon else None
-    selection = select_interpretants(corpus, _task_texts(cfg, lexicon), cfg.fda_config())
+    targets, (train, test) = load_rows(cfg, "train", "test")
+    # task texts: train texts, test texts, then the target(s)
+    selection = select_interpretants(corpus, train.texts + test.texts + targets, cfg.fda_config())
     lines = [_banner(cfg), "index\tscore\n"]
     lines.extend(
         f"{idx}\t{score:.6f}\n"
         for idx, score in zip(selection.selected_indices, selection.selection_scores)
     )
-    _write_text(_out_path(out_dir, "interpretants.tsv"), "".join(lines))
+    _write_text(out_dir / "interpretants.tsv", "".join(lines))
 
 
 def _read_interpretant_indices(out_dir: Path) -> list[int]:
-    lines = _out_path(out_dir, "interpretants.tsv").read_text(encoding="utf-8").splitlines()
-    return [int(line.split("\t")[0]) for line in lines if line and not line.startswith(("#", "index"))]
+    _, rows = _read_tsv(out_dir / "interpretants.tsv")
+    return [int(fields[0]) for _, fields in rows[1:]]  # after the header
 
 
 def stage_build_resources(cfg: RunConfig, out_dir: Path):
@@ -443,7 +469,7 @@ def stage_build_resources(cfg: RunConfig, out_dir: Path):
         aligner=train_aligner([(s, s) for s in sentences], cfg.aligner_iterations),
     )
     _write_pickle(
-        _out_path(out_dir, "resources.pkl"),
+        out_dir / "resources.pkl",
         {
             "version": __version__,
             "config_hash": cfg.hash(),
@@ -455,7 +481,7 @@ def stage_build_resources(cfg: RunConfig, out_dir: Path):
 
 
 def _load_resources(out_dir: Path) -> tuple[FeatureResources, str]:
-    blob = _read_pickle(_out_path(out_dir, "resources.pkl"))
+    blob = _read_pickle(out_dir / "resources.pkl")
     return blob["resources"], blob["fingerprint"]
 
 
@@ -468,31 +494,23 @@ def _write_features(path: Path, cfg: RunConfig, fingerprint: str, rows: RowSet, 
 
 
 def _read_features(path: Path) -> tuple[list[str], list[str], np.ndarray, str]:
-    ids, tags, values = [], [], []
-    fingerprint = ""
-    for line in path.read_text(encoding="utf-8").splitlines():
-        if line.startswith("# fingerprint="):
-            fingerprint = line.split("=", 1)[1]
-            continue
-        if not line or line.startswith("#") or line.startswith("id\t"):
-            continue
-        fields = line.split("\t")
-        ids.append(fields[0])
-        tags.append(fields[1])
-        values.append([float(v) for v in fields[2:]])
+    comments, rows = _read_tsv(path)
+    prefix = "# fingerprint="
+    fingerprint = next((c[len(prefix):] for c in comments if c.startswith(prefix)), "")
+    rows = rows[1:]  # after the header
+    ids = [fields[0] for _, fields in rows]
+    tags = [fields[1] for _, fields in rows]
+    values = [[float(v) for v in fields[2:]] for _, fields in rows]
     matrix = np.asarray(values, dtype=float).reshape(len(ids), len(FEATURE_NAMES))
     return ids, tags, matrix, fingerprint
 
 
 def stage_extract_features(cfg: RunConfig, out_dir: Path):
     resources, fingerprint = _load_resources(out_dir)
-    lexicon = load_lexicon(cfg.lexicon) if cfg.lexicon else None
-    for split, path in (("train", cfg.train), ("test", cfg.test)):
-        rows = build_rows(cfg, path, lexicon)
+    _, splits = load_rows(cfg, "train", "test")
+    for split, rows in zip(("train", "test"), splits):
         matrix = build_feature_matrix(rows.pairs, resources)
-        _write_features(
-            _out_path(out_dir, f"features_{split}.tsv"), cfg, fingerprint, rows, matrix
-        )
+        _write_features(out_dir / f"features_{split}.tsv", cfg, fingerprint, rows, matrix)
 
 
 def _split_sides(tags: list[str], matrix: np.ndarray):
@@ -503,22 +521,15 @@ def _split_sides(tags: list[str], matrix: np.ndarray):
     return matrix[a_rows], matrix[b_rows]
 
 
-def _train_golds(cfg: RunConfig) -> np.ndarray:
-    lexicon = load_lexicon(cfg.lexicon) if cfg.lexicon else None
-    golds = build_rows(cfg, cfg.train, lexicon).golds
-    if any(g is None for g in golds):
-        raise StageError("training instances must all carry gold values")
-    return np.asarray(golds, dtype=float)
-
-
 def stage_train(cfg: RunConfig, out_dir: Path):
     resources_fp = _load_resources(out_dir)[1]
-    ids, tags, matrix, feat_fp = _read_features(_out_path(out_dir, "features_train.tsv"))
+    ids, tags, matrix, feat_fp = _read_features(out_dir / "features_train.tsv")
     if feat_fp != resources_fp:
         raise StageError(
             f"feature fingerprint {feat_fp} does not match resources {resources_fp}"
         )
-    gold = _train_golds(cfg)
+    _, (train,) = load_rows(cfg, "train")
+    gold = train.gold_array()
     blob = {
         "version": __version__,
         "config_hash": cfg.hash(),
@@ -548,13 +559,13 @@ def stage_train(cfg: RunConfig, out_dir: Path):
         blob["model"] = model
         cv_table = [(spec.label(), score) for spec, score in model.cv_table]
     blob["cv_table"] = cv_table
-    _write_pickle(_out_path(out_dir, "model.pkl"), blob)
+    _write_pickle(out_dir / "model.pkl", blob)
     lines = [_banner(cfg), "rank\tmodel\tcv_mae\n"]
     lines.extend(
         f"{rank}\t{label}\t{score:.6f}\n"
         for rank, (label, score) in enumerate(cv_table, start=1)
     )
-    _write_text(_out_path(out_dir, "cv_table.tsv"), "".join(lines))
+    _write_text(out_dir / "cv_table.tsv", "".join(lines))
 
 
 def _apply_model(blob: dict, tags: list[str], matrix: np.ndarray) -> np.ndarray:
@@ -564,39 +575,34 @@ def _apply_model(blob: dict, tags: list[str], matrix: np.ndarray) -> np.ndarray:
     return predict_stack_matrices(blob["model"], feats_a, feats_b)
 
 
-def _instance_ids(ids: list[str], tags: list[str]) -> list[str]:
-    if not tags or tags[0] == "-":
-        return ids
-    return [rid for rid, tag in zip(ids, tags) if tag == "a"]
-
-
 def stage_predict(cfg: RunConfig, out_dir: Path):
-    blob = _read_pickle(_out_path(out_dir, "model.pkl"))
-    ids, tags, matrix, feat_fp = _read_features(_out_path(out_dir, "features_test.tsv"))
+    blob = _read_pickle(out_dir / "model.pkl")
+    ids, tags, matrix, feat_fp = _read_features(out_dir / "features_test.tsv")
     if feat_fp != blob["fingerprint"]:
         raise StageError(
             f"feature fingerprint {feat_fp} does not match model {blob['fingerprint']}"
         )
     preds = _apply_model(blob, tags, matrix)
 
+    tune = cfg.task == "triples" and cfg.threshold in ("optimized", "grounded")
+    if cfg.grounding == "predictions" or tune:
+        _, (train,) = load_rows(cfg, "train")
+        train_gold = train.gold_array()
     if cfg.grounding == "predictions":
-        train_gold = _train_golds(cfg)
         preds = ground_predictions(preds, ScoreStats.of(train_gold))
     if cfg.task == "intensity":
         preds = np.clip(preds, 0.0, 1.0)
 
     classes = None
     if cfg.task == "triples" and cfg.threshold != "none":
-        if cfg.threshold.startswith("fixed:"):
-            t = float(cfg.threshold.split(":", 1)[1])
-        else:
-            tr_ids, tr_tags, tr_matrix, _ = _read_features(
-                _out_path(out_dir, "features_train.tsv")
-            )
+        if tune:
+            _, tr_tags, tr_matrix, _ = _read_features(out_dir / "features_train.tsv")
             train_preds = _apply_model(blob, tr_tags, tr_matrix)
-            t = optimize_threshold(train_preds, _train_golds(cfg).astype(int))
+            t = optimize_threshold(train_preds, train_gold.astype(int))
             if cfg.threshold == "grounded":
                 t = ground_threshold(t, ScoreStats.of(train_preds), ScoreStats.of(preds))
+        else:
+            t = float(cfg.threshold.split(":", 1)[1])
         classes = (preds >= t).astype(int)
 
     inst_ids = _instance_ids(ids, tags)
@@ -606,17 +612,16 @@ def stage_predict(cfg: RunConfig, out_dir: Path):
         if classes is not None:
             row += f"\t{classes[i]}"
         lines.append(row + "\n")
-    _write_text(_out_path(out_dir, "predictions.tsv"), "".join(lines))
+    _write_text(out_dir / "predictions.tsv", "".join(lines))
 
 
 def read_predictions(path) -> tuple[list[str], np.ndarray, np.ndarray | None]:
     """Read a predictions TSV -> (ids, values, classes or None)."""
     ids, values, classes = [], [], []
     first_line: dict[str, int] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip() or line.startswith("#"):
-            continue
-        fields = line.split("\t")
+    for lineno, fields in _read_tsv(path)[1]:
+        if len(fields) not in (2, 3):
+            raise ValueError(f"{path}:{lineno}: expected 2 or 3 columns, got {len(fields)}")
         _check_new_id(path, lineno, fields[0], first_line)
         ids.append(fields[0])
         values.append(float(fields[1]))
@@ -625,13 +630,6 @@ def read_predictions(path) -> tuple[list[str], np.ndarray, np.ndarray | None]:
     if classes and len(classes) != len(ids):
         raise ValueError(f"{path}: class column present only on some rows")
     return ids, np.asarray(values), np.asarray(classes, dtype=int) if classes else None
-
-
-def _test_gold_map(cfg: RunConfig) -> dict[str, float]:
-    lexicon = load_lexicon(cfg.lexicon) if cfg.lexicon else None
-    rows = build_rows(cfg, cfg.test, lexicon)
-    inst_ids = _instance_ids(rows.ids, rows.tags)
-    return {rid: g for rid, g in zip(inst_ids, rows.golds) if g is not None}
 
 
 def _report_text(cfg: RunConfig, fingerprint: str, cv_table, report: MetricReport | None) -> str:
@@ -650,9 +648,10 @@ def _report_text(cfg: RunConfig, fingerprint: str, cv_table, report: MetricRepor
 
 
 def stage_evaluate(cfg: RunConfig, out_dir: Path) -> MetricReport | None:
-    blob = _read_pickle(_out_path(out_dir, "model.pkl"))
-    ids, preds, classes = read_predictions(_out_path(out_dir, "predictions.tsv"))
-    gold_map = _test_gold_map(cfg)
+    blob = _read_pickle(out_dir / "model.pkl")
+    ids, preds, classes = read_predictions(out_dir / "predictions.tsv")
+    _, (test,) = load_rows(cfg, "test")
+    gold_map = test.gold_map()
     report = None
     if gold_map and len(gold_map) == len(ids):
         gold = np.asarray([gold_map[rid] for rid in ids])
@@ -661,7 +660,7 @@ def stage_evaluate(cfg: RunConfig, out_dir: Path) -> MetricReport | None:
             kwargs = {"pred_classes": classes, "gold_classes": gold.astype(int)}
         report = metric_report(preds, gold, cfg.metric_config(), **kwargs)
     _write_text(
-        _out_path(out_dir, "report.txt"),
+        out_dir / "report.txt",
         _report_text(cfg, blob["fingerprint"], blob["cv_table"], report),
     )
     return report
@@ -737,26 +736,16 @@ def run_pipeline(cfg: RunConfig, out_dir) -> RunReport:
 
 def _read_gold_file(path) -> dict[str, float]:
     """Gold readers: 2-column ``id\\tvalue``, intensity dataset, or triples."""
-    first = ""
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.strip() and not line.startswith("#"):
-            first = line
-            break
-    ncols = len(first.split("\t"))
-    if first.startswith("id\ttext\taffect"):
+    rows = _read_tsv(path)[1]
+    first = rows[0][1] if rows else [""]
+    if first[:3] == ["id", "text", "affect"]:
         return {i.id: i.gold for i in load_intensity_dataset(path) if i.gold is not None}
-    if ncols == 5:
+    if len(first) == 5:
         return {i.id: float(i.gold) for i in load_triple_dataset(path) if i.gold is not None}
-    if ncols == 2:
-        out, first_line = {}, {}
-        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-            if not line.strip() or line.startswith("#"):
-                continue
-            rid, value = line.split("\t")
-            _check_new_id(path, lineno, rid, first_line)
-            out[rid] = float(value)
-        return out
-    raise ValueError(f"{path}: unrecognized gold format ({ncols} columns)")
+    if len(first) == 2:
+        ids, values, _ = read_predictions(path)
+        return dict(zip(ids, values.tolist()))
+    raise ValueError(f"{path}: unrecognized gold format ({len(first)} columns)")
 
 
 def evaluate_files(pred_path, gold_path, cfg: MetricConfig = MetricConfig()) -> MetricReport:

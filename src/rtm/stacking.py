@@ -73,92 +73,73 @@ def combo_features(y1, y2) -> np.ndarray:
     return np.stack([y1, y2, np.abs(y1 - y2), (y1 + y2) / 2.0, gm], axis=-1)
 
 
-def _oof_predict_combined(feats_a, feats_b, gold, cfg, audit):
-    """Out-of-fold base predictions with one shared model for both rows."""
-    n = len(gold)
-    rows = np.vstack([feats_a, feats_b])  # row i and row n+i belong to instance i
-    row_gold = np.concatenate([gold, gold])
-    yhat = np.empty(2 * n)
-    for f, test_inst in enumerate(fold_indices(n, cfg.folds, cfg.seed)):
-        test_rows = np.concatenate([test_inst, test_inst + n])
-        train_inst = np.setdiff1d(np.arange(n), test_inst)
-        train_rows = np.concatenate([train_inst, train_inst + n])
-        model = fit_model(cfg.base_spec, rows[train_rows], row_gold[train_rows])
-        yhat[test_rows] = model.predict(rows[test_rows])
-        audit.append(
-            OofAuditRecord("combined", f, tuple(train_rows.tolist()), tuple(test_rows.tolist()))
-        )
-    return yhat[:n], yhat[n:]
+def _row_groups(mode: str, feats_a, feats_b) -> list[tuple[str, tuple, int]]:
+    """(base model key, side matrices, audit row offset) per base model.
+
+    ``combined`` is one group holding both sides; ``separate`` is one group per
+    side.  Audit rows number side a's rows 0..n-1 and side b's rows n..2n-1.
+    """
+    if mode == "combined":
+        return [("combined", (feats_a, feats_b), 0)]
+    return [("a", (feats_a,), 0), ("b", (feats_b,), len(feats_a))]
 
 
-def _oof_predict_side(feats, gold, cfg, side, offset, audit):
-    """Out-of-fold predictions for one row population with its own base model."""
+def _train_stack(mode: str, feats_a, feats_b, gold, cfg: StackConfig) -> StackModel:
+    """Out-of-fold base predictions and one refit base per row group, then the
+    final model.  Folds are drawn over instances, so every row of an instance
+    sits in the same fold."""
+    gold = np.asarray(gold, dtype=float)
+    if len(gold) < 2 or len(feats_a) != len(gold) or len(feats_b) != len(gold):
+        raise ValueError("need >= 2 instances with matching row matrices")
     n = len(gold)
-    yhat = np.empty(n)
-    for f, test_idx in enumerate(fold_indices(n, cfg.folds, cfg.seed)):
-        train_idx = np.setdiff1d(np.arange(n), test_idx)
-        model = fit_model(cfg.base_spec, feats[train_idx], gold[train_idx])
-        yhat[test_idx] = model.predict(feats[test_idx])
-        audit.append(
-            OofAuditRecord(
-                side,
-                f,
-                tuple((train_idx + offset).tolist()),
-                tuple((test_idx + offset).tolist()),
+    folds = fold_indices(n, cfg.folds, cfg.seed)
+    bases, yhat, audit = {}, [], []
+    for key, sides, offset in _row_groups(mode, feats_a, feats_b):
+        rows = np.vstack(sides)  # row s*n + i is side s of instance i
+        row_gold = np.tile(gold, len(sides))
+        oof = np.empty(len(rows))
+        for f, test_inst in enumerate(folds):
+            train_inst = np.setdiff1d(np.arange(n), test_inst)
+            train_rows = np.concatenate([train_inst + s * n for s in range(len(sides))])
+            test_rows = np.concatenate([test_inst + s * n for s in range(len(sides))])
+            model = fit_model(cfg.base_spec, rows[train_rows], row_gold[train_rows])
+            oof[test_rows] = model.predict(rows[test_rows])
+            audit.append(
+                OofAuditRecord(
+                    key,
+                    f,
+                    tuple((train_rows + offset).tolist()),
+                    tuple((test_rows + offset).tolist()),
+                )
             )
-        )
-    return yhat
-
-
-def _fit_final(feats_a, feats_b, yhat_a, yhat_b, gold, cfg):
-    final_X = np.hstack([feats_a, feats_b, combo_features(yhat_a, yhat_b)])
+        bases[key] = fit_model(cfg.base_spec, rows, row_gold)
+        yhat.extend(np.split(oof, len(sides)))
+    final_X = np.hstack([feats_a, feats_b, combo_features(*yhat)])
     assert final_X.shape[1] == N_STACK_FEATURES
     ranked = grid_search(list(cfg.final_specs), final_X, gold, cfg.folds, cfg.seed)
-    return average_top_k(ranked, min(cfg.top_k, len(ranked)), final_X, gold), ranked
+    final = average_top_k(ranked, min(cfg.top_k, len(ranked)), final_X, gold)
+    return StackModel(mode, bases, final, ranked, audit)
 
 
 def train_combined_stack_matrices(feats_a, feats_b, gold, cfg: StackConfig) -> StackModel:
     """One shared base model over all 2n rows, then the final model."""
-    gold = np.asarray(gold, dtype=float)
-    if len(gold) < 2 or len(feats_a) != len(gold) or len(feats_b) != len(gold):
-        raise ValueError("need >= 2 instances with matching row matrices")
-    audit: list[OofAuditRecord] = []
-    yhat_a, yhat_b = _oof_predict_combined(feats_a, feats_b, gold, cfg, audit)
-    base = fit_model(
-        cfg.base_spec, np.vstack([feats_a, feats_b]), np.concatenate([gold, gold])
-    )
-    final, ranked = _fit_final(feats_a, feats_b, yhat_a, yhat_b, gold, cfg)
-    return StackModel("combined", {"combined": base}, final, ranked, audit)
+    return _train_stack("combined", feats_a, feats_b, gold, cfg)
 
 
 def train_separate_stack_matrices(feats_a, feats_b, gold, cfg: StackConfig) -> StackModel:
     """Two per-side base models of ``cfg.base_spec``, each trained only on its
     own row population."""
-    gold = np.asarray(gold, dtype=float)
-    if len(gold) < 2 or len(feats_a) != len(gold) or len(feats_b) != len(gold):
-        raise ValueError("need >= 2 instances with matching row matrices")
-    n = len(gold)
-    audit: list[OofAuditRecord] = []
-    yhat_a = _oof_predict_side(feats_a, gold, cfg, "a", 0, audit)
-    yhat_b = _oof_predict_side(feats_b, gold, cfg, "b", n, audit)
-    bases = {
-        "a": fit_model(cfg.base_spec, feats_a, gold),
-        "b": fit_model(cfg.base_spec, feats_b, gold),
-    }
-    final, ranked = _fit_final(feats_a, feats_b, yhat_a, yhat_b, gold, cfg)
-    return StackModel("separate", bases, final, ranked, audit)
+    return _train_stack("separate", feats_a, feats_b, gold, cfg)
 
 
 def predict_stack_matrices(model: StackModel, feats_a, feats_b) -> np.ndarray:
     """Apply base model(s), combination features and the final model."""
-    if model.mode == "combined":
-        base = model.bases["combined"]
-        yhat_a = base.predict(feats_a)
-        yhat_b = base.predict(feats_b)
-    else:
-        yhat_a = model.bases["a"].predict(feats_a)
-        yhat_b = model.bases["b"].predict(feats_b)
-    final_X = np.hstack([feats_a, feats_b, combo_features(yhat_a, yhat_b)])
+    yhat = [
+        model.bases[key].predict(side)
+        for key, sides, _ in _row_groups(model.mode, feats_a, feats_b)
+        for side in sides
+    ]
+    final_X = np.hstack([feats_a, feats_b, combo_features(*yhat)])
     return model.final.predict(final_X)
 
 

@@ -295,6 +295,67 @@ seed = 5
         assert report.metrics is not None
 
 
+class TestLoadOnce:
+    LOADERS = ("load_intensity_dataset", "load_triple_dataset", "load_lexicon")
+
+    def _loads_per_stage(self, cfg_path, monkeypatch):
+        """Run every stage; return {stage: {(loader, file name): calls}}."""
+        import rtm.pipeline
+
+        counts, stage_now = {}, [None]
+        for name in self.LOADERS:
+            real = getattr(rtm.pipeline, name)
+
+            def counted(path, _name=name, _real=real):
+                key = (_name, Path(path).name)
+                per_stage = counts.setdefault(stage_now[0], {})
+                per_stage[key] = per_stage.get(key, 0) + 1
+                return _real(path)
+
+            monkeypatch.setattr(rtm.pipeline, name, counted)
+        cfg = parse_config(cfg_path)
+        for stage in STAGES:
+            stage_now[0] = stage
+            run_stage(cfg, cfg_path.parent / "out", stage)
+        return counts
+
+    def test_intensity_inputs_loaded_once_per_stage(self, tiny_intensity_cfg, monkeypatch):
+        counts = self._loads_per_stage(tiny_intensity_cfg, monkeypatch)
+        assert counts["select-interpretants"] == {
+            ("load_lexicon", "lexicon.txt"): 1,
+            ("load_intensity_dataset", "train.tsv"): 1,
+            ("load_intensity_dataset", "test.tsv"): 1,
+        }
+        assert counts["extract-features"] == counts["select-interpretants"]
+        for per_stage in counts.values():
+            assert max(per_stage.values()) == 1
+
+    def test_triples_train_set_loaded_once_in_predict(self, tmp_path, monkeypatch):
+        cfg_path = write_triples_case(
+            tmp_path, "separate", n_instances=60, n_train=45, corpus_size=60
+        )
+        text = cfg_path.read_text().replace("threshold = fixed:0.5", "threshold = optimized")
+        cfg_path.write_text(text + "grounding = predictions\n")
+        counts = self._loads_per_stage(cfg_path, monkeypatch)
+        # grounding and threshold tuning both need the training golds
+        assert counts["predict"] == {("load_triple_dataset", "train.tsv"): 1}
+        for per_stage in counts.values():
+            assert max(per_stage.values()) == 1
+
+
+def test_perfbench_spans_resolve():
+    """perfbench/layers.py wraps rtm functions by (owner, attribute) name; a
+    refactor that renames or inlines one breaks ``--trace 1`` runs."""
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    for owner_path, attr, _ in layers.SPANS:
+        assert callable(getattr(layers._owner(owner_path), attr)), (owner_path, attr)
+
+
 class TestEvaluateFiles:
     def test_perfect_predictions_give_r_one(self, tmp_path):
         gold = tmp_path / "gold.tsv"
