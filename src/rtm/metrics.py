@@ -65,12 +65,21 @@ class ScoreStats:
         return cls(float(values.mean()), float(values.std()))
 
 
+def _deviations(values: np.ndarray) -> np.ndarray:
+    """Deviations from the mean, centered twice: the second pass removes the
+    rounding error of the first mean, which on near-constant input is as large
+    as the deviations themselves."""
+    dev = values - values.mean()
+    return dev - dev.mean()
+
+
 def pearson(y_hat, y) -> float:
     y_hat, y = _pair(y_hat, y)
-    sx, sy = y_hat.std(), y.std()
+    dx, dy = _deviations(y_hat), _deviations(y)
+    sx, sy = np.sqrt(np.mean(dx * dx)), np.sqrt(np.mean(dy * dy))
     if sx == 0.0 or sy == 0.0:
         raise ValueError("undefined correlation: constant input")
-    return float(np.mean((y_hat - y_hat.mean()) * (y - y.mean())) / (sx * sy))
+    return float(np.mean(dx * dy) / (sx * sy))
 
 
 def mean_ranks(values) -> np.ndarray:

@@ -1,6 +1,9 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from rtm.metrics import (
@@ -53,6 +56,7 @@ class TestPearson:
 
     @given(finite_vec)
     @settings(max_examples=50)
+    @example([0.0, 0.0, 1e-12])  # near-constant: one-pass centering gave 0.99999148
     def test_affine_invariance(self, values):
         y = np.asarray(values)
         y_hat = np.sin(y) + 0.1 * y
@@ -61,6 +65,28 @@ class TestPearson:
         if 0.0 in (y.std(), y_hat.std(), a.std(), b.std()):
             return
         assert pearson(a, b) == pytest.approx(pearson(y_hat, y), abs=1e-9)
+
+    @staticmethod
+    def _exact_r(x, y):
+        """r of the given floats, computed in exact rational arithmetic up to
+        one final square root."""
+        x, y = [Fraction(v) for v in x], [Fraction(v) for v in y]
+        mx, my = sum(x) / len(x), sum(y) / len(y)
+        sxy = sum((u - mx) * (v - my) for u, v in zip(x, y))
+        sxx = sum((u - mx) ** 2 for u in x)
+        syy = sum((v - my) ** 2 for v in y)
+        return math.copysign(math.sqrt(sxy * sxy / (sxx * syy)), sxy)
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            ([1.0, 1.0, 1.0 + 2.75e-12], [7.0, 7.0, 7.0 + 3.0e-13]),
+            ([1e8, 1e8 + 1.0, 1e8 + 3.0], [-2.0, -1.0, 5.0]),
+            ([0.1, 0.2, 0.3, 0.4], [0.4, 0.1, 0.3, 0.2]),
+        ],
+    )
+    def test_matches_exact_rational_oracle(self, x, y):
+        assert pearson(x, y) == pytest.approx(self._exact_r(x, y), abs=1e-12)
 
     def test_correlation_identities_on_standardized(self):
         for _ in range(20):
