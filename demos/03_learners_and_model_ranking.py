@@ -22,7 +22,7 @@ grid = [
     ModelSpec("rr", alpha=1.0, n_features=4),   # recursive feature elimination
     ModelSpec("rr", alpha=1.0, n_components=3), # PLS projection
     ModelSpec("knn", k=5),
-    ModelSpec("tree", min_leaf=3, min_split=6, n_estimators=100, seed=1),
+    ModelSpec("tree", min_leaf=3, n_estimators=100, seed=1),
     ModelSpec("ada", n_estimators=60, seed=1),
     ModelSpec("const"),                          # mean baseline for reference
 ]

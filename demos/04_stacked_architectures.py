@@ -39,7 +39,7 @@ te = slice(240, None)
 cfg = StackConfig(
     base_spec=ModelSpec("rr", alpha=1.0),
     final_specs=(ModelSpec("knn", k=5), ModelSpec("rr", alpha=1.0),
-                 ModelSpec("tree", min_leaf=3, min_split=6, n_estimators=100, seed=2)),
+                 ModelSpec("tree", min_leaf=3, n_estimators=100, seed=2)),
     top_k=1,
     folds=7,
     seed=4,

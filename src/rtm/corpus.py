@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import collections
 from dataclasses import dataclass, field
-from pathlib import Path
 
 
 class DataFormatError(ValueError):
@@ -105,7 +104,6 @@ class Corpus:
     """Ordered nonempty sentences from a one-sentence-per-line file."""
 
     sentences: list[TokenSeq]
-    source_path: str = ""
 
     def __len__(self) -> int:
         return len(self.sentences)
@@ -139,21 +137,18 @@ def _split_chunk(chunk: str) -> list[str]:
     return out
 
 
-def tokenize(text: str, lowercase: bool = True) -> TokenSeq:
+def tokenize(text: str) -> TokenSeq:
     """Normalize ``text`` into a TokenSeq.
 
-    Rules: optional lowercasing (default on), split on Unicode whitespace,
+    Rules: lowercase, split on Unicode whitespace,
     then each non-alphanumeric character becomes its own token except that a
     ``#`` or ``@`` introducing a word run stays attached to it.  The char
     count is taken from the raw input, whitespace included.
     """
-    char_count = len(text)
-    if lowercase:
-        text = text.lower()
     tokens: list[str] = []
-    for chunk in text.split():
+    for chunk in text.lower().split():
         tokens.extend(_split_chunk(chunk))
-    return TokenSeq(tuple(tokens), char_count)
+    return TokenSeq(tuple(tokens), len(text))
 
 
 def extract_ngrams(seq: TokenSeq, n: int) -> collections.Counter:
@@ -327,7 +322,7 @@ def load_corpus(path) -> Corpus:
         seq = tokenize(line)
         if len(seq):
             sentences.append(seq)
-    return Corpus(sentences, str(Path(path)))
+    return Corpus(sentences)
 
 
 def lexicon_to_target(lexicon: Lexicon, emotions) -> TokenSeq:

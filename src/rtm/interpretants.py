@@ -165,49 +165,20 @@ class WittenBellLM:
     P(w | h) = (c(h,w) + T(h) * P(w | h')) / (c(h) + T(h)) where T(h) is the
     number of distinct types following h and h' drops the oldest context word.
     The recursion bottoms out in a uniform distribution over the prediction
-    vocabulary, which gives the unknown symbol its continuation mass.
-
-    ``use_boundaries=False`` (only valid with order 1) and ``use_unk=False``
-    produce a closed-vocabulary model without sentence-end events; with equal
-    unigram counts that degenerates to the exact uniform distribution.
+    vocabulary (the training words plus the unknown and end-of-sentence
+    symbols), which gives the unknown symbol its continuation mass.
     """
 
-    def __init__(
-        self,
-        sentences: list[TokenSeq],
-        order: int = 3,
-        use_boundaries: bool = True,
-        use_unk: bool = True,
-        map_singletons: bool = False,
-    ):
+    def __init__(self, sentences: list[TokenSeq], order: int = 3):
         if order < 1:
             raise ValueError("order must be >= 1")
-        if not use_boundaries and order != 1:
-            raise ValueError("use_boundaries=False requires order=1")
         if not sentences or all(len(s) == 0 for s in sentences):
             raise ValueError("need at least one nonempty sentence")
         self.order = order
-        self.use_boundaries = use_boundaries
-        self.use_unk = use_unk
 
-        token_counts: collections.Counter = collections.Counter()
-        for sent in sentences:
-            token_counts.update(sent.tokens)
-        if map_singletons:
-            if not use_unk:
-                raise ValueError("map_singletons requires use_unk")
-            keep = {w for w, c in token_counts.items() if c > 1}
-        else:
-            keep = set(token_counts)
-        self.vocab = set(keep)
-
-        pred_vocab = set(keep)
-        if use_unk:
-            pred_vocab.add(UNK)
-        if use_boundaries:
-            pred_vocab.add(EOS)
-        self._pred_vocab = pred_vocab
-        self._p0 = 1.0 / len(pred_vocab)
+        self.vocab = {tok for sent in sentences for tok in sent.tokens}
+        self._pred_vocab = self.vocab | {UNK, EOS}
+        self._p0 = 1.0 / len(self._pred_vocab)
 
         # counts[n][ngram], context_totals[n][history], types_after[n][history]
         self._counts = {n: collections.Counter() for n in range(1, order + 1)}
@@ -216,14 +187,8 @@ class WittenBellLM:
         for sent in sentences:
             if len(sent) == 0:
                 continue
-            toks = [t if t in keep else UNK for t in sent.tokens]
-            if use_boundaries:
-                padded = [BOS] * (order - 1) + toks + [EOS]
-                start = order - 1
-            else:
-                padded = toks
-                start = 0
-            for j in range(start, len(padded)):
+            padded = [BOS] * (order - 1) + list(sent.tokens) + [EOS]
+            for j in range(order - 1, len(padded)):
                 for n in range(1, order + 1):
                     if n - 1 > j:
                         continue
@@ -235,11 +200,7 @@ class WittenBellLM:
                     self._context_totals[n][hist] += 1
 
     def _map(self, word: str) -> str:
-        if word in self._pred_vocab:
-            return word
-        if not self.use_unk:
-            raise ValueError(f"out-of-vocabulary word {word!r} in closed model")
-        return UNK
+        return word if word in self._pred_vocab else UNK
 
     def prob(self, word: str, history: tuple = ()) -> float:
         """Smoothed P(word | history); history longer than order-1 is truncated."""
@@ -265,17 +226,13 @@ class WittenBellLM:
 
     def sequence_logprob2(self, seq: TokenSeq) -> tuple[float, int]:
         """(log2 probability of ``seq`` including boundary events, event count)."""
-        if self.use_boundaries:
-            padded = [BOS] * (self.order - 1) + list(seq.tokens) + [EOS]
-            start = self.order - 1
-        else:
-            padded = list(seq.tokens)
-            start = 0
+        padded = [BOS] * (self.order - 1) + list(seq.tokens) + [EOS]
+        start = self.order - 1
         logprob = 0.0
         for j in range(start, len(padded)):
             hist = tuple(padded[max(0, j - self.order + 1) : j])
             logprob += math.log2(self.prob(padded[j], hist))
-        return logprob, max(1, len(padded) - start)
+        return logprob, len(padded) - start
 
     def in_vocab(self, word: str) -> bool:
         return word in self.vocab

@@ -48,7 +48,6 @@ class ModelSpec:
     alpha: float | None = None  # rr penalty
     k: int | None = None  # knn neighbours
     min_leaf: int = 1
-    min_split: int = 2
     n_estimators: int = 500
     n_features: int | None = None  # FS: keep this many columns
     n_components: int | None = None  # PLS: project to this many scores
@@ -135,7 +134,7 @@ class _Const:
         return np.full(len(Z), self.value)
 
 
-def _grow_preorder(ZY, y, min_leaf, min_split, rng, nodes) -> int:
+def _grow_preorder(ZY, y, min_leaf, rng, nodes) -> int:
     """Append one tree to ``nodes`` in depth-first preorder; returns its depth.
 
     ``ZY`` is the design matrix with ``y`` as its last column, so one min/max
@@ -145,7 +144,7 @@ def _grow_preorder(ZY, y, min_leaf, min_split, rng, nodes) -> int:
     ``Generator.uniform`` computes its draw.
     """
     feature, cut, left, right, value = nodes
-    min_rows = max(min_split, 2 * min_leaf)
+    min_rows = max(2, 2 * min_leaf)  # a node splits only if both children can hold min_leaf
     stack = [(np.arange(len(y)), -1, 1)]  # (rows, parent awaiting a right child, level)
     depth = 0
     while stack:
@@ -209,8 +208,7 @@ class _ExtraTrees:
         roots, self.depth = [], 0
         for s in seeds:
             roots.append(len(nodes[0]))
-            depth = _grow_preorder(ZY, y, spec.min_leaf, spec.min_split,
-                                   np.random.default_rng(s), nodes)
+            depth = _grow_preorder(ZY, y, spec.min_leaf, np.random.default_rng(s), nodes)
             self.depth = max(self.depth, depth)
         self.roots = np.asarray(roots, dtype=np.intp)
         self.feature = np.asarray(nodes[0], dtype=np.intp)
@@ -543,9 +541,7 @@ def default_grid(seed: int = 0) -> list[ModelSpec]:
         specs.append(ModelSpec("knn", k=k, seed=seed))
         specs.append(ModelSpec("knn", k=k, n_components=4, seed=seed))
     for min_leaf in (1, 3, 5):
-        specs.append(
-            ModelSpec("tree", min_leaf=min_leaf, min_split=max(2, 2 * min_leaf), seed=seed)
-        )
+        specs.append(ModelSpec("tree", min_leaf=min_leaf, seed=seed))
     specs.append(ModelSpec("ada", seed=seed))
     return specs
 
@@ -558,5 +554,5 @@ def small_grid(seed: int = 0) -> list[ModelSpec]:
         ModelSpec("rr", alpha=1.0, n_features=8, seed=seed),
         ModelSpec("knn", k=3, seed=seed),
         ModelSpec("knn", k=5, seed=seed),
-        ModelSpec("tree", min_leaf=3, min_split=6, n_estimators=80, seed=seed),
+        ModelSpec("tree", min_leaf=3, n_estimators=80, seed=seed),
     ]

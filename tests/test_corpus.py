@@ -37,9 +37,6 @@ class TestTokenize:
         assert tokenize("# #").tokens == ("#", "#")
         assert tokenize("##joy").tokens == ("#", "#joy")
 
-    def test_no_lowercase(self):
-        assert tokenize("Red", lowercase=False).tokens == ("Red",)
-
     def test_unicode_whitespace(self):
         assert tokenize("a b\tc").tokens == ("a", "b", "c")
 

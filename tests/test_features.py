@@ -93,10 +93,11 @@ class TestWeightedOverlap:
 
 class TestLmFeatures:
     def test_uniform_model_bpw(self):
+        # every word and </s> has P = 1.9/18 (see TestWittenBellLM)
         sent = TokenSeq.from_tokens([f"w{i}" for i in range(8)])
-        lm = WittenBellLM([sent], order=1, use_boundaries=False, use_unk=False)
+        lm = WittenBellLM([sent], order=1)
         _, bpw, oov = lm_features(lm, TokenSeq.from_tokens(["w0", "w1", "w2", "w3"]))
-        assert bpw == pytest.approx(3.0, abs=1e-12)
+        assert bpw == pytest.approx(3.2439255828860896, abs=1e-12)
         assert oov == 0.0
 
     def test_all_oov(self):

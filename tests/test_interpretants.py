@@ -99,13 +99,17 @@ class TestWittenBellLM:
         logprob, events = lm.sequence_logprob2(sentences[0])
         assert -logprob / events < 0.2
 
-    def test_uniform_closed_model_is_three_bits(self):
-        # 8 equally frequent words, order 1, no boundaries/unknown -> exactly uniform
+    def test_uniform_model_closed_form(self):
+        # 8 words seen once, order 1: 9 events (8 words + </s>) of 9 types over
+        # a 10-symbol prediction vocabulary (+ <unk>), so every seen symbol has
+        # P = (1 + 9/10) / (9 + 9) = 1.9/18
         sent = TokenSeq.from_tokens([f"w{i}" for i in range(8)])
-        lm = WittenBellLM([sent], order=1, use_boundaries=False, use_unk=False)
+        lm = WittenBellLM([sent], order=1)
         query = TokenSeq.from_tokens(["w0", "w3", "w5", "w7"])
         logprob, events = lm.sequence_logprob2(query)
-        assert -logprob / events == pytest.approx(3.0, abs=1e-12)
+        assert events == 5
+        assert -logprob / events == pytest.approx(math.log2(18 / 1.9), abs=1e-12)
+        assert math.log2(18 / 1.9) == pytest.approx(3.2439255828860896, abs=1e-15)
 
     def test_conditional_distributions_normalize(self):
         rng = np.random.default_rng(1)
@@ -129,9 +133,3 @@ class TestWittenBellLM:
     def test_order_validation(self):
         with pytest.raises(ValueError):
             WittenBellLM(seqs("a b"), order=0)
-        with pytest.raises(ValueError):
-            WittenBellLM(seqs("a b"), order=2, use_boundaries=False)
-
-    def test_singleton_mapping(self):
-        lm = WittenBellLM(seqs("a a b"), order=1, map_singletons=True)
-        assert lm.in_vocab("a") and not lm.in_vocab("b")

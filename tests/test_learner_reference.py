@@ -64,10 +64,10 @@ def ref_tree_predict(node, Z, idx, out):
     ref_tree_predict(node.right, Z, idx[~mask], out)
 
 
-def ref_forest(Z, y, spec):
+def ref_forest(Z, y, spec, min_split=2):
     seeds = np.random.SeedSequence(spec.seed).spawn(spec.n_estimators)
     idx = np.arange(len(y))
-    return [ref_grow_tree(Z, y, idx, spec.min_leaf, spec.min_split, np.random.default_rng(s))
+    return [ref_grow_tree(Z, y, idx, spec.min_leaf, min_split, np.random.default_rng(s))
             for s in seeds]
 
 
@@ -209,8 +209,7 @@ def descend(forest, Z):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_forest_matches_recursive_reference(min_leaf, seed):
     Z, y, Zq = design(seed)
-    spec = ModelSpec("tree", min_leaf=min_leaf, min_split=max(2, 2 * min_leaf),
-                     n_estimators=25, seed=seed)
+    spec = ModelSpec("tree", min_leaf=min_leaf, n_estimators=25, seed=seed)
     forest = _ExtraTrees(Z, y, spec)
     trees = ref_forest(Z, y, spec)
     for t, tree in enumerate(trees):
@@ -222,19 +221,20 @@ def test_forest_matches_recursive_reference(min_leaf, seed):
 
 
 def test_forest_retry_path_and_small_splits():
-    # min_split below 2 * min_leaf and a coarse column force the 10-try retries
+    # large leaves and a coarse column force the 10-try retries; the reference's
+    # min_split below 2 * min_leaf never changes a tree
     Z, y, Zq = design(7, n=30)
     Z[:, 0] = np.round(Z[:, 0])
     for min_leaf, min_split in ((5, 2), (6, 2), (2, 3)):
-        spec = ModelSpec("tree", min_leaf=min_leaf, min_split=min_split, n_estimators=30, seed=3)
+        spec = ModelSpec("tree", min_leaf=min_leaf, n_estimators=30, seed=3)
         forest = _ExtraTrees(Z, y, spec)
-        trees = ref_forest(Z, y, spec)
+        trees = ref_forest(Z, y, spec, min_split)
         for t, tree in enumerate(trees):
             assert [bits(node) for node in flat_preorder(forest, t)] == [bits(node) for node in ref_preorder(tree)]
         assert bits(forest.predict(Zq).tolist()) == bits(ref_forest_predict(trees, Zq).tolist())
         # a leaf big enough to split exists only where all 10 tries failed
         sizes = np.bincount(descend(forest, Z).ravel(), minlength=len(forest.feature))
-        assert sizes.max() >= max(min_split, 2 * min_leaf)
+        assert sizes.max() >= 2 * min_leaf
 
 
 def test_forest_constant_target_and_columns():

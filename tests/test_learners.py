@@ -111,7 +111,7 @@ class TestExtraTrees:
     def test_min_leaf_respected(self):
         X = rng.normal(size=(30, 2))
         y = rng.normal(size=30)
-        spec = ModelSpec("tree", n_estimators=5, min_leaf=5, min_split=10, seed=2)
+        spec = ModelSpec("tree", n_estimators=5, min_leaf=5, seed=2)
         model = fit_model(spec, X, y)
         forest = model.inner
 
