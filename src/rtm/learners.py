@@ -249,9 +249,9 @@ class _StumpScan:
 
     ``fit(w)`` scans every split between distinct sorted values of every
     column, feature by feature and left to right, and keeps a split only if
-    its SSE beats the best so far by more than 1e-15.  The cumulative sums
-    run along each sorted column, so each split's sums and SSE are the ones
-    a per-column scalar scan computes.
+    both sides carry weight and its SSE beats the best so far by more than
+    1e-15.  The cumulative sums run along each sorted column, so each split's
+    sums and SSE are the ones a per-column scalar scan computes.
     """
 
     def __init__(self, Z, y):
@@ -279,16 +279,24 @@ class _StumpScan:
         cw = np.cumsum(wv, axis=1).ravel()
         cwy = np.cumsum(wy, axis=1).ravel()
         cwyy = np.cumsum(wy * self.ys, axis=1).ravel()
-        lw, lwy, lwyy = cw[self.pos], cwy[self.pos], cwyy[self.pos]
-        rw = total_w - lw
-        rwy = total_wy - lwy
-        rwyy = cwyy[self.last] - lwyy
+        # Boosting drives weights to exactly 0, and a side without weight has
+        # no mean (Drucker, ICML 1997), so such splits are never candidates.
+        # Each side's sums are differences of one column's running sums: a
+        # side of zero weights sums to exactly 0, and so does one whose weight
+        # is lost to rounding, so no kept split divides by 0.
+        lw = cw[self.pos]
+        rw = cw[self.last] - lw
+        live = np.flatnonzero((lw > 0.0) & (rw > 0.0))
+        pos, last, lw, rw = self.pos[live], self.last[live], lw[live], rw[live]
+        lwy, lwyy = cwy[pos], cwyy[pos]
+        rwy = cwy[last] - lwy
+        rwyy = cwyy[last] - lwyy
         # float_power is C pow per element, as in scalar ``x**2``; an array
         # ``x**2`` multiplies, which differs in the last bit for ~0.1% of x
         sse = (lwyy - np.float_power(lwy, 2) / lw) + (rwyy - np.float_power(rwy, 2) / rw)
         # A split is kept only if it beats the best so far by 1e-15, and the
         # best stays within 1e-15 of the running minimum, so every kept split
-        # is a strict running-minimum record (NaN never is).  Walk only those.
+        # is a strict running-minimum record.  Walk only those.
         running = np.fmin.accumulate(np.concatenate(([best_sse], sse[:-1])))
         records = np.flatnonzero(sse < running)
         k = -1
@@ -297,8 +305,8 @@ class _StumpScan:
             if value < best_sse - 1e-15:
                 k, best_sse = j, value
         if k >= 0:
-            best.feature = int(self.feat[k])
-            best.cut = float(self.cuts[k])
+            best.feature = int(self.feat[live[k]])
+            best.cut = float(self.cuts[live[k]])
             best.left = float(lwy[k] / lw[k])
             best.right = float(rwy[k] / rw[k])
         return best

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -325,3 +326,34 @@ class TestSpecsAndGrids:
         for spec in small_grid():
             model = fit_model(spec, X, y)
             assert np.isfinite(model.predict(X)).all()
+
+
+@pytest.fixture(scope="module")
+def intensity_features(tmp_path_factory):
+    """(X, y) of the synthetic intensity task: 400 train rows x 41 features."""
+    from conftest import write_intensity_case
+    from rtm.pipeline import STAGES, _read_features, load_rows, parse_config, run_stage
+
+    root = tmp_path_factory.mktemp("intensity")
+    cfg = parse_config(write_intensity_case(root))
+    for stage in STAGES[:3]:
+        run_stage(cfg, root / "out", stage)
+    X = _read_features(root / "out" / "features_train.tsv")[2]
+    return X, load_rows(cfg, "train")[1][0].gold_array()
+
+
+def test_default_grid_cv_raises_no_floating_point_error(intensity_features):
+    # 500 AdaBoost rounds drive sample weights toward 0 on this task; every
+    # spec must cross-validate with no overflow, division by 0, invalid
+    # operation or underflow.  The tree specs keep their min_leaf but grow 25
+    # trees instead of 500: each tree is grown on its own, so 25 exercise the
+    # same code and keep this test a few seconds long.
+    X, y = intensity_features
+    specs = [
+        dataclasses.replace(s, n_estimators=25) if s.kind == "tree" else s
+        for s in default_grid(seed=7)
+    ]
+    with np.errstate(all="raise"):
+        for spec in specs:
+            score, folds = cross_validate(spec, X, y, 7, 7)
+            assert np.isfinite(folds).all(), spec.label()
