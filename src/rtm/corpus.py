@@ -140,10 +140,10 @@ def _split_chunk(chunk: str) -> list[str]:
 def tokenize(text: str) -> TokenSeq:
     """Normalize ``text`` into a TokenSeq.
 
-    Rules: lowercase, split on Unicode whitespace,
-    then each non-alphanumeric character becomes its own token except that a
-    ``#`` or ``@`` introducing a word run stays attached to it.  The char
-    count is taken from the raw input, whitespace included.
+    Rules: lowercase, split on Unicode whitespace, then each non-alphanumeric
+    character becomes its own token except that a ``#`` or ``@`` introducing a
+    word run stays attached to it.  The char count is taken from the raw
+    input, whitespace included.
     """
     tokens: list[str] = []
     for chunk in text.lower().split():

@@ -279,8 +279,8 @@ class _StumpScan:
         cw = np.cumsum(wv, axis=1).ravel()
         cwy = np.cumsum(wy, axis=1).ravel()
         cwyy = np.cumsum(wy * self.ys, axis=1).ravel()
-        # Boosting drives weights to exactly 0, and a side without weight has
-        # no mean (Drucker, ICML 1997), so such splits are never candidates.
+        # Boosting can drive weights to exactly 0, and a side without weight
+        # has no mean (Drucker, ICML 1997), so such splits are never candidates.
         # Each side's sums are differences of one column's running sums: a
         # side of zero weights sums to exactly 0, and so does one whose weight
         # is lost to rounding, so no kept split divides by 0.

@@ -388,6 +388,11 @@ class TestEvaluateFiles:
         with pytest.raises(ValueError, match="duplicate id"):
             evaluate_files(tmp_path / "pred.tsv", tmp_path / "gold.tsv")
 
+    def test_wrong_column_count_rejected(self, tmp_path):
+        (tmp_path / "pred.tsv").write_text("a\t0.1\nb\n")
+        with pytest.raises(ValueError, match=r"pred.tsv:2: expected 2 or 3 columns, got 1"):
+            read_predictions(tmp_path / "pred.tsv")
+
     def test_missing_ids_rejected(self, tmp_path):
         (tmp_path / "gold.tsv").write_text("a\t0.1\n")
         (tmp_path / "pred.tsv").write_text("a\t0.1\nzz\t0.5\n")
