@@ -528,8 +528,7 @@ def stage_train(cfg: RunConfig, out_dir: Path):
         raise StageError(
             f"feature fingerprint {feat_fp} does not match resources {resources_fp}"
         )
-    _, (train,) = load_rows(cfg, "train")
-    gold = train.gold_array()
+    gold = load_rows(cfg, "train")[1][0].gold_array()
     blob = {
         "version": __version__,
         "config_hash": cfg.hash(),
@@ -586,8 +585,7 @@ def stage_predict(cfg: RunConfig, out_dir: Path):
 
     tune = cfg.task == "triples" and cfg.threshold in ("optimized", "grounded")
     if cfg.grounding == "predictions" or tune:
-        _, (train,) = load_rows(cfg, "train")
-        train_gold = train.gold_array()
+        train_gold = load_rows(cfg, "train")[1][0].gold_array()
     if cfg.grounding == "predictions":
         preds = ground_predictions(preds, ScoreStats.of(train_gold))
     if cfg.task == "intensity":
@@ -650,8 +648,7 @@ def _report_text(cfg: RunConfig, fingerprint: str, cv_table, report: MetricRepor
 def stage_evaluate(cfg: RunConfig, out_dir: Path) -> MetricReport | None:
     blob = _read_pickle(out_dir / "model.pkl")
     ids, preds, classes = read_predictions(out_dir / "predictions.tsv")
-    _, (test,) = load_rows(cfg, "test")
-    gold_map = test.gold_map()
+    gold_map = load_rows(cfg, "test")[1][0].gold_map()
     report = None
     if gold_map and len(gold_map) == len(ids):
         gold = np.asarray([gold_map[rid] for rid in ids])

@@ -84,36 +84,42 @@ def _row_groups(mode: str, feats_a, feats_b) -> list[tuple[str, tuple, int]]:
     return [("a", (feats_a,), 0), ("b", (feats_b,), len(feats_a))]
 
 
+def _oof_group(key, sides, offset, gold, folds, cfg: StackConfig, audit):
+    """Out-of-fold predictions per side and the refit base model of one row
+    group.  Folds are drawn over instances, so every row of an instance sits in
+    the same fold."""
+    n = len(gold)
+    rows = np.vstack(sides)  # row s*n + i is side s of instance i
+    row_gold = np.tile(gold, len(sides))
+    oof = np.empty(len(rows))
+    for f, test_inst in enumerate(folds):
+        train_inst = np.setdiff1d(np.arange(n), test_inst)
+        train_rows = np.concatenate([train_inst + s * n for s in range(len(sides))])
+        test_rows = np.concatenate([test_inst + s * n for s in range(len(sides))])
+        model = fit_model(cfg.base_spec, rows[train_rows], row_gold[train_rows])
+        oof[test_rows] = model.predict(rows[test_rows])
+        audit.append(
+            OofAuditRecord(
+                key,
+                f,
+                tuple((train_rows + offset).tolist()),
+                tuple((test_rows + offset).tolist()),
+            )
+        )
+    return fit_model(cfg.base_spec, rows, row_gold), np.split(oof, len(sides))
+
+
 def _train_stack(mode: str, feats_a, feats_b, gold, cfg: StackConfig) -> StackModel:
-    """Out-of-fold base predictions and one refit base per row group, then the
-    final model.  Folds are drawn over instances, so every row of an instance
-    sits in the same fold."""
+    """Each row group's out-of-fold predictions and base model, then the final
+    model on both sides' features and the combination features."""
     gold = np.asarray(gold, dtype=float)
     if len(gold) < 2 or len(feats_a) != len(gold) or len(feats_b) != len(gold):
         raise ValueError("need >= 2 instances with matching row matrices")
-    n = len(gold)
-    folds = fold_indices(n, cfg.folds, cfg.seed)
+    folds = fold_indices(len(gold), cfg.folds, cfg.seed)
     bases, yhat, audit = {}, [], []
     for key, sides, offset in _row_groups(mode, feats_a, feats_b):
-        rows = np.vstack(sides)  # row s*n + i is side s of instance i
-        row_gold = np.tile(gold, len(sides))
-        oof = np.empty(len(rows))
-        for f, test_inst in enumerate(folds):
-            train_inst = np.setdiff1d(np.arange(n), test_inst)
-            train_rows = np.concatenate([train_inst + s * n for s in range(len(sides))])
-            test_rows = np.concatenate([test_inst + s * n for s in range(len(sides))])
-            model = fit_model(cfg.base_spec, rows[train_rows], row_gold[train_rows])
-            oof[test_rows] = model.predict(rows[test_rows])
-            audit.append(
-                OofAuditRecord(
-                    key,
-                    f,
-                    tuple((train_rows + offset).tolist()),
-                    tuple((test_rows + offset).tolist()),
-                )
-            )
-        bases[key] = fit_model(cfg.base_spec, rows, row_gold)
-        yhat.extend(np.split(oof, len(sides)))
+        bases[key], side_yhat = _oof_group(key, sides, offset, gold, folds, cfg, audit)
+        yhat.extend(side_yhat)
     final_X = np.hstack([feats_a, feats_b, combo_features(*yhat)])
     assert final_X.shape[1] == N_STACK_FEATURES
     ranked = grid_search(list(cfg.final_specs), final_X, gold, cfg.folds, cfg.seed)
