@@ -134,88 +134,171 @@ class _Const:
         return np.full(len(Z), self.value)
 
 
-def _grow_preorder(ZY, y, min_leaf, rng, nodes) -> int:
-    """Append one tree to ``nodes`` in depth-first preorder; returns its depth.
+_DRAWS = 4  # (feature, cut) draws a node gets in its first search round
+_TRIES = 10  # non-constant draws a node may try before it becomes a leaf
 
-    ``ZY`` is the design matrix with ``y`` as its last column, so one min/max
-    pass gives both the cut ranges and the constant-target test.  The RNG
-    draws (feature, then cut, up to 10 tries per node) come in the same order
-    as a recursive left-first grow.  ``lo + (hi - lo) * random()`` is how
-    ``Generator.uniform`` computes its draw.
+
+def _keyed(h, v):
+    """A SplitMix64 step (Steele, Lea & Flood, OOPSLA 2014) folding ``v`` into
+    the uint64 hash ``h``; vectorized, and a pure function of its inputs."""
+    z = (h ^ np.asarray(v, dtype=np.uint64)) + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _starts(counts):
+    """Offsets of consecutive segments of the given lengths."""
+    return np.concatenate(([0], np.cumsum(counts[:-1])))
+
+
+def _draw_splits(Z, rows, counts, keys, min_leaf):
+    """(feature, cut) of each node, drawn from its key; feature -1 makes a leaf.
+
+    ``rows`` holds the nodes' row indices one segment after another.  Draw
+    ``j`` of a node picks column ``h % d`` and ``u`` in [0, 1) from the hash
+    of (key, j), and a column constant in the node is rejected, so the
+    feature is uniform over the node's non-constant columns.  Among its
+    first ``_TRIES`` non-constant draws, the first whose cut
+    ``lo + (hi - lo) * u`` (at least ``nextafter(lo, hi)``) leaves
+    ``min_leaf`` rows on both sides wins.  A node whose draws in a round all
+    hit constant columns has all its columns checked, so a node with no
+    split at all stops searching.  Nodes still searching get more draws a
+    round as their rows shrink, never more (draw, row) pairs than the first
+    round had; the draws are keyed, so this changes no result.
     """
-    feature, cut, left, right, value = nodes
+    n_nodes, d = len(counts), Z.shape[1]
+    feature = np.full(n_nodes, -1, dtype=np.intp)
+    cut = np.full(n_nodes, math.inf)
+    tries = np.zeros(n_nodes, dtype=np.intp)
+    varying = np.zeros(n_nodes, dtype=bool)  # known to have a non-constant column
+    live = np.arange(n_nodes)  # nodes still searching
+    draw, n_draws = 0, _DRAWS
+    budget = _DRAWS * len(rows)
+    while live.size:
+        starts = _starts(counts)
+        row_node = np.repeat(np.arange(live.size), counts)
+        h = _keyed(keys[live], np.arange(draw, draw + n_draws)[:, None])  # (draw, node)
+        feat = (h % np.uint64(d)).astype(np.intp)
+        u = (_keyed(h, 0) >> np.uint64(11)) * (1.0 / (1 << 53))
+        vals = Z[rows, feat[:, row_node]]  # (draw, row)
+        lo = np.minimum.reduceat(vals, starts, axis=1)
+        hi = np.maximum.reduceat(vals, starts, axis=1)
+        c = lo + (hi - lo) * u
+        c = np.where(c <= lo, np.nextafter(lo, hi), c)
+        n_left = np.add.reduceat(vals < c[:, row_node], starts, axis=1, dtype=np.intp)
+        varies = hi > lo
+        ok = (varies & (tries[live] + np.cumsum(varies, axis=0) <= _TRIES)
+              & (n_left >= min_leaf) & (n_left <= counts - min_leaf))
+        won = ok.any(axis=0)
+        first = ok.argmax(axis=0)[won]
+        feature[live[won]] = feat[first, won]
+        cut[live[won]] = c[first, won]
+        tries[live] += varies.sum(axis=0)
+        varying[live] |= varies.any(axis=0)
+        keep = ~won & (tries[live] < _TRIES)
+        blank = np.flatnonzero(keep & ~varying[live])
+        if blank.size:
+            block = Z[rows[np.isin(row_node, blank)]]
+            at = _starts(counts[blank])
+            varying[live[blank]] = keep[blank] = (
+                np.minimum.reduceat(block, at) < np.maximum.reduceat(block, at)).any(axis=1)
+        rows = rows[keep[row_node]]
+        live, counts = live[keep], counts[keep]
+        draw += n_draws
+        n_draws = max(_DRAWS, min(2 * n_draws, budget // max(1, len(rows))))
+    return feature, cut
+
+
+def _grow_level_wise(Z, y, min_leaf, seed, trees):
+    """Grow the given trees together, one level per step.
+
+    Each open node is a segment of one row-index array, and every draw is
+    keyed by (seed, tree, level, the node's position in its tree's level),
+    so a tree comes out the same whichever trees grow beside it.  Returns
+    ``(roots, feature, cut, left, right, value, depth)``, each tree's nodes
+    numbered breadth-first from its root, node ids counted from 0.
+    """
+    n = len(y)
     min_rows = max(2, 2 * min_leaf)  # a node splits only if both children can hold min_leaf
-    stack = [(np.arange(len(y)), -1, 1)]  # (rows, parent awaiting a right child, level)
-    depth = 0
-    while stack:
-        idx, parent, level = stack.pop()
-        node = len(feature)
-        if parent >= 0:
-            right[parent] = node
-        depth = max(depth, level)
-        n = len(idx)
-        split = None
-        if n >= min_rows:
-            rows = ZY.take(idx, axis=0)
-            lo = np.minimum.reduce(rows)
-            hi = np.maximum.reduce(rows)
-            if lo[-1] != hi[-1]:
-                candidates = (hi > lo)[:-1].nonzero()[0]
-                for _ in range(10 if candidates.size else 0):
-                    feat = int(candidates[rng.integers(candidates.size)])
-                    a, b = lo[feat], hi[feat]
-                    c = a + (b - a) * rng.random()
-                    if c <= a:
-                        c = np.nextafter(a, b)
-                    mask = rows[:, feat] < c
-                    if min_leaf <= np.count_nonzero(mask) <= n - min_leaf:
-                        split = feat, float(c), mask
-                        break
-        if split is None:
-            # leaf: both children point back at it, so a descent stays put
-            feature.append(-1)
-            cut.append(math.inf)
-            left.append(node)
-            right.append(node)
-            # np.mean's arithmetic (pairwise sum, one division); a row is its own mean
-            value.append(float(y[idx[0]]) if n == 1 else float(y[idx].sum() / n))
-            continue
-        feat, c, mask = split
-        feature.append(feat)
-        cut.append(c)
-        left.append(node + 1)  # preorder: the left child comes next
-        right.append(-1)
-        value.append(math.nan)
-        stack.append((idx[~mask], node, level + 1))
-        stack.append((idx[mask], -1, level + 1))
-    return depth
+    tree = np.arange(trees.start, trees.stop)
+    pos = np.zeros(len(tree), dtype=np.intp)
+    counts = np.full(len(tree), n)
+    rows = np.tile(np.arange(n), len(tree))
+    seed_key = np.uint64(seed % (1 << 64))
+    levels = []  # per level: (tree, pos, feature, cut, value, left child's record)
+    records = 0  # nodes in earlier levels
+    while tree.size:
+        level = len(levels)
+        starts = _starts(counts)
+        yr = y[rows]
+        constant = np.minimum.reduceat(yr, starts) == np.maximum.reduceat(yr, starts)
+        value = np.add.reduceat(yr, starts) / counts
+        searching = (counts >= min_rows) & ~constant
+        search = np.flatnonzero(searching)
+        row_node = np.repeat(np.arange(len(counts)), counts)
+        feature = np.full(len(counts), -1, dtype=np.intp)
+        cut = np.full(len(counts), math.inf)
+        if search.size and Z.shape[1]:
+            keys = _keyed(_keyed(_keyed(seed_key, tree[search]), level), pos[search])
+            feature[search], cut[search] = _draw_splits(
+                Z, rows[searching[row_node]], counts[search], keys, min_leaf)
+        split = np.flatnonzero(feature >= 0)
+        value[split] = math.nan
+        child = np.full(len(counts), -1, dtype=np.intp)
+        child[split] = records + len(counts) + 2 * np.arange(split.size)
+        levels.append((tree, pos, feature, cut, value, child))
+        records += len(counts)
+        # the rows of the split nodes, each node's left side then its right side
+        sub = feature[row_node] >= 0
+        rows, row_node = rows[sub], row_node[sub]
+        right = ~(Z[rows, feature[row_node]] < cut[row_node])
+        order = np.argsort(2 * row_node + right, kind="stable")
+        rows = rows[order]
+        n_left = np.bincount(row_node[~right], minlength=len(counts))[split]
+        counts = np.column_stack([n_left, counts[split] - n_left]).ravel()
+        tree = np.repeat(tree[split], 2)
+        rank = np.arange(split.size) - np.searchsorted(tree[::2], tree[::2])
+        pos = (2 * rank[:, None] + np.arange(2)).ravel()
+    tree, pos, feature, cut, value, child = (np.concatenate(a) for a in zip(*levels))
+    level = np.repeat(np.arange(len(levels)), [len(lv[0]) for lv in levels])
+    order = np.lexsort((pos, level, tree))  # per tree, breadth-first
+    new_id = np.empty_like(order)
+    new_id[order] = np.arange(order.size)
+    # leaves point both children back at themselves, so a descent stays put
+    leaf = child < 0
+    left = np.where(leaf, new_id, new_id[np.where(leaf, 0, child)])
+    right = np.where(leaf, new_id, new_id[np.where(leaf, 0, child + 1)])
+    roots = np.flatnonzero(level[order] == 0)
+    return (roots, feature[order], cut[order], left[order], right[order], value[order],
+            len(levels))
 
 
 class _ExtraTrees:
     """Totally randomized trees: uniform random feature, uniform random cut.
 
     All trees live in one set of flat node arrays (``feature``, ``cut``,
-    ``left``, ``right``, ``value``), each tree numbered in depth-first
-    preorder from ``roots[t]``.  A row goes left when ``row[feature] < cut``.
-    Leaves have ``feature == -1`` and point both children at themselves.
+    ``left``, ``right``, ``value``), each tree numbered breadth-first from
+    ``roots[t]``.  A row goes left when ``row[feature] < cut``.  Leaves have
+    ``feature == -1`` and point both children at themselves.  Trees grow in
+    blocks that keep each level's working set within ``_BLOCK_BYTES``; the
+    keyed draws make the arrays the same for any split into blocks.
     """
 
     def __init__(self, Z, y, spec):
+        Z = np.ascontiguousarray(Z, dtype=float)
         y = np.asarray(y, dtype=float)
-        ZY = np.column_stack([Z, y])
-        seeds = np.random.SeedSequence(spec.seed).spawn(spec.n_estimators)
-        nodes = ([], [], [], [], [])
-        roots, self.depth = [], 0
-        for s in seeds:
-            roots.append(len(nodes[0]))
-            depth = _grow_preorder(ZY, y, spec.min_leaf, np.random.default_rng(s), nodes)
+        parts, offset, self.depth = [], 0, 0
+        # per tree and level: row indices, node ids, sides, keys, and the
+        # columns, values and cuts of _DRAWS candidates
+        for trees in _row_blocks(spec.n_estimators, 8 * len(y) * (3 * _DRAWS + 4)):
+            *arrays, depth = _grow_level_wise(Z, y, spec.min_leaf, spec.seed, trees)
+            roots, feature, cut, left, right, value = arrays
+            parts.append((roots + offset, feature, cut, left + offset, right + offset, value))
+            offset += len(feature)
             self.depth = max(self.depth, depth)
-        self.roots = np.asarray(roots, dtype=np.intp)
-        self.feature = np.asarray(nodes[0], dtype=np.intp)
-        self.cut = np.asarray(nodes[1], dtype=float)
-        self.left = np.asarray(nodes[2], dtype=np.intp)
-        self.right = np.asarray(nodes[3], dtype=np.intp)
-        self.value = np.asarray(nodes[4], dtype=float)
+        (self.roots, self.feature, self.cut,
+         self.left, self.right, self.value) = (np.concatenate(a) for a in zip(*parts))
 
     def predict(self, Z):
         Z = np.ascontiguousarray(Z, dtype=float)

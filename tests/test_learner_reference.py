@@ -19,80 +19,10 @@ from rtm.learners import ModelSpec, _AdaBoostR2, _ExtraTrees, _Knn, _StumpScan
 # Reference implementations.
 
 
-class RefNode:
-    __slots__ = ("feature", "cut", "left", "right", "value")
-
-    def __init__(self, value=None, feature=None, cut=None, left=None, right=None):
-        self.value = value
-        self.feature = feature
-        self.cut = cut
-        self.left = left
-        self.right = right
-
-
-def ref_grow_tree(Z, y, idx, min_leaf, min_split, rng):
-    n = len(idx)
-    targets = y[idx]
-    if n < min_split or n < 2 * min_leaf or targets.min() == targets.max():
-        return RefNode(value=float(targets.mean()))
-    rows = Z[idx]
-    lo = rows.min(axis=0)
-    hi = rows.max(axis=0)
-    candidates = np.flatnonzero(hi > lo)
-    if candidates.size == 0:
-        return RefNode(value=float(y[idx].mean()))
-    for _ in range(10):
-        feat = int(candidates[rng.integers(candidates.size)])
-        cut = rng.uniform(lo[feat], hi[feat])
-        if cut <= lo[feat]:
-            cut = np.nextafter(lo[feat], hi[feat])
-        mask = rows[:, feat] < cut
-        n_left = int(mask.sum())
-        if min_leaf <= n_left <= n - min_leaf:
-            left = ref_grow_tree(Z, y, idx[mask], min_leaf, min_split, rng)
-            right = ref_grow_tree(Z, y, idx[~mask], min_leaf, min_split, rng)
-            return RefNode(feature=feat, cut=float(cut), left=left, right=right)
-    return RefNode(value=float(y[idx].mean()))
-
-
-def ref_tree_predict(node, Z, idx, out):
-    if node.value is not None:
-        out[idx] = node.value
-        return
-    mask = Z[idx, node.feature] < node.cut
-    ref_tree_predict(node.left, Z, idx[mask], out)
-    ref_tree_predict(node.right, Z, idx[~mask], out)
-
-
-def ref_forest(Z, y, spec, min_split=2):
-    seeds = np.random.SeedSequence(spec.seed).spawn(spec.n_estimators)
-    idx = np.arange(len(y))
-    return [ref_grow_tree(Z, y, idx, spec.min_leaf, min_split, np.random.default_rng(s))
-            for s in seeds]
-
-
-def ref_forest_predict(trees, Z):
-    total = np.zeros(len(Z))
-    idx = np.arange(len(Z))
-    out = np.empty(len(Z))
-    for tree in trees:
-        ref_tree_predict(tree, Z, idx, out)
-        total += out
-    return total / len(trees)
-
-
 def ref_knn_predict(Ztrain, y, k, Z):
     d2 = ((Z[:, None, :] - Ztrain[None, :, :]) ** 2).sum(axis=2)
     nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
     return y[nearest].mean(axis=1)
-
-
-def ref_preorder(node):
-    """(feature, cut, value) per node, depth-first left-first; -1/inf/nan fill."""
-    if node.value is not None:
-        return [(-1, math.inf, node.value)]
-    return ([(node.feature, node.cut, math.nan)]
-            + ref_preorder(node.left) + ref_preorder(node.right))
 
 
 def ref_fit_stump(Z, y, w):
@@ -186,12 +116,6 @@ def design(seed, n=48, d=6):
     return Z, y, gen.normal(size=(17, d))
 
 
-def flat_preorder(forest, t):
-    stop = forest.roots[t + 1] if t + 1 < len(forest.roots) else len(forest.feature)
-    span = range(forest.roots[t], stop)
-    return [(int(forest.feature[i]), float(forest.cut[i]), float(forest.value[i])) for i in span]
-
-
 def descend(forest, Z):
     """(tree, row) -> leaf index, walking the flat arrays one row at a time."""
     leaves = np.empty((len(forest.roots), len(Z)), dtype=int)
@@ -208,36 +132,64 @@ def descend(forest, Z):
 # Tests.
 
 
+def node_rows(forest, Z):
+    """(training rows, level) of each node, routed down the flat arrays.
+
+    Also checks the layout: each tree's nodes are numbered breadth-first from
+    its root, so the children of its split nodes, taken in node order, are
+    the tree's later nodes one after another, each left child before its
+    right.
+    """
+    reach = [None] * len(forest.feature)
+    level = np.zeros(len(forest.feature), dtype=int)
+    ends = list(forest.roots[1:]) + [len(forest.feature)]
+    for root, end in zip(forest.roots, ends):
+        reach[root] = np.arange(len(Z))
+        children = []
+        for node in range(root, end):
+            feat = forest.feature[node]
+            if feat < 0:
+                assert forest.left[node] == forest.right[node] == node
+                continue
+            idx = reach[node]
+            go_left = Z[idx, feat] < forest.cut[node]
+            reach[forest.left[node]] = idx[go_left]
+            reach[forest.right[node]] = idx[~go_left]
+            level[[forest.left[node], forest.right[node]]] = level[node] + 1
+            children += [forest.left[node], forest.right[node]]
+        assert children == list(range(root + 1, end))
+    return reach, level
+
+
 @pytest.mark.parametrize("min_leaf", [1, 3, 5])
 @pytest.mark.parametrize("seed", [0, 1])
-def test_forest_matches_recursive_reference(min_leaf, seed):
-    Z, y, Zq = design(seed)
-    spec = ModelSpec("tree", min_leaf=min_leaf, n_estimators=25, seed=seed)
-    forest = _ExtraTrees(Z, y, spec)
-    trees = ref_forest(Z, y, spec)
-    for t, tree in enumerate(trees):
-        got = flat_preorder(forest, t)
-        want = ref_preorder(tree)
-        assert [bits(node) for node in got] == [bits(node) for node in want]
-    for rows in (Zq, Z, Zq[:1], np.vstack([Z[:5], Zq])):
-        assert bits(forest.predict(rows).tolist()) == bits(ref_forest_predict(trees, rows).tolist())
+def test_forest_nodes_hold_their_rows(min_leaf, seed):
+    Z, y, _ = design(seed)
+    forest = _ExtraTrees(Z, y, ModelSpec("tree", min_leaf=min_leaf, n_estimators=25, seed=seed))
+    reach, level = node_rows(forest, Z)
+    for node, idx in enumerate(reach):
+        feat = forest.feature[node]
+        if feat < 0:
+            assert len(idx) >= min_leaf
+            assert forest.value[node] == pytest.approx(y[idx].mean(), rel=1e-12, abs=1e-15)
+        else:
+            assert len(idx) >= 2 * min_leaf
+            assert Z[idx, feat].min() < forest.cut[node] <= Z[idx, feat].max()
+            assert math.isnan(forest.value[node])
+    assert forest.depth == level.max() + 1
 
 
 def test_forest_retry_path_and_small_splits():
-    # large leaves and a coarse column force the 10-try retries; the reference's
-    # min_split below 2 * min_leaf never changes a tree
-    Z, y, Zq = design(7, n=30)
+    # large leaves and a coarse column make draws fail; a node stops after 10
+    # non-constant tries, so some leaf keeps rows it could have split
+    Z, y, _ = design(7, n=30)
     Z[:, 0] = np.round(Z[:, 0])
-    for min_leaf, min_split in ((5, 2), (6, 2), (2, 3)):
-        spec = ModelSpec("tree", min_leaf=min_leaf, n_estimators=30, seed=3)
-        forest = _ExtraTrees(Z, y, spec)
-        trees = ref_forest(Z, y, spec, min_split)
-        for t, tree in enumerate(trees):
-            assert [bits(node) for node in flat_preorder(forest, t)] == [bits(node) for node in ref_preorder(tree)]
-        assert bits(forest.predict(Zq).tolist()) == bits(ref_forest_predict(trees, Zq).tolist())
-        # a leaf big enough to split exists only where all 10 tries failed
-        sizes = np.bincount(descend(forest, Z).ravel(), minlength=len(forest.feature))
-        assert sizes.max() >= 2 * min_leaf
+    for min_leaf in (2, 5, 6):
+        forest = _ExtraTrees(Z, y, ModelSpec("tree", min_leaf=min_leaf, n_estimators=30, seed=3))
+        reach, _ = node_rows(forest, Z)
+        sizes = [len(idx) for node, idx in enumerate(reach) if forest.feature[node] < 0]
+        assert min(sizes) >= min_leaf
+        assert max(sizes) >= 2 * min_leaf
 
 
 def test_forest_constant_target_and_columns():
@@ -246,11 +198,82 @@ def test_forest_constant_target_and_columns():
     spec = ModelSpec("tree", n_estimators=5, seed=1)
     forest = _ExtraTrees(Z, y, spec)
     assert np.array_equal(forest.feature, np.full(5, -1))
-    assert bits(forest.predict(Zq).tolist()) == bits(ref_forest_predict(ref_forest(Z, y, spec), Zq).tolist())
+    assert np.array_equal(forest.predict(Zq), np.full(len(Zq), 0.25))
     Zc = np.ones((10, 2))
     yc = np.arange(10.0)
     forest = _ExtraTrees(Zc, yc, spec)
     assert np.array_equal(forest.value, np.full(5, 4.5))
+
+
+def test_forest_duplicate_rows_become_leaves():
+    # two distinct rows, each repeated, with a varying target: only columns 0
+    # and 7 of 41 vary, so most draws hit constant columns; once a node holds
+    # copies of one row it has no split at all and must end as a leaf
+    gen = np.random.default_rng(8)
+    Z = np.zeros((40, 41))
+    Z[20:, [0, 7]] = 1.0
+    y = gen.normal(size=40)
+    forest = _ExtraTrees(Z, y, ModelSpec("tree", n_estimators=50, seed=8))
+    assert set(forest.feature.tolist()) <= {-1, 0, 7}
+    for node, idx in enumerate(node_rows(forest, Z)[0]):
+        if forest.feature[node] < 0:
+            assert len(np.unique(Z[idx], axis=0)) == 1
+            assert forest.value[node] == pytest.approx(y[idx].mean(), rel=1e-12)
+    assert forest.depth == 2
+
+
+def test_forest_root_draws_are_uniform():
+    # with min_leaf 1 every draw on a varying column splits, so the root's
+    # feature is uniform over the 5 varying columns (column 2 is constant)
+    # and its cut is uniform within the column's range
+    Z, y, _ = design(6)
+    n_trees = 3000
+    forest = _ExtraTrees(Z, y, ModelSpec("tree", n_estimators=n_trees, seed=6))
+    feat = forest.feature[forest.roots]
+    counts = np.bincount(feat, minlength=Z.shape[1])
+    assert counts[2] == 0
+    varying = np.delete(counts, 2)
+    expected = n_trees / len(varying)
+    chi2 = ((varying - expected) ** 2 / expected).sum()
+    assert chi2 < 20.0  # 4 degrees of freedom: P(chi2 > 20) ~ 5e-4
+    lo, hi = Z.min(axis=0)[feat], Z.max(axis=0)[feat]
+    u = np.sort((forest.cut[forest.roots] - lo) / (hi - lo))
+    grid = np.arange(1, n_trees + 1) / n_trees
+    ks = max(np.abs(grid - u).max(), np.abs(grid - 1.0 / n_trees - u).max())
+    assert ks < 0.04  # 1.63 / sqrt(3000) ~ 0.03 is the 1% critical value
+
+
+def test_forest_same_for_any_split_into_blocks(monkeypatch):
+    Z, y, _ = design(5)
+    spec = ModelSpec("tree", min_leaf=2, n_estimators=23, seed=5)
+    real_blocks = rtm.learners._row_blocks
+    per_tree = []
+    monkeypatch.setattr(rtm.learners, "_row_blocks",
+                        lambda n, size: per_tree.append(size) or real_blocks(n, size))
+    whole = _ExtraTrees(Z, y, spec)
+    assert len(real_blocks(23, per_tree[0])) == 1
+    arrays = ("roots", "feature", "cut", "left", "right", "value")
+    for trees_per_block in (1, 7):
+        monkeypatch.setattr(rtm.learners, "_BLOCK_BYTES", trees_per_block * per_tree[0])
+        blocks = [len(range(23)[trees]) for trees in real_blocks(23, per_tree[0])]
+        assert blocks[0] == trees_per_block and len(blocks) == -(-23 // trees_per_block)
+        forest = _ExtraTrees(Z, y, spec)
+        for name in arrays:
+            assert getattr(forest, name).tobytes() == getattr(whole, name).tobytes(), name
+        assert forest.depth == whole.depth
+
+
+def test_forest_predict_is_mean_of_tree_walks(monkeypatch):
+    Z, y, Zq = design(4)
+    Zq = np.vstack([Zq, Z, Zq[:1]])
+    forest = _ExtraTrees(Z, y, ModelSpec("tree", n_estimators=20, seed=4))
+    total = np.zeros(len(Zq))
+    for leaves in descend(forest, Zq):  # tree order, as a sequential sum
+        total += forest.value[leaves]
+    want = bits((total / len(forest.roots)).tolist())
+    assert bits(forest.predict(Zq).tolist()) == want
+    monkeypatch.setattr(rtm.learners, "_BLOCK_BYTES", 64 * 20 * 3)  # 3 query rows a block
+    assert bits(forest.predict(Zq).tolist()) == want
 
 
 @pytest.mark.parametrize("seed", [0, 3])
@@ -312,11 +335,6 @@ def test_adaboost_500_rounds_matches_scalar_reference():
 def test_predictions_cross_row_blocks_unchanged(monkeypatch):
     Z, y, Zq = design(4)
     Zq = np.vstack([Zq, Z, Zq[:1]])  # 66 rows, a tie-heavy KNN query set
-    spec = ModelSpec("tree", n_estimators=20, seed=4)
-    forest = _ExtraTrees(Z, y, spec)
     knn = _Knn(Z, y, ModelSpec("knn", k=5))
-    # 3 query rows per tree block, 7 per KNN block
-    monkeypatch.setattr(rtm.learners, "_BLOCK_BYTES", 64 * 20 * 3)
-    assert bits(forest.predict(Zq).tolist()) == bits(ref_forest_predict(ref_forest(Z, y, spec), Zq).tolist())
-    monkeypatch.setattr(rtm.learners, "_BLOCK_BYTES", 8 * Z.size * 7)
+    monkeypatch.setattr(rtm.learners, "_BLOCK_BYTES", 8 * Z.size * 7)  # 7 query rows a block
     assert bits(knn.predict(Zq).tolist()) == bits(ref_knn_predict(Z, y, 5, Zq).tolist())
