@@ -368,22 +368,40 @@ def resource_fingerprint(cfg: RunConfig) -> str:
 
 @dataclass
 class RowSet:
-    """One dataset as feature-extraction rows, plus what else stages read from it."""
+    """One dataset as feature-extraction rows, plus its texts for FDA."""
 
     ids: list[str]  # one per row
     tags: list[str]  # "-" for plain rows, "a"/"b" for paired rows
     pairs: list[tuple]  # (source, target) TokenSeqs, one per row
-    golds: list[float | None]  # one per instance (not per row)
     texts: list[TokenSeq]  # the dataset's own texts, in FDA task-text order
 
-    def gold_array(self) -> np.ndarray:
-        if any(g is None for g in self.golds):
-            raise StageError("training instances must all carry gold values")
-        return np.asarray(self.golds, dtype=float)
 
-    def gold_map(self) -> dict[str, float]:
-        inst_ids = _instance_ids(self.ids, self.tags)
-        return {rid: g for rid, g in zip(inst_ids, self.golds) if g is not None}
+@dataclass
+class Golds:
+    """Instance ids and gold values of one dataset, in file order."""
+
+    ids: list[str]
+    values: list[float | None]  # None where the instance has no gold
+
+    def array(self) -> np.ndarray:
+        if any(g is None for g in self.values):
+            raise StageError("training instances must all carry gold values")
+        return np.asarray(self.values, dtype=float)
+
+    def mapping(self) -> dict[str, float]:
+        return {rid: g for rid, g in zip(self.ids, self.values) if g is not None}
+
+
+def load_golds(cfg: RunConfig, split: str) -> Golds:
+    """The golds of one named split (``"train"``, ``"test"``), read from its
+    dataset alone: no lexicon is loaded and no rows are built."""
+    path = getattr(cfg, split)
+    if cfg.task == "intensity":
+        instances = load_intensity_dataset(path)
+        return Golds([i.id for i in instances], [i.gold for i in instances])
+    instances = load_triple_dataset(path)
+    return Golds([i.id for i in instances],
+                 [None if i.gold is None else float(i.gold) for i in instances])
 
 
 def load_rows(cfg: RunConfig, *splits: str) -> tuple[list[TokenSeq], list[RowSet]]:
@@ -406,22 +424,16 @@ def load_rows(cfg: RunConfig, *splits: str) -> tuple[list[TokenSeq], list[RowSet
         path = getattr(cfg, split)
         if cfg.task == "intensity":
             instances = [
-                (i.id, i.gold, (i.source,), [(i.source, t) for t in targets])
+                (i.id, (i.source,), [(i.source, t) for t in targets])
                 for i in load_intensity_dataset(path)
             ]
         else:
             instances = [
-                (
-                    i.id,
-                    None if i.gold is None else float(i.gold),
-                    (i.w1, i.w2, i.attribute),
-                    [(i.w1, i.attribute), (i.w2, i.attribute)],
-                )
+                (i.id, (i.w1, i.w2, i.attribute), [(i.w1, i.attribute), (i.w2, i.attribute)])
                 for i in load_triple_dataset(path)
             ]
-        rows = RowSet([], [], [], [], [])
-        for rid, gold, texts, pairs in instances:
-            rows.golds.append(gold)
+        rows = RowSet([], [], [], [])
+        for rid, texts, pairs in instances:
             rows.texts.extend(texts)
             for tag, pair in zip(row_tags, pairs):
                 rows.ids.append(rid)
@@ -528,7 +540,7 @@ def stage_train(cfg: RunConfig, out_dir: Path):
         raise StageError(
             f"feature fingerprint {feat_fp} does not match resources {resources_fp}"
         )
-    gold = load_rows(cfg, "train")[1][0].gold_array()
+    gold = load_golds(cfg, "train").array()
     blob = {
         "version": __version__,
         "config_hash": cfg.hash(),
@@ -585,7 +597,7 @@ def stage_predict(cfg: RunConfig, out_dir: Path):
 
     tune = cfg.task == "triples" and cfg.threshold in ("optimized", "grounded")
     if cfg.grounding == "predictions" or tune:
-        train_gold = load_rows(cfg, "train")[1][0].gold_array()
+        train_gold = load_golds(cfg, "train").array()
     if cfg.grounding == "predictions":
         preds = ground_predictions(preds, ScoreStats.of(train_gold))
     if cfg.task == "intensity":
@@ -648,7 +660,7 @@ def _report_text(cfg: RunConfig, fingerprint: str, cv_table, report: MetricRepor
 def stage_evaluate(cfg: RunConfig, out_dir: Path) -> MetricReport | None:
     blob = _read_pickle(out_dir / "model.pkl")
     ids, preds, classes = read_predictions(out_dir / "predictions.tsv")
-    gold_map = load_rows(cfg, "test")[1][0].gold_map()
+    gold_map = load_golds(cfg, "test").mapping()
     report = None
     if gold_map and len(gold_map) == len(ids):
         gold = np.asarray([gold_map[rid] for rid in ids])

@@ -331,14 +331,14 @@ class TestSpecsAndGrids:
 def intensity_features(tmp_path_factory):
     """(X, y) of the synthetic intensity task: 400 train rows x 41 features."""
     from conftest import write_intensity_case
-    from rtm.pipeline import STAGES, _read_features, load_rows, parse_config, run_stage
+    from rtm.pipeline import STAGES, _read_features, load_golds, parse_config, run_stage
 
     root = tmp_path_factory.mktemp("intensity")
     cfg = parse_config(write_intensity_case(root))
     for stage in STAGES[:3]:
         run_stage(cfg, root / "out", stage)
     X = _read_features(root / "out" / "features_train.tsv")[2]
-    return X, load_rows(cfg, "train")[1][0].gold_array()
+    return X, load_golds(cfg, "train").array()
 
 
 def test_default_grid_cv_raises_no_floating_point_error(intensity_features):

@@ -327,6 +327,10 @@ class TestLoadOnce:
             ("load_intensity_dataset", "test.tsv"): 1,
         }
         assert counts["extract-features"] == counts["select-interpretants"]
+        # the later stages read only golds, from the one dataset they need
+        assert counts["train"] == {("load_intensity_dataset", "train.tsv"): 1}
+        assert counts["evaluate"] == {("load_intensity_dataset", "test.tsv"): 1}
+        assert all(loader != "load_lexicon" for loader, _ in counts.get("predict", {}))
         for per_stage in counts.values():
             assert max(per_stage.values()) == 1
 
