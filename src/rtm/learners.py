@@ -227,7 +227,7 @@ def _grow_level_wise(Z, y, min_leaf, seed, trees):
     counts = np.full(len(tree), n)
     rows = np.tile(np.arange(n), len(tree))
     seed_key = np.uint64(seed % (1 << 64))
-    levels = []  # per level: (tree, pos, feature, cut, value, left child's record)
+    levels = []  # per level: (tree, feature, cut, value, left child's record)
     records = 0  # nodes in earlier levels
     while tree.size:
         level = len(levels)
@@ -248,7 +248,7 @@ def _grow_level_wise(Z, y, min_leaf, seed, trees):
         value[split] = math.nan
         child = np.full(len(counts), -1, dtype=np.intp)
         child[split] = records + len(counts) + 2 * np.arange(split.size)
-        levels.append((tree, pos, feature, cut, value, child))
+        levels.append((tree, feature, cut, value, child))
         records += len(counts)
         # the rows of the split nodes, each node's left side then its right side
         sub = feature[row_node] >= 0
@@ -261,18 +261,22 @@ def _grow_level_wise(Z, y, min_leaf, seed, trees):
         tree = np.repeat(tree[split], 2)
         rank = np.arange(split.size) - np.searchsorted(tree[::2], tree[::2])
         pos = (2 * rank[:, None] + np.arange(2)).ravel()
-    tree, pos, feature, cut, value, child = (np.concatenate(a) for a in zip(*levels))
-    level = np.repeat(np.arange(len(levels)), [len(lv[0]) for lv in levels])
-    order = np.lexsort((pos, level, tree))  # per tree, breadth-first
+    depth = len(levels)
+    # Records run level by level, each level in (tree, position) order, so a
+    # stable sort on the tree numbers each tree breadth-first, its roots
+    # first.  One field is joined and reordered at a time, to keep the peak
+    # memory low.
+    fields = [list(f) for f in zip(*levels)]
+    del levels
+    order = np.argsort(np.concatenate(fields.pop(0)), kind="stable")
     new_id = np.empty_like(order)
     new_id[order] = np.arange(order.size)
-    # leaves point both children back at themselves, so a descent stays put
+    feature, cut, value, child = (np.concatenate(fields.pop(0))[order] for _ in range(4))
+    # leaves point both children back at themselves, so a descent stays put;
+    # a right child comes right after its left child
     leaf = child < 0
-    left = np.where(leaf, new_id, new_id[np.where(leaf, 0, child)])
-    right = np.where(leaf, new_id, new_id[np.where(leaf, 0, child + 1)])
-    roots = np.flatnonzero(level[order] == 0)
-    return (roots, feature[order], cut[order], left[order], right[order], value[order],
-            len(levels))
+    left = np.where(leaf, np.arange(order.size), new_id[np.where(leaf, 0, child)])
+    return new_id[: trees.stop - trees.start], feature, cut, left, left + ~leaf, value, depth
 
 
 class _ExtraTrees:
