@@ -1,9 +1,11 @@
-"""Flat-array extra-trees and the presorted stump scan against references.
+"""The presorted stump scan and KNN against references; extra-trees by property.
 
-The references below are the recursive tree grow/predict and the scalar
-per-split stump scan that ``rtm.learners`` used before.  The current code
-must reproduce them bit for bit: the same nodes, RNG draws, stumps and
-predictions.
+The references below are the scalar per-split stump scan and the unblocked
+KNN that ``rtm.learners`` used before; the current code must reproduce them
+bit for bit.  The level-wise forest has no reference: its tests route the
+training rows down the flat node arrays and check what every node holds,
+that the keyed draws are uniform and independent of how the trees are
+split into blocks, and that ``predict`` averages per-tree walks.
 """
 
 import math
@@ -181,7 +183,7 @@ def test_forest_nodes_hold_their_rows(min_leaf, seed):
 
 def test_forest_retry_path_and_small_splits():
     # large leaves and a coarse column make draws fail; a node stops after 10
-    # non-constant tries, so some leaf keeps rows it could have split
+    # failed non-constant tries, so some leaf keeps 2 * min_leaf rows or more
     Z, y, _ = design(7, n=30)
     Z[:, 0] = np.round(Z[:, 0])
     for min_leaf in (2, 5, 6):
