@@ -155,17 +155,59 @@ NULL = "<null>"
 class AlignmentModel:
     """IBM Model 1 lexical table t(target word | source word), EM-trained.
 
-    A null source token absorbs target words with no good counterpart.  The
-    table is stored sparsely over co-occurring pairs; for each source word the
-    stored probabilities sum to 1.
+    A null source token absorbs target words with no good counterpart.  Words
+    are ids into one vocabulary, and the table is CSR rows over co-occurring
+    pairs: source word ``e``'s targets are ``targets[indptr[e]:indptr[e + 1]]``
+    with probabilities ``probs`` at the same positions, and each row sums
+    to 1.  ``row`` reads one source word's row as a dict, built on first use;
+    that cache is not pickled.
     """
 
-    def __init__(self, table: dict[str, dict[str, float]], log_likelihoods: list[float]):
-        self.table = table
+    def __init__(self, vocab, indptr: np.ndarray, targets: np.ndarray, probs: np.ndarray,
+                 log_likelihoods: list[float]):
+        self.vocab = tuple(vocab)
+        self.indptr = indptr
+        self.targets = targets
+        self.probs = probs
         self.log_likelihoods = log_likelihoods
+        self._ids = {w: i for i, w in enumerate(self.vocab)}
+        self._rows: dict[str, dict[str, float]] = {}
+
+    def __reduce__(self):
+        return type(self), (self.vocab, self.indptr, self.targets, self.probs, self.log_likelihoods)
+
+    @classmethod
+    def from_table(cls, table: dict[str, dict[str, float]], log_likelihoods: list[float]):
+        """A model holding ``table`` (source word -> {target word: prob})."""
+        ids = dict.fromkeys(table)
+        for row in table.values():
+            ids.update(dict.fromkeys(row))
+        ids = {w: i for i, w in enumerate(ids)}
+        indptr, targets, probs = [0], [], []
+        for w in ids:
+            row = table.get(w, {})
+            targets.extend(ids[f] for f in row)
+            probs.extend(row.values())
+            indptr.append(len(targets))
+        return cls(ids, np.asarray(indptr, dtype=np.int64), np.asarray(targets, dtype=np.int32),
+                   np.asarray(probs, dtype=float), log_likelihoods)
+
+    def row(self, src_word: str) -> dict[str, float]:
+        """t(. | src_word) over the target words it co-occurred with."""
+        got = self._rows.get(src_word)
+        if got is None:
+            e = self._ids.get(src_word)
+            got = {}
+            if e is not None:
+                lo, hi = self.indptr[e], self.indptr[e + 1]
+                vocab = self.vocab
+                got = {vocab[f]: p for f, p in zip(self.targets[lo:hi].tolist(),
+                                                   self.probs[lo:hi].tolist())}
+            self._rows[src_word] = got
+        return got
 
     def prob(self, tgt_word: str, src_word: str) -> float:
-        return self.table.get(src_word, {}).get(tgt_word, 0.0)
+        return self.row(src_word).get(tgt_word, 0.0)
 
     def align(self, src: TokenSeq, tgt: TokenSeq) -> list[int | None]:
         """Viterbi link per target token: source index, or None for null.
@@ -179,8 +221,9 @@ class AlignmentModel:
         # row and the target's types; the strict > keeps the lowest index.
         best_p = dict.fromkeys(tgt.tokens, 0.0)
         best_i: dict[str, int] = {}
+        row_of = self.row
         for i, e in enumerate(src.tokens):
-            row = self.table.get(e, {})
+            row = row_of(e)
             if len(row) < len(best_p):
                 for f, p in row.items():
                     if p > best_p.get(f, math.inf):
@@ -192,7 +235,7 @@ class AlignmentModel:
                     if p > bp:
                         best_p[f] = p
                         best_i[f] = i
-        null_row = self.table.get(NULL, {})
+        null_row = row_of(NULL)
         link = {f: i for f, i in best_i.items() if null_row.get(f, 0.0) <= best_p[f]}
         return [link.get(f) for f in tgt.tokens]
 
@@ -203,50 +246,105 @@ def train_aligner(pairs: list[tuple[TokenSeq, TokenSeq]], iterations: int = 5) -
     Records the corpus log-likelihood (natural log, including the 1/(l+1)
     alignment prior) under the parameters at the start of each iteration;
     the sequence is non-decreasing.
+
+    The E-step runs over flat entries, one per (pair, target position,
+    source word with null last), in that order; entries of one (pair, target
+    position) form a group.  Every sum adds in that order: a group's
+    denominator column by column, counts and totals by ``np.bincount``.  A
+    source word whose total is 0 keeps its row.
     """
     if not pairs:
         raise ValueError("pairs must be nonempty")
-    cooc: dict[str, set] = {}
+    ids = {NULL: 0}
+    src_flat, src_len, tgt_flat, tgt_len = [], [], [], []
     for src, tgt in pairs:
-        for e in list(src.tokens) + [NULL]:
-            cooc.setdefault(e, set()).update(tgt.tokens)
-    table = {e: {f: 1.0 / len(fs) for f in fs} for e, fs in cooc.items() if fs}
+        src_flat.extend([ids.setdefault(w, len(ids)) for w in src.tokens])
+        src_flat.append(0)
+        src_len.append(len(src) + 1)
+        tgt_flat.extend([ids.setdefault(w, len(ids)) for w in tgt.tokens])
+        tgt_len.append(len(tgt))
+    n_words = len(ids)
+    src_flat = np.asarray(src_flat, dtype=np.int64)
+    src_len = np.asarray(src_len, dtype=np.int64)
+    src_start = np.cumsum(src_len) - src_len
+    group_pair = np.repeat(np.arange(len(pairs)), tgt_len)
+    group_len = src_len[group_pair]
+    group_start = np.cumsum(group_len) - group_len
+    group_of = np.repeat(np.arange(len(group_len)), group_len)  # per entry
+    within = np.arange(len(group_of)) - group_start[group_of]
+    e_ids = src_flat[src_start[group_pair][group_of] + within]
+    f_ids = np.asarray(tgt_flat, dtype=np.int64)[group_of]
+    keys, inv = np.unique(e_ids * n_words + f_ids, return_inverse=True)
+    key_e, key_f = keys // n_words, keys % n_words
+    prob = 1.0 / np.bincount(key_e, minlength=n_words)[key_e]
+    present = np.ones(len(keys), dtype=bool)  # pair still in its word's row
+
+    # Entry j of every group at least j + 1 long, longest groups first: the
+    # denominators add column by column, left to right as the row is read.
+    by_len = np.argsort(-group_len, kind="stable")
+    longer = len(group_len) - np.cumsum(np.bincount(group_len))
+    columns = [inv[group_start[by_len[:n]] + j] for j, n in enumerate(longer) if n]
 
     lls = []
     for _ in range(iterations):
-        counts: dict[str, dict[str, float]] = {e: {} for e in table}
-        totals: dict[str, float] = {e: 0.0 for e in table}
+        by_len_denom = np.zeros(len(group_len))
+        for col in columns:
+            by_len_denom[: len(col)] += prob[col]
+        denom = np.empty(len(group_len))
+        denom[by_len] = by_len_denom
+        ok = denom > 0.0
         ll = 0.0
-        for src, tgt in pairs:
-            src_words = list(src.tokens) + [NULL]
-            for f in tgt.tokens:
-                denom = sum(table[e].get(f, 0.0) for e in src_words)
-                if denom <= 0.0:
-                    continue
-                ll += math.log(denom / len(src_words))
-                for e in src_words:
-                    p = table[e].get(f, 0.0)
-                    if p > 0.0:
-                        share = p / denom
-                        counts[e][f] = counts[e].get(f, 0.0) + share
-                        totals[e] += share
+        for x in (denom[ok] / group_len[ok]).tolist():
+            ll += math.log(x)
         lls.append(ll)
-        for e, fs in counts.items():
-            if totals[e] > 0.0:
-                table[e] = {f: c / totals[e] for f, c in fs.items()}
-    return AlignmentModel(table, lls)
+        p = prob[inv]
+        live = np.flatnonzero((p > 0.0) & ok[group_of])
+        share = p[live] / denom[group_of[live]]
+        pair = inv[live]
+        counts = np.bincount(pair, weights=share, minlength=len(keys))
+        totals = np.bincount(e_ids[live], weights=share, minlength=n_words)
+        update = totals[key_e] > 0.0
+        prob[update] = counts[update] / totals[key_e[update]]
+        present[update] = (np.bincount(pair, minlength=len(keys)) > 0)[update]
+
+    indptr = np.zeros(n_words + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key_e[present], minlength=n_words), out=indptr[1:])
+    return AlignmentModel(ids, indptr, key_f[present].astype(np.int32), prob[present], lls)
 
 
-def _levenshtein(a: list[str], b: list[str]) -> int:
-    if not a:
-        return len(b)
-    prev = list(range(len(b) + 1))
-    for i, x in enumerate(a, start=1):
-        cur = [i]
-        for j, y in enumerate(b, start=1):
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (x != y)))
-        prev = cur
-    return prev[-1]
+def _edit_distance(text, pattern) -> int:
+    """Levenshtein distance between two token sequences.
+
+    Myers' bit-vector algorithm (J. ACM 1999) in Hyyrö's edit-distance form
+    (2003): ``pattern`` is a Python-int bit mask per token, so any length
+    works, and each ``text`` token costs a few word operations.  ``pv``/``mv``
+    hold the +1/-1 vertical deltas of the current DP column; ``score`` is
+    its last cell.
+    """
+    m = len(pattern)
+    if not m:
+        return len(text)
+    peq: dict = {}
+    for i, tok in enumerate(pattern):
+        peq[tok] = peq.get(tok, 0) | (1 << i)
+    mask = (1 << m) - 1
+    high = 1 << (m - 1)
+    pv, mv, score = mask, 0, m
+    for tok in text:
+        eq = peq.get(tok, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | (~(xh | pv) & mask)
+        mh = pv & xh
+        if ph & high:
+            score += 1
+        elif mh & high:
+            score -= 1
+        ph = ((ph << 1) | 1) & mask  # row 0 grows by 1 per text token
+        mh = (mh << 1) & mask
+        pv = mh | (~(xv | ph) & mask)
+        mv = ph & xv
+    return score
 
 
 def alignment_features(model: AlignmentModel, src: TokenSeq, tgt: TokenSeq) -> tuple[float, float]:
@@ -261,7 +359,7 @@ def alignment_features(model: AlignmentModel, src: TokenSeq, tgt: TokenSeq) -> t
         return 0.0, 0.0
     links = model.align(src, tgt)
     aligned = [src.tokens[i] for i in links if i is not None]
-    wer = _levenshtein(aligned, list(src.tokens)) / max(len(src), 1)
+    wer = _edit_distance(aligned, src.tokens) / max(len(src), 1)
     one_minus_wer = min(1.0, max(0.0, 1.0 - wer))
     tgt_cov = sum(1 for i in links if i is not None) / len(tgt)
     src_cov = len({i for i in links if i is not None}) / len(src) if len(src) else 0.0

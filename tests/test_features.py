@@ -144,7 +144,7 @@ class TestAligner:
         # per-source normalization: sum over target words of t(.|e) is 1
         model = train_aligner([(tokenize("a"), tokenize("b"))], iterations=5)
         for src in ("a", "<null>"):
-            assert sum(model.table[src].values()) == pytest.approx(1.0, abs=1e-6)
+            assert sum(model.row(src).values()) == pytest.approx(1.0, abs=1e-6)
 
     def test_one_em_iteration_matches_hand_computation(self):
         # pairs ([a b],[a b]) and ([a],[a]); one E/M step done by hand
@@ -158,8 +158,8 @@ class TestAligner:
     def test_per_source_rows_normalize(self):
         sents = self._identity_corpus(n=25)
         model = train_aligner([(s, s) for s in sents], iterations=3)
-        for src, row in model.table.items():
-            assert sum(row.values()) == pytest.approx(1.0, abs=1e-6)
+        for src in model.vocab:  # identity pairs: every word is a source
+            assert sum(model.row(src).values()) == pytest.approx(1.0, abs=1e-6)
 
 
 class TestAlignmentFeatures:
@@ -176,18 +176,18 @@ class TestAlignmentFeatures:
             assert alignment_features(model, sent, sent) == (1.0, 1.0)
 
     def test_all_null_alignment(self):
-        model = AlignmentModel({"<null>": {"x": 1.0, "y": 1.0}}, [])
+        model = AlignmentModel.from_table({"<null>": {"x": 1.0, "y": 1.0}}, [])
         one_minus_wer, f1 = alignment_features(model, tokenize("a b"), tokenize("x y"))
         assert f1 == 0.0
         assert one_minus_wer == 0.0  # empty aligned sequence vs 2-token source
 
     def test_empty_target(self):
-        model = AlignmentModel({}, [])
+        model = AlignmentModel.from_table({}, [])
         assert alignment_features(model, tokenize("a"), tokenize("")) == (0.0, 0.0)
 
     def test_clamped_to_unit_interval(self):
         # many target tokens hitting the same source token inflate WER
-        model = AlignmentModel({"a": {"x": 1.0}}, [])
+        model = AlignmentModel.from_table({"a": {"x": 1.0}}, [])
         one_minus_wer, f1 = alignment_features(model, tokenize("a"), tokenize("x x x x"))
         assert 0.0 <= one_minus_wer <= 1.0 and 0.0 <= f1 <= 1.0
 

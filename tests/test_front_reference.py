@@ -1,16 +1,18 @@
-"""Lazy-greedy FDA, shared n-gram sides, row-walk alignment and the tokenizer
-fast path against references.
+"""Lazy-greedy FDA, shared n-gram sides, row-walk alignment, array IBM-1,
+bit-vector edit distance and the tokenizer fast path against references.
 
 The references below are the O(N*B) argmax scan of feature-decay selection,
 the per-row union-set overlap, the |src|x|tgt| probe loop of Viterbi
-alignment and the per-character tokenizer that ``rtm`` used before.  The
-current code must reproduce them bit for bit: the same indices, scores,
-overlap tuples, links and tokens.
+alignment, the dict-of-dicts IBM Model 1 EM, the Levenshtein DP and the
+per-character tokenizer that ``rtm`` used before.  The current code must
+reproduce them bit for bit: the same indices, scores, overlap tuples, links,
+aligner tables, log-likelihoods, distances and tokens.
 """
 
 import collections
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from rtm.features import (
     AlignmentModel,
     FeatureResources,
     NGramSide,
+    _edit_distance,
     alignment_features,
     build_feature_matrix,
     extract_feature_vector,
@@ -117,12 +120,64 @@ class RefAlignmentModel(AlignmentModel):
         return ref_align(self, src, tgt)
 
 
+def ref_train_aligner(pairs, iterations=5):
+    """IBM Model 1 EM over dict-of-dicts: the table and log-likelihoods."""
+    cooc = {}
+    for src, tgt in pairs:
+        for e in list(src.tokens) + [NULL]:
+            cooc.setdefault(e, set()).update(tgt.tokens)
+    table = {e: {f: 1.0 / len(fs) for f in fs} for e, fs in cooc.items() if fs}
+
+    lls = []
+    for _ in range(iterations):
+        counts = {e: {} for e in table}
+        totals = {e: 0.0 for e in table}
+        ll = 0.0
+        for src, tgt in pairs:
+            src_words = list(src.tokens) + [NULL]
+            for f in tgt.tokens:
+                denom = 0
+                for e in src_words:  # left to right, as sum() added before Python 3.12
+                    denom += table[e].get(f, 0.0)
+                if denom <= 0.0:
+                    continue
+                ll += math.log(denom / len(src_words))
+                for e in src_words:
+                    p = table[e].get(f, 0.0)
+                    if p > 0.0:
+                        share = p / denom
+                        counts[e][f] = counts[e].get(f, 0.0) + share
+                        totals[e] += share
+        lls.append(ll)
+        for e, fs in counts.items():
+            if totals[e] > 0.0:
+                table[e] = {f: c / totals[e] for f, c in fs.items()}
+    return table, lls
+
+
+def ref_levenshtein(a, b):
+    if not a:
+        return len(b)
+    prev = list(range(len(b) + 1))
+    for i, x in enumerate(a, start=1):
+        cur = [i]
+        for j, y in enumerate(b, start=1):
+            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (x != y)))
+        prev = cur
+    return prev[-1]
+
+
+def table_of(model):
+    """The model's nonempty rows as source word -> {target word: prob}."""
+    return {e: model.row(e) for e in model.vocab if model.row(e)}
+
+
 def ref_feature_vector(src, tgt, resources):
     values = []
     for orders in ORDER_SETS:
         values.extend(ref_weighted_overlap(src, tgt, resources.weight_table, orders))
     values.extend(lm_features(resources.lm, src))
-    ref_aligner = RefAlignmentModel(resources.aligner.table, [])
+    ref_aligner = RefAlignmentModel.from_table(table_of(resources.aligner), [])
     values.extend(alignment_features(ref_aligner, src, tgt))
     values.extend(length_features(src, tgt))
     return np.asarray(values, dtype=float)
@@ -273,13 +328,13 @@ def alignment_tables(draw):
 )
 def test_align_matches_probe_loop(table, src, tgt):
     # "e" and "w" are never in the table; NULL rows tie or beat the best link
-    model = AlignmentModel(table, [])
+    model = AlignmentModel.from_table(table, [])
     src, tgt = seq(src), seq(tgt)
     assert model.align(src, tgt) == ref_align(model, src, tgt)
 
 
 def test_align_null_wins_only_when_strictly_higher():
-    model = AlignmentModel({"a": {"x": 0.5, "y": 0.5}, NULL: {"x": 0.5, "y": 0.75}}, [])
+    model = AlignmentModel.from_table({"a": {"x": 0.5, "y": 0.5}, NULL: {"x": 0.5, "y": 0.75}}, [])
     src, tgt = seq(["a", "a"]), seq(["x", "y", "x", "z"])
     assert model.align(src, tgt) == ref_align(model, src, tgt) == [0, None, 0, None]
 
@@ -293,6 +348,101 @@ def test_align_both_walks_on_trained_model():
     for src in sents[:20] + [seq(["oov", "w1"]), seq([])]:
         for tgt in (long_tgt, seq(["w3"]), sents[5]):
             assert model.align(src, tgt) == ref_align(model, src, tgt)
+
+
+def test_from_table_rows_round_trip():
+    table = {"a": {"x": 0.5, "y": 0.25}, NULL: {"a": 1.0}, "b": {}}
+    model = AlignmentModel.from_table(table, [-1.5])
+    for e in ("a", NULL, "b", "x", "unseen"):
+        assert model.row(e) == table.get(e, {})
+    assert model.prob("y", "a") == 0.25 and model.prob("a", "a") == 0.0
+    assert model.log_likelihoods == [-1.5]
+
+
+def test_pickled_model_leaves_row_cache_behind():
+    sents = [seq("a b c".split()), seq("b c d".split()), seq("d a".split())]
+    model = train_aligner([(s, s) for s in sents], iterations=2)
+    expected = table_of(model)  # fills the row cache
+    copy = pickle.loads(pickle.dumps(model))
+    assert copy._rows == {}
+    assert table_of(copy) == expected
+    assert copy.log_likelihoods == model.log_likelihoods
+
+
+# ---------------------------------------------------------------------------
+# IBM Model 1 EM: array passes against the dict-of-dicts reference.
+
+
+def assert_same_aligner(pairs, iterations):
+    model = train_aligner(pairs, iterations)
+    ref_table, ref_lls = ref_train_aligner(pairs, iterations)
+    got = table_of(model)
+    assert set(got) == set(ref_table)
+    for e, row in ref_table.items():
+        assert {f: p.hex() for f, p in got[e].items()} == {f: p.hex() for f, p in row.items()}
+    assert hexes(model.log_likelihoods) == hexes(ref_lls)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(words, st.lists(st.sampled_from("abcxyz"), max_size=7)),
+             min_size=1, max_size=8),
+    st.sampled_from([0, 1, 2, 5]),
+)
+def test_em_matches_dict_reference(pairs, iterations):
+    # few letters: words share co-occurrences across pairs, sources repeat
+    # words, and either side may be empty
+    assert_same_aligner([(seq(s), seq(t)) for s, t in pairs], iterations)
+
+
+@pytest.mark.parametrize("iterations", [0, 1, 5])
+def test_em_seeded_identity_and_translation_pairs(iterations):
+    rng = np.random.default_rng(5)
+    vocab = [f"w{i}" for i in range(40)]
+    p = 1.0 / np.arange(1, 41)
+    p /= p.sum()
+    sents = [seq(rng.choice(vocab, size=rng.integers(0, 15), p=p)) for _ in range(150)]
+    assert_same_aligner([(s, s) for s in sents], iterations)
+    foreign = [seq([w.upper() for w in s.tokens if rng.random() < 0.8]) for s in sents]
+    assert_same_aligner(list(zip(sents, foreign)), iterations)
+
+
+def test_em_all_targets_empty():
+    pairs = [(seq(["a", "b"]), seq([])), (seq([]), seq([]))]
+    assert_same_aligner(pairs, 3)
+    assert table_of(train_aligner(pairs, 3)) == {}
+
+
+# ---------------------------------------------------------------------------
+# Edit distance: bit-vector against the DP.
+
+tokens = st.lists(st.sampled_from("abcd"), max_size=12)
+
+
+@settings(max_examples=500, deadline=None)
+@given(tokens, tokens)
+def test_edit_distance_matches_dp(text, pattern):
+    assert _edit_distance(text, pattern) == ref_levenshtein(text, pattern)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([63, 64, 65, 200]),
+    st.lists(st.sampled_from("abcde"), max_size=220),
+    st.data(),
+)
+def test_edit_distance_long_sources(m, text, data):
+    # sources past one machine word; the text may be empty
+    pattern = data.draw(st.lists(st.sampled_from("abcdef"), min_size=m, max_size=m))
+    assert _edit_distance(text, pattern) == ref_levenshtein(text, pattern)
+
+
+def test_edit_distance_edges():
+    assert _edit_distance([], []) == 0
+    assert _edit_distance(["a"] * 70, []) == 70
+    assert _edit_distance([], ["a"] * 70) == 70
+    assert _edit_distance(["a"] * 64, ["a"] * 65) == 1
+    assert _edit_distance(["b"] * 200, ["a"] * 200) == 200
 
 
 # ---------------------------------------------------------------------------
