@@ -11,7 +11,9 @@ the one file outside that guarantee).
 Every text output starts with a comment line carrying the tool version and
 the config hash.  Binary artifacts (resources.pkl, model.pkl) embed the same
 fields plus a resource fingerprint (corpus hash + resource-relevant
-parameters) that later stages verify before applying a model.
+parameters) that later stages verify before applying a model.  resources.pkl
+holds them in a header pickle ahead of the resources, so a stage that needs
+only the fingerprint reads only the header.
 """
 
 from __future__ import annotations
@@ -68,6 +70,11 @@ STAGES = (
     "predict",
     "evaluate",
 )
+
+# Layout of resources.pkl; a file of another layout is refused, not misread.
+# 2: a header pickle, then the resources with the CSR aligner table.
+RESOURCES_FORMAT = 2
+
 
 class ConfigError(ValueError):
     pass
@@ -338,15 +345,23 @@ def _read_tsv(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
     return comments, rows
 
 
+def _unpickle(fh, path: Path):
+    try:
+        return pickle.load(fh)
+    except (AttributeError, ImportError, pickle.UnpicklingError) as exc:
+        # e.g. a model pickled before trees became flat node arrays
+        raise StageError(f"{path}: written by an incompatible build ({exc})") from exc
+
+
+def _check_version(header: dict, path: Path):
+    if header.get("version") != __version__:
+        raise StageError(f"{path}: written by version {header.get('version')}")
+
+
 def _read_pickle(path: Path) -> dict:
     with open(path, "rb") as fh:
-        try:
-            obj = pickle.load(fh)
-        except (AttributeError, ImportError, pickle.UnpicklingError) as exc:
-            # e.g. a model pickled before trees became flat node arrays
-            raise StageError(f"{path}: written by an incompatible build ({exc})") from exc
-    if obj.get("version") != __version__:
-        raise StageError(f"{path}: written by version {obj.get('version')}")
+        obj = _unpickle(fh, path)
+    _check_version(obj, path)
     return obj
 
 
@@ -480,21 +495,32 @@ def stage_build_resources(cfg: RunConfig, out_dir: Path):
         lm=WittenBellLM(sentences, order=cfg.lm_order),
         aligner=train_aligner([(s, s) for s in sentences], cfg.aligner_iterations),
     )
-    _write_pickle(
-        out_dir / "resources.pkl",
-        {
-            "version": __version__,
-            "config_hash": cfg.hash(),
-            "fingerprint": resource_fingerprint(cfg),
-            "resources": resources,
-            "manifest": FEATURE_NAMES,
-        },
-    )
+    header = {
+        "version": __version__,
+        "format": RESOURCES_FORMAT,
+        "config_hash": cfg.hash(),
+        "fingerprint": resource_fingerprint(cfg),
+        "manifest": FEATURE_NAMES,
+    }
+    with _replacing(out_dir / "resources.pkl") as tmp, open(tmp, "wb") as fh:
+        pickle.dump(header, fh, protocol=4)
+        pickle.dump(resources, fh, protocol=4)
 
 
-def _load_resources(out_dir: Path) -> tuple[FeatureResources, str]:
-    blob = _read_pickle(out_dir / "resources.pkl")
-    return blob["resources"], blob["fingerprint"]
+def _load_resources(out_dir: Path, header_only: bool = False) -> tuple[FeatureResources | None, str]:
+    """(resources, fingerprint) from resources.pkl: a header pickle followed
+    by the resources pickle, which ``header_only`` leaves unread."""
+    path = out_dir / "resources.pkl"
+    with open(path, "rb") as fh:
+        header = _unpickle(fh, path)
+        _check_version(header, path)
+        if header.get("format") != RESOURCES_FORMAT:
+            raise StageError(
+                f"{path}: written by an incompatible build "
+                f"(format {header.get('format')}, expected {RESOURCES_FORMAT})"
+            )
+        resources = None if header_only else _unpickle(fh, path)
+    return resources, header["fingerprint"]
 
 
 def _write_features(path: Path, cfg: RunConfig, fingerprint: str, rows: RowSet, matrix):
@@ -534,7 +560,7 @@ def _split_sides(tags: list[str], matrix: np.ndarray):
 
 
 def stage_train(cfg: RunConfig, out_dir: Path):
-    resources_fp = _load_resources(out_dir)[1]
+    resources_fp = _load_resources(out_dir, header_only=True)[1]
     ids, tags, matrix, feat_fp = _read_features(out_dir / "features_train.tsv")
     if feat_fp != resources_fp:
         raise StageError(

@@ -207,6 +207,52 @@ class TestPipelineRun:
         with pytest.raises(StageError, match="incompatible build"):
             run_stage(cfg, out, "predict")
 
+    def test_train_reads_only_the_resources_header(self, tiny_intensity_cfg):
+        cfg = parse_config(tiny_intensity_cfg)
+        out = tiny_intensity_cfg.parent / "out_header"
+        for stage in STAGES[:3]:
+            run_stage(cfg, out, stage)
+        path = out / "resources.pkl"
+        with open(path, "rb") as fh:
+            pickle.load(fh)
+            header = path.read_bytes()[: fh.tell()]
+        path.write_bytes(header + b"not a pickle")  # the resources part, unreadable
+        features = (out / "features_train.tsv").read_text()
+        (out / "features_train.tsv").write_text(
+            features.replace("# fingerprint=", "# fingerprint=dead")
+        )
+        with pytest.raises(StageError, match="fingerprint"):
+            run_stage(cfg, out, "train")
+        (out / "features_train.tsv").write_text(features)
+        run_stage(cfg, out, "train")
+        with pytest.raises(StageError, match="incompatible build"):
+            run_stage(cfg, out, "extract-features")
+
+    def test_incompatible_resources_pickle_refused(self, tiny_intensity_cfg, monkeypatch):
+        import rtm.features
+
+        cfg = parse_config(tiny_intensity_cfg)
+        out = tiny_intensity_cfg.parent / "out_old_resources"
+        for stage in STAGES[:3]:
+            run_stage(cfg, out, stage)
+        with open(out / "resources.pkl", "rb") as fh:
+            header, resources = pickle.load(fh), pickle.load(fh)
+
+        class _DictAligner:  # the aligner as builds before the CSR table pickled it
+            pass
+
+        _DictAligner.__module__, _DictAligner.__qualname__ = "rtm.features", "AlignmentModel"
+        old = _DictAligner()
+        old.table, old.log_likelihoods = {"a": {"a": 1.0}}, []
+        resources.aligner = old
+        with monkeypatch.context() as patch:
+            patch.setattr(rtm.features, "AlignmentModel", _DictAligner)
+            blob = {k: v for k, v in header.items() if k != "format"}
+            (out / "resources.pkl").write_bytes(pickle.dumps({**blob, "resources": resources}))
+        for stage in ("extract-features", "train"):
+            with pytest.raises(StageError, match="incompatible build"):
+                run_stage(cfg, out, stage)
+
     def test_stage_error_names_stage(self, tiny_intensity_cfg):
         cfg = parse_config(tiny_intensity_cfg)
         with pytest.raises(StageError, match="stage train"):
