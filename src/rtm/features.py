@@ -357,12 +357,11 @@ def alignment_features(model: AlignmentModel, src: TokenSeq, tgt: TokenSeq) -> t
     """
     if len(tgt) == 0:
         return 0.0, 0.0
-    links = model.align(src, tgt)
-    aligned = [src.tokens[i] for i in links if i is not None]
-    wer = _edit_distance(aligned, src.tokens) / max(len(src), 1)
+    hits = [i for i in model.align(src, tgt) if i is not None]
+    wer = _edit_distance([src.tokens[i] for i in hits], src.tokens) / max(len(src), 1)
     one_minus_wer = min(1.0, max(0.0, 1.0 - wer))
-    tgt_cov = sum(1 for i in links if i is not None) / len(tgt)
-    src_cov = len({i for i in links if i is not None}) / len(src) if len(src) else 0.0
+    tgt_cov = len(hits) / len(tgt)
+    src_cov = len(set(hits)) / len(src) if len(src) else 0.0
     f1 = 2.0 * tgt_cov * src_cov / (tgt_cov + src_cov) if tgt_cov + src_cov > 0 else 0.0
     return one_minus_wer, min(1.0, max(0.0, f1))
 

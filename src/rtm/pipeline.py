@@ -328,9 +328,11 @@ def _write_text(path: Path, text: str):
         tmp.write_text(text, encoding="utf-8")
 
 
-def _write_pickle(path: Path, obj):
+def _write_pickle(path: Path, *objs):
+    """Write ``objs`` as consecutive pickles, read back one ``pickle.load`` each."""
     with _replacing(path) as tmp, open(tmp, "wb") as fh:
-        pickle.dump(obj, fh, protocol=4)
+        for obj in objs:
+            pickle.dump(obj, fh, protocol=4)
 
 
 def _read_tsv(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
@@ -502,9 +504,7 @@ def stage_build_resources(cfg: RunConfig, out_dir: Path):
         "fingerprint": resource_fingerprint(cfg),
         "manifest": FEATURE_NAMES,
     }
-    with _replacing(out_dir / "resources.pkl") as tmp, open(tmp, "wb") as fh:
-        pickle.dump(header, fh, protocol=4)
-        pickle.dump(resources, fh, protocol=4)
+    _write_pickle(out_dir / "resources.pkl", header, resources)
 
 
 def _load_resources(out_dir: Path, header_only: bool = False) -> tuple[FeatureResources | None, str]:
