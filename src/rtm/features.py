@@ -276,8 +276,8 @@ def train_aligner(pairs: list[tuple[TokenSeq, TokenSeq]], iterations: int = 5) -
     f_ids = np.asarray(tgt_flat, dtype=np.int64)[group_of]
     keys, inv = np.unique(e_ids * n_words + f_ids, return_inverse=True)
     key_e, key_f = keys // n_words, keys % n_words
-    prob = 1.0 / np.bincount(key_e, minlength=n_words)[key_e]
-    present = np.ones(len(keys), dtype=bool)  # pair still in its word's row
+    row_len = np.bincount(key_e, minlength=n_words)
+    prob = 1.0 / row_len[key_e]
 
     # Entry j of every group at least j + 1 long, longest groups first: the
     # denominators add column by column, left to right as the row is read.
@@ -300,16 +300,14 @@ def train_aligner(pairs: list[tuple[TokenSeq, TokenSeq]], iterations: int = 5) -
         p = prob[inv]
         live = np.flatnonzero((p > 0.0) & ok[group_of])
         share = p[live] / denom[group_of[live]]
-        pair = inv[live]
-        counts = np.bincount(pair, weights=share, minlength=len(keys))
+        counts = np.bincount(inv[live], weights=share, minlength=len(keys))
         totals = np.bincount(e_ids[live], weights=share, minlength=n_words)
         update = totals[key_e] > 0.0
         prob[update] = counts[update] / totals[key_e[update]]
-        present[update] = (np.bincount(pair, minlength=len(keys)) > 0)[update]
 
     indptr = np.zeros(n_words + 1, dtype=np.int64)
-    np.cumsum(np.bincount(key_e[present], minlength=n_words), out=indptr[1:])
-    return AlignmentModel(ids, indptr, key_f[present].astype(np.int32), prob[present], lls)
+    np.cumsum(row_len, out=indptr[1:])
+    return AlignmentModel(ids, indptr, key_f.astype(np.int32), prob, lls)
 
 
 def _edit_distance(text, pattern) -> int:
