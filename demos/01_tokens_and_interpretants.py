@@ -45,7 +45,7 @@ for idx, score in zip(selection.selected_indices, selection.selection_scores):
 # The selected sentences feed the n-gram weight table: relative frequencies
 # that act as the likelihood of observing each n-gram.
 chosen = [corpus.sentences[i] for i in selection.selected_indices]
-table = build_ngram_weights(chosen, max_order=3)
+table = build_ngram_weights(chosen)
 print("\nweight of ('the',):", round(table.weight(("the",)), 4))
 print("weight of ('cat',):", round(table.weight(("cat",)), 4))
 print("floor weight of an unseen unigram:", round(table.weight(("zebra",)), 4))

@@ -26,7 +26,7 @@ sentences = [
 ]
 
 resources = FeatureResources(
-    weight_table=build_ngram_weights(sentences, max_order=3),
+    weight_table=build_ngram_weights(sentences),
     lm=WittenBellLM(sentences, order=3),
     aligner=train_aligner([(s, s) for s in sentences], iterations=5),
 )

@@ -29,7 +29,7 @@ with tempfile.TemporaryDirectory(prefix="rtm_demo_") as tmp:
     )
     (root / "lexicon.txt").write_text("#joy\n" + "\n".join(happy) + "\n")
 
-    table = build_ngram_weights(load_corpus(root / "corpus.txt").sentences, 3)
+    table = build_ngram_weights(load_corpus(root / "corpus.txt").sentences)
     target = TokenSeq.from_tokens(happy)
 
     lines = ["id\ttext\taffect\tscore"]

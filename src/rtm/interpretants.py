@@ -123,7 +123,7 @@ def select_interpretants(
 
 @dataclass
 class NGramWeightTable:
-    """Relative-frequency weights of n-grams (orders 1..max_order).
+    """Relative-frequency weights of n-grams (orders 1..3).
 
     Unseen n-grams fall back to a floor of ``1 / (2 * total count of that
     order)``, i.e. half the weight of a singleton.
@@ -131,7 +131,6 @@ class NGramWeightTable:
 
     weights: dict[int, dict] = field(default_factory=dict)
     totals: dict[int, int] = field(default_factory=dict)
-    max_order: int = 3
 
     def floor(self, n: int) -> float:
         total = self.totals.get(n, 0)
@@ -143,20 +142,21 @@ class NGramWeightTable:
         return w if w is not None else self.floor(n)
 
 
-def build_ngram_weights(sentences: list[TokenSeq], max_order: int = 3) -> NGramWeightTable:
-    """Count n-grams over ``sentences`` and normalize each order to sum to 1."""
+def build_ngram_weights(sentences: list[TokenSeq]) -> NGramWeightTable:
+    """Count n-grams of orders 1..3 over ``sentences`` and normalize each order
+    to sum to 1."""
     if not sentences or all(len(s) == 0 for s in sentences):
         raise ValueError("need at least one nonempty sentence")
     weights: dict[int, dict] = {}
     totals: dict[int, int] = {}
-    for n in range(1, max_order + 1):
+    for n in range(1, 4):
         counts: collections.Counter = collections.Counter()
         for sent in sentences:
             counts.update(extract_ngrams(sent, n))
         total = sum(counts.values())
         totals[n] = total
         weights[n] = {g: c / total for g, c in counts.items()} if total else {}
-    return NGramWeightTable(weights, totals, max_order)
+    return NGramWeightTable(weights, totals)
 
 
 class WittenBellLM:

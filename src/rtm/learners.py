@@ -448,11 +448,12 @@ _INNER = {"rr": _Ridge, "knn": _Knn, "tree": _ExtraTrees, "ada": _AdaBoostR2, "c
 # Preprocessing.
 
 
-def select_features(X: np.ndarray, y: np.ndarray, m: int, inner_alpha: float = 1.0) -> tuple[int, ...]:
+def select_features(X: np.ndarray, y: np.ndarray, m: int) -> tuple[int, ...]:
     """Recursive feature elimination down to ``m`` columns.
 
-    Repeatedly fits ridge on the standardized remaining columns and drops the
-    one with the smallest absolute coefficient (ties drop the higher index).
+    Repeatedly fits ridge (alpha 1) on the standardized remaining columns and
+    drops the one with the smallest absolute coefficient (ties drop the higher
+    index).
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -462,7 +463,7 @@ def select_features(X: np.ndarray, y: np.ndarray, m: int, inner_alpha: float = 1
     while len(remaining) > m:
         sub = X[:, remaining]
         Z = Scaler(sub).transform(sub)
-        coefs = np.abs(_ridge_coefs(Z, y - y.mean(), inner_alpha))
+        coefs = np.abs(_ridge_coefs(Z, y - y.mean(), 1.0))
         # last occurrence of the minimum -> ties drop the higher index
         drop = len(coefs) - 1 - int(np.argmin(coefs[::-1]))
         del remaining[drop]

@@ -9,17 +9,19 @@ them bit for bit (wall-clock timings go to a separate timings.txt, which is
 the one file outside that guarantee).
 
 Every text output starts with a comment line carrying the tool version and
-the config hash.  Binary artifacts (resources.pkl, model.pkl) embed the same
-fields plus a resource fingerprint (corpus hash + resource-relevant
-parameters) that later stages verify before applying a model.  resources.pkl
-holds them in a header pickle ahead of the resources, so a stage that needs
-only the fingerprint reads only the header.
+the config hash.  The binary artifacts (resources.pkl, model.pkl) start with
+one JSON header line carrying the same fields, a layout number and a
+resource fingerprint (corpus hash + resource-relevant parameters) that later
+stages verify before applying a model; the pickled body follows.  The header
+is checked before the body is unpickled, and a stage that needs only the
+header reads only the header.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import json
 import os
 import pickle
 import time
@@ -62,18 +64,9 @@ from .stacking import (
     train_separate_stack_matrices,
 )
 
-STAGES = (
-    "select-interpretants",
-    "build-resources",
-    "extract-features",
-    "train",
-    "predict",
-    "evaluate",
-)
-
-# Layout of resources.pkl; a file of another layout is refused, not misread.
-# 2: a header pickle, then the resources with the CSR aligner table.
-RESOURCES_FORMAT = 2
+# Layout of resources.pkl and model.pkl; a file of another layout is refused,
+# not misread.  3: one JSON header line, then the pickled body.
+ARTIFACT_FORMAT = 3
 
 
 class ConfigError(ValueError):
@@ -319,8 +312,11 @@ def _replacing(path: Path):
     """Yield a temporary sibling of ``path`` to write, then move it into place,
     so a reader never sees a half-written file."""
     tmp = path.with_name(path.name + ".tmp")
-    yield tmp
-    os.replace(tmp, path)
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _write_text(path: Path, text: str):
@@ -328,11 +324,43 @@ def _write_text(path: Path, text: str):
         tmp.write_text(text, encoding="utf-8")
 
 
-def _write_pickle(path: Path, *objs):
-    """Write ``objs`` as consecutive pickles, read back one ``pickle.load`` each."""
+def _write_artifact(path: Path, cfg: RunConfig, header: dict, body):
+    """Write ``header`` (after the version, layout and config hash) as one JSON
+    line, then ``body`` as one pickle."""
+    header = {"version": __version__, "format": ARTIFACT_FORMAT, "config_hash": cfg.hash(),
+              **header}
     with _replacing(path) as tmp, open(tmp, "wb") as fh:
-        for obj in objs:
-            pickle.dump(obj, fh, protocol=4)
+        fh.write(json.dumps(header).encode("utf-8") + b"\n")
+        pickle.dump(body, fh, protocol=4)
+
+
+def _read_artifact(path: Path, body: bool = True) -> tuple[dict, object]:
+    """(header, body) of an artifact written by ``_write_artifact``.  The header
+    is checked before anything is unpickled; ``body=False`` leaves the body
+    unread and returns None for it."""
+    with open(path, "rb") as fh:
+        try:
+            header = json.loads(fh.readline())
+        except ValueError:  # not JSON, or not UTF-8
+            header = None
+        if not isinstance(header, dict):
+            raise StageError(f"{path}: written by an incompatible build (no JSON header line)")
+        if header.get("version") != __version__:
+            raise StageError(f"{path}: written by version {header.get('version')}")
+        if header.get("format") != ARTIFACT_FORMAT:
+            raise StageError(
+                f"{path}: written by an incompatible build "
+                f"(format {header.get('format')}, expected {ARTIFACT_FORMAT})"
+            )
+        if not body:
+            return header, None
+        try:
+            return header, pickle.load(fh)
+        except (AttributeError, ImportError, EOFError, ValueError, pickle.UnpicklingError) as exc:
+            # e.g. a class an older build pickled, a cut-off file, an unknown protocol
+            raise StageError(
+                f"{path}: body truncated or written by an incompatible build ({exc})"
+            ) from exc
 
 
 def _read_tsv(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
@@ -345,26 +373,6 @@ def _read_tsv(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
         elif line.strip():
             rows.append((lineno, line.split("\t")))
     return comments, rows
-
-
-def _unpickle(fh, path: Path):
-    try:
-        return pickle.load(fh)
-    except (AttributeError, ImportError, pickle.UnpicklingError) as exc:
-        # e.g. a model pickled before trees became flat node arrays
-        raise StageError(f"{path}: written by an incompatible build ({exc})") from exc
-
-
-def _check_version(header: dict, path: Path):
-    if header.get("version") != __version__:
-        raise StageError(f"{path}: written by version {header.get('version')}")
-
-
-def _read_pickle(path: Path) -> dict:
-    with open(path, "rb") as fh:
-        obj = _unpickle(fh, path)
-    _check_version(obj, path)
-    return obj
 
 
 def resource_fingerprint(cfg: RunConfig) -> str:
@@ -412,8 +420,11 @@ class Golds:
 def load_golds(cfg: RunConfig, split: str) -> Golds:
     """The golds of one named split (``"train"``, ``"test"``), read from its
     dataset alone: no lexicon is loaded and no rows are built."""
-    path = getattr(cfg, split)
-    if cfg.task == "intensity":
+    return _read_golds(getattr(cfg, split), cfg.task)
+
+
+def _read_golds(path, task: str) -> Golds:
+    if task == "intensity":
         instances = load_intensity_dataset(path)
         return Golds([i.id for i in instances], [i.gold for i in instances])
     instances = load_triple_dataset(path)
@@ -493,34 +504,12 @@ def stage_build_resources(cfg: RunConfig, out_dir: Path):
     indices = _read_interpretant_indices(out_dir)
     sentences = [corpus.sentences[i] for i in indices]
     resources = FeatureResources(
-        weight_table=build_ngram_weights(sentences, max_order=3),
+        weight_table=build_ngram_weights(sentences),
         lm=WittenBellLM(sentences, order=cfg.lm_order),
         aligner=train_aligner([(s, s) for s in sentences], cfg.aligner_iterations),
     )
-    header = {
-        "version": __version__,
-        "format": RESOURCES_FORMAT,
-        "config_hash": cfg.hash(),
-        "fingerprint": resource_fingerprint(cfg),
-        "manifest": FEATURE_NAMES,
-    }
-    _write_pickle(out_dir / "resources.pkl", header, resources)
-
-
-def _load_resources(out_dir: Path, header_only: bool = False) -> tuple[FeatureResources | None, str]:
-    """(resources, fingerprint) from resources.pkl: a header pickle followed
-    by the resources pickle, which ``header_only`` leaves unread."""
-    path = out_dir / "resources.pkl"
-    with open(path, "rb") as fh:
-        header = _unpickle(fh, path)
-        _check_version(header, path)
-        if header.get("format") != RESOURCES_FORMAT:
-            raise StageError(
-                f"{path}: written by an incompatible build "
-                f"(format {header.get('format')}, expected {RESOURCES_FORMAT})"
-            )
-        resources = None if header_only else _unpickle(fh, path)
-    return resources, header["fingerprint"]
+    header = {"fingerprint": resource_fingerprint(cfg)}
+    _write_artifact(out_dir / "resources.pkl", cfg, header, resources)
 
 
 def _write_features(path: Path, cfg: RunConfig, fingerprint: str, rows: RowSet, matrix):
@@ -535,7 +524,9 @@ def _read_features(path: Path) -> tuple[list[str], list[str], np.ndarray, str]:
     comments, rows = _read_tsv(path)
     prefix = "# fingerprint="
     fingerprint = next((c[len(prefix):] for c in comments if c.startswith(prefix)), "")
-    rows = rows[1:]  # after the header
+    if not rows or rows[0][1] != ["id", "row", *FEATURE_NAMES]:
+        raise StageError(f"{path}: header row is not id, row and this build's feature names")
+    rows = rows[1:]
     ids = [fields[0] for _, fields in rows]
     tags = [fields[1] for _, fields in rows]
     values = [[float(v) for v in fields[2:]] for _, fields in rows]
@@ -544,11 +535,11 @@ def _read_features(path: Path) -> tuple[list[str], list[str], np.ndarray, str]:
 
 
 def stage_extract_features(cfg: RunConfig, out_dir: Path):
-    resources, fingerprint = _load_resources(out_dir)
+    header, resources = _read_artifact(out_dir / "resources.pkl")
     _, splits = load_rows(cfg, "train", "test")
     for split, rows in zip(("train", "test"), splits):
         matrix = build_feature_matrix(rows.pairs, resources)
-        _write_features(out_dir / f"features_{split}.tsv", cfg, fingerprint, rows, matrix)
+        _write_features(out_dir / f"features_{split}.tsv", cfg, header["fingerprint"], rows, matrix)
 
 
 def _split_sides(tags: list[str], matrix: np.ndarray):
@@ -560,23 +551,16 @@ def _split_sides(tags: list[str], matrix: np.ndarray):
 
 
 def stage_train(cfg: RunConfig, out_dir: Path):
-    resources_fp = _load_resources(out_dir, header_only=True)[1]
+    resources_fp = _read_artifact(out_dir / "resources.pkl", body=False)[0]["fingerprint"]
     ids, tags, matrix, feat_fp = _read_features(out_dir / "features_train.tsv")
     if feat_fp != resources_fp:
         raise StageError(
             f"feature fingerprint {feat_fp} does not match resources {resources_fp}"
         )
     gold = load_golds(cfg, "train").array()
-    blob = {
-        "version": __version__,
-        "config_hash": cfg.hash(),
-        "fingerprint": resources_fp,
-        "architecture": cfg.architecture,
-    }
     if cfg.architecture == "plain":
         ranked = grid_search(cfg.grid(), matrix, gold, cfg.cv_folds, cfg.seed)
         model = average_top_k(ranked, min(cfg.top_k, len(ranked)), matrix, gold)
-        blob["model"] = model
         cv_table = [(spec.label(), score) for spec, score in ranked]
     else:
         feats_a, feats_b = _split_sides(tags, matrix)
@@ -593,10 +577,9 @@ def stage_train(cfg: RunConfig, out_dir: Path):
             else train_separate_stack_matrices
         )
         model = train_fn(feats_a, feats_b, gold, stack_cfg)
-        blob["model"] = model
         cv_table = [(spec.label(), score) for spec, score in model.cv_table]
-    blob["cv_table"] = cv_table
-    _write_pickle(out_dir / "model.pkl", blob)
+    header = {"fingerprint": resources_fp, "architecture": cfg.architecture, "cv_table": cv_table}
+    _write_artifact(out_dir / "model.pkl", cfg, header, model)
     lines = [_banner(cfg), "rank\tmodel\tcv_mae\n"]
     lines.extend(
         f"{rank}\t{label}\t{score:.6f}\n"
@@ -605,21 +588,21 @@ def stage_train(cfg: RunConfig, out_dir: Path):
     _write_text(out_dir / "cv_table.tsv", "".join(lines))
 
 
-def _apply_model(blob: dict, tags: list[str], matrix: np.ndarray) -> np.ndarray:
-    if blob["architecture"] == "plain":
-        return blob["model"].predict(matrix)
+def _apply_model(architecture: str, model, tags: list[str], matrix: np.ndarray) -> np.ndarray:
+    if architecture == "plain":
+        return model.predict(matrix)
     feats_a, feats_b = _split_sides(tags, matrix)
-    return predict_stack_matrices(blob["model"], feats_a, feats_b)
+    return predict_stack_matrices(model, feats_a, feats_b)
 
 
 def stage_predict(cfg: RunConfig, out_dir: Path):
-    blob = _read_pickle(out_dir / "model.pkl")
+    header, model = _read_artifact(out_dir / "model.pkl")
     ids, tags, matrix, feat_fp = _read_features(out_dir / "features_test.tsv")
-    if feat_fp != blob["fingerprint"]:
+    if feat_fp != header["fingerprint"]:
         raise StageError(
-            f"feature fingerprint {feat_fp} does not match model {blob['fingerprint']}"
+            f"feature fingerprint {feat_fp} does not match model {header['fingerprint']}"
         )
-    preds = _apply_model(blob, tags, matrix)
+    preds = _apply_model(header["architecture"], model, tags, matrix)
 
     tune = cfg.task == "triples" and cfg.threshold in ("optimized", "grounded")
     if cfg.grounding == "predictions" or tune:
@@ -633,7 +616,7 @@ def stage_predict(cfg: RunConfig, out_dir: Path):
     if cfg.task == "triples" and cfg.threshold != "none":
         if tune:
             _, tr_tags, tr_matrix, _ = _read_features(out_dir / "features_train.tsv")
-            train_preds = _apply_model(blob, tr_tags, tr_matrix)
+            train_preds = _apply_model(header["architecture"], model, tr_tags, tr_matrix)
             t = optimize_threshold(train_preds, train_gold.astype(int))
             if cfg.threshold == "grounded":
                 t = ground_threshold(t, ScoreStats.of(train_preds), ScoreStats.of(preds))
@@ -684,7 +667,7 @@ def _report_text(cfg: RunConfig, fingerprint: str, cv_table, report: MetricRepor
 
 
 def stage_evaluate(cfg: RunConfig, out_dir: Path) -> MetricReport | None:
-    blob = _read_pickle(out_dir / "model.pkl")
+    header = _read_artifact(out_dir / "model.pkl", body=False)[0]
     ids, preds, classes = read_predictions(out_dir / "predictions.tsv")
     gold_map = load_golds(cfg, "test").mapping()
     report = None
@@ -696,36 +679,28 @@ def stage_evaluate(cfg: RunConfig, out_dir: Path) -> MetricReport | None:
         report = metric_report(preds, gold, cfg.metric_config(), **kwargs)
     _write_text(
         out_dir / "report.txt",
-        _report_text(cfg, blob["fingerprint"], blob["cv_table"], report),
+        _report_text(cfg, header["fingerprint"], header["cv_table"], report),
     )
     return report
 
 
-_STAGE_FUNCS = {
-    "select-interpretants": stage_select_interpretants,
-    "build-resources": stage_build_resources,
-    "extract-features": stage_extract_features,
-    "train": stage_train,
-    "predict": stage_predict,
-    "evaluate": stage_evaluate,
+# stage -> (function, the files it writes), in run order
+_STAGES = {
+    "select-interpretants": (stage_select_interpretants, ("interpretants.tsv",)),
+    "build-resources": (stage_build_resources, ("resources.pkl",)),
+    "extract-features": (stage_extract_features, ("features_train.tsv", "features_test.tsv")),
+    "train": (stage_train, ("model.pkl", "cv_table.tsv")),
+    "predict": (stage_predict, ("predictions.tsv",)),
+    "evaluate": (stage_evaluate, ("report.txt",)),
 }
-
-_STAGE_OUTPUTS = {
-    "select-interpretants": ("interpretants.tsv",),
-    "build-resources": ("resources.pkl",),
-    "extract-features": ("features_train.tsv", "features_test.tsv"),
-    "train": ("model.pkl", "cv_table.tsv"),
-    "predict": ("predictions.tsv",),
-    "evaluate": ("report.txt",),
-}
+STAGES = tuple(_STAGES)
 
 
 @dataclass
 class RunReport:
-    """What a run produced: echo, fingerprint, CV ranking, metrics, timings."""
+    """What a run produced: the test metrics (None when the test set has no
+    golds) and each stage's wall-clock seconds."""
 
-    config_hash: str
-    out_dir: Path
     metrics: MetricReport | None
     timings: dict[str, float]
 
@@ -735,12 +710,13 @@ def run_stage(cfg: RunConfig, out_dir, stage: str):
     leave none of the stage's output files behind."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if stage not in _STAGE_FUNCS:
+    if stage not in _STAGES:
         raise ConfigError(f"unknown stage {stage!r}; stages: {', '.join(STAGES)}")
+    func, outputs = _STAGES[stage]
     try:
-        return _STAGE_FUNCS[stage](cfg, out_dir)
+        return func(cfg, out_dir)
     except Exception as exc:
-        for name in _STAGE_OUTPUTS[stage]:
+        for name in outputs:
             (out_dir / name).unlink(missing_ok=True)
         if isinstance(exc, StageError):
             raise
@@ -762,7 +738,7 @@ def run_pipeline(cfg: RunConfig, out_dir) -> RunReport:
         out_dir / "timings.txt",
         "".join(f"{stage}\t{secs:.3f}\n" for stage, secs in timings.items()),
     )
-    return RunReport(cfg.hash(), out_dir, metrics, timings)
+    return RunReport(metrics, timings)
 
 
 # ---------------------------------------------------------------------------
@@ -774,9 +750,9 @@ def _read_gold_file(path) -> dict[str, float]:
     rows = _read_tsv(path)[1]
     first = rows[0][1] if rows else [""]
     if first[:3] == ["id", "text", "affect"]:
-        return {i.id: i.gold for i in load_intensity_dataset(path) if i.gold is not None}
+        return _read_golds(path, "intensity").mapping()
     if len(first) == 5:
-        return {i.id: float(i.gold) for i in load_triple_dataset(path) if i.gold is not None}
+        return _read_golds(path, "triples").mapping()
     if len(first) == 2:
         ids, values, _ = read_predictions(path)
         return dict(zip(ids, values.tolist()))

@@ -44,7 +44,7 @@ def write_intensity_case(
     ]
     (root / "corpus.txt").write_text("\n".join(corpus_lines) + "\n", encoding="utf-8")
     corpus = load_corpus(root / "corpus.txt")
-    table = build_ngram_weights(corpus.sentences, 3)
+    table = build_ngram_weights(corpus.sentences)
     target = TokenSeq.from_tokens(lex_words)
 
     texts, sims = [], []
@@ -111,7 +111,7 @@ def write_triples_case(
     ]
     (root / "corpus.txt").write_text("\n".join(corpus_lines) + "\n", encoding="utf-8")
     corpus = load_corpus(root / "corpus.txt")
-    table = build_ngram_weights(corpus.sentences, 3)
+    table = build_ngram_weights(corpus.sentences)
 
     def make_word(attr, with_attr):
         toks = list(rng.choice(fillers, size=int(rng.integers(2, 5)), replace=False))

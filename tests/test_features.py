@@ -212,7 +212,7 @@ class TestLengthFeatures:
 def resources():
     sentences = seqs("a b c d", "b c d e", "c d e f", "a d f b")
     return FeatureResources(
-        weight_table=build_ngram_weights(sentences, 3),
+        weight_table=build_ngram_weights(sentences),
         lm=WittenBellLM(sentences, order=3),
         aligner=train_aligner([(s, s) for s in sentences], iterations=5),
     )

@@ -281,7 +281,7 @@ all_orders = st.sampled_from(ORDER_SETS + ((2, 3), (1, 3), (3, 1, 2)))
 def test_overlap_matches_union_sets(table_sents, src, tgt, orders):
     # "y" and "e"/"f" are often missing from the table (floor weights); short
     # table sentences leave higher orders with zero totals
-    table = build_ngram_weights([seq(s) for s in table_sents], max_order=3)
+    table = build_ngram_weights([seq(s) for s in table_sents])
     src, tgt = seq(src), seq(tgt)
     expected = ref_weighted_overlap(src, tgt, table, orders)
     assert hexes(weighted_overlap(src, tgt, table, orders)) == hexes(expected)
@@ -290,7 +290,7 @@ def test_overlap_matches_union_sets(table_sents, src, tgt, orders):
 
 
 def test_one_side_serves_every_order_set():
-    table = build_ngram_weights([seq("a b c a b".split()), seq("c d".split())], max_order=3)
+    table = build_ngram_weights([seq("a b c a b".split()), seq("c d".split())])
     tgt = NGramSide(seq("a b c d a b c e".split()), table)
     for src in (seq("a b c".split()), seq("e".split()), seq([])):
         for orders in ORDER_SETS:
@@ -454,7 +454,7 @@ def test_feature_matrix_matches_per_row_reference():
     vocab = [f"w{i}" for i in range(30)]
     sents = [seq(rng.choice(vocab, size=rng.integers(1, 10))) for _ in range(50)]
     resources = FeatureResources(
-        weight_table=build_ngram_weights(sents, max_order=3),
+        weight_table=build_ngram_weights(sents),
         lm=WittenBellLM(sents, order=3),
         aligner=train_aligner([(s, s) for s in sents], iterations=3),
     )

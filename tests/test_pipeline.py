@@ -1,3 +1,5 @@
+import errno
+import json
 import os
 import pickle
 import subprocess
@@ -9,6 +11,7 @@ import pytest
 
 import rtm
 from rtm.cli import main
+from rtm.features import FEATURE_NAMES
 from rtm.metrics import parse_report
 from rtm.pipeline import (
     STAGES,
@@ -22,6 +25,23 @@ from rtm.pipeline import (
 )
 
 from conftest import write_intensity_case, write_triples_case
+
+# artifact -> (stages that read only its header, stages that read it whole)
+ARTIFACT_READERS = {
+    "resources.pkl": (("train",), ("extract-features",)),
+    "model.pkl": (("evaluate",), ("predict",)),
+}
+
+
+def _full_run(cfg_path, name):
+    cfg = parse_config(cfg_path)
+    out = cfg_path.parent / name
+    run_pipeline(cfg, out)
+    return cfg, out
+
+
+def _header_line(path) -> bytes:
+    return path.read_bytes().partition(b"\n")[0]
 
 
 class TestConfig:
@@ -200,9 +220,8 @@ class TestPipelineRun:
 
         _Gone.__module__, _Gone.__qualname__ = "rtm.learners", "_Gone"
         monkeypatch.setattr(rtm.learners, "_Gone", _Gone, raising=False)
-        blob = pickle.loads((out / "model.pkl").read_bytes())
-        blob["model"] = _Gone()
-        (out / "model.pkl").write_bytes(pickle.dumps(blob))
+        path = out / "model.pkl"
+        path.write_bytes(_header_line(path) + b"\n" + pickle.dumps(_Gone()))
         monkeypatch.delattr(rtm.learners, "_Gone")
         with pytest.raises(StageError, match="incompatible build"):
             run_stage(cfg, out, "predict")
@@ -213,10 +232,7 @@ class TestPipelineRun:
         for stage in STAGES[:3]:
             run_stage(cfg, out, stage)
         path = out / "resources.pkl"
-        with open(path, "rb") as fh:
-            pickle.load(fh)
-            header = path.read_bytes()[: fh.tell()]
-        path.write_bytes(header + b"not a pickle")  # the resources part, unreadable
+        path.write_bytes(_header_line(path) + b"\nnot a pickle")  # the body, unreadable
         features = (out / "features_train.tsv").read_text()
         (out / "features_train.tsv").write_text(
             features.replace("# fingerprint=", "# fingerprint=dead")
@@ -235,8 +251,8 @@ class TestPipelineRun:
         out = tiny_intensity_cfg.parent / "out_old_resources"
         for stage in STAGES[:3]:
             run_stage(cfg, out, stage)
-        with open(out / "resources.pkl", "rb") as fh:
-            header, resources = pickle.load(fh), pickle.load(fh)
+        line, _, body = (out / "resources.pkl").read_bytes().partition(b"\n")
+        header, resources = json.loads(line), pickle.loads(body)
 
         class _DictAligner:  # the aligner as builds before the CSR table pickled it
             pass
@@ -252,6 +268,101 @@ class TestPipelineRun:
         for stage in ("extract-features", "train"):
             with pytest.raises(StageError, match="incompatible build"):
                 run_stage(cfg, out, stage)
+
+    @pytest.mark.parametrize("name", sorted(ARTIFACT_READERS))
+    def test_parent_layout_artifact_refused(self, tiny_intensity_cfg, name):
+        cfg, out = _full_run(tiny_intensity_cfg, "out_parent_layout")
+        path = out / name
+        line, _, body = path.read_bytes().partition(b"\n")
+        header = {k: v for k, v in json.loads(line).items() if k != "format"}
+        if name == "model.pkl":  # one dict pickle, the model under "model"
+            old = pickle.dumps({**header, "model": pickle.loads(body)}, protocol=4)
+        else:  # a header pickle of format 2, then the resources pickle
+            old = pickle.dumps({**header, "format": 2, "manifest": FEATURE_NAMES}) + body
+        path.write_bytes(old)
+        for stage in sum(ARTIFACT_READERS[name], ()):
+            with pytest.raises(StageError, match="incompatible build") as info:
+                run_stage(cfg, out, stage)
+            assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("name", sorted(ARTIFACT_READERS))
+    def test_unreadable_artifact_names_the_file(self, tiny_intensity_cfg, name):
+        cfg, out = _full_run(tiny_intensity_cfg, "out_cut")
+        path = out / name
+        line, _, body = path.read_bytes().partition(b"\n")
+        header_readers, body_readers = ARTIFACT_READERS[name]
+        cases = [
+            (b"", header_readers + body_readers),  # empty
+            (b"[1, 2]\n" + body, header_readers + body_readers),  # JSON, but no object
+            (line + b"\n", body_readers),  # the header line alone
+            (line + b"\n" + body[: len(body) // 2], body_readers),  # half the body
+            (line + b"\n\x80\x09", body_readers),  # a pickle protocol no Python has
+        ]
+        for data, stages in cases:
+            path.write_bytes(data)
+            for stage in stages:
+                with pytest.raises(StageError) as info:
+                    run_stage(cfg, out, stage)
+                assert str(path) in str(info.value), (data[:20], stage)
+
+    @pytest.mark.parametrize("name", sorted(ARTIFACT_READERS))
+    def test_foreign_version_refused_before_unpickling(self, tiny_intensity_cfg, name):
+        cfg, out = _full_run(tiny_intensity_cfg, "out_foreign")
+        path = out / name
+        line = _header_line(path)
+        for key, value, message in (("version", "0.0.0", "written by version 0.0.0"),
+                                    ("format", 2, "format 2, expected 3")):
+            header = {**json.loads(line), key: value}
+            path.write_bytes(json.dumps(header).encode() + b"\nnot a pickle")
+            for stage in sum(ARTIFACT_READERS[name], ()):
+                with pytest.raises(StageError, match=message):
+                    run_stage(cfg, out, stage)
+
+    def test_evaluate_reads_only_the_model_header(self, tiny_intensity_cfg):
+        cfg, out = _full_run(tiny_intensity_cfg, "out_eval_header")
+        report = (out / "report.txt").read_bytes()
+        path = out / "model.pkl"
+        header = json.loads(_header_line(path))
+        assert set(header) == {"version", "format", "config_hash",
+                               "fingerprint", "architecture", "cv_table"}
+        assert set(json.loads(_header_line(out / "resources.pkl"))) == {
+            "version", "format", "config_hash", "fingerprint"}
+        path.write_bytes(_header_line(path) + b"\nnot a pickle")
+        (out / "report.txt").unlink()
+        run_stage(cfg, out, "evaluate")
+        assert (out / "report.txt").read_bytes() == report
+        with pytest.raises(StageError, match="incompatible build"):
+            run_stage(cfg, out, "predict")
+
+    def test_failed_write_leaves_no_temporary_file(self, tiny_intensity_cfg, monkeypatch):
+        cfg = parse_config(tiny_intensity_cfg)
+        out = tiny_intensity_cfg.parent / "out_full_disk"
+        for stage in STAGES[:3]:
+            run_stage(cfg, out, stage)
+        before = sorted(p.name for p in out.iterdir())
+
+        def full_disk(*args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(pickle, "dump", full_disk)
+        with pytest.raises(StageError, match="No space left"):
+            run_stage(cfg, out, "train")
+        assert sorted(p.name for p in out.iterdir()) == before
+
+    def test_features_header_row_checked(self, tiny_intensity_cfg):
+        cfg = parse_config(tiny_intensity_cfg)
+        out = tiny_intensity_cfg.parent / "out_swapped"
+        for stage in STAGES[:3]:
+            run_stage(cfg, out, stage)
+        path = out / "features_train.tsv"
+        first, second, *rest = FEATURE_NAMES
+        header = "\t".join(["id", "row", first, second, *rest]) + "\n"
+        swapped = "\t".join(["id", "row", second, first, *rest]) + "\n"
+        text = path.read_text()
+        assert text.count(header) == 1
+        path.write_text(text.replace(header, swapped))
+        with pytest.raises(StageError, match="header row"):
+            run_stage(cfg, out, "train")
 
     def test_stage_error_names_stage(self, tiny_intensity_cfg):
         cfg = parse_config(tiny_intensity_cfg)

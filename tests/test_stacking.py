@@ -167,7 +167,7 @@ class TestPredictStack:
         # token rows -> feature matrices -> stack, with tiny real resources
         sentences = [tokenize(t) for t in ("a b c d", "b c e", "d e f a", "c f a b")]
         resources = FeatureResources(
-            weight_table=build_ngram_weights(sentences, 3),
+            weight_table=build_ngram_weights(sentences),
             lm=WittenBellLM(sentences, order=2),
             aligner=train_aligner([(s, s) for s in sentences], iterations=3),
         )
