@@ -315,14 +315,22 @@ def load_lexicon(path) -> Lexicon:
     return Lexicon({emo: tuple(words) for emo, words in entries.items()})
 
 
+def _corpus_lines(path) -> list[str]:
+    # A line holds a sentence when it has a non-whitespace character, which
+    # is exactly when ``tokenize`` makes a token of it (same whitespace rule).
+    return [line for line in _read_lines(path) if line.split()]
+
+
 def load_corpus(path) -> Corpus:
     """Load a one-sentence-per-line corpus, skipping empty lines."""
-    sentences = []
-    for line in _read_lines(path):
-        seq = tokenize(line)
-        if len(seq):
-            sentences.append(seq)
-    return Corpus(sentences)
+    return Corpus([tokenize(line) for line in _corpus_lines(path)])
+
+
+def load_corpus_sentences(path, indices) -> list[TokenSeq]:
+    """``[load_corpus(path).sentences[i] for i in indices]``, tokenizing only
+    those lines."""
+    lines = _corpus_lines(path)
+    return [tokenize(lines[i]) for i in indices]
 
 
 def lexicon_to_target(lexicon: Lexicon, emotions) -> TokenSeq:

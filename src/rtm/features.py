@@ -58,11 +58,26 @@ class OverlapScores(NamedTuple):
     prec: float
 
 
+class TokenTypes(NamedTuple):
+    """A sequence's distinct tokens in first-occurrence order."""
+
+    zeros: dict  # type -> 0.0
+    index: dict  # type -> its position
+    of_token: list  # each token's type position
+
+
+def _token_types(seq: TokenSeq) -> TokenTypes:
+    index: dict = {}
+    of_token = [index.setdefault(f, len(index)) for f in seq.tokens]
+    return TokenTypes(dict.fromkeys(index, 0.0), index, of_token)
+
+
 class NGramSide:
     """One side of an overlap: its distinct n-grams per order with their weights.
 
     Orders are filled on first use and weight totals are kept per order set,
-    so a side shared by many rows (a lexicon target) is built once.
+    so a side shared by many rows (a lexicon target) is built once.  A target
+    side also keeps its token types for alignment (``types``).
     """
 
     def __init__(self, seq: TokenSeq, table: NGramWeightTable):
@@ -70,6 +85,12 @@ class NGramSide:
         self.table = table
         self._weights: dict[int, dict] = {}
         self._totals: dict[tuple, float] = {}
+        self._types: TokenTypes | None = None
+
+    def types(self) -> TokenTypes:
+        if self._types is None:
+            self._types = _token_types(self.seq)
+        return self._types
 
     def weights(self, n: int) -> dict:
         """Distinct n-grams of order ``n`` mapped to their table weights."""
@@ -209,17 +230,19 @@ class AlignmentModel:
     def prob(self, tgt_word: str, src_word: str) -> float:
         return self.row(src_word).get(tgt_word, 0.0)
 
-    def align(self, src: TokenSeq, tgt: TokenSeq) -> list[int | None]:
+    def align(self, src: TokenSeq, tgt: TokenSeq | NGramSide) -> list[int | None]:
         """Viterbi link per target token: source index, or None for null.
 
         Ties prefer the lowest source index; null wins only by a strictly
         higher probability.  Target words with no probability mass anywhere
-        go to null.
+        go to null.  ``tgt`` may be an NGramSide, whose token types are built
+        once for all the rows that share it.
         """
+        types = tgt.types() if isinstance(tgt, NGramSide) else _token_types(tgt)
         # Per target type, the first source index with the highest positive
         # probability.  Each source position walks the smaller of its table
         # row and the target's types; the strict > keeps the lowest index.
-        best_p = dict.fromkeys(tgt.tokens, 0.0)
+        best_p = types.zeros.copy()
         best_i: dict[str, int] = {}
         row_of = self.row
         for i, e in enumerate(src.tokens):
@@ -236,8 +259,12 @@ class AlignmentModel:
                         best_p[f] = p
                         best_i[f] = i
         null_row = row_of(NULL)
-        link = {f: i for f, i in best_i.items() if null_row.get(f, 0.0) <= best_p[f]}
-        return [link.get(f) for f in tgt.tokens]
+        links: list[int | None] = [None] * len(best_p)  # per type
+        index = types.index
+        for f, i in best_i.items():
+            if null_row.get(f, 0.0) <= best_p[f]:
+                links[index[f]] = i
+        return [links[k] for k in types.of_token]
 
 
 def train_aligner(pairs: list[tuple[TokenSeq, TokenSeq]], iterations: int = 5) -> AlignmentModel:
@@ -345,7 +372,9 @@ def _edit_distance(text, pattern) -> int:
     return score
 
 
-def alignment_features(model: AlignmentModel, src: TokenSeq, tgt: TokenSeq) -> tuple[float, float]:
+def alignment_features(
+    model: AlignmentModel, src: TokenSeq, tgt: TokenSeq | NGramSide
+) -> tuple[float, float]:
     """(1 - WER, alignment F1) of the Viterbi alignment of tgt onto src.
 
     The aligned sequence is the source tokens hit by each target token in
@@ -353,12 +382,13 @@ def alignment_features(model: AlignmentModel, src: TokenSeq, tgt: TokenSeq) -> t
     source over max(len(src), 1).  F1 combines target coverage (non-null
     fraction) with source coverage (fraction of source positions hit).
     """
-    if len(tgt) == 0:
+    n_tgt = len(tgt.seq if isinstance(tgt, NGramSide) else tgt)
+    if n_tgt == 0:
         return 0.0, 0.0
     hits = [i for i in model.align(src, tgt) if i is not None]
     wer = _edit_distance([src.tokens[i] for i in hits], src.tokens) / max(len(src), 1)
     one_minus_wer = min(1.0, max(0.0, 1.0 - wer))
-    tgt_cov = len(hits) / len(tgt)
+    tgt_cov = len(hits) / n_tgt
     src_cov = len(set(hits)) / len(src) if len(src) else 0.0
     f1 = 2.0 * tgt_cov * src_cov / (tgt_cov + src_cov) if tgt_cov + src_cov > 0 else 0.0
     return one_minus_wer, min(1.0, max(0.0, f1))
@@ -406,7 +436,7 @@ def extract_feature_vector(
     for orders in ORDER_SETS:
         values.extend(weighted_overlap(src_side, tgt_side, table, orders))
     values.extend(lm_features(resources.lm, src))
-    values.extend(alignment_features(resources.aligner, src, tgt))
+    values.extend(alignment_features(resources.aligner, src, tgt_side))
     values.extend(length_features(src, tgt))
     vec = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(vec)):

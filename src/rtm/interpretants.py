@@ -14,9 +14,11 @@ interpolated Witten-Bell language model.
 from __future__ import annotations
 
 import collections
-import heapq
+import itertools
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .corpus import Corpus, TokenSeq, extract_ngrams
 
@@ -56,15 +58,95 @@ class InterpretantSet:
         return len(self.selected_indices)
 
 
-def _sentence_ngrams(seq: TokenSeq, max_order: int) -> set:
-    # The insertion order (by order, then first occurrence) fixes the set's
-    # iteration order and with it the order of the float sums in
-    # select_interpretants; changing it can change the last bit of a score.
-    toks = seq.tokens
-    grams = set()
-    for n in range(1, max_order + 1):
-        grams.update(toks[i : i + n] for i in range(len(toks) - n + 1))
-    return grams
+def _task_features(task_texts: list[TokenSeq], max_order: int) -> tuple[dict, list[dict], int]:
+    """Dense ids for the distinct task n-grams of orders 1..``max_order``.
+
+    Ids run by order, then by first occurrence in the task texts; a token's id
+    is its unigram's id.  An order-n gram (n >= 2) is keyed by the id of its
+    first n - 1 tokens and the id of its last token.  Returns the token ids,
+    each order's keys (key -> feature id) and the number of features.
+    """
+    token_ids: dict[str, int] = {}
+    texts = [[token_ids.setdefault(tok, len(token_ids)) for tok in text.tokens]
+             for text in task_texts]
+    n_features = len(token_ids)
+    order_keys: list[dict] = []
+    prefixes = texts  # per text, the id of the (n - 1)-gram at each position
+    for n in range(2, max_order + 1):
+        keys: dict[tuple, int] = {}
+        prefixes = [
+            [keys.setdefault((prefix[i], text[i + n - 1]), n_features + len(keys))
+             for i in range(len(text) - n + 1)]
+            for prefix, text in zip(prefixes, texts)
+        ]
+        order_keys.append(keys)
+        n_features += len(keys)
+    return token_ids, order_keys, n_features
+
+
+def _sentence_features(sentences: list[TokenSeq], token_ids: dict, order_keys: list[dict],
+                       n_features: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct (sentence, feature id) pairs of ``sentences``, ordered by
+    sentence, then feature id, as two int32 arrays."""
+    n_types = len(token_ids)
+    lengths = [len(sent.tokens) for sent in sentences]
+    # Flat corpus tokens as task token ids (-1: not a task token); ``cur``
+    # holds the id of the task n-gram of the current order at each position.
+    tokens = np.fromiter(
+        map(token_ids.get, itertools.chain.from_iterable(s.tokens for s in sentences),
+            itertools.repeat(-1)),
+        dtype=np.int32, count=sum(lengths))
+    sent_of = np.repeat(np.arange(len(sentences), dtype=np.int32), lengths)
+    room = np.cumsum(lengths)[sent_of] - np.arange(len(tokens))  # tokens left in the sentence
+    hit_pos = [np.flatnonzero(tokens >= 0)]
+    hit_ids = [tokens[hit_pos[0]]]
+    cur = tokens
+    for n, keys in enumerate(order_keys, start=2):
+        if not keys:
+            break
+        # (prefix id, last token id) as one int64, found by binary search
+        task_keys = np.fromiter((p * n_types + t for p, t in keys), dtype=np.int64, count=len(keys))
+        task_ids = np.fromiter(keys.values(), dtype=np.int32, count=len(keys))
+        order = np.argsort(task_keys)
+        task_keys, task_ids = task_keys[order], task_ids[order]
+        pos = np.flatnonzero((cur >= 0) & (room >= n))
+        pos = pos[tokens[pos + n - 1] >= 0]
+        want = cur[pos].astype(np.int64) * n_types + tokens[pos + n - 1]
+        at = np.minimum(np.searchsorted(task_keys, want), len(task_keys) - 1)
+        found = task_keys[at] == want
+        pos = pos[found]
+        cur = np.full(len(tokens), -1, dtype=np.int32)
+        cur[pos] = task_ids[at[found]]
+        hit_pos.append(pos)
+        hit_ids.append(cur[pos])
+    del tokens, room, cur
+    pairs = sent_of[np.concatenate(hit_pos)].astype(np.int64) * n_features
+    pairs += np.concatenate(hit_ids)
+    pairs.sort()
+    pairs = pairs[np.diff(pairs, prepend=-1) != 0]
+    return tuple(a.astype(np.int32) for a in np.divmod(pairs, max(n_features, 1)))
+
+
+def _padded_groups(n_feats: np.ndarray, first: np.ndarray, pair_feat: np.ndarray, pad: int):
+    """Sentences grouped by feature count (up to 16, then up to 64, 256, ...),
+    each group a matrix of its sentences' feature ids padded with ``pad`` to
+    its widest row, so the padding stays under 4x a group's features however
+    long one sentence is.  Returns each sentence's group and row in it, and
+    the matrices."""
+    bounds = [16]
+    while bounds[-1] < n_feats.max(initial=0):
+        bounds.append(4 * bounds[-1])
+    group = np.searchsorted(bounds, n_feats)
+    row = np.empty(len(n_feats), dtype=np.int64)
+    ids = np.append(pair_feat, np.int32(pad))
+    matrices = []
+    for g in range(len(bounds)):
+        members = np.flatnonzero(group == g)
+        row[members] = np.arange(len(members))
+        cols = np.arange(max(int(n_feats[members].max(initial=0)), 1))
+        at = first[members, None] + cols
+        matrices.append(ids[np.where(cols < n_feats[members, None], at, len(pair_feat))])
+    return group, row, matrices
 
 
 def select_interpretants(
@@ -75,49 +157,59 @@ def select_interpretants(
     Each round picks the sentence with the highest score
     ``sum(weight of matching task n-grams) / len**length_exponent``
     (ties -> lowest index), then multiplies the weight of every feature the
-    winner contains by ``cfg.decay``.
+    winner contains by ``cfg.decay``.  A sentence's distinct features are
+    summed left to right in increasing feature id (by order, then by first
+    occurrence in the task texts), so a score does not depend on the hash
+    seed.
     """
     if not task_texts:
         raise ValueError("task_texts must be nonempty")
     if cfg.budget > len(corpus):
         raise ValueError(f"budget {cfg.budget} exceeds corpus size {len(corpus)}")
 
-    task_features: set = set()
-    for text in task_texts:
-        task_features.update(_sentence_ngrams(text, cfg.max_order))
-    weights = {g: 1.0 for g in task_features}
+    token_ids, order_keys, n_features = _task_features(task_texts, cfg.max_order)
+    pair_sent, pair_feat = _sentence_features(corpus.sentences, token_ids, order_keys, n_features)
+    n_sents = len(corpus)
+    n_feats = np.bincount(pair_sent, minlength=n_sents)
+    first = np.cumsum(n_feats) - n_feats  # sentence i's features: pair_feat[first[i]:][:n_feats[i]]
+    group, row, matrices = _padded_groups(n_feats, first, pair_feat, n_features)
+    # Inverted index: the sentences containing feature g are
+    # ``containing[starts[g]:starts[g + 1]]``.
+    containing = pair_sent[np.argsort(pair_feat, kind="stable")]
+    starts = [0, *np.cumsum(np.bincount(pair_feat, minlength=n_features)).tolist()]
+    del pair_sent
+    inv_norm = np.array([1.0 / (len(sent.tokens) ** cfg.length_exponent)
+                         for sent in corpus.sentences])
 
-    # Per sentence: its matching features and 1/len**a normalizer.
-    sent_features: list[tuple] = []
-    inv_norm: list[float] = []
-    for sent in corpus.sentences:
-        sent_features.append(tuple(_sentence_ngrams(sent, cfg.max_order) & task_features))
-        inv_norm.append(1.0 / (len(sent) ** cfg.length_exponent))
+    # The padding id ``n_features`` keeps weight 0.0.  cumsum adds each row
+    # left to right (np.sum would add pairwise), and x + 0.0 == x, so the
+    # padding does not change a sum.
+    weights = np.ones(n_features + 1)
+    weights[n_features] = 0.0
 
-    def score(i: int) -> float:
-        return sum(map(weights.__getitem__, sent_features[i])) * inv_norm[i]
+    def rescore(sents):
+        for g, matrix in enumerate(matrices):
+            part = sents[group[sents] == g]
+            scores[part] = weights[matrix[row[part]]].cumsum(axis=1)[:, -1] * inv_norm[part]
 
-    # Lazy greedy: a heap key is the sentence's score when it was last
-    # computed.  Weights only shrink and rounded sums and products are
-    # monotone, so a key never falls below the current score; a popped
-    # sentence whose re-score still equals its key beats every other current
-    # score, and (-score, index) order keeps the lowest-index tie rule.
-    heap = [(-score(i), i) for i in range(len(corpus))]
-    heapq.heapify(heap)
+    scores = np.empty(n_sents)
+    rescore(np.arange(n_sents))
     selected: list[int] = []
     picked_scores: list[float] = []
     for _ in range(cfg.budget):
-        while True:
-            neg_key, best = heap[0]
-            best_score = score(best)
-            if best_score == -neg_key:
-                heapq.heappop(heap)
-                break
-            heapq.heapreplace(heap, (-best_score, best))
+        best = int(np.argmax(scores))  # the first maximum: ties -> lowest index
         selected.append(best)
-        picked_scores.append(best_score)
-        for g in sent_features[best]:
-            weights[g] *= cfg.decay
+        picked_scores.append(float(scores[best]))
+        scores[best] = -np.inf  # picked
+        decayed = pair_feat[first[best] : first[best] + n_feats[best]]
+        if not len(decayed):
+            continue
+        weights[decayed] *= cfg.decay
+        # A score depends only on the current weights, so re-scoring just the
+        # unpicked sentences that hold a decayed feature leaves every score
+        # equal to what a full rescan would compute.
+        touched = np.concatenate([containing[starts[g] : starts[g + 1]] for g in decayed.tolist()])
+        rescore(touched[scores[touched] != -np.inf])
     return InterpretantSet(selected, picked_scores)
 
 

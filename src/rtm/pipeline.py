@@ -35,6 +35,7 @@ from .corpus import (
     TokenSeq,
     _check_new_id,
     load_corpus,
+    load_corpus_sentences,
     load_intensity_dataset,
     load_lexicon,
     load_triple_dataset,
@@ -500,9 +501,7 @@ def _read_interpretant_indices(out_dir: Path) -> list[int]:
 
 
 def stage_build_resources(cfg: RunConfig, out_dir: Path):
-    corpus = load_corpus(cfg.corpus)
-    indices = _read_interpretant_indices(out_dir)
-    sentences = [corpus.sentences[i] for i in indices]
+    sentences = load_corpus_sentences(cfg.corpus, _read_interpretant_indices(out_dir))
     resources = FeatureResources(
         weight_table=build_ngram_weights(sentences),
         lm=WittenBellLM(sentences, order=cfg.lm_order),

@@ -7,6 +7,7 @@ from rtm.corpus import (
     extract_ngrams,
     lexicon_to_target,
     load_corpus,
+    load_corpus_sentences,
     load_intensity_dataset,
     load_lexicon,
     load_triple_dataset,
@@ -221,3 +222,16 @@ class TestCorpus:
         corpus = load_corpus(path)
         assert len(corpus) == 2
         assert corpus.sentences[1].tokens == ("c", "d")
+
+    def test_selected_sentences_match_full_load(self, tmp_path):
+        # whitespace-only lines (ASCII, \r, ideographic space, \x1c) hold no
+        # sentence; whitespace inside a line separates tokens
+        path = tmp_path / "c.txt"
+        lines = ["a b", "", "  \t", "\r", "c d\r", "\u3000", "\x1c", "e\u3000f",
+                 " \x1cg ", "\x85\u2028", "H i!", "\x0b\x0c", "j"]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        corpus = load_corpus(path)
+        assert [s.tokens for s in corpus.sentences] == [
+            ("a", "b"), ("c", "d"), ("e", "f"), ("g",), ("h", "i", "!"), ("j",)]
+        indices = [5, 0, 3, 3, 1]
+        assert load_corpus_sentences(path, indices) == [corpus.sentences[i] for i in indices]

@@ -1,8 +1,9 @@
-"""Lazy-greedy FDA, shared n-gram sides, row-walk alignment, array IBM-1,
+"""Array-pass FDA, shared n-gram sides, row-walk alignment, array IBM-1,
 bit-vector edit distance and the tokenizer fast path against references.
 
-The references below are the O(N*B) argmax scan of feature-decay selection,
-the per-row union-set overlap, the |src|x|tgt| probe loop of Viterbi
+The references below are the O(N*B) argmax scan of feature-decay selection
+(adding each sentence's features in the order select_interpretants
+documents), the per-row union-set overlap, the |src|x|tgt| probe loop of Viterbi
 alignment, the dict-of-dicts IBM Model 1 EM, the Levenshtein DP and the
 per-character tokenizer that ``rtm`` used before.  The current code must
 reproduce them bit for bit: the same indices, scores, overlap tuples, links,
@@ -34,7 +35,13 @@ from rtm.features import (
     train_aligner,
     weighted_overlap,
 )
-from rtm.interpretants import FdaConfig, WittenBellLM, build_ngram_weights, select_interpretants
+from rtm.interpretants import (
+    FdaConfig,
+    WittenBellLM,
+    _padded_groups,
+    build_ngram_weights,
+    select_interpretants,
+)
 
 # ---------------------------------------------------------------------------
 # Reference implementations.
@@ -48,14 +55,20 @@ def ref_ngrams(seq, orders):
 
 
 def ref_select_interpretants(corpus, task_texts, cfg):
-    task_features = set()
-    for text in task_texts:
-        task_features.update(ref_ngrams(text, range(1, cfg.max_order + 1)))
+    # A sentence's features add in this rank order: by n-gram order, then by
+    # first occurrence in the task texts.
+    rank = {}
+    for n in range(1, cfg.max_order + 1):
+        for text in task_texts:
+            for i in range(len(text) - n + 1):
+                rank.setdefault(text.tokens[i : i + n], len(rank))
+    task_features = set(rank)
     weights = {g: 1.0 for g in task_features}
     sent_features, inv_norm = [], []
     containing = collections.defaultdict(list)
     for i, sent in enumerate(corpus.sentences):
-        feats = tuple(ref_ngrams(sent, range(1, cfg.max_order + 1)) & task_features)
+        feats = sorted(ref_ngrams(sent, range(1, cfg.max_order + 1)) & task_features,
+                       key=rank.__getitem__)
         sent_features.append(feats)
         inv_norm.append(1.0 / (len(sent) ** cfg.length_exponent))
         for g in feats:
@@ -255,6 +268,37 @@ def test_fda_seeded_corpus_full_budget():
     for budget in (150, len(corpus)):
         for decay in (0.5, 1.0):
             assert_same_selection(corpus, task, FdaConfig(max_order=2, decay=decay, budget=budget))
+    for decay in (0.3, 0.9):
+        assert_same_selection(corpus, task, FdaConfig(max_order=3, decay=decay, budget=300))
+
+
+def test_fda_long_sentences_span_width_groups():
+    # 1 to 150 tokens over 40 words: up to ~190 features a sentence, so the
+    # rows fall in the <=16, <=64 and <=256 width groups
+    rng = np.random.default_rng(5)
+    vocab = [f"w{i}" for i in range(40)]
+    lengths = list(rng.integers(1, 12, size=150)) + [150, 60, 20, 5, 100]
+    corpus = Corpus([seq(rng.choice(vocab, size=n)) for n in lengths])
+    task = [seq(rng.choice(vocab, size=300))]
+    for decay in (0.3, 0.5):
+        assert_same_selection(corpus, task, FdaConfig(max_order=2, decay=decay, budget=100))
+
+
+def test_fda_padding_bounded_by_group():
+    n_feats = np.array([3] * 1000 + [17, 1000, 0])
+    first = np.cumsum(n_feats) - n_feats
+    pair_feat = np.arange(n_feats.sum(), dtype=np.int32) % 50
+    group, row, matrices = _padded_groups(n_feats, first, pair_feat, 50)
+    # groups: up to 16, 64, 256 and 1024 features; each as wide as its widest row
+    assert [m.shape for m in matrices] == [(1001, 3), (1, 17), (0, 1), (1, 1000)]
+    for i in (0, 999, 1000, 1001, 1002):
+        ids = matrices[group[i]][row[i]]
+        assert ids[: n_feats[i]].tolist() == pair_feat[first[i] :][: n_feats[i]].tolist()
+        assert (ids[n_feats[i] :] == 50).all()
+
+
+def test_fda_corpus_shorter_than_max_order():
+    assert_same_selection(Corpus([seq(["a"])]), [seq(["a", "a", "a"])], FdaConfig(max_order=3, budget=1))
 
 
 def test_fda_all_ties_take_lowest_index():

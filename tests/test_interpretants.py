@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rtm
 from rtm.corpus import Corpus, TokenSeq, tokenize
 from rtm.interpretants import (
     FdaConfig,
@@ -53,6 +58,29 @@ class TestSelectInterpretants:
         static = sel.selection_scores
         assert static == sorted(static, reverse=True)
         assert sel.selected_indices[-1] == 3
+
+    def test_picks_independent_of_hash_seed(self):
+        # Picking sentence 0 decays b and c to 2**-53.  Sentence 4 (a b c) then
+        # scores 1 + 2**-52 if b and c are added before a, and exactly 1 (a
+        # tie with sentence 3) if a comes first, as the task order puts it.
+        script = (
+            "from rtm.corpus import Corpus, tokenize\n"
+            "from rtm.interpretants import FdaConfig, select_interpretants\n"
+            "corpus = Corpus([tokenize(t) for t in ['b c g h i j', 'e f k l m n', "
+            "'e f o p q r', 'd e f', 'a b c']])\n"
+            "task = [tokenize('a b c d e f g h i j k l m n o p q r')]\n"
+            "cfg = FdaConfig(max_order=1, decay=2.0**-53, budget=5, length_exponent=0.0)\n"
+            "sel = select_interpretants(corpus, task, cfg)\n"
+            "print(sel.selected_indices, [s.hex() for s in sel.selection_scores])\n"
+        )
+        src = str(Path(rtm.__file__).resolve().parents[1])
+        outputs = set()
+        for hash_seed in range(8):
+            env = {**os.environ, "PYTHONHASHSEED": str(hash_seed), "PYTHONPATH": src}
+            done = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                  capture_output=True, text=True, timeout=120)
+            outputs.add(done.stdout)
+        assert len(outputs) == 1, outputs
 
     def test_errors(self):
         corpus = Corpus(seqs("a b"))

@@ -2,6 +2,7 @@ import errno
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -502,6 +503,51 @@ class TestLoadOnce:
         assert counts["predict"] == {("load_triple_dataset", "train.tsv"): 1}
         for per_stage in counts.values():
             assert max(per_stage.values()) == 1
+
+
+def _mixed_corpus_case(cfg_path, budget):
+    """Rewrite the case's corpus with whitespace-only lines, carriage-return
+    line ends and Unicode whitespace between tokens, and select ``budget``
+    interpretants."""
+    root = cfg_path.parent
+    noise = ["", "  ", "\r", "\u3000", "\x1c", "\t\u2028 "]
+    mixed = []
+    for i, line in enumerate((root / "corpus.txt").read_text(encoding="utf-8").split("\n")):
+        mixed.append(noise[i % len(noise)])
+        mixed.append(line.replace(" ", "\u3000", i % 2) + "\r" * (i % 3 == 0))
+    (root / "corpus.txt").write_text("\n".join(mixed), encoding="utf-8")
+    text = cfg_path.read_text(encoding="utf-8")
+    cfg_path.write_text(re.sub(r"budget = \d+", f"budget = {budget}", text), encoding="utf-8")
+    return parse_config(cfg_path)
+
+
+class TestCorpusLoadedOnce:
+    def test_build_resources_tokenizes_only_the_interpretants(self, tiny_intensity_cfg,
+                                                              monkeypatch):
+        import rtm.corpus
+
+        cfg = _mixed_corpus_case(tiny_intensity_cfg, 15)
+        out = tiny_intensity_cfg.parent / "out"
+        run_stage(cfg, out, "select-interpretants")
+        texts = []
+        real = rtm.corpus.tokenize
+        monkeypatch.setattr(rtm.corpus, "tokenize", lambda text: texts.append(text) or real(text))
+        run_stage(cfg, out, "build-resources")
+        assert len(texts) == 15
+
+    def test_resources_match_a_full_corpus_load(self, tiny_intensity_cfg, monkeypatch):
+        import rtm.pipeline
+        from rtm.corpus import load_corpus
+
+        cfg = _mixed_corpus_case(tiny_intensity_cfg, 15)
+        out = tiny_intensity_cfg.parent / "out"
+        for stage in ("select-interpretants", "build-resources"):
+            run_stage(cfg, out, stage)
+        selected = (out / "resources.pkl").read_bytes()
+        monkeypatch.setattr(rtm.pipeline, "load_corpus_sentences",
+                            lambda path, indices: [load_corpus(path).sentences[i] for i in indices])
+        run_stage(cfg, out, "build-resources")
+        assert (out / "resources.pkl").read_bytes() == selected
 
 
 def test_perfbench_spans_resolve():
