@@ -328,8 +328,12 @@ def load_corpus(path) -> Corpus:
 
 def load_corpus_sentences(path, indices) -> list[TokenSeq]:
     """``[load_corpus(path).sentences[i] for i in indices]``, tokenizing only
-    those lines."""
+    those lines.  The first index outside ``range(n)`` for an n-sentence
+    corpus raises ``IndexError(position in indices, n)``."""
     lines = _corpus_lines(path)
+    for pos, i in enumerate(indices):
+        if not 0 <= i < len(lines):
+            raise IndexError(pos, len(lines))
     return [tokenize(lines[i]) for i in indices]
 
 

@@ -115,15 +115,27 @@ class _Knn:
         self.y = np.asarray(y, dtype=float)
         self.k = min(spec.k, len(y))
 
-    def predict(self, Z):
-        out = np.empty(len(Z))
-        # each row's distances reduce on their own, so blocking changes no bit
-        for rows in _row_blocks(len(Z), 8 * self.Z.size):
-            d2 = ((Z[rows, None, :] - self.Z[None, :, :]) ** 2).sum(axis=2)
+    def neighbours(self, Z, k):
+        """Each query row's ``k`` nearest training rows, nearest first."""
+        nearest = np.empty((len(Z), k), dtype=np.intp)
+        # Each row's distances reduce on their own, so blocking changes no
+        # bit.  A block's one (rows, train rows, columns) temporary, squared
+        # in place and freed before the next, is held to a quarter of the
+        # budget (4 MiB).
+        for rows in _row_blocks(len(Z), 4 * 8 * self.Z.size):
+            diff = Z[rows, None, :] - self.Z[None, :, :]
+            d2 = np.square(diff, out=diff).sum(axis=2)
+            del diff
             # stable argsort: equal distances resolve to the lower training index
-            nearest = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
-            out[rows] = self.y[nearest].mean(axis=1)
-        return out
+            nearest[rows] = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        return nearest
+
+    def average(self, nearest):
+        """Mean target of the first ``k`` columns of a neighbour order."""
+        return self.y[nearest[:, : self.k]].mean(axis=1)
+
+    def predict(self, Z):
+        return self.average(self.neighbours(Z, self.k))
 
 
 class _Const:
@@ -339,28 +351,33 @@ class _StumpScan:
     column, feature by feature and left to right, and keeps a split only if
     both sides carry weight and its SSE beats the best so far by more than
     1e-15.  The cumulative sums run along each sorted column, so each split's
-    sums and SSE are the ones a per-column scalar scan computes.
+    sums and SSE are the ones a per-column scalar scan computes.  Columns
+    without a split are left out of the presort.
     """
 
     def __init__(self, Z, y):
         n = len(y)
         self.y = y
-        self.order = np.argsort(Z.T, axis=1, kind="stable")  # (feature, rank)
+        order = np.argsort(Z.T, axis=1, kind="stable")  # (feature, rank)
+        zs = np.take_along_axis(Z.T, order, axis=1)
+        gaps = zs[:, :-1] < zs[:, 1:]
+        columns = np.flatnonzero(gaps.any(axis=1))
+        self.order = order[columns]
         self.ys = y[self.order]
-        zs = np.take_along_axis(Z.T, self.order, axis=1)
         # split after rank i of feature j, in (feature, split) scan order
-        self.feat, split = np.nonzero(zs[:, :-1] < zs[:, 1:])
-        self.pos = self.feat * n + split
-        self.last = self.feat * n + (n - 1)
+        row, split = np.nonzero(gaps[columns])
+        self.feat = columns[row]
+        self.pos = row * n + split
+        self.last = row * n + (n - 1)
         self.cuts = (zs[self.feat, split] + zs[self.feat, split + 1]) / 2.0
 
     def fit(self, w):
         y = self.y
         best = _Stump()
         best.feature, best.cut = None, None
-        best.left = best.right = float(np.average(y, weights=w))
         total_w = w.sum()
         total_wy = (w * y).sum()
+        best.left = best.right = float(total_wy / total_w)  # np.average's quotient
         best_sse = (w * y * y).sum() - total_wy**2 / total_w
         wv = w[self.order]
         wy = wv * self.ys
@@ -372,16 +389,35 @@ class _StumpScan:
         # Each side's sums are differences of one column's running sums: a
         # side of zero weights sums to exactly 0, and so does one whose weight
         # is lost to rounding, so no kept split divides by 0.
-        lw = cw[self.pos]
-        rw = cw[self.last] - lw
+        pos, last = self.pos, self.last
+        lw = cw[pos]
+        rw = cw[last] - lw
         live = np.flatnonzero((lw > 0.0) & (rw > 0.0))
-        pos, last, lw, rw = self.pos[live], self.last[live], lw[live], rw[live]
+        if live.size == lw.size:
+            live = None  # every split is live: nothing to compact
+        else:
+            pos, last, lw, rw = pos[live], last[live], lw[live], rw[live]
         lwy, lwyy = cwy[pos], cwyy[pos]
         rwy = cwy[last] - lwy
         rwyy = cwyy[last] - lwyy
-        # float_power is C pow per element, as in scalar ``x**2``; an array
-        # ``x**2`` multiplies, which differs in the last bit for ~0.1% of x
-        sse = (lwyy - np.float_power(lwy, 2) / lw) + (rwyy - np.float_power(rwy, 2) / rw)
+        # The SSE squares with C pow (``float_power``, as scalar ``x**2``
+        # does), which differs from ``x*x`` in the last bit for ~0.1% of x.
+        # So every split is first screened with ``x*x``.  A screened SSE is a
+        # few ulps of its four terms' magnitudes from the exact one, far
+        # inside the slack (2**-40 of the largest such magnitude).  An exact
+        # strict running-minimum record therefore lies less than twice the
+        # slack above the screened running minimum, and a split further above
+        # is no record: it is never kept and never lowers the running
+        # minimum.  Only the candidates left get the exact SSE.
+        left, right = lwy * lwy / lw, rwy * rwy / rw
+        screened = (lwyy - left) + (rwyy - right)
+        magnitude = float(((lwyy + left) + (rwyy + right)).max(initial=0.0))
+        # Python floats, floored at a normal number: the slack never underflows
+        slack = 2.0**-40 * max(magnitude, 2.0**-960)
+        running = np.fmin.accumulate(np.concatenate(([best_sse], screened[:-1])))
+        cand = np.flatnonzero(screened <= running + 2.0 * slack)
+        sse = ((lwyy[cand] - np.float_power(lwy[cand], 2) / lw[cand])
+               + (rwyy[cand] - np.float_power(rwy[cand], 2) / rw[cand]))
         # A split is kept only if it beats the best so far by 1e-15, and the
         # best stays within 1e-15 of the running minimum, so every kept split
         # is a strict running-minimum record.  Walk only those.
@@ -389,12 +425,13 @@ class _StumpScan:
         records = np.flatnonzero(sse < running)
         k = -1
         best_sse = float(best_sse)
-        for j, value in zip(records.tolist(), sse[records].tolist()):
+        for j, value in zip(cand[records].tolist(), sse[records].tolist()):
             if value < best_sse - 1e-15:
                 k, best_sse = j, value
         if k >= 0:
-            best.feature = int(self.feat[live[k]])
-            best.cut = float(self.cuts[live[k]])
+            split = k if live is None else live[k]
+            best.feature = int(self.feat[split])
+            best.cut = float(self.cuts[split])
             best.left = float(lwy[k] / lw[k])
             best.right = float(rwy[k] / rw[k])
         return best
@@ -448,26 +485,33 @@ _INNER = {"rr": _Ridge, "knn": _Knn, "tree": _ExtraTrees, "ada": _AdaBoostR2, "c
 # Preprocessing.
 
 
-def select_features(X: np.ndarray, y: np.ndarray, m: int) -> tuple[int, ...]:
-    """Recursive feature elimination down to ``m`` columns.
+def _elimination_order(X: np.ndarray, y: np.ndarray, m: int) -> list[int]:
+    """The columns recursive feature elimination drops, in order, until ``m``
+    are left.
 
-    Repeatedly fits ridge (alpha 1) on the standardized remaining columns and
+    Each step fits ridge (alpha 1) on the standardized remaining columns and
     drops the one with the smallest absolute coefficient (ties drop the higher
-    index).
+    index).  No step depends on ``m``, so the first ``d - m'`` drops of this
+    path are the whole path down to any ``m' >= m``.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
     if not 1 <= m <= X.shape[1]:
         raise ValueError(f"m must be in [1, {X.shape[1]}]")
     remaining = list(range(X.shape[1]))
+    dropped = []
     while len(remaining) > m:
         sub = X[:, remaining]
         Z = Scaler(sub).transform(sub)
         coefs = np.abs(_ridge_coefs(Z, y - y.mean(), 1.0))
         # last occurrence of the minimum -> ties drop the higher index
-        drop = len(coefs) - 1 - int(np.argmin(coefs[::-1]))
-        del remaining[drop]
-    return tuple(remaining)
+        dropped.append(remaining.pop(len(coefs) - 1 - int(np.argmin(coefs[::-1]))))
+    return dropped
+
+
+def select_features(X: np.ndarray, y: np.ndarray, m: int) -> tuple[int, ...]:
+    """Recursive feature elimination down to ``m`` columns, in column order."""
+    X = np.asarray(X, dtype=float)
+    dropped = set(_elimination_order(X, np.asarray(y, dtype=float), m))
+    return tuple(j for j in range(X.shape[1]) if j not in dropped)
 
 
 class PlsProjection:
@@ -507,6 +551,20 @@ class PlsProjection:
     def n_components(self) -> int:
         return self.W.shape[1]
 
+    def prefix(self, k: int) -> PlsProjection:
+        """The first ``k`` components, which are the ``k``-component fit bit
+        for bit: NIPALS extracts one component at a time, early stop
+        included.  Each array is a contiguous copy, so a column has the
+        stride a direct fit gives it (a BLAS kernel may sum differently for
+        another stride)."""
+        if k < 1:
+            raise ValueError("n_components must be >= 1")
+        head = object.__new__(PlsProjection)
+        head.y_mean = self.y_mean
+        head.W, head.P = (np.ascontiguousarray(M[:, :k]) for M in (self.W, self.P))
+        head.Q = self.Q[:k].copy()
+        return head
+
     def transform(self, Z: np.ndarray) -> np.ndarray:
         Zk = np.array(Z, dtype=float)
         scores = np.empty((len(Zk), self.n_components))
@@ -525,28 +583,99 @@ class PlsProjection:
 # The trained-model wrapper.
 
 
-class TrainedModel:
-    """A fitted spec: scaler + optional FS/PLS + the inner learner."""
+class _Share:
+    """What the fits of several specs on the same rows have in common.
 
-    def __init__(self, spec: ModelSpec, X: np.ndarray, y: np.ndarray):
+    Each piece is built on first use and kept while the share lives (one
+    fold of one ``grid_search``, or one fit):
+
+    * the RFE elimination path, run once down to the fewest columns any spec
+      keeps: ``select_features`` always ranks with alpha-1 ridge, so the path
+      to 8 columns passes through the 16-column selection;
+    * the scaler and scaled design of each column selection;
+    * one NIPALS PLS per design, fitted to the most components any spec asks
+      for; ``PlsProjection.prefix`` gives each spec its first components;
+    * with held-out rows, the first ``max k`` columns of their stable
+      neighbour order under each KNN design, whose ``[:, :k]`` prefix is the
+      order for every ``k``.
+
+    So every piece is bit for bit the one a fit of one spec computes.  The
+    share holds index prefixes, never distance matrices.
+    """
+
+    def __init__(self, specs, X, y, X_test=None, y_test=None):
+        self.X, self.y, self.X_test, self.y_test = X, y, X_test, y_test
+        d = X.shape[1]
+        self._fewest = min((min(s.n_features, d) for s in specs if s.n_features is not None),
+                           default=d)
+        self._most_components = max(
+            (s.n_components for s in specs if s.n_components is not None), default=1)
+        self._most_k = min(max((s.k for s in specs if s.kind == "knn"), default=1), len(y))
+        self._dropped = None  # the RFE path: columns in the order dropped
+        self._designs, self._pls, self._nearest = {}, {}, {}
+
+    def selection(self, n_features: int | None) -> tuple[int, ...] | None:
+        if n_features is None:
+            return None
+        if self._dropped is None:
+            self._dropped = _elimination_order(self.X, self.y, self._fewest)
+        d = self.X.shape[1]
+        # clamp so grid presets written for the full manifest stay valid
+        dropped = set(self._dropped[: d - min(n_features, d)])
+        return tuple(j for j in range(d) if j not in dropped)
+
+    def design(self, selected):
+        """(scaler, scaled training design) of a column selection."""
+        if selected not in self._designs:
+            X = self.X if selected is None else self.X[:, selected]
+            scaler = Scaler(X)
+            Z = scaler.transform(X)
+            Z.flags.writeable = False  # shared by every spec on this selection
+            self._designs[selected] = scaler, Z
+        return self._designs[selected]
+
+    def pls(self, selected, n_components: int | None) -> PlsProjection | None:
+        if n_components is None:
+            return None
+        if selected not in self._pls:
+            Z = self.design(selected)[1]
+            self._pls[selected] = PlsProjection(Z, self.y, self._most_components)
+        return self._pls[selected].prefix(n_components)
+
+    def held_out_predictions(self, model: TrainedModel) -> np.ndarray:
+        """``model.predict(X_test)``; KNN reads the shared neighbour order."""
+        if model.spec.kind != "knn":
+            return model.predict(self.X_test)
+        key = (model.selected, model.spec.n_components)
+        if key not in self._nearest:
+            self._nearest[key] = model.inner.neighbours(model._design(self.X_test),
+                                                        self._most_k)
+        return model.inner.average(self._nearest[key])
+
+
+class TrainedModel:
+    """A fitted spec: scaler + optional FS/PLS + the inner learner.
+
+    ``share``, built on the same ``X`` and ``y`` for a set of specs holding
+    this one, supplies the preprocessing; without one the model builds its own.
+    """
+
+    def __init__(self, spec: ModelSpec, X: np.ndarray, y: np.ndarray,
+                 share: _Share | None = None):
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
         if X.ndim != 2 or len(X) != len(y):
             raise ValueError("X must be 2-d with one row per target")
         if len(y) < 2:
             raise ValueError("need at least 2 training rows")
+        if share is None:
+            share = _Share([spec], X, y)
         self.spec = spec
         self.n_features_in = X.shape[1]
-        self.selected: tuple[int, ...] | None = None
-        if spec.n_features is not None:
-            # clamp so grid presets written for the full manifest stay valid
-            self.selected = select_features(X, y, min(spec.n_features, X.shape[1]))
-            X = X[:, self.selected]
-        self.scaler = Scaler(X)
-        Z = self.scaler.transform(X)
-        self.pls: PlsProjection | None = None
-        if spec.n_components is not None:
-            self.pls = PlsProjection(Z, y, spec.n_components)
+        self.selected = share.selection(spec.n_features)
+        self.scaler, Z = share.design(self.selected)
+        self.pls = share.pls(self.selected, spec.n_components)
+        if self.pls is not None:
             Z = self.pls.transform(Z)
         self.inner = _INNER[spec.kind](Z, y, spec)
 
@@ -565,8 +694,8 @@ class TrainedModel:
         return self.inner.predict(self._design(X))
 
 
-def fit_model(spec: ModelSpec, X, y) -> TrainedModel:
-    return TrainedModel(spec, X, y)
+def fit_model(spec: ModelSpec, X, y, share: _Share | None = None) -> TrainedModel:
+    return TrainedModel(spec, X, y, share)
 
 
 # ---------------------------------------------------------------------------
@@ -581,28 +710,54 @@ def fold_indices(n: int, folds: int, seed: int) -> list[np.ndarray]:
     return np.array_split(perm, folds)
 
 
-def cross_validate(
-    spec: ModelSpec, X, y, folds: int = 7, seed: int = 0
-) -> tuple[float, list[float]]:
-    """Mean held-out MAE over a seeded contiguous fold split."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
+def _fold_shares(specs, X, y, folds: int, seed: int) -> list[_Share]:
+    """One share per fold: its training rows, held-out rows and shared work."""
     parts = fold_indices(len(y), folds, seed)
-    scores = []
+    shares = []
     for i, test_idx in enumerate(parts):
         train_idx = np.concatenate([p for j, p in enumerate(parts) if j != i])
-        model = fit_model(spec, X[train_idx], y[train_idx])
-        scores.append(float(np.mean(np.abs(model.predict(X[test_idx]) - y[test_idx]))))
+        shares.append(_Share(specs, X[train_idx], y[train_idx], X[test_idx], y[test_idx]))
+    return shares
+
+
+def cross_validate(
+    spec: ModelSpec, X, y, folds: int = 7, seed: int = 0, shares: list[_Share] | None = None
+) -> tuple[float, list[float]]:
+    """Mean held-out MAE over a seeded contiguous fold split.
+
+    ``shares`` are ``grid_search``'s per-fold shares for a grid holding
+    ``spec``; without them the folds are drawn here.
+    """
+    if shares is None:
+        X = np.asarray(X, dtype=float)
+        y = np.asarray(y, dtype=float)
+        shares = _fold_shares([spec], X, y, folds, seed)
+    scores = []
+    for fold in shares:
+        model = fit_model(spec, fold.X, fold.y, fold)
+        errors = np.abs(fold.held_out_predictions(model) - fold.y_test)
+        scores.append(float(np.mean(errors)))
     return float(np.mean(scores)), scores
 
 
 def grid_search(
     specs: list[ModelSpec], X, y, folds: int = 7, seed: int = 0
 ) -> list[tuple[ModelSpec, float]]:
-    """Cross-validate every spec and rank ascending; ties keep grid order."""
+    """Cross-validate every spec and rank ascending; ties keep grid order.
+
+    The specs' fits on each fold share that fold's work (``_Share``); each
+    spec is still cross-validated by one ``cross_validate`` call.
+    """
     if not specs:
         raise ValueError("empty grid")
-    scored = [(spec, cross_validate(spec, X, y, folds, seed)[0]) for spec in specs]
+    shares = _fold_shares(specs, np.asarray(X, dtype=float), np.asarray(y, dtype=float),
+                          folds, seed)
+    scored = []
+    for spec in specs:
+        score = cross_validate(spec, X, y, folds, seed, shares)[0]
+        if not math.isfinite(score):
+            raise ValueError(f"{spec.label()} has a non-finite CV MAE ({score})")
+        scored.append((spec, score))
     return sorted(scored, key=lambda pair: pair[1])  # stable -> grid order on ties
 
 

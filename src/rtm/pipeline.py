@@ -331,7 +331,7 @@ def _write_artifact(path: Path, cfg: RunConfig, header: dict, body):
     header = {"version": __version__, "format": ARTIFACT_FORMAT, "config_hash": cfg.hash(),
               **header}
     with _replacing(path) as tmp, open(tmp, "wb") as fh:
-        fh.write(json.dumps(header).encode("utf-8") + b"\n")
+        fh.write(json.dumps(header, allow_nan=False).encode("utf-8") + b"\n")
         pickle.dump(body, fh, protocol=4)
 
 
@@ -495,13 +495,28 @@ def stage_select_interpretants(cfg: RunConfig, out_dir: Path):
     _write_text(out_dir / "interpretants.tsv", "".join(lines))
 
 
-def _read_interpretant_indices(out_dir: Path) -> list[int]:
-    _, rows = _read_tsv(out_dir / "interpretants.tsv")
-    return [int(fields[0]) for _, fields in rows[1:]]  # after the header
+def _read_interpretant_indices(path: Path) -> tuple[list[int], list[int]]:
+    """(line numbers, corpus sentence indices) of the rows of ``path``."""
+    _, rows = _read_tsv(path)
+    linenos, indices = [], []
+    for lineno, fields in rows[1:]:  # after the header
+        try:
+            indices.append(int(fields[0]))
+        except ValueError:
+            raise StageError(f"{path}:{lineno}: {fields[0]!r} is not a sentence index") from None
+        linenos.append(lineno)
+    return linenos, indices
 
 
 def stage_build_resources(cfg: RunConfig, out_dir: Path):
-    sentences = load_corpus_sentences(cfg.corpus, _read_interpretant_indices(out_dir))
+    path = out_dir / "interpretants.tsv"
+    linenos, indices = _read_interpretant_indices(path)
+    try:
+        sentences = load_corpus_sentences(cfg.corpus, indices)
+    except IndexError as exc:
+        pos, n = exc.args
+        raise StageError(f"{path}:{linenos[pos]}: sentence index {indices[pos]} is not in "
+                         f"the corpus's range 0..{n - 1}") from None
     resources = FeatureResources(
         weight_table=build_ngram_weights(sentences),
         lm=WittenBellLM(sentences, order=cfg.lm_order),
@@ -530,6 +545,11 @@ def _read_features(path: Path) -> tuple[list[str], list[str], np.ndarray, str]:
     tags = [fields[1] for _, fields in rows]
     values = [[float(v) for v in fields[2:]] for _, fields in rows]
     matrix = np.asarray(values, dtype=float).reshape(len(ids), len(FEATURE_NAMES))
+    bad = np.argwhere(~np.isfinite(matrix))
+    if bad.size:
+        i, j = bad[0]
+        raise StageError(f"{path}:{rows[i][0]}: {FEATURE_NAMES[j]} is {rows[i][1][j + 2]!r}, "
+                         "not a finite number")
     return ids, tags, matrix, fingerprint
 
 
@@ -587,11 +607,17 @@ def stage_train(cfg: RunConfig, out_dir: Path):
     _write_text(out_dir / "cv_table.tsv", "".join(lines))
 
 
-def _apply_model(architecture: str, model, tags: list[str], matrix: np.ndarray) -> np.ndarray:
+def _apply_model(architecture: str, model, ids: list[str], tags: list[str],
+                 matrix: np.ndarray) -> np.ndarray:
     if architecture == "plain":
-        return model.predict(matrix)
-    feats_a, feats_b = _split_sides(tags, matrix)
-    return predict_stack_matrices(model, feats_a, feats_b)
+        preds = model.predict(matrix)
+    else:
+        preds = predict_stack_matrices(model, *_split_sides(tags, matrix))
+    bad = np.flatnonzero(~np.isfinite(preds))
+    if bad.size:
+        raise StageError(f"the model's prediction for {_instance_ids(ids, tags)[bad[0]]} is "
+                         f"{preds[bad[0]]} ({bad.size} of {len(preds)} are not finite)")
+    return preds
 
 
 def stage_predict(cfg: RunConfig, out_dir: Path):
@@ -601,7 +627,7 @@ def stage_predict(cfg: RunConfig, out_dir: Path):
         raise StageError(
             f"feature fingerprint {feat_fp} does not match model {header['fingerprint']}"
         )
-    preds = _apply_model(header["architecture"], model, tags, matrix)
+    preds = _apply_model(header["architecture"], model, ids, tags, matrix)
 
     tune = cfg.task == "triples" and cfg.threshold in ("optimized", "grounded")
     if cfg.grounding == "predictions" or tune:
@@ -614,8 +640,8 @@ def stage_predict(cfg: RunConfig, out_dir: Path):
     classes = None
     if cfg.task == "triples" and cfg.threshold != "none":
         if tune:
-            _, tr_tags, tr_matrix, _ = _read_features(out_dir / "features_train.tsv")
-            train_preds = _apply_model(header["architecture"], model, tr_tags, tr_matrix)
+            tr_ids, tr_tags, tr_matrix, _ = _read_features(out_dir / "features_train.tsv")
+            train_preds = _apply_model(header["architecture"], model, tr_ids, tr_tags, tr_matrix)
             t = optimize_threshold(train_preds, train_gold.astype(int))
             if cfg.threshold == "grounded":
                 t = ground_threshold(t, ScoreStats.of(train_preds), ScoreStats.of(preds))

@@ -9,6 +9,7 @@ split into blocks, and that ``predict`` averages per-tree walks.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -27,9 +28,10 @@ def ref_knn_predict(Ztrain, y, k, Z):
     return y[nearest].mean(axis=1)
 
 
-def ref_fit_stump(Z, y, w):
+def ref_fit_stump(Z, y, w, square=lambda v: v**2):
     """(feature, cut, left, right) of the scalar weighted least-squares scan;
-    splits with a zero-weight side are skipped."""
+    splits with a zero-weight side are skipped.  ``v**2`` on a numpy scalar
+    is C pow."""
     feature, cut = None, None
     left = right = float(np.average(y, weights=w))
     total_w = w.sum()
@@ -52,7 +54,7 @@ def ref_fit_stump(Z, y, w):
             rwyy = cwyy[-1] - lwyy
             if not (lw > 0 and rw > 0):
                 continue  # a side without weight has no mean
-            sse = (lwyy - lwy**2 / lw) + (rwyy - rwy**2 / rw)
+            sse = (lwyy - square(lwy) / lw) + (rwyy - square(rwy) / rw)
             if sse < best_sse - 1e-15:
                 best_sse = sse
                 feature = j
@@ -296,6 +298,38 @@ def test_stump_scan_matches_scalar_reference(seed):
     assert bits((s.feature, s.cut, s.left, s.right)) == bits(ref_fit_stump(Zc, y, uniform))
 
 
+def _mirrored_ties(seed, scale=1.0):
+    """Ten rows; a column, its negation and its reverse; y near 1000.  The
+    negated column's splits tie the column's in exact arithmetic, and each
+    SSE is a difference of terms near 1e6, so rounding alone ranks them."""
+    g = np.random.default_rng(seed)
+    x = g.permutation(10).astype(float)
+    Z = np.column_stack([x, -x, x[::-1]])
+    y = (g.normal(size=10) + 1000.0) * scale
+    w = g.random(10)
+    return Z, y, w / w.sum()
+
+
+# Seeds of _mirrored_ties where squaring by multiplication picks another stump.
+POW_DECIDES = (4181, 16174, 18951, 21141)
+
+
+def test_screened_stump_scan_matches_reference_where_pow_decides():
+    # The scan screens splits with x*x and takes C pow only for candidates;
+    # here x*x alone would pick another winner, or nearly, and the screen
+    # must still give the reference's stump, raising nothing on the way
+    # (2**-510 scales the squares to ~1e-301, where 2**-40 of them is subnormal).
+    for seed in POW_DECIDES:
+        Z, y, w = _mirrored_ties(seed)
+        multiplied = ref_fit_stump(Z, y, w, square=lambda v: v * v)
+        assert bits(multiplied) != bits(ref_fit_stump(Z, y, w)), seed
+    with np.errstate(all="raise"):
+        for seed, scale in [(s, 1.0) for s in POW_DECIDES + tuple(range(200))] + [(3, 2.0**-510)]:
+            Z, y, w = _mirrored_ties(seed, scale)
+            s = _StumpScan(Z, y).fit(w)
+            assert bits((s.feature, s.cut, s.left, s.right)) == bits(ref_fit_stump(Z, y, w)), seed
+
+
 def test_stump_scan_skips_zero_weight_sides():
     Z, y, _ = design(1)
     w = np.random.default_rng(2).random(len(y))
@@ -340,3 +374,19 @@ def test_predictions_cross_row_blocks_unchanged(monkeypatch):
     knn = _Knn(Z, y, ModelSpec("knn", k=5))
     monkeypatch.setattr(rtm.learners, "_BLOCK_BYTES", 8 * Z.size * 7)  # 7 query rows a block
     assert bits(knn.predict(Zq).tolist()) == bits(ref_knn_predict(Z, y, 5, Zq).tolist())
+
+
+def test_knn_distance_blocks_stay_within_budget():
+    # 900 queries against 600 training rows of 87 columns: each block's
+    # difference array, squared in place, is held to 4 MiB (the 16 MiB
+    # blocks before held ~16.5 MiB at their peak).
+    gen = np.random.default_rng(8)
+    knn = _Knn(gen.normal(size=(600, 87)), gen.random(600), ModelSpec("knn", k=5))
+    Zq = gen.normal(size=(900, 87))
+    tracemalloc.start()
+    try:
+        knn.predict(Zq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 << 20

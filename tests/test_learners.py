@@ -1,11 +1,14 @@
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
 
 from rtm.learners import (
+    _INNER,
     ModelSpec,
     Scaler,
+    _Share,
     average_top_k,
     cross_validate,
     default_grid,
@@ -350,3 +353,151 @@ def test_default_grid_cv_raises_no_floating_point_error(intensity_features):
         for spec in default_grid(seed=7):
             score, folds = cross_validate(spec, X, y, 7, 7)
             assert np.isfinite(folds).all(), spec.label()
+
+
+# ---------------------------------------------------------------------------
+# The work a grid's specs share on each fold.
+
+
+def ref_cross_validate(spec, X, y, folds, seed, selections):
+    """Per-spec CV with nothing shared: each fold fit runs its own scaler and
+    PLS, and KNN sorts the fold's distances unblocked.  RFE runs to each
+    ``m`` on its own; ``selections`` keeps its results for one (X, y)."""
+    from test_learner_reference import ref_knn_predict
+
+    parts = fold_indices(len(y), folds, seed)
+    scores = []
+    for i, test_idx in enumerate(parts):
+        train_idx = np.concatenate([p for j, p in enumerate(parts) if j != i])
+        Xtr, ytr, Xte = X[train_idx], y[train_idx], X[test_idx]
+        if spec.n_features is not None:
+            m = min(spec.n_features, X.shape[1])
+            if (i, m) not in selections:
+                selections[i, m] = select_features(Xtr, ytr, m)
+            cols = selections[i, m]
+            Xtr, Xte = Xtr[:, cols], Xte[:, cols]
+        scaler = Scaler(Xtr)
+        Ztr, Zte = scaler.transform(Xtr), scaler.transform(Xte)
+        if spec.n_components is not None:
+            pls = PlsProjection(Ztr, ytr, spec.n_components)
+            Ztr, Zte = pls.transform(Ztr), pls.transform(Zte)
+        if spec.kind == "knn":
+            pred = ref_knn_predict(Ztr, ytr, min(spec.k, len(ytr)), Zte)
+        else:
+            pred = _INNER[spec.kind](Ztr, ytr, spec).predict(Zte)
+        scores.append(float(np.mean(np.abs(pred - y[test_idx]))))
+    return float(np.mean(scores)), scores
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+def _share_grid(base, n_columns):
+    """``base`` with fewer trees and rounds, plus PLS specs, FS specs keeping
+    every column (one clamped to the column count) and FS followed by PLS."""
+    grid = [dataclasses.replace(s, n_estimators=10 if s.kind == "tree" else 20)
+            if s.kind in ("tree", "ada") else s for s in base]
+    return grid + [
+        ModelSpec("rr", alpha=0.1, n_components=2, seed=3),
+        ModelSpec("rr", alpha=0.1, n_components=8, seed=3),
+        ModelSpec("rr", alpha=1.0, n_features=n_columns, seed=3),
+        ModelSpec("rr", alpha=1.0, n_features=n_columns + 20, seed=3),
+        ModelSpec("knn", k=9, n_features=8, n_components=4, seed=3),
+        ModelSpec("rr", alpha=0.1, n_features=3, n_components=8, seed=3),
+    ]
+
+
+def _rank_two_matrix():
+    """Two varying columns and six constant ones: PLS stops after two
+    components, whatever it is asked for."""
+    g = np.random.default_rng(3)
+    X = np.column_stack([g.normal(size=90), g.normal(size=90), np.ones((90, 6)) * np.arange(6)])
+    y = X[:, 0] - 0.5 * X[:, 1] + g.normal(0.0, 0.1, 90)
+    return X, y
+
+
+@pytest.fixture(scope="module")
+def triples_final_matrix(tmp_path_factory):
+    """(X, y) the combined stack's final grid searches: 400 instances x 87 columns."""
+    import rtm.stacking
+    from conftest import write_triples_case
+    from rtm.pipeline import STAGES, parse_config, run_stage
+
+    root = tmp_path_factory.mktemp("triples")
+    cfg = parse_config(write_triples_case(root, "combined"))
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        real = rtm.stacking.grid_search
+        mp.setattr(rtm.stacking, "grid_search",
+                   lambda specs, X, y, *args: seen.append((X, y)) or real(specs, X, y, *args))
+        for stage in STAGES[:4]:
+            run_stage(cfg, root / "out", stage)
+    (X, y), = seen
+    return X, y
+
+
+@pytest.mark.parametrize("case", ["intensity", "intensity_duplicates", "triples", "rank_two"])
+def test_grid_scores_equal_per_spec_cv(case, request):
+    # Every spec's score in a grid search equals the spec cross-validated
+    # alone and the unshared reference, bit for bit, fold by fold.
+    if case == "rank_two":
+        X, y = _rank_two_matrix()
+        Z = Scaler(X).transform(X)
+        assert PlsProjection(Z, y, 8).n_components == 2
+    else:
+        fixture = "triples_final_matrix" if case == "triples" else "intensity_features"
+        X, y = request.getfixturevalue(fixture)
+    # the triples stack's final grid is the small one
+    grid = _share_grid(small_grid(seed=3) if case == "triples" else default_grid(seed=3),
+                       X.shape[1])
+    if case == "intensity_duplicates":
+        # 40 repeated rows give KNN distance ties, some at distance 0
+        X, y = np.vstack([X, X[:40]]), np.concatenate([y, y[:40] + 0.01])
+        grid = [s for s in grid if s.kind == "knn" or (s.n_features or 0) >= X.shape[1]]
+    selections = {}
+    ranked = grid_search(grid, X, y, 7, 3)
+    score = {spec: s for spec, s in ranked}
+    for spec in grid:
+        alone = cross_validate(spec, X, y, 7, 3)
+        assert _hex(alone[1]) == _hex(ref_cross_validate(spec, X, y, 7, 3, selections)[1]), spec.label()
+        assert score[spec].hex() == alone[0].hex(), spec.label()
+    # an n_features past the column count is clamped, so the two specs
+    # keeping every column tie, and the tie keeps grid order
+    kept = ModelSpec("rr", alpha=1.0, n_features=X.shape[1], seed=3)
+    clamped = ModelSpec("rr", alpha=1.0, n_features=X.shape[1] + 20, seed=3)
+    assert score[kept] == score[clamped]
+    order = [spec for spec, _ in ranked]
+    assert order.index(kept) < order.index(clamped)
+
+
+def test_shared_selections_equal_select_features(intensity_features):
+    X, y = intensity_features
+    share = _Share([ModelSpec("rr", alpha=1.0, n_features=1)], X, y)
+    for m in (1, 2, 8, 16, 40, 41, 60):
+        assert share.selection(m) == select_features(X, y, min(m, X.shape[1])), m
+
+
+@pytest.mark.parametrize("case", ["intensity", "rank_two"])
+def test_pls_prefixes_equal_direct_fits(case, request):
+    X, y = request.getfixturevalue("intensity_features") if case == "intensity" else _rank_two_matrix()
+    Z = Scaler(X).transform(X)
+    full = PlsProjection(Z, y, 8)
+    for k in (1, 2, 4, 8):
+        head, direct = full.prefix(k), PlsProjection(Z, y, k)
+        for name in ("W", "P", "Q"):
+            a, b = getattr(head, name), getattr(direct, name)
+            assert a.strides == b.strides and a.tobytes() == b.tobytes(), (k, name)
+        assert head.y_mean == direct.y_mean
+        assert head.transform(Z).tobytes() == direct.transform(Z).tobytes(), k
+    with pytest.raises(ValueError):
+        full.prefix(0)
+
+
+def test_grid_search_refuses_non_finite_score():
+    X = rng.normal(size=(40, 3))
+    y = X[:, 0] + rng.normal(0.0, 0.1, 40)
+    X[5, 1] = np.nan
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError, match=r"rr\(alpha=1\) has a non-finite CV MAE"):
+            grid_search([ModelSpec("knn", k=3), ModelSpec("rr", alpha=1.0)], X, y, 5, 0)

@@ -401,6 +401,70 @@ class TestPipelineRun:
             assert set(np.unique(classes)) <= {0, 1}
 
 
+class TestNonFiniteRefused:
+    def _front(self, cfg_path, stages=STAGES[:3]):
+        cfg = parse_config(cfg_path)
+        out = cfg_path.parent / "out"
+        for stage in stages:
+            run_stage(cfg, out, stage)
+        return cfg, out
+
+    @staticmethod
+    def _edit_first_row(path, edit):
+        """Apply ``edit`` to the fields of the first data row; its line number."""
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        at = next(i for i, line in enumerate(lines) if line.startswith("t"))
+        fields = lines[at].rstrip("\n").split("\t")
+        lines[at] = "\t".join(edit(fields)) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        return at + 1
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_feature_refused(self, tiny_intensity_cfg, cell):
+        cfg, out = self._front(tiny_intensity_cfg)
+        path = out / "features_train.tsv"
+        lineno = self._edit_first_row(path, lambda f: f[:5] + [cell] + f[6:])
+        with pytest.raises(StageError, match=rf"features_train.tsv:{lineno}: "
+                                             rf"{FEATURE_NAMES[3]} is '{cell}', not a finite"):
+            run_stage(cfg, out, "train")
+        assert not (out / "model.pkl").exists()
+
+    def test_non_finite_prediction_refused(self, tiny_intensity_cfg):
+        # 1e308 in every column of one test row overflows the scaled design
+        cfg, out = self._front(tiny_intensity_cfg, STAGES[:4])
+        self._edit_first_row(out / "features_test.tsv", lambda f: f[:2] + ["1e308"] * (len(f) - 2))
+        with np.errstate(all="ignore"), pytest.raises(
+                StageError, match=r"prediction for t\d+ is (nan|-?inf) \(1 of 15 are not finite"):
+            run_stage(cfg, out, "predict")
+        assert not (out / "predictions.tsv").exists()
+
+    def test_artifact_header_refuses_nan(self, tiny_intensity_cfg):
+        from rtm.pipeline import _write_artifact
+
+        path = tiny_intensity_cfg.parent / "model.pkl"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            _write_artifact(path, parse_config(tiny_intensity_cfg),
+                            {"cv_table": [["rr(alpha=1)", float("nan")]]}, None)
+        assert list(tiny_intensity_cfg.parent.glob("model.pkl*")) == []
+
+    @pytest.mark.parametrize("index,message", [
+        ("-1", r"sentence index -1 is not in the corpus's range 0\.\.59"),  # 60 sentences
+        ("60", r"sentence index 60 is not in the corpus's range 0\.\.59"),
+        ("999", r"sentence index 999 is not in the corpus's range 0\.\.59"),
+        ("x7", r"'x7' is not a sentence index"),
+    ])
+    def test_interpretant_index_outside_corpus_refused(self, tiny_intensity_cfg, index, message):
+        cfg, out = self._front(tiny_intensity_cfg, STAGES[:1])
+        path = out / "interpretants.tsv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert lines[1] == "index\tscore\n"
+        lines[4] = index + "\t" + lines[4].split("\t", 1)[1]
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(StageError, match=r"interpretants.tsv:5: " + message):
+            run_stage(cfg, out, "build-resources")
+        assert not (out / "resources.pkl").exists()
+
+
 class TestPairedIntensity:
     def _write_case(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -550,17 +614,47 @@ class TestCorpusLoadedOnce:
         assert (out / "resources.pkl").read_bytes() == selected
 
 
-def test_perfbench_spans_resolve():
-    """perfbench/layers.py wraps rtm functions by (owner, attribute) name; a
-    refactor that renames or inlines one breaks ``--trace 1`` runs."""
+def _perfbench_layers():
     import importlib.util
 
     path = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
     spec = importlib.util.spec_from_file_location("perfbench_layers", path)
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
+    return layers
+
+
+def test_perfbench_spans_resolve():
+    """perfbench/layers.py wraps rtm functions by (owner, attribute) name; a
+    refactor that renames or inlines one breaks ``--trace 1`` runs."""
+    layers = _perfbench_layers()
     for owner_path, attr, _ in layers.SPANS:
         assert callable(getattr(layers._owner(owner_path), attr)), (owner_path, attr)
+
+
+def test_perfbench_tracer_sees_every_cv_fit(monkeypatch):
+    """perfbench times CV per family by wrapping ``cross_validate`` and counts
+    fold fits and AdaBoost rounds through ``fit_model``: ``grid_search`` must
+    call both, once per spec and once per fold fit."""
+    from dataclasses import replace
+
+    import rtm.learners
+
+    layers = _perfbench_layers()
+    for owner_path, attr, _ in layers.SPANS:  # monkeypatch restores each one
+        owner = layers._owner(owner_path)
+        monkeypatch.setattr(owner, attr, getattr(owner, attr))
+    tracer = layers.install()
+    gen = np.random.default_rng(4)
+    X = gen.normal(size=(60, 12))
+    y = X[:, 0] + gen.normal(0.0, 0.1, 60)
+    grid = [replace(s, n_estimators=10) if s.kind in ("tree", "ada") else s
+            for s in rtm.learners.default_grid(seed=1)]
+    rtm.learners.grid_search(grid, X, y, 5, 1)
+    assert sum(tracer.cv_fits.values()) == len(grid) * 5
+    for family in layers.CV_FAMILIES:
+        assert tracer.seconds[f"learners.cv_{family}"] > 0.0, family
+    assert tracer.ada_rounds[0] > 0
 
 
 class TestEvaluateFiles:
