@@ -61,7 +61,6 @@ class IntensityInstance:
     source: TokenSeq
     affect: str
     gold: float | None
-    raw_text: str
 
     def __post_init__(self):
         if self.gold is not None and not 0.0 <= self.gold <= 1.0:
@@ -77,9 +76,6 @@ class TripleInstance:
     w2: TokenSeq
     attribute: TokenSeq
     gold: int | None
-    raw_w1: str
-    raw_w2: str
-    raw_attribute: str
 
     def __post_init__(self):
         for name in ("w1", "w2", "attribute"):
@@ -213,18 +209,9 @@ def load_intensity_dataset(path) -> list[IntensityInstance]:
                 source=tokenize(fields[1]),
                 affect=fields[2],
                 gold=gold,
-                raw_text=fields[1],
             )
         )
     return out
-
-
-def save_intensity_dataset(instances, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(INTENSITY_HEADER) + "\n")
-        for inst in instances:
-            score = "NONE" if inst.gold is None else repr(inst.gold)
-            fh.write(f"{inst.id}\t{inst.raw_text}\t{inst.affect}\t{score}\n")
 
 
 def load_triple_dataset(path) -> list[TripleInstance]:
@@ -258,21 +245,9 @@ def load_triple_dataset(path) -> list[TripleInstance]:
                 w2=seqs[1],
                 attribute=seqs[2],
                 gold=gold,
-                raw_w1=fields[1],
-                raw_w2=fields[2],
-                raw_attribute=fields[3],
             )
         )
     return out
-
-
-def save_triple_dataset(instances, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for inst in instances:
-            label = "NONE" if inst.gold is None else str(inst.gold)
-            fh.write(
-                f"{inst.id}\t{inst.raw_w1}\t{inst.raw_w2}\t{inst.raw_attribute}\t{label}\n"
-            )
 
 
 def load_lexicon(path) -> Lexicon:

@@ -328,6 +328,3 @@ class WittenBellLM:
 
     def in_vocab(self, word: str) -> bool:
         return word in self.vocab
-
-    def prediction_vocab(self) -> set:
-        return set(self._pred_vocab)

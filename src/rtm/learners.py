@@ -229,8 +229,9 @@ def _grow_level_wise(Z, y, min_leaf, seed, trees):
     Each open node is a segment of one row-index array, and every draw is
     keyed by (seed, tree, level, the node's position in its tree's level),
     so a tree comes out the same whichever trees grow beside it.  Returns
-    ``(roots, feature, cut, left, right, value, depth)``, each tree's nodes
-    numbered breadth-first from its root, node ids counted from 0.
+    ``(feature, cut, left, right, value, depth)`` in growth order: level by
+    level, each level in (tree, position) order, so the roots are nodes
+    ``0 .. len(trees) - 1`` and a split node's right child is ``left + 1``.
     """
     n = len(y)
     min_rows = max(2, 2 * min_leaf)  # a node splits only if both children can hold min_leaf
@@ -239,7 +240,7 @@ def _grow_level_wise(Z, y, min_leaf, seed, trees):
     counts = np.full(len(tree), n)
     rows = np.tile(np.arange(n), len(tree))
     seed_key = np.uint64(seed % (1 << 64))
-    levels = []  # per level: (tree, feature, cut, value, left child's record)
+    levels = []  # per level: (feature, cut, value, left child's record)
     records = 0  # nodes in earlier levels
     while tree.size:
         level = len(levels)
@@ -260,7 +261,7 @@ def _grow_level_wise(Z, y, min_leaf, seed, trees):
         value[split] = math.nan
         child = np.full(len(counts), -1, dtype=np.intp)
         child[split] = records + len(counts) + 2 * np.arange(split.size)
-        levels.append((tree, feature, cut, value, child))
+        levels.append((feature, cut, value, child))
         records += len(counts)
         # the rows of the split nodes, each node's left side then its right side
         sub = feature[row_node] >= 0
@@ -274,32 +275,26 @@ def _grow_level_wise(Z, y, min_leaf, seed, trees):
         rank = np.arange(split.size) - np.searchsorted(tree[::2], tree[::2])
         pos = (2 * rank[:, None] + np.arange(2)).ravel()
     depth = len(levels)
-    # Records run level by level, each level in (tree, position) order, so a
-    # stable sort on the tree numbers each tree breadth-first, its roots
-    # first.  One field is joined and reordered at a time, to keep the peak
-    # memory low.
+    # one field is joined at a time, to keep the peak memory low
     fields = [list(f) for f in zip(*levels)]
     del levels
-    order = np.argsort(np.concatenate(fields.pop(0)), kind="stable")
-    new_id = np.empty_like(order)
-    new_id[order] = np.arange(order.size)
-    feature, cut, value, child = (np.concatenate(fields.pop(0))[order] for _ in range(4))
-    # leaves point both children back at themselves, so a descent stays put;
-    # a right child comes right after its left child
+    feature, cut, value, child = (np.concatenate(fields.pop(0)) for _ in range(4))
+    # leaves point both children back at themselves, so a descent stays put
     leaf = child < 0
-    left = np.where(leaf, np.arange(order.size), new_id[np.where(leaf, 0, child)])
-    return new_id[: trees.stop - trees.start], feature, cut, left, left + ~leaf, value, depth
+    left = np.where(leaf, np.arange(child.size), child)
+    return feature, cut, left, left + ~leaf, value, depth
 
 
 class _ExtraTrees:
     """Totally randomized trees: uniform random feature, uniform random cut.
 
     All trees live in one set of flat node arrays (``feature``, ``cut``,
-    ``left``, ``right``, ``value``), each tree numbered breadth-first from
-    ``roots[t]``.  A row goes left when ``row[feature] < cut``.  Leaves have
+    ``left``, ``right``, ``value``), tree ``t`` rooted at ``roots[t]``.  A
+    row goes left when ``row[feature] < cut``.  Leaves have
     ``feature == -1`` and point both children at themselves.  Trees grow in
-    blocks that keep each level's working set within ``_BLOCK_BYTES``; the
-    keyed draws make the arrays the same for any split into blocks.
+    blocks that keep each level's working set within ``_BLOCK_BYTES``, and
+    each block's nodes are kept in growth order; the keyed draws make the
+    trees the same for any split into blocks.
     """
 
     def __init__(self, Z, y, spec):
@@ -309,8 +304,9 @@ class _ExtraTrees:
         # per tree and level: row indices, node ids, sides, keys, and the
         # columns, values and cuts of _DRAWS candidates
         for trees in _row_blocks(spec.n_estimators, 8 * len(y) * (3 * _DRAWS + 4)):
-            *arrays, depth = _grow_level_wise(Z, y, spec.min_leaf, spec.seed, trees)
-            roots, feature, cut, left, right, value = arrays
+            feature, cut, left, right, value, depth = _grow_level_wise(
+                Z, y, spec.min_leaf, spec.seed, trees)
+            roots = np.arange(trees.stop - trees.start)
             parts.append((roots + offset, feature, cut, left + offset, right + offset, value))
             offset += len(feature)
             self.depth = max(self.depth, depth)
@@ -351,8 +347,9 @@ class _StumpScan:
     column, feature by feature and left to right, and keeps a split only if
     both sides carry weight and its SSE beats the best so far by more than
     1e-15.  The cumulative sums run along each sorted column, so each split's
-    sums and SSE are the ones a per-column scalar scan computes.  Columns
-    without a split are left out of the presort.
+    sums and SSE are the ones a per-column scalar scan computes; every square
+    is a product ``x * x``.  Columns without a split are left out of the
+    presort.
     """
 
     def __init__(self, Z, y):
@@ -378,7 +375,7 @@ class _StumpScan:
         total_w = w.sum()
         total_wy = (w * y).sum()
         best.left = best.right = float(total_wy / total_w)  # np.average's quotient
-        best_sse = (w * y * y).sum() - total_wy**2 / total_w
+        best_sse = (w * y * y).sum() - total_wy * total_wy / total_w
         wv = w[self.order]
         wy = wv * self.ys
         cw = np.cumsum(wv, axis=1).ravel()
@@ -400,24 +397,7 @@ class _StumpScan:
         lwy, lwyy = cwy[pos], cwyy[pos]
         rwy = cwy[last] - lwy
         rwyy = cwyy[last] - lwyy
-        # The SSE squares with C pow (``float_power``, as scalar ``x**2``
-        # does), which differs from ``x*x`` in the last bit for ~0.1% of x.
-        # So every split is first screened with ``x*x``.  A screened SSE is a
-        # few ulps of its four terms' magnitudes from the exact one, far
-        # inside the slack (2**-40 of the largest such magnitude).  An exact
-        # strict running-minimum record therefore lies less than twice the
-        # slack above the screened running minimum, and a split further above
-        # is no record: it is never kept and never lowers the running
-        # minimum.  Only the candidates left get the exact SSE.
-        left, right = lwy * lwy / lw, rwy * rwy / rw
-        screened = (lwyy - left) + (rwyy - right)
-        magnitude = float(((lwyy + left) + (rwyy + right)).max(initial=0.0))
-        # Python floats, floored at a normal number: the slack never underflows
-        slack = 2.0**-40 * max(magnitude, 2.0**-960)
-        running = np.fmin.accumulate(np.concatenate(([best_sse], screened[:-1])))
-        cand = np.flatnonzero(screened <= running + 2.0 * slack)
-        sse = ((lwyy[cand] - np.float_power(lwy[cand], 2) / lw[cand])
-               + (rwyy[cand] - np.float_power(rwy[cand], 2) / rw[cand]))
+        sse = (lwyy - lwy * lwy / lw) + (rwyy - rwy * rwy / rw)
         # A split is kept only if it beats the best so far by 1e-15, and the
         # best stays within 1e-15 of the running minimum, so every kept split
         # is a strict running-minimum record.  Walk only those.
@@ -425,7 +405,7 @@ class _StumpScan:
         records = np.flatnonzero(sse < running)
         k = -1
         best_sse = float(best_sse)
-        for j, value in zip(cand[records].tolist(), sse[records].tolist()):
+        for j, value in zip(records.tolist(), sse[records].tolist()):
             if value < best_sse - 1e-15:
                 k, best_sse = j, value
         if k >= 0:

@@ -607,27 +607,37 @@ def stage_train(cfg: RunConfig, out_dir: Path):
     _write_text(out_dir / "cv_table.tsv", "".join(lines))
 
 
-def _apply_model(architecture: str, model, ids: list[str], tags: list[str],
-                 matrix: np.ndarray) -> np.ndarray:
-    if architecture == "plain":
-        preds = model.predict(matrix)
-    else:
-        preds = predict_stack_matrices(model, *_split_sides(tags, matrix))
-    bad = np.flatnonzero(~np.isfinite(preds))
-    if bad.size:
-        raise StageError(f"the model's prediction for {_instance_ids(ids, tags)[bad[0]]} is "
-                         f"{preds[bad[0]]} ({bad.size} of {len(preds)} are not finite)")
-    return preds
+def _apply_model(header: dict, model, path: Path) -> tuple[list[str], np.ndarray]:
+    """(instance ids, the model's predictions) for the features file at ``path``.
 
-
-def stage_predict(cfg: RunConfig, out_dir: Path):
-    header, model = _read_artifact(out_dir / "model.pkl")
-    ids, tags, matrix, feat_fp = _read_features(out_dir / "features_test.tsv")
+    An overflow, invalid operation or division by zero is refused as it
+    happens, naming the file, instead of printing a numpy warning.
+    """
+    ids, tags, matrix, feat_fp = _read_features(path)
     if feat_fp != header["fingerprint"]:
         raise StageError(
             f"feature fingerprint {feat_fp} does not match model {header['fingerprint']}"
         )
-    preds = _apply_model(header["architecture"], model, ids, tags, matrix)
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            if header["architecture"] == "plain":
+                preds = model.predict(matrix)
+            else:
+                preds = predict_stack_matrices(model, *_split_sides(tags, matrix))
+    except FloatingPointError as exc:
+        raise StageError(f"{path}: the model's arithmetic on these features failed "
+                         f"({exc})") from None
+    inst_ids = _instance_ids(ids, tags)
+    bad = np.flatnonzero(~np.isfinite(preds))
+    if bad.size:
+        raise StageError(f"the model's prediction for {inst_ids[bad[0]]} is "
+                         f"{preds[bad[0]]} ({bad.size} of {len(preds)} are not finite)")
+    return inst_ids, preds
+
+
+def stage_predict(cfg: RunConfig, out_dir: Path):
+    header, model = _read_artifact(out_dir / "model.pkl")
+    inst_ids, preds = _apply_model(header, model, out_dir / "features_test.tsv")
 
     tune = cfg.task == "triples" and cfg.threshold in ("optimized", "grounded")
     if cfg.grounding == "predictions" or tune:
@@ -640,8 +650,7 @@ def stage_predict(cfg: RunConfig, out_dir: Path):
     classes = None
     if cfg.task == "triples" and cfg.threshold != "none":
         if tune:
-            tr_ids, tr_tags, tr_matrix, _ = _read_features(out_dir / "features_train.tsv")
-            train_preds = _apply_model(header["architecture"], model, tr_ids, tr_tags, tr_matrix)
+            train_preds = _apply_model(header, model, out_dir / "features_train.tsv")[1]
             t = optimize_threshold(train_preds, train_gold.astype(int))
             if cfg.threshold == "grounded":
                 t = ground_threshold(t, ScoreStats.of(train_preds), ScoreStats.of(preds))
@@ -649,7 +658,6 @@ def stage_predict(cfg: RunConfig, out_dir: Path):
             t = float(cfg.threshold.split(":", 1)[1])
         classes = (preds >= t).astype(int)
 
-    inst_ids = _instance_ids(ids, tags)
     lines = [_banner(cfg)]
     for i, rid in enumerate(inst_ids):
         row = f"{rid}\t{preds[i]:.6f}"

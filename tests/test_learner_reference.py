@@ -1,13 +1,16 @@
 """The presorted stump scan and KNN against references; extra-trees by property.
 
-The references below are the scalar per-split stump scan and the unblocked
-KNN that ``rtm.learners`` used before; the current code must reproduce them
-bit for bit.  The level-wise forest has no reference: its tests route the
-training rows down the flat node arrays and check what every node holds,
-that the keyed draws are uniform and independent of how the trees are
-split into blocks, and that ``predict`` averages per-tree walks.
+The references below are the scalar per-split stump scan, which squares by
+product as the presorted scan does, and the unblocked KNN that
+``rtm.learners`` used before; the current code must reproduce them bit for
+bit.  The level-wise forest has no reference: its tests walk each tree
+breadth-first from its root, route the training rows down the flat node
+arrays and check what every node holds, that the keyed draws are uniform,
+that any split into blocks gives the same trees, and that ``predict``
+averages per-tree walks.
 """
 
+import collections
 import math
 import tracemalloc
 import warnings
@@ -28,15 +31,15 @@ def ref_knn_predict(Ztrain, y, k, Z):
     return y[nearest].mean(axis=1)
 
 
-def ref_fit_stump(Z, y, w, square=lambda v: v**2):
+def ref_fit_stump(Z, y, w, square=lambda v: v * v):
     """(feature, cut, left, right) of the scalar weighted least-squares scan;
-    splits with a zero-weight side are skipped.  ``v**2`` on a numpy scalar
-    is C pow."""
+    splits with a zero-weight side are skipped.  ``square`` squares every
+    sum, the baseline's included."""
     feature, cut = None, None
     left = right = float(np.average(y, weights=w))
     total_w = w.sum()
     total_wy = (w * y).sum()
-    base_sse = (w * y * y).sum() - total_wy**2 / total_w
+    base_sse = (w * y * y).sum() - square(total_wy) / total_w
     best_sse = base_sse
     for j in range(Z.shape[1]):
         order = np.argsort(Z[:, j], kind="stable")
@@ -136,33 +139,48 @@ def descend(forest, Z):
 # Tests.
 
 
+def breadth_first(forest, root):
+    """The nodes of the tree at ``root``, breadth-first, left child first."""
+    queue = collections.deque([root])
+    while queue:
+        node = queue.popleft()
+        yield node
+        if forest.feature[node] >= 0:
+            queue += [forest.left[node], forest.right[node]]
+
+
 def node_rows(forest, Z):
     """(training rows, level) of each node, routed down the flat arrays.
 
-    Also checks the layout: each tree's nodes are numbered breadth-first from
-    its root, so the children of its split nodes, taken in node order, are
-    the tree's later nodes one after another, each left child before its
-    right.
+    Also checks the layout: leaves point both children at themselves, a
+    split node's right child is its left child plus 1, and walking every
+    tree from its root reaches each node exactly once, from exactly one root.
     """
     reach = [None] * len(forest.feature)
     level = np.zeros(len(forest.feature), dtype=int)
-    ends = list(forest.roots[1:]) + [len(forest.feature)]
-    for root, end in zip(forest.roots, ends):
+    for root in forest.roots:
+        assert reach[root] is None
         reach[root] = np.arange(len(Z))
-        children = []
-        for node in range(root, end):
-            feat = forest.feature[node]
+        for node in breadth_first(forest, root):
+            feat, left, right = forest.feature[node], forest.left[node], forest.right[node]
             if feat < 0:
-                assert forest.left[node] == forest.right[node] == node
+                assert left == right == node
                 continue
+            assert right == left + 1
+            assert reach[left] is None and reach[right] is None
             idx = reach[node]
             go_left = Z[idx, feat] < forest.cut[node]
-            reach[forest.left[node]] = idx[go_left]
-            reach[forest.right[node]] = idx[~go_left]
-            level[[forest.left[node], forest.right[node]]] = level[node] + 1
-            children += [forest.left[node], forest.right[node]]
-        assert children == list(range(root + 1, end))
+            reach[left], reach[right] = idx[go_left], idx[~go_left]
+            level[[left, right]] = level[node] + 1
+    assert all(idx is not None for idx in reach)
     return reach, level
+
+
+def tree_bits(forest):
+    """Each tree's (feature, cut, value) bits, node by node breadth-first."""
+    return [[(int(forest.feature[node]), float(forest.cut[node]).hex(),
+              float(forest.value[node]).hex()) for node in breadth_first(forest, root)]
+            for root in forest.roots]
 
 
 @pytest.mark.parametrize("min_leaf", [1, 3, 5])
@@ -248,7 +266,7 @@ def test_forest_root_draws_are_uniform():
 
 
 def test_forest_same_for_any_split_into_blocks(monkeypatch):
-    Z, y, _ = design(5)
+    Z, y, Zq = design(5)
     spec = ModelSpec("tree", min_leaf=2, n_estimators=23, seed=5)
     real_blocks = rtm.learners._row_blocks
     per_tree = []
@@ -256,14 +274,15 @@ def test_forest_same_for_any_split_into_blocks(monkeypatch):
                         lambda n, size: per_tree.append(size) or real_blocks(n, size))
     whole = _ExtraTrees(Z, y, spec)
     assert len(real_blocks(23, per_tree[0])) == 1
-    arrays = ("roots", "feature", "cut", "left", "right", "value")
+    want = tree_bits(whole)
+    assert len(want) == 23
     for trees_per_block in (1, 7):
         monkeypatch.setattr(rtm.learners, "_BLOCK_BYTES", trees_per_block * per_tree[0])
         blocks = [len(range(23)[trees]) for trees in real_blocks(23, per_tree[0])]
         assert blocks[0] == trees_per_block and len(blocks) == -(-23 // trees_per_block)
         forest = _ExtraTrees(Z, y, spec)
-        for name in arrays:
-            assert getattr(forest, name).tobytes() == getattr(whole, name).tobytes(), name
+        assert tree_bits(forest) == want
+        assert bits(forest.predict(Zq).tolist()) == bits(whole.predict(Zq).tolist())
         assert forest.depth == whole.depth
 
 
@@ -310,19 +329,20 @@ def _mirrored_ties(seed, scale=1.0):
     return Z, y, w / w.sum()
 
 
-# Seeds of _mirrored_ties where squaring by multiplication picks another stump.
+# Seeds of _mirrored_ties where squaring by C pow picks another stump than
+# squaring by product.
 POW_DECIDES = (4181, 16174, 18951, 21141)
 
 
-def test_screened_stump_scan_matches_reference_where_pow_decides():
-    # The scan screens splits with x*x and takes C pow only for candidates;
-    # here x*x alone would pick another winner, or nearly, and the screen
-    # must still give the reference's stump, raising nothing on the way
-    # (2**-510 scales the squares to ~1e-301, where 2**-40 of them is subnormal).
+def test_stump_scan_matches_reference_where_squaring_decides():
+    # On POW_DECIDES, C pow (``v**2`` on a numpy scalar) and the product pick
+    # different stumps, and on the other seeds rounding alone ranks the tied
+    # splits, so the scan must square by product as the reference does,
+    # raising nothing on the way (2**-510 scales the squares to ~1e-301).
     for seed in POW_DECIDES:
         Z, y, w = _mirrored_ties(seed)
-        multiplied = ref_fit_stump(Z, y, w, square=lambda v: v * v)
-        assert bits(multiplied) != bits(ref_fit_stump(Z, y, w)), seed
+        powered = ref_fit_stump(Z, y, w, square=lambda v: v**2)
+        assert bits(powered) != bits(ref_fit_stump(Z, y, w)), seed
     with np.errstate(all="raise"):
         for seed, scale in [(s, 1.0) for s in POW_DECIDES + tuple(range(200))] + [(3, 2.0**-510)]:
             Z, y, w = _mirrored_ties(seed, scale)

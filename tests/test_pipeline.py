@@ -5,6 +5,7 @@ import pickle
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -430,11 +431,14 @@ class TestNonFiniteRefused:
         assert not (out / "model.pkl").exists()
 
     def test_non_finite_prediction_refused(self, tiny_intensity_cfg):
-        # 1e308 in every column of one test row overflows the scaled design
+        # 1e308 in every column of one test row overflows the scaled design:
+        # refused as it happens, with no numpy warning printed first
         cfg, out = self._front(tiny_intensity_cfg, STAGES[:4])
         self._edit_first_row(out / "features_test.tsv", lambda f: f[:2] + ["1e308"] * (len(f) - 2))
-        with np.errstate(all="ignore"), pytest.raises(
-                StageError, match=r"prediction for t\d+ is (nan|-?inf) \(1 of 15 are not finite"):
+        with warnings.catch_warnings(), pytest.raises(
+                StageError, match=r"features_test.tsv: the model's arithmetic on these features "
+                                  r"failed \(overflow encountered in divide\)"):
+            warnings.simplefilter("error")
             run_stage(cfg, out, "predict")
         assert not (out / "predictions.tsv").exists()
 
@@ -463,6 +467,31 @@ class TestNonFiniteRefused:
         with pytest.raises(StageError, match=r"interpretants.tsv:5: " + message):
             run_stage(cfg, out, "build-resources")
         assert not (out / "resources.pkl").exists()
+
+
+def _floating_point_case(root, case):
+    if case == "intensity-default":
+        return write_intensity_case(root, n_texts=60, n_train=45, corpus_size=60, vocab_size=60,
+                                    n_lex=12, grids="default")
+    if case == "intensity-small":
+        return write_intensity_case(root)
+    architecture = case.split("-")[1]
+    cfg_path = write_triples_case(root, architecture, n_instances=150, n_train=110)
+    text = cfg_path.read_text().replace("threshold = fixed:0.5", "threshold = optimized")
+    cfg_path.write_text(text)
+    return cfg_path
+
+
+@pytest.mark.parametrize("case", ["intensity-default", "triples-combined", "triples-separate",
+                                  "intensity-small"])
+def test_whole_run_raises_no_floating_point_error(tmp_path, case):
+    # the default grid runs AdaBoost.R2 at 500 rounds and 500-tree forests;
+    # the triples cases tune the threshold on the training predictions
+    cfg = parse_config(_floating_point_case(tmp_path, case))
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_pipeline(cfg, tmp_path / "out")
+    assert report.metrics is not None
 
 
 class TestPairedIntensity:
