@@ -161,7 +161,13 @@ def extract_ngrams(seq: TokenSeq, n: int) -> collections.Counter:
 INTENSITY_HEADER = ("id", "text", "affect", "score")
 
 
-def _read_lines(path):
+def _read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file, the one line rule of every reader.
+
+    Lines end at ``\\n`` (``\\r\\n`` and a lone ``\\r`` read as ``\\n``); no other
+    character ends a line, unlike ``str.splitlines``, which also breaks at
+    ``\\x0c``, ``\\x85``, U+2028 and other characters a field may hold.
+    """
     with open(path, encoding="utf-8") as fh:
         return fh.read().split("\n")
 
@@ -173,45 +179,65 @@ def _check_new_id(path, lineno: int, rid: str, first_line: dict[str, int]):
     first_line[rid] = lineno
 
 
-def load_intensity_dataset(path) -> list[IntensityInstance]:
-    """Load an intensity TSV: header ``id\\ttext\\taffect\\tscore`` then rows.
+def _dataset_rows(path, task: str):
+    """Yield ``(line number, fields, gold)`` for each row of a dataset file.
 
-    The score column may be omitted entirely or hold ``NONE`` per row (test
-    mode).  Scores must lie in [0, 1] and ids must be unique.
+    ``task`` is ``"intensity"`` (header ``id\\ttext\\taffect[\\tscore]``, gold a
+    float in [0, 1]) or ``"triples"`` (no header, five columns, gold ``0`` or
+    ``1``); gold is None for ``NONE`` or a missing score column.  Blank lines
+    are skipped.  Rows are checked, not tokenized: the column count, unique
+    ids, no id starting with ``#`` (it marks comments in every file rtm
+    writes, so such a row would read back as one), the score or label, and
+    for triples that no word is empty (no non-whitespace character, which is
+    exactly when ``tokenize`` makes no token of it).
     """
     lines = _read_lines(path)
-    if not lines or not lines[0].strip():
-        _fail(path, 1, "missing header row")
-    header = tuple(lines[0].rstrip("\r").split("\t"))
-    if header not in (INTENSITY_HEADER, INTENSITY_HEADER[:3]):
-        _fail(path, 1, f"bad header {header!r}")
-    ncols = len(header)
-    out = []
+    if task == "intensity":
+        if not lines[0].strip():
+            _fail(path, 1, "missing header row")
+        header = tuple(lines[0].split("\t"))
+        if header not in (INTENSITY_HEADER, INTENSITY_HEADER[:3]):
+            _fail(path, 1, f"bad header {header!r}")
+        ncols, first_row = len(header), 2
+    else:
+        ncols, first_row = 5, 1
     first_line: dict[str, int] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(lines[first_row - 1 :], start=first_row):
         if not line.strip():
             continue
-        fields = line.rstrip("\r").split("\t")
+        fields = line.split("\t")
         if len(fields) != ncols:
             _fail(path, lineno, f"expected {ncols} columns, got {len(fields)}")
+        if fields[0].startswith("#"):
+            _fail(path, lineno, f"id {fields[0]!r} starts with '#', which marks a comment")
         _check_new_id(path, lineno, fields[0], first_line)
         gold = None
-        if ncols == 4 and fields[3] != "NONE":
+        if task == "triples":
+            if fields[4] in ("0", "1"):
+                gold = int(fields[4])
+            elif fields[4] != "NONE":
+                _fail(path, lineno, f"label {fields[4]!r} not in {{0, 1, NONE}}")
+            for name, text in zip(("word1", "word2", "attribute"), fields[1:4]):
+                if not text.split():
+                    _fail(path, lineno, f"empty {name}")
+        elif ncols == 4 and fields[3] != "NONE":
             try:
                 gold = float(fields[3])
             except ValueError:
                 _fail(path, lineno, f"bad score {fields[3]!r}")
             if not 0.0 <= gold <= 1.0:
                 _fail(path, lineno, f"score {gold} outside [0, 1]")
-        out.append(
-            IntensityInstance(
-                id=fields[0],
-                source=tokenize(fields[1]),
-                affect=fields[2],
-                gold=gold,
-            )
-        )
-    return out
+        yield lineno, fields, gold
+
+
+def load_intensity_dataset(path) -> list[IntensityInstance]:
+    """Load an intensity TSV: header ``id\\ttext\\taffect\\tscore`` then rows.
+
+    The score column may be omitted entirely or hold ``NONE`` per row (test
+    mode).  Scores must lie in [0, 1] and ids must be unique.
+    """
+    return [IntensityInstance(id=f[0], source=tokenize(f[1]), affect=f[2], gold=gold)
+            for _, f, gold in _dataset_rows(path, "intensity")]
 
 
 def load_triple_dataset(path) -> list[TripleInstance]:
@@ -219,35 +245,8 @@ def load_triple_dataset(path) -> list[TripleInstance]:
 
     Labels are ``0``, ``1`` or ``NONE``; ids must be unique.
     """
-    out = []
-    first_line: dict[str, int] = {}
-    for lineno, line in enumerate(_read_lines(path), start=1):
-        if not line.strip():
-            continue
-        fields = line.rstrip("\r").split("\t")
-        if len(fields) != 5:
-            _fail(path, lineno, f"expected 5 columns, got {len(fields)}")
-        _check_new_id(path, lineno, fields[0], first_line)
-        if fields[4] == "NONE":
-            gold = None
-        elif fields[4] in ("0", "1"):
-            gold = int(fields[4])
-        else:
-            _fail(path, lineno, f"label {fields[4]!r} not in {{0, 1, NONE}}")
-        seqs = [tokenize(f) for f in fields[1:4]]
-        for name, seq in zip(("word1", "word2", "attribute"), seqs):
-            if len(seq) == 0:
-                _fail(path, lineno, f"empty {name}")
-        out.append(
-            TripleInstance(
-                id=fields[0],
-                w1=seqs[0],
-                w2=seqs[1],
-                attribute=seqs[2],
-                gold=gold,
-            )
-        )
-    return out
+    return [TripleInstance(f[0], *(tokenize(text) for text in f[1:4]), gold)
+            for _, f, gold in _dataset_rows(path, "triples")]
 
 
 def load_lexicon(path) -> Lexicon:

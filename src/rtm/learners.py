@@ -173,17 +173,16 @@ def _draw_splits(Z, rows, counts, keys, min_leaf):
     feature is uniform over the node's non-constant columns.  Among its
     first ``_TRIES`` non-constant draws, the first whose cut
     ``lo + (hi - lo) * u`` (at least ``nextafter(lo, hi)``) leaves
-    ``min_leaf`` rows on both sides wins.  A node whose draws in a round all
-    hit constant columns has all its columns checked, so a node with no
-    split at all stops searching.  Nodes still searching get more draws a
-    round as their rows shrink, never more (draw, row) pairs than the first
-    round had; the draws are keyed, so this changes no result.
+    ``min_leaf`` rows on both sides wins.  Every node must hold two distinct
+    rows, so some column varies in it and its draws find one.  Nodes still
+    searching get more draws a round as their rows shrink, never more
+    (draw, row) pairs than the first round had; the draws are keyed, so this
+    changes no result.
     """
     n_nodes, d = len(counts), Z.shape[1]
     feature = np.full(n_nodes, -1, dtype=np.intp)
     cut = np.full(n_nodes, math.inf)
     tries = np.zeros(n_nodes, dtype=np.intp)
-    varying = np.zeros(n_nodes, dtype=bool)  # known to have a non-constant column
     live = np.arange(n_nodes)  # nodes still searching
     draw, n_draws = 0, _DRAWS
     budget = _DRAWS * len(rows)
@@ -208,14 +207,7 @@ def _draw_splits(Z, rows, counts, keys, min_leaf):
         feature[live[won]] = feat[first, won]
         cut[live[won]] = c[first, won]
         tries[live] += varies.sum(axis=0)
-        varying[live] |= varies.any(axis=0)
         keep = ~won & (tries[live] < _TRIES)
-        blank = np.flatnonzero(keep & ~varying[live])
-        if blank.size:
-            block = Z[rows[np.isin(row_node, blank)]]
-            at = _starts(counts[blank])
-            varying[live[blank]] = keep[blank] = (
-                np.minimum.reduceat(block, at) < np.maximum.reduceat(block, at)).any(axis=1)
         rows = rows[keep[row_node]]
         live, counts = live[keep], counts[keep]
         draw += n_draws
@@ -223,8 +215,11 @@ def _draw_splits(Z, rows, counts, keys, min_leaf):
     return feature, cut
 
 
-def _grow_level_wise(Z, y, min_leaf, seed, trees):
+def _grow_level_wise(Z, y, row_id, min_leaf, seed, trees):
     """Grow the given trees together, one level per step.
+
+    ``row_id`` numbers the distinct rows of ``Z``; a node whose rows all have
+    one id has no split and is a leaf, as is a node whose target is constant.
 
     Each open node is a segment of one row-index array, and every draw is
     keyed by (seed, tree, level, the node's position in its tree's level),
@@ -245,15 +240,16 @@ def _grow_level_wise(Z, y, min_leaf, seed, trees):
     while tree.size:
         level = len(levels)
         starts = _starts(counts)
-        yr = y[rows]
+        yr, ids = y[rows], row_id[rows]
         constant = np.minimum.reduceat(yr, starts) == np.maximum.reduceat(yr, starts)
+        one_row = np.minimum.reduceat(ids, starts) == np.maximum.reduceat(ids, starts)
         value = np.add.reduceat(yr, starts) / counts
-        searching = (counts >= min_rows) & ~constant
+        searching = (counts >= min_rows) & ~constant & ~one_row
         search = np.flatnonzero(searching)
         row_node = np.repeat(np.arange(len(counts)), counts)
         feature = np.full(len(counts), -1, dtype=np.intp)
         cut = np.full(len(counts), math.inf)
-        if search.size and Z.shape[1]:
+        if search.size:
             keys = _keyed(_keyed(_keyed(seed_key, tree[search]), level), pos[search])
             feature[search], cut[search] = _draw_splits(
                 Z, rows[searching[row_node]], counts[search], keys, min_leaf)
@@ -301,11 +297,14 @@ class _ExtraTrees:
         Z = np.ascontiguousarray(Z, dtype=float)
         y = np.asarray(y, dtype=float)
         parts, offset, self.depth = [], 0, 0
+        # -0.0 and 0.0 are one row here, as they are to a column's min and max
+        row_id = (np.unique(Z, axis=0, return_inverse=True)[1].ravel() if Z.shape[1]
+                  else np.zeros(len(y), dtype=np.intp))
         # per tree and level: row indices, node ids, sides, keys, and the
         # columns, values and cuts of _DRAWS candidates
         for trees in _row_blocks(spec.n_estimators, 8 * len(y) * (3 * _DRAWS + 4)):
             feature, cut, left, right, value, depth = _grow_level_wise(
-                Z, y, spec.min_leaf, spec.seed, trees)
+                Z, y, row_id, spec.min_leaf, spec.seed, trees)
             roots = np.arange(trees.stop - trees.start)
             parts.append((roots + offset, feature, cut, left + offset, right + offset, value))
             offset += len(feature)

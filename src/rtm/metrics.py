@@ -128,55 +128,46 @@ def epsilon(y_hat, y, cfg: MetricConfig = MetricConfig()) -> float:
     return float(np.mean(np.abs(y_hat - y))) / 2.0
 
 
-def _relative_error_mean(y_hat, y, denoms, eps) -> float:
-    total = 0.0
-    for err, d in zip(np.abs(y_hat - y), denoms):
-        if err == 0.0:
-            continue
-        capped = max(d, eps)
-        if capped == 0.0:
-            raise ValueError("zero capped denominator with nonzero error (eps=0)")
-        total += err / capped
-    return total / len(y)
-
-
-def maer_mraer(y_hat, y, cfg: MetricConfig = MetricConfig()) -> tuple[float, float]:
-    y_hat, y = _pair(y_hat, y)
-    eps = epsilon(y_hat, y, cfg)
-    maer = _relative_error_mean(y_hat, y, np.abs(y), eps)
-    mraer = _relative_error_mean(y_hat, y, np.abs(y.mean() - y), eps)
-    return maer, mraer
-
-
 def _f_neg(x: float, eps: float) -> float:
     return max(x, eps) if x >= 0 else max(-2.0 * x, eps)
 
 
-def _r_relative(y_hat, y, denoms, eps) -> float:
+def _relative_errors(y_hat, y, cfg: MetricConfig, modulated: bool) -> tuple[float, float]:
+    """(MAER, MRAER), or (rMAER, rMRAER) when ``modulated``: each error term
+    of the r-variants is weighted by ``f_neg`` of its correlation term."""
+    y_hat, y = _pair(y_hat, y)
+    eps = epsilon(y_hat, y, cfg)
     s_hat, s_y = y_hat.std(), y.std()
     dev_hat = y_hat - y_hat.mean()
     dev_y = y - y.mean()
-    total = 0.0
-    for i in range(len(y)):
-        err = abs(y_hat[i] - y[i])
-        if err == 0.0:
-            continue
-        capped = max(denoms[i], eps)
-        if capped == 0.0:
-            raise ValueError("zero capped denominator with nonzero error (eps=0)")
-        cov_term = dev_hat[i] * dev_y[i]
-        arg = 0.0 if cov_term == 0.0 else cov_term / (s_hat * s_y * capped * capped)
-        total += (err / capped) * _f_neg(arg, eps)
-    return total / len(y)
+
+    def mean(denoms) -> float:
+        total = 0.0
+        for i in range(len(y)):
+            err = abs(y_hat[i] - y[i])
+            if err == 0.0:
+                continue
+            capped = max(denoms[i], eps)
+            if capped == 0.0:
+                raise ValueError("zero capped denominator with nonzero error (eps=0)")
+            f = 1.0  # exact: an unweighted term keeps its bits
+            if modulated:
+                cov_term = dev_hat[i] * dev_y[i]
+                arg = 0.0 if cov_term == 0.0 else cov_term / (s_hat * s_y * capped * capped)
+                f = _f_neg(arg, eps)
+            total += (err / capped) * f
+        return total / len(y)
+
+    return mean(np.abs(y)), mean(np.abs(y.mean() - y))
+
+
+def maer_mraer(y_hat, y, cfg: MetricConfig = MetricConfig()) -> tuple[float, float]:
+    return _relative_errors(y_hat, y, cfg, modulated=False)
 
 
 def r_maer_r_mraer(y_hat, y, cfg: MetricConfig = MetricConfig()) -> tuple[float, float]:
     """Correlation-modulated MAER/MRAER (see module docstring)."""
-    y_hat, y = _pair(y_hat, y)
-    eps = epsilon(y_hat, y, cfg)
-    rmaer = _r_relative(y_hat, y, np.abs(y), eps)
-    rmraer = _r_relative(y_hat, y, np.abs(y.mean() - y), eps)
-    return rmaer, rmraer
+    return _relative_errors(y_hat, y, cfg, modulated=True)
 
 
 def rank_error(train_values, test_values) -> float:

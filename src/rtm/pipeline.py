@@ -25,7 +25,7 @@ import json
 import os
 import pickle
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +34,8 @@ from . import __version__
 from .corpus import (
     TokenSeq,
     _check_new_id,
+    _dataset_rows,
+    _read_lines,
     load_corpus,
     load_corpus_sentences,
     load_intensity_dataset,
@@ -92,14 +94,14 @@ def parse_epsilon(text: str) -> MetricConfig:
     raise ConfigError(f"epsilon must be half_mae or half_step:<step> with step > 0, got {text!r}")
 
 
-def _base_spec(text: str, seed: int = 0) -> ModelSpec:
+def _base_spec(text: str) -> ModelSpec:
     kind, _, arg = text.partition(":")
     if kind == "rr":
-        return ModelSpec("rr", alpha=float(arg or 1.0), seed=seed)
+        return ModelSpec("rr", alpha=float(arg or 1.0))
     if kind == "knn":
-        return ModelSpec("knn", k=int(arg or 5), seed=seed)
+        return ModelSpec("knn", k=int(arg or 5))
     if kind == "const":
-        return ModelSpec("const", seed=seed)
+        return ModelSpec("const")
     raise ValueError(f"must be rr:<alpha>, knn:<k> or const, got {text!r}")
 
 
@@ -130,16 +132,6 @@ def _integer(low: int):
     return parse
 
 
-def _checked(parse):
-    """Validate with ``parse`` but keep the text itself as the field value."""
-
-    def check(text):
-        parse(text)
-        return text
-
-    return check
-
-
 def _path(text, base: Path) -> Path:
     p = base / text
     if not p.exists():
@@ -154,13 +146,13 @@ def _labels(text):
     return labels
 
 
-def _threshold(text):
+def _threshold(text) -> tuple[str, float | None]:
+    """(mode, the fixed cut or None)."""
     if text in ("none", "optimized", "grounded"):
-        return text
+        return text, None
     mode, colon, value = text.partition(":")
     if mode == "fixed" and colon:
-        float(value)
-        return text
+        return mode, float(value)
     raise ValueError(f"must be none|optimized|grounded|fixed:<t>, got {text!r}")
 
 
@@ -183,10 +175,10 @@ _KEYS = {
     "aligner_iterations": ("5", _integer(0)),
     "grids": ("default", _choice(*_GRIDS)),
     "top_k": ("3", _integer(1)),
-    "base_learner": ("rr:1.0", _checked(_base_spec)),
+    "base_learner": ("rr:1.0", _base_spec),
     "cv_folds": ("7", _integer(2)),
     "seed": (_REQUIRED, _integer(0)),
-    "epsilon_mode": ("half_mae", _checked(parse_epsilon)),
+    "epsilon_mode": ("half_mae", parse_epsilon),
     "grounding": ("none", _choice("none", "predictions")),
     "threshold": ("none", _threshold),
 }
@@ -211,23 +203,17 @@ class RunConfig:
     aligner_iterations: int
     grids: str
     top_k: int
-    base_learner: str
+    base_learner: ModelSpec  # seeded with ``seed``
     cv_folds: int
     seed: int
-    epsilon_mode: str
+    epsilon_mode: MetricConfig
     grounding: str
-    threshold: str
+    threshold: tuple[str, float | None]  # (mode, the fixed cut or None)
     raw: dict[str, str]
 
     def hash(self) -> str:
         text = "\n".join(f"{k} = {self.raw[k]}" for k in sorted(self.raw))
         return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
-
-    def metric_config(self) -> MetricConfig:
-        return parse_epsilon(self.epsilon_mode)
-
-    def base_spec(self) -> ModelSpec:
-        return _base_spec(self.base_learner, self.seed)
 
     def grid(self) -> list[ModelSpec]:
         return _GRIDS[self.grids](seed=self.seed)
@@ -243,10 +229,11 @@ class RunConfig:
 
 def parse_config(path, seed_override: int | None = None) -> RunConfig:
     """Parse a flat ``key = value`` config file; unknown keys are rejected and
-    every value is checked against the key table."""
+    every value is checked against the key table, and a key the task or
+    architecture does not use is rejected."""
     path = Path(path)
     raw: dict[str, str] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(_read_lines(path), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -261,6 +248,7 @@ def parse_config(path, seed_override: int | None = None) -> RunConfig:
         raw[key] = value
     if seed_override is not None:
         raw["seed"] = str(seed_override)
+    given = set(raw)
 
     fields = {}
     for key, (default, parse) in _KEYS.items():
@@ -279,6 +267,12 @@ def parse_config(path, seed_override: int | None = None) -> RunConfig:
     task, architecture = fields["task"], fields["architecture"]
     if task == "triples" and architecture == "plain":
         raise ConfigError("triples instances are row pairs: use combined or separate")
+    unused = {"intensity": ("threshold",), "triples": ("lexicon", "emotions")}[task]
+    for key in unused:
+        if key in given:
+            raise ConfigError(f"{key} is not used by the {task} task")
+    if architecture == "plain" and "base_learner" in given:
+        raise ConfigError("base_learner is not used by the plain architecture")
     if task == "intensity":
         if fields["lexicon"] is None:
             raise ConfigError("intensity task needs a lexicon")
@@ -287,10 +281,8 @@ def parse_config(path, seed_override: int | None = None) -> RunConfig:
         if architecture != "plain" and len(fields["emotions"]) != 2:
             raise ConfigError("paired intensity needs exactly 2 emotions (row a, row b)")
     else:
-        for key in ("lexicon", "emotions"):
-            if key in raw:
-                raise ConfigError(f"{key} is not used by the triples task")
         fields["emotions"] = ()
+    fields["base_learner"] = replace(fields["base_learner"], seed=fields["seed"])
 
     cfg = RunConfig(**fields, raw=raw)
     try:
@@ -368,7 +360,7 @@ def _read_tsv(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
     """(``#`` comment lines, data rows) of a tab-separated file; blank lines
     are skipped and each data row is (line number, fields)."""
     comments, rows = [], []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(_read_lines(path), start=1):
         if line.startswith("#"):
             comments.append(line)
         elif line.strip():
@@ -402,35 +394,34 @@ class RowSet:
     texts: list[TokenSeq]  # the dataset's own texts, in FDA task-text order
 
 
-@dataclass
-class Golds:
-    """Instance ids and gold values of one dataset, in file order."""
+def read_golds(path, task: str | None = None) -> dict[str, float | None]:
+    """Instance id -> gold (None where the instance has none), in file order.
 
-    ids: list[str]
-    values: list[float | None]  # None where the instance has no gold
+    ``task`` (``"intensity"`` or ``"triples"``) names the dataset format, read
+    without tokenizing.  Without it the format is told from the first row:
+    the intensity header, five columns (triples) or two (``id<TAB>value``,
+    read as a predictions file).
+    """
+    if task is None:
+        rows = _read_tsv(path)[1]
+        first = rows[0][1] if rows else [""]
+        if first[:3] == ["id", "text", "affect"]:
+            task = "intensity"
+        elif len(first) == 5:
+            task = "triples"
+        elif len(first) == 2:
+            ids, values, _ = read_predictions(path)
+            return dict(zip(ids, values.tolist()))
+        else:
+            raise ValueError(f"{path}: unrecognized gold format ({len(first)} columns)")
+    return {fields[0]: None if gold is None else float(gold)
+            for _, fields, gold in _dataset_rows(path, task)}
 
-    def array(self) -> np.ndarray:
-        if any(g is None for g in self.values):
-            raise StageError("training instances must all carry gold values")
-        return np.asarray(self.values, dtype=float)
 
-    def mapping(self) -> dict[str, float]:
-        return {rid: g for rid, g in zip(self.ids, self.values) if g is not None}
-
-
-def load_golds(cfg: RunConfig, split: str) -> Golds:
-    """The golds of one named split (``"train"``, ``"test"``), read from its
-    dataset alone: no lexicon is loaded and no rows are built."""
-    return _read_golds(getattr(cfg, split), cfg.task)
-
-
-def _read_golds(path, task: str) -> Golds:
-    if task == "intensity":
-        instances = load_intensity_dataset(path)
-        return Golds([i.id for i in instances], [i.gold for i in instances])
-    instances = load_triple_dataset(path)
-    return Golds([i.id for i in instances],
-                 [None if i.gold is None else float(i.gold) for i in instances])
+def _gold_array(golds: dict[str, float | None]) -> np.ndarray:
+    if None in golds.values():
+        raise StageError("training instances must all carry gold values")
+    return np.asarray(list(golds.values()), dtype=float)
 
 
 def load_rows(cfg: RunConfig, *splits: str) -> tuple[list[TokenSeq], list[RowSet]]:
@@ -576,7 +567,7 @@ def stage_train(cfg: RunConfig, out_dir: Path):
         raise StageError(
             f"feature fingerprint {feat_fp} does not match resources {resources_fp}"
         )
-    gold = load_golds(cfg, "train").array()
+    gold = _gold_array(read_golds(cfg.train, cfg.task))
     if cfg.architecture == "plain":
         ranked = grid_search(cfg.grid(), matrix, gold, cfg.cv_folds, cfg.seed)
         model = average_top_k(ranked, min(cfg.top_k, len(ranked)), matrix, gold)
@@ -584,7 +575,7 @@ def stage_train(cfg: RunConfig, out_dir: Path):
     else:
         feats_a, feats_b = _split_sides(tags, matrix)
         stack_cfg = StackConfig(
-            base_spec=cfg.base_spec(),
+            base_spec=cfg.base_learner,
             final_specs=tuple(cfg.grid()),
             top_k=cfg.top_k,
             folds=cfg.cv_folds,
@@ -639,23 +630,22 @@ def stage_predict(cfg: RunConfig, out_dir: Path):
     header, model = _read_artifact(out_dir / "model.pkl")
     inst_ids, preds = _apply_model(header, model, out_dir / "features_test.tsv")
 
-    tune = cfg.task == "triples" and cfg.threshold in ("optimized", "grounded")
+    mode, t = cfg.threshold  # always ("none", None) for intensity
+    tune = mode in ("optimized", "grounded")
     if cfg.grounding == "predictions" or tune:
-        train_gold = load_golds(cfg, "train").array()
+        train_gold = _gold_array(read_golds(cfg.train, cfg.task))
     if cfg.grounding == "predictions":
         preds = ground_predictions(preds, ScoreStats.of(train_gold))
     if cfg.task == "intensity":
         preds = np.clip(preds, 0.0, 1.0)
 
     classes = None
-    if cfg.task == "triples" and cfg.threshold != "none":
+    if mode != "none":
         if tune:
             train_preds = _apply_model(header, model, out_dir / "features_train.tsv")[1]
             t = optimize_threshold(train_preds, train_gold.astype(int))
-            if cfg.threshold == "grounded":
+            if mode == "grounded":
                 t = ground_threshold(t, ScoreStats.of(train_preds), ScoreStats.of(preds))
-        else:
-            t = float(cfg.threshold.split(":", 1)[1])
         classes = (preds >= t).astype(int)
 
     lines = [_banner(cfg)]
@@ -699,17 +689,29 @@ def _report_text(cfg: RunConfig, fingerprint: str, cv_table, report: MetricRepor
     return "".join(lines)
 
 
+def _score(pred_path, golds: dict[str, float | None], cfg: MetricConfig) -> MetricReport | None:
+    """The metrics of the predictions file at ``pred_path`` against ``golds``
+    (from ``read_golds``), or None when a predicted instance's gold is None.
+    The class column is scored when every gold is 0 or 1."""
+    ids, preds, classes = read_predictions(pred_path)
+    missing = [rid for rid in ids if rid not in golds]
+    if missing:
+        raise ValueError(f"gold file lacks ids: {missing[:5]}{'...' if len(missing) > 5 else ''}")
+    gold = [golds[rid] for rid in ids]
+    if None in gold:
+        return None
+    gold = np.asarray(gold)
+    kwargs = {}
+    if classes is not None and set(np.unique(gold)) <= {0.0, 1.0}:
+        kwargs = {"pred_classes": classes, "gold_classes": gold.astype(int)}
+    return metric_report(preds, gold, cfg, **kwargs)
+
+
 def stage_evaluate(cfg: RunConfig, out_dir: Path) -> MetricReport | None:
+    """Score predictions.tsv against the test golds; the report's metrics
+    read ``absent`` when some test instance has no gold."""
     header = _read_artifact(out_dir / "model.pkl", body=False)[0]
-    ids, preds, classes = read_predictions(out_dir / "predictions.tsv")
-    gold_map = load_golds(cfg, "test").mapping()
-    report = None
-    if gold_map and len(gold_map) == len(ids):
-        gold = np.asarray([gold_map[rid] for rid in ids])
-        kwargs = {}
-        if classes is not None:
-            kwargs = {"pred_classes": classes, "gold_classes": gold.astype(int)}
-        report = metric_report(preds, gold, cfg.metric_config(), **kwargs)
+    report = _score(out_dir / "predictions.tsv", read_golds(cfg.test, cfg.task), cfg.epsilon_mode)
     _write_text(
         out_dir / "report.txt",
         _report_text(cfg, header["fingerprint"], header["cv_table"], report),
@@ -778,29 +780,8 @@ def run_pipeline(cfg: RunConfig, out_dir) -> RunReport:
 # Stand-alone evaluation of arbitrary prediction/gold files.
 
 
-def _read_gold_file(path) -> dict[str, float]:
-    """Gold readers: 2-column ``id\\tvalue``, intensity dataset, or triples."""
-    rows = _read_tsv(path)[1]
-    first = rows[0][1] if rows else [""]
-    if first[:3] == ["id", "text", "affect"]:
-        return _read_golds(path, "intensity").mapping()
-    if len(first) == 5:
-        return _read_golds(path, "triples").mapping()
-    if len(first) == 2:
-        ids, values, _ = read_predictions(path)
-        return dict(zip(ids, values.tolist()))
-    raise ValueError(f"{path}: unrecognized gold format ({len(first)} columns)")
-
-
 def evaluate_files(pred_path, gold_path, cfg: MetricConfig = MetricConfig()) -> MetricReport:
-    """MetricReport for any predictions TSV against any gold file."""
-    ids, preds, classes = read_predictions(pred_path)
-    gold_map = _read_gold_file(gold_path)
-    missing = [rid for rid in ids if rid not in gold_map]
-    if missing:
-        raise ValueError(f"gold file lacks ids: {missing[:5]}{'...' if len(missing) > 5 else ''}")
-    gold = np.asarray([gold_map[rid] for rid in ids])
-    kwargs = {}
-    if classes is not None and set(np.unique(gold)) <= {0.0, 1.0}:
-        kwargs = {"pred_classes": classes, "gold_classes": gold.astype(int)}
-    return metric_report(preds, gold, cfg, **kwargs)
+    """MetricReport for any predictions TSV against any gold file; an
+    instance whose gold is ``NONE`` counts as missing from it."""
+    golds = {rid: g for rid, g in read_golds(gold_path).items() if g is not None}
+    return _score(pred_path, golds, cfg)

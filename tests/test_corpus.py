@@ -36,6 +36,11 @@ class TestTokenize:
         assert tokenize("# #").tokens == ("#", "#")
         assert tokenize("##joy").tokens == ("#", "#joy")
 
+    @given(st.text(" \t\x0b\x0c\x1c\x85\u2028\u3000a!#@", max_size=8))
+    def test_no_token_exactly_when_no_non_whitespace(self, text):
+        # the dataset row parser finds an empty word with str.split, untokenized
+        assert (len(tokenize(text)) == 0) == (not text.split())
+
     def test_unicode_whitespace(self):
         assert tokenize("a b\tc").tokens == ("a", "b", "c")
 

@@ -225,15 +225,21 @@ def test_forest_constant_target_and_columns():
     yc = np.arange(10.0)
     forest = _ExtraTrees(Zc, yc, spec)
     assert np.array_equal(forest.value, np.full(5, 4.5))
+    forest = _ExtraTrees(np.empty((10, 0)), yc, spec)  # no column at all
+    assert np.array_equal(forest.feature, np.full(5, -1))
+    assert np.array_equal(forest.predict(np.empty((3, 0))), np.full(3, 4.5))
 
 
 def test_forest_duplicate_rows_become_leaves():
     # two distinct rows, each repeated, with a varying target: only columns 0
     # and 7 of 41 vary, so most draws hit constant columns; once a node holds
-    # copies of one row it has no split at all and must end as a leaf
+    # copies of one row it has no split at all and must end as a leaf.  Some
+    # copies hold -0.0 where others hold 0.0: no draw can split them, so they
+    # count as one row
     gen = np.random.default_rng(8)
     Z = np.zeros((40, 41))
     Z[20:, [0, 7]] = 1.0
+    Z[::3, [5, 9]] = -0.0
     y = gen.normal(size=40)
     forest = _ExtraTrees(Z, y, ModelSpec("tree", n_estimators=50, seed=8))
     assert set(forest.feature.tolist()) <= {-1, 0, 7}

@@ -14,7 +14,8 @@ import pytest
 import rtm
 from rtm.cli import main
 from rtm.features import FEATURE_NAMES
-from rtm.metrics import parse_report
+from rtm.learners import ModelSpec
+from rtm.metrics import MetricConfig, parse_report
 from rtm.pipeline import (
     STAGES,
     ConfigError,
@@ -126,6 +127,35 @@ class TestConfig:
         path = self._minimal(tmp_path, **{key: value})
         with pytest.raises(ConfigError, match=f": {key}: "):
             parse_config(path)
+
+    def test_values_parsed_into_fields(self, tmp_path):
+        cfg = parse_config(self._minimal(tmp_path, base_learner="knn:3", threshold="fixed:0.25",
+                                         epsilon_mode="half_step:0.5"))
+        assert cfg.base_learner == ModelSpec("knn", k=3, seed=3)
+        assert cfg.threshold == ("fixed", 0.25)
+        assert cfg.epsilon_mode == MetricConfig("half_step", 0.5)
+        assert cfg.raw["base_learner"] == "knn:3"
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("threshold", "fixed:0.5", "threshold is not used by the intensity task"),
+        ("base_learner", "knn:3", "base_learner is not used by the plain architecture"),
+    ])
+    def test_key_the_run_ignores_rejected(self, tmp_path, key, value, message):
+        (tmp_path / "lex.txt").write_text("#joy\nglad\n")
+        fields = {"task": "intensity", "architecture": "plain", "lexicon": "lex.txt",
+                  "emotions": "joy"}
+        parse_config(self._minimal(tmp_path, **fields))
+        with pytest.raises(ConfigError, match=message):
+            parse_config(self._minimal(tmp_path, **fields, **{key: value}))
+
+    def test_readme_config_table_lists_every_key(self):
+        from rtm.pipeline import _KEYS
+
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| key | meaning | default |\n", 1)[1].split("\n\n", 1)[0]
+        keys = [key for row in table.split("\n")[1:]
+                for key in re.findall(r"`(\w+)`", row.split("|")[1])]
+        assert sorted(keys) == sorted(_KEYS)
 
     def test_epsilon_flag_and_key_share_one_parser(self, tmp_path, capsys):
         (tmp_path / "gold.tsv").write_text("a\t0.1\nb\t0.6\n")
@@ -402,6 +432,55 @@ class TestPipelineRun:
             assert set(np.unique(classes)) <= {0, 1}
 
 
+def _small_case(root, task):
+    if task == "intensity":
+        return write_intensity_case(root, n_texts=60, n_train=45, corpus_size=60, vocab_size=60,
+                                    n_lex=12)
+    return write_triples_case(root, "combined", n_instances=60, n_train=45, corpus_size=60)
+
+
+def _edit_ids(path, edit, lineno=None):
+    """Apply ``edit`` to the id of each data row of a dataset, or of line ``lineno``."""
+    lines = path.read_text(encoding="utf-8").split("\n")
+    for i, line in enumerate(lines):
+        if line and not line.startswith("id\t") and lineno in (None, i + 1):
+            rid, rest = line.split("\t", 1)
+            lines[i] = edit(rid) + "\t" + rest
+    path.write_text("\n".join(lines), encoding="utf-8")
+
+
+class TestInstanceIds:
+    @pytest.mark.parametrize("task", ["intensity", "triples"])
+    @pytest.mark.parametrize("name", ["train.tsv", "test.tsv"])
+    def test_id_starting_with_hash_refused_at_load(self, tmp_path, task, name):
+        # '#' starts a comment in the files rtm writes, so the row would vanish
+        cfg = parse_config(_small_case(tmp_path, task))
+        _edit_ids(tmp_path / name, lambda rid: "#" + rid, lineno=4)
+        with pytest.raises(StageError, match=rf"stage select-interpretants: \S*{name}:4: "
+                                             r"id '#[dt]\d+' starts with '#'"):
+            run_pipeline(cfg, tmp_path / "out")
+
+    @pytest.mark.parametrize("task, char", [("intensity", "\x0c"), ("intensity", "\x85"),
+                                            ("intensity", "\u2028"), ("triples", "\x0c")])
+    def test_id_with_a_splitlines_break_runs(self, tmp_path, capsys, task, char):
+        # str.splitlines breaks at these; the line rule of every reader does not
+        cfg_path = _small_case(tmp_path, task)
+        for name in ("train.tsv", "test.tsv"):
+            _edit_ids(tmp_path / name, lambda rid: rid[:1] + char + rid[1:])
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        ids = read_predictions(out / "predictions.tsv")[0]
+        assert len(ids) == 15 and all(rid[1] == char for rid in ids)
+        block = (out / "report.txt").read_text(encoding="utf-8").partition("[metrics]\n")[2]
+        assert block.startswith("r\t")
+        assert ("F1\t" in block) == (task == "triples")  # the threshold's class column
+        # the stage and the stand-alone evaluation score through one path
+        pred, gold = str(out / "predictions.tsv"), str(tmp_path / "test.tsv")
+        assert main(["evaluate", "--pred", pred, "--gold", gold]) == 0
+        assert capsys.readouterr().out == block
+
+
 class TestNonFiniteRefused:
     def _front(self, cfg_path, stages=STAGES[:3]):
         cfg = parse_config(cfg_path)
@@ -547,23 +626,22 @@ seed = 5
 
 
 class TestLoadOnce:
-    LOADERS = ("load_intensity_dataset", "load_triple_dataset", "load_lexicon")
-
-    def _loads_per_stage(self, cfg_path, monkeypatch):
-        """Run every stage; return {stage: {(loader, file name): calls}}."""
+    def _reads_per_stage(self, cfg_path, monkeypatch):
+        """Run every stage; return {stage: {file name: reads}}.  Every text
+        file rtm reads, input or output, is read through ``corpus._read_lines``."""
+        import rtm.corpus
         import rtm.pipeline
 
         counts, stage_now = {}, [None]
-        for name in self.LOADERS:
-            real = getattr(rtm.pipeline, name)
+        real = rtm.corpus._read_lines
 
-            def counted(path, _name=name, _real=real):
-                key = (_name, Path(path).name)
-                per_stage = counts.setdefault(stage_now[0], {})
-                per_stage[key] = per_stage.get(key, 0) + 1
-                return _real(path)
+        def counted(path):
+            per_stage = counts.setdefault(stage_now[0], {})
+            per_stage[Path(path).name] = per_stage.get(Path(path).name, 0) + 1
+            return real(path)
 
-            monkeypatch.setattr(rtm.pipeline, name, counted)
+        for module in (rtm.corpus, rtm.pipeline):
+            monkeypatch.setattr(module, "_read_lines", counted)
         cfg = parse_config(cfg_path)
         for stage in STAGES:
             stage_now[0] = stage
@@ -571,19 +649,16 @@ class TestLoadOnce:
         return counts
 
     def test_intensity_inputs_loaded_once_per_stage(self, tiny_intensity_cfg, monkeypatch):
-        counts = self._loads_per_stage(tiny_intensity_cfg, monkeypatch)
-        assert counts["select-interpretants"] == {
-            ("load_lexicon", "lexicon.txt"): 1,
-            ("load_intensity_dataset", "train.tsv"): 1,
-            ("load_intensity_dataset", "test.tsv"): 1,
-        }
-        assert counts["extract-features"] == counts["select-interpretants"]
-        # the later stages read only golds, from the one dataset they need
-        assert counts["train"] == {("load_intensity_dataset", "train.tsv"): 1}
-        assert counts["evaluate"] == {("load_intensity_dataset", "test.tsv"): 1}
-        assert all(loader != "load_lexicon" for loader, _ in counts.get("predict", {}))
-        for per_stage in counts.values():
-            assert max(per_stage.values()) == 1
+        counts = self._reads_per_stage(tiny_intensity_cfg, monkeypatch)
+        datasets = {"lexicon.txt": 1, "train.tsv": 1, "test.tsv": 1}
+        assert counts["select-interpretants"] == {"corpus.txt": 1, **datasets}
+        assert counts["build-resources"] == {"interpretants.tsv": 1, "corpus.txt": 1}
+        assert counts["extract-features"] == datasets
+        # the later stages read only golds, from the one dataset they need,
+        # and never the lexicon
+        assert counts["train"] == {"features_train.tsv": 1, "train.tsv": 1}
+        assert counts["predict"] == {"features_test.tsv": 1}
+        assert counts["evaluate"] == {"predictions.tsv": 1, "test.tsv": 1}
 
     def test_triples_train_set_loaded_once_in_predict(self, tmp_path, monkeypatch):
         cfg_path = write_triples_case(
@@ -591,9 +666,10 @@ class TestLoadOnce:
         )
         text = cfg_path.read_text().replace("threshold = fixed:0.5", "threshold = optimized")
         cfg_path.write_text(text + "grounding = predictions\n")
-        counts = self._loads_per_stage(cfg_path, monkeypatch)
+        counts = self._reads_per_stage(cfg_path, monkeypatch)
         # grounding and threshold tuning both need the training golds
-        assert counts["predict"] == {("load_triple_dataset", "train.tsv"): 1}
+        assert counts["predict"] == {"features_test.tsv": 1, "train.tsv": 1,
+                                     "features_train.tsv": 1}
         for per_stage in counts.values():
             assert max(per_stage.values()) == 1
 
