@@ -34,7 +34,6 @@ from .features import (
     alignment_features,
     build_feature_matrix,
     extract_feature_vector,
-    feature_manifest,
     length_features,
     lm_features,
     train_aligner,

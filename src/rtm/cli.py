@@ -2,7 +2,7 @@
 
 Subcommands mirror the pipeline stages plus the one-shot ``run``:
 
-    rtm run --config run.cfg --out outdir [--seed N] [--stage NAME]
+    rtm run --config run.cfg --out outdir [--seed N]
     rtm select-interpretants | build-resources | extract-features |
         train | predict | evaluate   (same flags, one stage each)
     rtm evaluate --pred predictions.tsv --gold gold.tsv [--epsilon half_step:1]
@@ -42,9 +42,7 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="rtm_out", help="output directory")
         p.add_argument("--jobs", type=int, default=1, help="worker hint (runs are single-process)")
 
-    run_p = sub.add_parser("run", help="execute the full pipeline")
-    add_common(run_p)
-    run_p.add_argument("--stage", choices=STAGES, help="run only this stage")
+    add_common(sub.add_parser("run", help="execute the full pipeline"))
 
     stage_parsers = {}
     for stage in STAGES:
@@ -76,14 +74,13 @@ def main(argv=None) -> int:
         if args.jobs < 1:
             raise ConfigError("--jobs must be >= 1")
         cfg = parse_config(args.config, seed_override=args.seed)
-        if args.command == "run" and not args.stage:
+        if args.command == "run":
             report = run_pipeline(cfg, args.out)
             if report.metrics is not None:
                 print(report.metrics.format())
             return 0
-        stage = args.stage if args.command == "run" else args.command
-        result = run_stage(cfg, args.out, stage)
-        if stage == "evaluate" and result is not None:
+        result = run_stage(cfg, args.out, args.command)
+        if args.command == "evaluate" and result is not None:
             print(result.format())
         return 0
     except (ConfigError, StageError, OSError, ValueError) as exc:

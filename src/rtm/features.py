@@ -28,26 +28,6 @@ from .interpretants import NGramWeightTable, WittenBellLM
 
 ORDER_SETS: tuple[tuple[int, ...], ...] = ((1,), (2,), (3,), (1, 2), (1, 2, 3))
 
-_OVERLAP_PARTS = ("wprec", "wrec", "wf1", "wgm", "rec", "prec")
-
-
-def feature_manifest() -> tuple[str, ...]:
-    """Ordered feature names; every feature vector follows this layout."""
-    names = []
-    for orders in ORDER_SETS:
-        tag = "".join(str(n) for n in orders)
-        names.extend(f"{part}_{tag}" for part in _OVERLAP_PARTS)
-    names.extend(["lm_logprob", "lm_bpw", "lm_oov"])
-    names.extend(["align_1mwer", "align_f1"])
-    names.extend(
-        ["src_tokens", "tgt_tokens", "src_chars", "tgt_chars", "token_ratio", "char_ratio"]
-    )
-    return tuple(names)
-
-
-FEATURE_NAMES = feature_manifest()
-N_FEATURES = len(FEATURE_NAMES)
-
 
 class OverlapScores(NamedTuple):
     wprec: float
@@ -56,6 +36,17 @@ class OverlapScores(NamedTuple):
     wgm: float
     rec: float
     prec: float
+
+
+# Ordered feature names; every feature vector follows this layout.
+FEATURE_NAMES: tuple[str, ...] = (
+    *(f"{part}_{''.join(map(str, orders))}" for orders in ORDER_SETS
+      for part in OverlapScores._fields),
+    "lm_logprob", "lm_bpw", "lm_oov",
+    "align_1mwer", "align_f1",
+    "src_tokens", "tgt_tokens", "src_chars", "tgt_chars", "token_ratio", "char_ratio",
+)
+N_FEATURES = len(FEATURE_NAMES)
 
 
 class TokenTypes(NamedTuple):

@@ -259,6 +259,11 @@ class WittenBellLM:
     The recursion bottoms out in a uniform distribution over the prediction
     vocabulary (the training words plus the unknown and end-of-sentence
     symbols), which gives the unknown symbol its continuation mass.
+
+    The n-gram counts, one table per order, are the only counted state;
+    ``_histories`` maps each seen history h to (c(h), T(h)) and is derived
+    from them.  Every container is an insertion-ordered dict, so a pickled
+    model does not depend on the hash seed.
     """
 
     def __init__(self, sentences: list[TokenSeq], order: int = 3):
@@ -267,64 +272,53 @@ class WittenBellLM:
         if not sentences or all(len(s) == 0 for s in sentences):
             raise ValueError("need at least one nonempty sentence")
         self.order = order
+        self.vocab = dict.fromkeys(tok for sent in sentences for tok in sent.tokens)
+        self._p0 = 1.0 / len(self.vocab.keys() | {UNK, EOS})
 
-        self.vocab = {tok for sent in sentences for tok in sent.tokens}
-        self._pred_vocab = self.vocab | {UNK, EOS}
-        self._p0 = 1.0 / len(self._pred_vocab)
-
-        # counts[n][ngram], context_totals[n][history], types_after[n][history]
-        self._counts = {n: collections.Counter() for n in range(1, order + 1)}
-        self._context_totals = {n: collections.Counter() for n in range(1, order + 1)}
-        self._types_after = {n: collections.defaultdict(int) for n in range(1, order + 1)}
-        for sent in sentences:
-            if len(sent) == 0:
-                continue
-            padded = [BOS] * (order - 1) + list(sent.tokens) + [EOS]
-            for j in range(order - 1, len(padded)):
-                for n in range(1, order + 1):
-                    if n - 1 > j:
-                        continue
-                    gram = tuple(padded[j - n + 1 : j + 1])
-                    hist = gram[:-1]
-                    if self._counts[n][gram] == 0:
-                        self._types_after[n][hist] += 1
-                    self._counts[n][gram] += 1
-                    self._context_totals[n][hist] += 1
+        padded = [(BOS,) * (order - 1) + sent.tokens + (EOS,) for sent in sentences if len(sent)]
+        # counts[n][ngram]: each padded position j >= order - 1 ends one
+        # n-gram of every order n
+        self._counts = {
+            n: collections.Counter(itertools.chain.from_iterable(
+                zip(*(p[order - n + i :] for i in range(n))) for p in padded))
+            for n in range(1, order + 1)
+        }
+        self._histories: dict[tuple, tuple[int, int]] = {}
+        for counts in self._counts.values():
+            for gram, c in counts.items():
+                total, types = self._histories.get(gram[:-1], (0, 0))
+                self._histories[gram[:-1]] = (total + c, types + 1)
 
     def _map(self, word: str) -> str:
-        return word if word in self._pred_vocab else UNK
+        return word if word in self.vocab or word in (UNK, EOS) else UNK
 
     def prob(self, word: str, history: tuple = ()) -> float:
         """Smoothed P(word | history); history longer than order-1 is truncated."""
-        word = self._map(word)
-        hist = tuple(self._map(w) if w != BOS else BOS for w in history)
-        hist = hist[max(0, len(hist) - (self.order - 1)) :]
-        return self._prob(word, hist)
+        hist = tuple(w if w == BOS else self._map(w) for w in history)
+        return self._prob(self._map(word), hist[max(0, len(hist) - (self.order - 1)) :])
 
     def _prob(self, word: str, hist: tuple) -> float:
-        if not hist:
-            c = self._counts[1].get((word,), 0)
-            total = self._context_totals[1].get((), 0)
-            t = self._types_after[1].get((), 0)
-            return (c + t * self._p0) / (total + t)
-        n = len(hist) + 1
-        total = self._context_totals[n].get(hist, 0)
-        lower = self._prob(word, hist[1:])
-        if total == 0:
-            return lower
-        t = self._types_after[n].get(hist, 0)
-        c = self._counts[n].get(hist + (word,), 0)
-        return (c + t * lower) / (total + t)
+        p = self._p0
+        for k in range(len(hist), -1, -1):
+            h = hist[k:]
+            seen = self._histories.get(h)
+            if seen is None:  # then no longer history ending in h was seen either
+                break
+            total, t = seen
+            p = (self._counts[len(h) + 1].get(h + (word,), 0) + t * p) / (total + t)
+        return p
 
     def sequence_logprob2(self, seq: TokenSeq) -> tuple[float, int]:
         """(log2 probability of ``seq`` including boundary events, event count)."""
-        padded = [BOS] * (self.order - 1) + list(seq.tokens) + [EOS]
-        start = self.order - 1
+        # A literal <s> stays the boundary symbol in a history but is predicted
+        # as itself only when it was a training word, as ``prob`` maps it.
+        words = [self._map(w) for w in seq.tokens] + [EOS]
+        k = self.order - 1
+        hists = (BOS,) * k + tuple(w if w == BOS else m for w, m in zip(seq.tokens, words))
         logprob = 0.0
-        for j in range(start, len(padded)):
-            hist = tuple(padded[max(0, j - self.order + 1) : j])
-            logprob += math.log2(self.prob(padded[j], hist))
-        return logprob, len(padded) - start
+        for j, word in enumerate(words):
+            logprob += math.log2(self._prob(word, hists[j : j + k]))
+        return logprob, len(words)
 
     def in_vocab(self, word: str) -> bool:
         return word in self.vocab

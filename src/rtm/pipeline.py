@@ -5,8 +5,9 @@ extract-features -> train -> predict -> evaluate, each reading the files the
 previous stage wrote into the output directory.  The one-shot ``run`` executes
 exactly this sequence, so stage-wise and one-shot execution produce
 byte-identical outputs, and a repeated run with the same config reproduces
-them bit for bit (wall-clock timings go to a separate timings.txt, which is
-the one file outside that guarantee).
+them bit for bit, artifacts included, under any PYTHONHASHSEED (wall-clock
+timings go to a separate timings.txt, which is the one file outside that
+guarantee).
 
 Every text output starts with a comment line carrying the tool version and
 the config hash.  The binary artifacts (resources.pkl, model.pkl) start with
@@ -532,6 +533,10 @@ def _read_features(path: Path) -> tuple[list[str], list[str], np.ndarray, str]:
     if not rows or rows[0][1] != ["id", "row", *FEATURE_NAMES]:
         raise StageError(f"{path}: header row is not id, row and this build's feature names")
     rows = rows[1:]
+    width = 2 + len(FEATURE_NAMES)
+    for lineno, fields in rows:
+        if len(fields) != width:
+            raise StageError(f"{path}:{lineno}: expected {width} columns, got {len(fields)}")
     ids = [fields[0] for _, fields in rows]
     tags = [fields[1] for _, fields in rows]
     values = [[float(v) for v in fields[2:]] for _, fields in rows]

@@ -1,13 +1,16 @@
 """Array-pass FDA, shared n-gram sides, row-walk alignment, array IBM-1,
-bit-vector edit distance and the tokenizer fast path against references.
+bit-vector edit distance, the count-table Witten-Bell LM and the tokenizer
+fast path against references.
 
 The references below are the O(N*B) argmax scan of feature-decay selection
 (adding each sentence's features in the order select_interpretants
 documents), the per-row union-set overlap, the |src|x|tgt| probe loop of Viterbi
-alignment, the dict-of-dicts IBM Model 1 EM, the Levenshtein DP and the
-per-character tokenizer that ``rtm`` used before.  The current code must
-reproduce them bit for bit: the same indices, scores, overlap tuples, links,
-aligner tables, log-likelihoods, distances and tokens.
+alignment, the dict-of-dicts IBM Model 1 EM, the Levenshtein DP, the
+five-table Witten-Bell LM (set vocabularies, per-order context totals and
+type counts, a ``prob`` call per position) and the per-character tokenizer
+that ``rtm`` used before.  The current code must reproduce them bit for bit:
+the same indices, scores, overlap tuples, links, aligner tables,
+log-likelihoods, distances, probabilities and tokens.
 """
 
 import collections
@@ -36,6 +39,9 @@ from rtm.features import (
     weighted_overlap,
 )
 from rtm.interpretants import (
+    BOS,
+    EOS,
+    UNK,
     FdaConfig,
     WittenBellLM,
     _padded_groups,
@@ -194,6 +200,64 @@ def ref_feature_vector(src, tgt, resources):
     values.extend(alignment_features(ref_aligner, src, tgt))
     values.extend(length_features(src, tgt))
     return np.asarray(values, dtype=float)
+
+
+class RefWittenBellLM:
+    def __init__(self, sentences, order=3):
+        self.order = order
+        self.vocab = {tok for sent in sentences for tok in sent.tokens}
+        self._pred_vocab = self.vocab | {UNK, EOS}
+        self._p0 = 1.0 / len(self._pred_vocab)
+        self._counts = {n: collections.Counter() for n in range(1, order + 1)}
+        self._context_totals = {n: collections.Counter() for n in range(1, order + 1)}
+        self._types_after = {n: collections.defaultdict(int) for n in range(1, order + 1)}
+        for sent in sentences:
+            if len(sent) == 0:
+                continue
+            padded = [BOS] * (order - 1) + list(sent.tokens) + [EOS]
+            for j in range(order - 1, len(padded)):
+                for n in range(1, order + 1):
+                    if n - 1 > j:
+                        continue
+                    gram = tuple(padded[j - n + 1 : j + 1])
+                    hist = gram[:-1]
+                    if self._counts[n][gram] == 0:
+                        self._types_after[n][hist] += 1
+                    self._counts[n][gram] += 1
+                    self._context_totals[n][hist] += 1
+
+    def _map(self, word):
+        return word if word in self._pred_vocab else UNK
+
+    def prob(self, word, history=()):
+        word = self._map(word)
+        hist = tuple(self._map(w) if w != BOS else BOS for w in history)
+        hist = hist[max(0, len(hist) - (self.order - 1)) :]
+        return self._prob(word, hist)
+
+    def _prob(self, word, hist):
+        if not hist:
+            c = self._counts[1].get((word,), 0)
+            total = self._context_totals[1].get((), 0)
+            t = self._types_after[1].get((), 0)
+            return (c + t * self._p0) / (total + t)
+        n = len(hist) + 1
+        total = self._context_totals[n].get(hist, 0)
+        lower = self._prob(word, hist[1:])
+        if total == 0:
+            return lower
+        t = self._types_after[n].get(hist, 0)
+        c = self._counts[n].get(hist + (word,), 0)
+        return (c + t * lower) / (total + t)
+
+    def sequence_logprob2(self, seq):
+        padded = [BOS] * (self.order - 1) + list(seq.tokens) + [EOS]
+        start = self.order - 1
+        logprob = 0.0
+        for j in range(start, len(padded)):
+            hist = tuple(padded[max(0, j - self.order + 1) : j])
+            logprob += math.log2(self.prob(padded[j], hist))
+        return logprob, len(padded) - start
 
 
 def ref_split_chunk(chunk):
@@ -511,6 +575,66 @@ def test_feature_matrix_matches_per_row_reference():
         expected = ref_feature_vector(src, tgt, resources)
         assert hexes(vec) == hexes(expected)
         assert hexes(extract_feature_vector(src, tgt, resources)) == hexes(expected)
+
+
+# ---------------------------------------------------------------------------
+# Witten-Bell LM: count tables and one history table against the five-table
+# reference.
+
+SPECIAL = [BOS, EOS, UNK]
+
+
+def assert_same_lm(sentences, order, queries, histories):
+    lm = WittenBellLM(sentences, order=order)
+    ref = RefWittenBellLM(sentences, order=order)
+    assert lm._counts == ref._counts
+    assert lm._histories == {
+        h: (total, ref._types_after[n][h])
+        for n, totals in ref._context_totals.items() for h, total in totals.items()
+    }
+    assert lm.vocab.keys() == ref.vocab and lm._p0.hex() == ref._p0.hex()
+    for query in queries:
+        got, expected = lm.sequence_logprob2(query), ref.sequence_logprob2(query)
+        assert (got[0].hex(), got[1]) == (expected[0].hex(), expected[1]), query.tokens
+    words = sorted(ref._pred_vocab | {BOS, "unseen"})
+    for hist in histories:
+        assert hexes(lm.prob(w, hist) for w in words) == hexes(ref.prob(w, hist) for w in words)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("trained_specials", [(), (UNK,), (BOS, EOS, UNK)])
+def test_lm_matches_five_table_reference(order, trained_specials):
+    # A predicted literal <s> maps to <unk> unless it was a training word;
+    # the two score differently only when <unk> was a training word.
+    rng = np.random.default_rng(order + 10 * len(trained_specials))
+    vocab = [f"w{i}" for i in range(12)]
+    train_vocab = vocab + list(trained_specials)
+    p = 1.0 / np.arange(1, len(train_vocab) + 1)
+    p /= p.sum()
+    sentences = [seq(rng.choice(train_vocab, size=rng.integers(0, 9), p=p)) for _ in range(60)]
+    sentences.append(seq(vocab[:3]))
+    # queries mix training words, unseen words and literal <s>, </s>, <unk>
+    query_vocab = vocab + ["unseen", "zz"] + SPECIAL
+    queries = [seq(rng.choice(query_vocab, size=rng.integers(0, 10))) for _ in range(150)]
+    queries += [seq([BOS, BOS, "w1"]), seq([EOS, "w0", UNK]), seq(["unseen", BOS, EOS])]
+    history_words = vocab + ["unseen"] + SPECIAL
+    histories = [tuple(rng.choice(history_words, size=rng.integers(0, order + 2)))
+                 for _ in range(60)]
+    histories += [(), (BOS,) * 3, (BOS, "unseen"), ("w0", EOS), (UNK, BOS, "w1")]
+    assert_same_lm(sentences, order, queries, histories)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.lists(st.sampled_from(["a", "b", "c", BOS, EOS, UNK]), max_size=6),
+             min_size=1, max_size=8).filter(lambda s: any(s)),
+    st.lists(st.lists(st.sampled_from(["a", "b", "d", BOS, EOS, UNK]), max_size=6),
+             min_size=1, max_size=5),
+    st.integers(1, 4),
+)
+def test_lm_matches_reference_on_special_tokens(sentences, queries, order):
+    histories = [tuple(q) for q in queries]
+    assert_same_lm([seq(s) for s in sentences], order, [seq(q) for q in queries], histories)
 
 
 # ---------------------------------------------------------------------------

@@ -148,7 +148,7 @@ class TestWittenBellLM:
             TokenSeq.from_tokens(rng.choice(vocab, size=rng.integers(1, 7))) for _ in range(30)
         ]
         lm = WittenBellLM(sentences, order=3)
-        words = sorted(lm.vocab | {UNK, EOS})
+        words = sorted(lm.vocab.keys() | {UNK, EOS})
         histories = [tuple(rng.choice(vocab + ["<unk>"], size=rng.integers(0, 3))) for _ in range(100)]
         histories += [("<s>", "<s>"), ("<s>", words[0])]
         for hist in histories:

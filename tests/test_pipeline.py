@@ -521,6 +521,19 @@ class TestNonFiniteRefused:
             run_stage(cfg, out, "predict")
         assert not (out / "predictions.tsv").exists()
 
+    @pytest.mark.parametrize("stage", ["train", "predict"])
+    @pytest.mark.parametrize("edit", [lambda f: f[:-1], lambda f: f + ["0.5"]],
+                             ids=["short", "long"])
+    def test_feature_row_of_wrong_width_refused(self, tiny_intensity_cfg, stage, edit):
+        cfg, out = self._front(tiny_intensity_cfg, STAGES[: STAGES.index(stage)])
+        name = "features_train.tsv" if stage == "train" else "features_test.tsv"
+        width = 2 + len(FEATURE_NAMES)
+        got = len(edit([""] * width))
+        lineno = self._edit_first_row(out / name, edit)
+        with pytest.raises(StageError, match=rf"{name}:{lineno}: expected {width} columns, "
+                                             rf"got {got}$"):
+            run_stage(cfg, out, stage)
+
     def test_artifact_header_refuses_nan(self, tiny_intensity_cfg):
         from rtm.pipeline import _write_artifact
 
@@ -806,6 +819,75 @@ class TestEvaluateFiles:
             evaluate_files(tmp_path / "pred.tsv", tmp_path / "gold.tsv")
 
 
+def _reachable_sets(root):
+    """Paths to every set or frozenset reachable from ``root`` through
+    attributes, ``__slots__``, lists, tuples and dicts."""
+    found, seen, stack = [], set(), [("body", root)]
+    while stack:
+        path, obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, (set, frozenset)):
+            found.append(path)
+        elif isinstance(obj, dict):
+            stack.extend((f"{path}[{k!r}] key", k) for k in obj)
+            stack.extend((f"{path}[{k!r}]", v) for k, v in obj.items())
+        elif isinstance(obj, (list, tuple)):
+            stack.extend((f"{path}[{i}]", v) for i, v in enumerate(obj))
+        else:
+            slots = [n for cls in type(obj).__mro__ for n in getattr(cls, "__slots__", ())]
+            fields = {**getattr(obj, "__dict__", {}),
+                      **{n: getattr(obj, n) for n in slots if hasattr(obj, n)}}
+            stack.extend((f"{path}.{n}", v) for n, v in fields.items())
+    return found
+
+
+class TestHashSeed:
+    """``rtm run`` in fresh interpreters under two string hash seeds."""
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("hash_seed")
+        (root / "intensity").mkdir()
+        (root / "triples").mkdir()
+        cfgs = {
+            "intensity": write_intensity_case(root / "intensity", n_texts=60, n_train=45,
+                                              corpus_size=60, vocab_size=60, n_lex=12),
+            "triples": write_triples_case(root / "triples", "combined", n_instances=80,
+                                          n_train=60, corpus_size=60),
+        }
+        src = str(Path(rtm.__file__).resolve().parents[1])
+        outs = {}
+        for case, cfg in cfgs.items():
+            for hash_seed in ("1", "2"):
+                env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src,
+                       "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
+                       "MKL_NUM_THREADS": "1"}
+                out = outs[case, hash_seed] = cfg.parent / f"hash{hash_seed}"
+                subprocess.run([sys.executable, "-m", "rtm.cli", "run", "--config", str(cfg),
+                                "--out", str(out)], env=env, check=True, timeout=300,
+                               stdout=subprocess.DEVNULL)
+        return outs
+
+    @pytest.mark.parametrize("case", ["intensity", "triples"])
+    def test_every_output_but_timings_byte_identical(self, runs, case):
+        one, two = runs[case, "1"], runs[case, "2"]
+        names = sorted(p.name for p in one.iterdir() if p.name != "timings.txt")
+        assert names == sorted(p.name for p in two.iterdir() if p.name != "timings.txt")
+        assert {"resources.pkl", "model.pkl", "report.txt"} <= set(names)
+        for name in names:
+            assert (one / name).read_bytes() == (two / name).read_bytes(), name
+
+    @pytest.mark.parametrize("case", ["intensity", "triples"])
+    def test_artifact_bodies_hold_no_set(self, runs, case):
+        from rtm.pipeline import _read_artifact
+
+        for name in ("resources.pkl", "model.pkl"):
+            _, body = _read_artifact(runs[case, "1"] / name)
+            assert _reachable_sets(body) == [], name
+
+
 class TestCli:
     def test_run_command(self, tiny_intensity_cfg, capsys):
         out = tiny_intensity_cfg.parent / "cli_out"
@@ -821,16 +903,6 @@ class TestCli:
             code = main([stage, "--config", str(tiny_intensity_cfg), "--out", str(root / "b")])
             assert code == 0
         assert (root / "a" / "report.txt").read_bytes() == (root / "b" / "report.txt").read_bytes()
-
-    def test_run_stage_flag(self, tiny_intensity_cfg):
-        root = tiny_intensity_cfg.parent
-        for stage in STAGES:
-            code = main(
-                ["run", "--config", str(tiny_intensity_cfg), "--out", str(root / "st"),
-                 "--stage", stage]
-            )
-            assert code == 0
-        assert (root / "st" / "report.txt").exists()
 
     def test_standalone_evaluate(self, tmp_path, capsys):
         (tmp_path / "gold.tsv").write_text("a\t0.1\nb\t0.6\nc\t0.8\n")
