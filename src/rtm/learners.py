@@ -109,7 +109,24 @@ def _row_blocks(n_rows: int, bytes_per_row: int):
     return [slice(i, min(i + step, n_rows)) for i in range(0, n_rows, step)]
 
 
+def _gamma(m: int) -> float:
+    """Higham's gamma_m = m u / (1 - m u), u the unit roundoff of float64."""
+    mu = m * np.finfo(float).eps / 2
+    return mu / (1 - mu)
+
+
 class _Knn:
+    """k nearest neighbours by squared Euclidean distance.
+
+    ``neighbours`` screens with the Gram form ``|b|^2 + |a|^2 - 2 b.a`` (one
+    matrix product a block) and keeps as candidates the training rows whose
+    screened distance lies within a rounding bound of the row's k-th
+    screened value.  Only the candidates' distances are computed exactly, as
+    the sum of squared differences along the column axis; a sort by
+    (distance, index) of those gives the stable order of all distances:
+    ties to the lower training index, NaN last.
+    """
+
     def __init__(self, Z, y, spec):
         self.Z = Z
         self.y = np.asarray(y, dtype=float)
@@ -117,17 +134,52 @@ class _Knn:
 
     def neighbours(self, Z, k):
         """Each query row's ``k`` nearest training rows, nearest first."""
+        A = self.Z
+        n, c = A.shape
         nearest = np.empty((len(Z), k), dtype=np.intp)
-        # Each row's distances reduce on their own, so blocking changes no
-        # bit.  A block's one (rows, train rows, columns) temporary, squared
-        # in place and freed before the next, is held to a quarter of the
-        # budget (4 MiB).
-        for rows in _row_blocks(len(Z), 4 * 8 * self.Z.size):
-            diff = Z[rows, None, :] - self.Z[None, :, :]
-            d2 = np.square(diff, out=diff).sum(axis=2)
+        # With b.b, a.a and b.a each within gamma_c of exact (Higham 2002,
+        # section 3.1; any summation order) and two rounded additions, a
+        # screened value is within gamma_{c+2} (|b| + |a|)^2 of the exact
+        # distance; so is the exact sum (one rounded difference, square and
+        # c - 1 additions per column).  A row more than twice their sum past
+        # the k-th screened value therefore has k rows strictly nearer.
+        # ``reach`` doubles that again for the rounding of the bound itself,
+        # and its absolute term covers products lost to underflow.  The
+        # screen only picks candidates, so its overflow, underflow and
+        # inf - inf are ignored: a row with a non-finite screened value or
+        # bound takes every training row, and any floating-point error is
+        # raised by the exact sums below under the caller's errstate.
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            a2 = np.einsum("ij,ij->i", A, A)
+            a_max = np.sqrt(a2.max())
+        # A block's screen and its partitioned copy, 8n bytes a row each,
+        # are held to a quarter of the budget (4 MiB) together.
+        for rows in _row_blocks(len(Z), 4 * 16 * n):
+            B = Z[rows]
+            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+                b2 = np.einsum("ij,ij->i", B, B)
+                screen = B @ A.T
+                screen *= -2.0
+                screen += b2[:, None]
+                screen += a2
+                reach = (8 * _gamma(c + 4) * (np.sqrt(b2) + a_max) ** 2
+                         + 8 * (c + 1) * np.finfo(float).smallest_subnormal)
+                limit = np.partition(screen, k - 1, axis=1)[:, k - 1] + reach
+                every = ~(np.isfinite(limit) & np.isfinite(screen).all(axis=1))
+                qi, ti = np.nonzero((screen <= limit[:, None]) | every[:, None])
+            del screen
+            d2 = np.empty(len(qi))
+            # two (candidates, columns) temporaries, held to 4 MiB together
+            for part in _row_blocks(len(qi), 4 * 16 * c):
+                diff = B[qi[part]]
+                diff -= A[ti[part]]
+                d2[part] = np.square(diff, out=diff).sum(axis=1)
             del diff
-            # stable argsort: equal distances resolve to the lower training index
-            nearest[rows] = np.argsort(d2, axis=1, kind="stable")[:, :k]
+            # nonzero lists each row's candidates by index and lexsort is
+            # stable, so equal distances keep the lower training index first
+            ranked = ti[np.lexsort((d2, qi))]
+            starts = np.searchsorted(qi, np.arange(len(B)))
+            nearest[rows] = ranked[starts[:, None] + np.arange(k)]
         return nearest
 
     def average(self, nearest):

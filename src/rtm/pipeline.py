@@ -23,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import math
 import os
 import pickle
 import time
@@ -69,8 +70,13 @@ from .stacking import (
 )
 
 # Layout of resources.pkl and model.pkl; a file of another layout is refused,
-# not misread.  3: one JSON header line, then the pickled body.
-ARTIFACT_FORMAT = 3
+# not misread.  4: one JSON header line, then the pickled body, whose
+# Witten-Bell LM holds one count table per order (a format-3 body may hold the
+# LM's older fields).
+ARTIFACT_FORMAT = 4
+
+# The stage that writes each artifact, named when one is refused.
+_WRITER = {"resources.pkl": "build-resources", "model.pkl": "train"}
 
 
 class ConfigError(ValueError):
@@ -332,19 +338,21 @@ def _read_artifact(path: Path, body: bool = True) -> tuple[dict, object]:
     """(header, body) of an artifact written by ``_write_artifact``.  The header
     is checked before anything is unpickled; ``body=False`` leaves the body
     unread and returns None for it."""
+    rerun = f"; re-run {_WRITER[path.name]} to rewrite it"
     with open(path, "rb") as fh:
         try:
             header = json.loads(fh.readline())
         except ValueError:  # not JSON, or not UTF-8
             header = None
         if not isinstance(header, dict):
-            raise StageError(f"{path}: written by an incompatible build (no JSON header line)")
+            raise StageError(
+                f"{path}: written by an incompatible build (no JSON header line){rerun}")
         if header.get("version") != __version__:
-            raise StageError(f"{path}: written by version {header.get('version')}")
+            raise StageError(f"{path}: written by version {header.get('version')}{rerun}")
         if header.get("format") != ARTIFACT_FORMAT:
             raise StageError(
                 f"{path}: written by an incompatible build "
-                f"(format {header.get('format')}, expected {ARTIFACT_FORMAT})"
+                f"(format {header.get('format')}, expected {ARTIFACT_FORMAT}){rerun}"
             )
         if not body:
             return header, None
@@ -353,7 +361,7 @@ def _read_artifact(path: Path, body: bool = True) -> tuple[dict, object]:
         except (AttributeError, ImportError, EOFError, ValueError, pickle.UnpicklingError) as exc:
             # e.g. a class an older build pickled, a cut-off file, an unknown protocol
             raise StageError(
-                f"{path}: body truncated or written by an incompatible build ({exc})"
+                f"{path}: body truncated or written by an incompatible build ({exc}){rerun}"
             ) from exc
 
 
@@ -539,7 +547,10 @@ def _read_features(path: Path) -> tuple[list[str], list[str], np.ndarray, str]:
             raise StageError(f"{path}:{lineno}: expected {width} columns, got {len(fields)}")
     ids = [fields[0] for _, fields in rows]
     tags = [fields[1] for _, fields in rows]
-    values = [[float(v) for v in fields[2:]] for _, fields in rows]
+    try:
+        values = [[float(v) for v in fields[2:]] for _, fields in rows]
+    except ValueError:  # read a cell that is not a number as NaN, refused below
+        values = [[_float_or_nan(v) for v in fields[2:]] for _, fields in rows]
     matrix = np.asarray(values, dtype=float).reshape(len(ids), len(FEATURE_NAMES))
     bad = np.argwhere(~np.isfinite(matrix))
     if bad.size:
@@ -547,6 +558,13 @@ def _read_features(path: Path) -> tuple[list[str], list[str], np.ndarray, str]:
         raise StageError(f"{path}:{rows[i][0]}: {FEATURE_NAMES[j]} is {rows[i][1][j + 2]!r}, "
                          "not a finite number")
     return ids, tags, matrix, fingerprint
+
+
+def _float_or_nan(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
 
 
 def stage_extract_features(cfg: RunConfig, out_dir: Path):

@@ -17,6 +17,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rtm.learners
 from rtm.learners import ModelSpec, _AdaBoostR2, _ExtraTrees, _Knn, _StumpScan
@@ -25,10 +26,13 @@ from rtm.learners import ModelSpec, _AdaBoostR2, _ExtraTrees, _Knn, _StumpScan
 # Reference implementations.
 
 
-def ref_knn_predict(Ztrain, y, k, Z):
+def ref_knn_neighbours(Ztrain, k, Z):
     d2 = ((Z[:, None, :] - Ztrain[None, :, :]) ** 2).sum(axis=2)
-    nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
-    return y[nearest].mean(axis=1)
+    return np.argsort(d2, axis=1, kind="stable")[:, :k]
+
+
+def ref_knn_predict(Ztrain, y, k, Z):
+    return y[ref_knn_neighbours(Ztrain, k, Z)].mean(axis=1)
 
 
 def ref_fit_stump(Z, y, w, square=lambda v: v * v):
@@ -398,8 +402,66 @@ def test_predictions_cross_row_blocks_unchanged(monkeypatch):
     Z, y, Zq = design(4)
     Zq = np.vstack([Zq, Z, Zq[:1]])  # 66 rows, a tie-heavy KNN query set
     knn = _Knn(Z, y, ModelSpec("knn", k=5))
-    monkeypatch.setattr(rtm.learners, "_BLOCK_BYTES", 8 * Z.size * 7)  # 7 query rows a block
+    real_blocks = rtm.learners._row_blocks
+    blocks = []
+    monkeypatch.setattr(rtm.learners, "_row_blocks",
+                        lambda n, size: blocks.append(real_blocks(n, size)) or blocks[-1])
+    # a query row's screen and its partitioned copy cost 16 bytes per
+    # training row, held to a quarter of the budget: 7 query rows a block
+    monkeypatch.setattr(rtm.learners, "_BLOCK_BYTES", 4 * 16 * len(Z) * 7)
     assert bits(knn.predict(Zq).tolist()) == bits(ref_knn_predict(Z, y, 5, Zq).tolist())
+    query_blocks = blocks[0]
+    assert [len(range(66)[rows]) for rows in query_blocks] == [7] * 9 + [3]
+    assert len(blocks) == 1 + len(query_blocks)  # then each block's candidates
+
+
+@st.composite
+def knn_cases(draw):
+    """(training rows, query rows, k) with exact and near distance ties,
+    columns scaled by 2**500 or 2**-500, and maybe a NaN cell."""
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, r = draw(st.integers(1, 40)), draw(st.integers(1, 12))
+    c = draw(st.sampled_from([1, 2, 3, 5, 9, 16, 87]))
+    k = n if draw(st.booleans()) else draw(st.integers(1, n))
+    # quarter steps: any two values differ by 0 or at least 1/4, so no
+    # square of a 2**-500 column underflows
+    A = gen.integers(-16, 17, size=(n, c)) / 4.0
+    Z = gen.integers(-16, 17, size=(r, c)) / 4.0
+    if draw(st.booleans()):
+        A[:, 0], Z[:, 0] = gen.normal(size=n), gen.normal(size=r)
+    if draw(st.booleans()):  # duplicate training rows, queried at distance 0
+        A[gen.integers(0, n, n // 2)] = A[gen.integers(0, n, n // 2)]
+        Z[: min(r, n)] = A[gen.integers(0, n, min(r, n))]
+    if draw(st.booleans()) and n > 1:
+        # near ties: a row one ulp from another, and a row mirrored across a
+        # query, whose distance ties the first's before rounding
+        i, j, *m = gen.choice(n, min(n, 3), replace=False)
+        A[i, 0] = A[i, 0] or 0.25  # a step from 0 would be subnormal
+        A[j] = A[i]
+        A[j, 0] = np.nextafter(A[i, 0], np.inf)
+        A[m] = 2 * Z[0] - A[i]
+    scale = np.array([draw(st.sampled_from([1.0, 2.0**500, 2.0**-500])) for _ in range(c)])
+    scale[0] = max(scale[0], 1.0)  # column 0's ulp steps stay normal when squared
+    A, Z = A * scale, Z * scale
+    nan = draw(st.sampled_from([None, "train", "query"]))
+    if nan is not None:
+        M = A if nan == "train" else Z
+        M[gen.integers(0, len(M)), gen.integers(0, c)] = np.nan
+    return A, Z, k, nan is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(knn_cases(), st.sampled_from([1, 4096, 16 << 20]))
+def test_knn_neighbours_equal_stable_argsort(case, block_bytes):
+    # The screen and its bound may only narrow the candidates: the order is
+    # the stable argsort of the exact distances, for any block size.
+    A, Z, k, finite = case
+    knn = _Knn(A, np.zeros(len(A)), ModelSpec("knn", k=k))
+    with pytest.MonkeyPatch.context() as mp, np.errstate(all="raise" if finite else "ignore"):
+        mp.setattr(rtm.learners, "_BLOCK_BYTES", block_bytes)
+        want = ref_knn_neighbours(A, k, Z)
+        got = knn.neighbours(Z, k)
+    assert got.dtype == np.intp and got.tolist() == want.tolist()
 
 
 def test_knn_distance_blocks_stay_within_budget():

@@ -343,12 +343,26 @@ class TestPipelineRun:
         path = out / name
         line = _header_line(path)
         for key, value, message in (("version", "0.0.0", "written by version 0.0.0"),
-                                    ("format", 2, "format 2, expected 3")):
+                                    ("format", 2, "format 2, expected 4")):
             header = {**json.loads(line), key: value}
             path.write_bytes(json.dumps(header).encode() + b"\nnot a pickle")
             for stage in sum(ARTIFACT_READERS[name], ()):
                 with pytest.raises(StageError, match=message):
                     run_stage(cfg, out, stage)
+
+    @pytest.mark.parametrize("name", sorted(ARTIFACT_READERS))
+    def test_format_3_refused_before_unpickling(self, tiny_intensity_cfg, name, monkeypatch):
+        # a format-3 resources.pkl may hold the Witten-Bell LM's older fields;
+        # the header alone refuses it, naming the stage that rewrites it
+        cfg, out = _full_run(tiny_intensity_cfg, "out_format_3")
+        path = out / name
+        line, _, body = path.read_bytes().partition(b"\n")
+        path.write_bytes(json.dumps({**json.loads(line), "format": 3}).encode() + b"\n" + body)
+        monkeypatch.setattr(pickle, "load", lambda fh: pytest.fail("unpickled the body"))
+        writer = {"resources.pkl": "build-resources", "model.pkl": "train"}[name]
+        for stage in sum(ARTIFACT_READERS[name], ()):
+            with pytest.raises(StageError, match=rf"\(format 3, expected 4\); re-run {writer}"):
+                run_stage(cfg, out, stage)
 
     def test_evaluate_reads_only_the_model_header(self, tiny_intensity_cfg):
         cfg, out = _full_run(tiny_intensity_cfg, "out_eval_header")
@@ -507,6 +521,15 @@ class TestNonFiniteRefused:
         with pytest.raises(StageError, match=rf"features_train.tsv:{lineno}: "
                                              rf"{FEATURE_NAMES[3]} is '{cell}', not a finite"):
             run_stage(cfg, out, "train")
+        assert not (out / "model.pkl").exists()
+
+    def test_non_numeric_feature_names_file_and_line(self, tiny_intensity_cfg, capsys):
+        cfg, out = self._front(tiny_intensity_cfg)
+        lineno = self._edit_first_row(out / "features_train.tsv",
+                                      lambda f: f[:5] + ["abc"] + f[6:])
+        assert main(["train", "--config", str(tiny_intensity_cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"features_train.tsv:{lineno}: {FEATURE_NAMES[3]} is 'abc', not a finite number" in err
         assert not (out / "model.pkl").exists()
 
     def test_non_finite_prediction_refused(self, tiny_intensity_cfg):
