@@ -109,6 +109,20 @@ def _row_blocks(n_rows: int, bytes_per_row: int):
     return [slice(i, min(i + step, n_rows)) for i in range(0, n_rows, step)]
 
 
+def _count_blocks(counts, bytes_per_item: int):
+    """Slices of consecutive rows, row ``i`` holding ``counts[i]`` items, each
+    slice's items within the block byte budget (a row over it is alone)."""
+    cap = max(1, _BLOCK_BYTES // max(1, bytes_per_item))
+    ends = np.cumsum(counts)
+    blocks, start = [], 0
+    while start < len(ends):
+        before = ends[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, before + cap, side="right")))
+        blocks.append(slice(start, stop))
+        start = stop
+    return blocks
+
+
 def _gamma(m: int) -> float:
     """Higham's gamma_m = m u / (1 - m u), u the unit roundoff of float64."""
     mu = m * np.finfo(float).eps / 2
@@ -166,20 +180,27 @@ class _Knn:
                          + 8 * (c + 1) * np.finfo(float).smallest_subnormal)
                 limit = np.partition(screen, k - 1, axis=1)[:, k - 1] + reach
                 every = ~(np.isfinite(limit) & np.isfinite(screen).all(axis=1))
-                qi, ti = np.nonzero((screen <= limit[:, None]) | every[:, None])
+                candidate = (screen <= limit[:, None]) | every[:, None]
             del screen
-            d2 = np.empty(len(qi))
-            # two (candidates, columns) temporaries, held to 4 MiB together
-            for part in _row_blocks(len(qi), 4 * 16 * c):
-                diff = B[qi[part]]
-                diff -= A[ti[part]]
-                d2[part] = np.square(diff, out=diff).sum(axis=1)
-            del diff
-            # nonzero lists each row's candidates by index and lexsort is
-            # stable, so equal distances keep the lower training index first
-            ranked = ti[np.lexsort((d2, qi))]
-            starts = np.searchsorted(qi, np.arange(len(B)))
-            nearest[rows] = ranked[starts[:, None] + np.arange(k)]
+            # Row groups sized by their candidate counts hold the candidates'
+            # indices, distances and order (at most 64 bytes a candidate at
+            # once) to 2 MiB and two (candidates, columns) temporaries to
+            # another 2 MiB, so this phase stays within the screen's 4 MiB.
+            out = nearest[rows]
+            for group in _count_blocks(candidate.sum(axis=1), 8 * 64):
+                qi, ti = np.nonzero(candidate[group])
+                d2 = np.empty(len(qi))
+                for part in _row_blocks(len(qi), 8 * 16 * c):
+                    diff = B[group][qi[part]]
+                    diff -= A[ti[part]]
+                    d2[part] = np.square(diff, out=diff).sum(axis=1)
+                del diff
+                # nonzero lists each row's candidates by index and lexsort is
+                # stable, so equal distances keep the lower training index first
+                ranked = ti[np.lexsort((d2, qi))]
+                starts = np.searchsorted(qi, np.arange(group.stop - group.start))
+                out[group] = ranked[starts[:, None] + np.arange(k)]
+            del candidate  # before the next block's screen
         return nearest
 
     def average(self, nearest):
@@ -187,7 +208,11 @@ class _Knn:
         return self.y[nearest[:, : self.k]].mean(axis=1)
 
     def predict(self, Z):
-        return self.average(self.neighbours(Z, self.k))
+        pred = np.empty(len(Z))
+        # query blocks hold each neighbour order to a sixteenth of the budget
+        for rows in _row_blocks(len(Z), 16 * 8 * self.k):
+            pred[rows] = self.average(self.neighbours(Z[rows], self.k))
+        return pred
 
 
 class _Const:
@@ -198,7 +223,7 @@ class _Const:
         return np.full(len(Z), self.value)
 
 
-_DRAWS = 4  # (feature, cut) draws a node gets in its first search round
+_DRAWS = 2  # (feature, cut) draws a node gets in its first search round
 _TRIES = 10  # non-constant draws a node may try before it becomes a leaf
 
 
@@ -279,6 +304,8 @@ def _grow_level_wise(Z, y, row_id, min_leaf, seed, trees):
     ``(feature, cut, left, right, value, depth)`` in growth order: level by
     level, each level in (tree, position) order, so the roots are nodes
     ``0 .. len(trees) - 1`` and a split node's right child is ``left + 1``.
+    Features and node ids are int32 from the level they are recorded in, so
+    the records of the levels grown add little to a later level's draws.
     """
     n = len(y)
     min_rows = max(2, 2 * min_leaf)  # a node splits only if both children can hold min_leaf
@@ -299,7 +326,7 @@ def _grow_level_wise(Z, y, row_id, min_leaf, seed, trees):
         searching = (counts >= min_rows) & ~constant & ~one_row
         search = np.flatnonzero(searching)
         row_node = np.repeat(np.arange(len(counts)), counts)
-        feature = np.full(len(counts), -1, dtype=np.intp)
+        feature = np.full(len(counts), -1, dtype=np.int32)
         cut = np.full(len(counts), math.inf)
         if search.size:
             keys = _keyed(_keyed(_keyed(seed_key, tree[search]), level), pos[search])
@@ -307,7 +334,7 @@ def _grow_level_wise(Z, y, row_id, min_leaf, seed, trees):
                 Z, rows[searching[row_node]], counts[search], keys, min_leaf)
         split = np.flatnonzero(feature >= 0)
         value[split] = math.nan
-        child = np.full(len(counts), -1, dtype=np.intp)
+        child = np.full(len(counts), -1, dtype=np.int32)
         child[split] = records + len(counts) + 2 * np.arange(split.size)
         levels.append((feature, cut, value, child))
         records += len(counts)
@@ -329,7 +356,7 @@ def _grow_level_wise(Z, y, row_id, min_leaf, seed, trees):
     feature, cut, value, child = (np.concatenate(fields.pop(0)) for _ in range(4))
     # leaves point both children back at themselves, so a descent stays put
     leaf = child < 0
-    left = np.where(leaf, np.arange(child.size), child)
+    left = np.where(leaf, np.arange(child.size, dtype=np.int32), child)
     return feature, cut, left, left + ~leaf, value, depth
 
 
@@ -337,12 +364,13 @@ class _ExtraTrees:
     """Totally randomized trees: uniform random feature, uniform random cut.
 
     All trees live in one set of flat node arrays (``feature``, ``cut``,
-    ``left``, ``right``, ``value``), tree ``t`` rooted at ``roots[t]``.  A
-    row goes left when ``row[feature] < cut``.  Leaves have
-    ``feature == -1`` and point both children at themselves.  Trees grow in
-    blocks that keep each level's working set within ``_BLOCK_BYTES``, and
-    each block's nodes are kept in growth order; the keyed draws make the
-    trees the same for any split into blocks.
+    ``left``, ``right``, ``value``), tree ``t`` rooted at ``roots[t]``; node
+    ids and features are int32.  A row goes left when ``row[feature] <
+    cut``.  Leaves have ``feature == -1`` and point both children at
+    themselves.  Trees grow in blocks that keep each level's working set
+    within ``_BLOCK_BYTES``, and each block's nodes are kept in growth
+    order; the keyed draws make the trees the same for any split into
+    blocks.
     """
 
     def __init__(self, Z, y, spec):
@@ -357,7 +385,7 @@ class _ExtraTrees:
         for trees in _row_blocks(spec.n_estimators, 8 * len(y) * (3 * _DRAWS + 4)):
             feature, cut, left, right, value, depth = _grow_level_wise(
                 Z, y, row_id, spec.min_leaf, spec.seed, trees)
-            roots = np.arange(trees.stop - trees.start)
+            roots = np.arange(trees.stop - trees.start, dtype=np.int32)
             parts.append((roots + offset, feature, cut, left + offset, right + offset, value))
             offset += len(feature)
             self.depth = max(self.depth, depth)
@@ -372,10 +400,12 @@ class _ExtraTrees:
         for rows in _row_blocks(len(Z), 64 * n_trees):
             # (tree, row) positions descend all trees at once, one level a step
             offsets = np.arange(rows.start, rows.stop)[None, :] * Z.shape[1]
-            node = np.repeat(self.roots[:, None], offsets.shape[1], axis=1)
+            # node ids are cast to intp once a level: numpy casts an int32
+            # index array on every lookup, and each level makes four
+            node = np.repeat(self.roots[:, None], offsets.shape[1], axis=1).astype(np.intp)
             for _ in range(self.depth - 1):
                 go_left = flat[offsets + self.feature[node]] < self.cut[node]
-                node = np.where(go_left, self.left[node], self.right[node])
+                node = np.where(go_left, self.left[node], self.right[node]).astype(np.intp)
             leaf = self.value[node]
             for t in range(n_trees):  # tree order, as a sequential sum
                 total[rows] += leaf[t]
@@ -767,6 +797,7 @@ def cross_validate(
     for fold in shares:
         model = fit_model(spec, fold.X, fold.y, fold)
         errors = np.abs(fold.held_out_predictions(model) - fold.y_test)
+        del model  # so the next fold's fit grows without this one beside it
         scores.append(float(np.mean(errors)))
     return float(np.mean(scores)), scores
 

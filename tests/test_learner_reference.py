@@ -403,16 +403,19 @@ def test_predictions_cross_row_blocks_unchanged(monkeypatch):
     Zq = np.vstack([Zq, Z, Zq[:1]])  # 66 rows, a tie-heavy KNN query set
     knn = _Knn(Z, y, ModelSpec("knn", k=5))
     real_blocks = rtm.learners._row_blocks
-    blocks = []
+    calls = []
     monkeypatch.setattr(rtm.learners, "_row_blocks",
-                        lambda n, size: blocks.append(real_blocks(n, size)) or blocks[-1])
+                        lambda n, size: calls.append((n, size)) or real_blocks(n, size))
     # a query row's screen and its partitioned copy cost 16 bytes per
     # training row, held to a quarter of the budget: 7 query rows a block
-    monkeypatch.setattr(rtm.learners, "_BLOCK_BYTES", 4 * 16 * len(Z) * 7)
+    screen_row = 4 * 16 * len(Z)
+    monkeypatch.setattr(rtm.learners, "_BLOCK_BYTES", screen_row * 7)
     assert bits(knn.predict(Zq).tolist()) == bits(ref_knn_predict(Z, y, 5, Zq).tolist())
-    query_blocks = blocks[0]
-    assert [len(range(66)[rows]) for rows in query_blocks] == [7] * 9 + [3]
-    assert len(blocks) == 1 + len(query_blocks)  # then each block's candidates
+    # predict's query blocks hold 8 bytes per neighbour to a sixteenth of
+    # the budget (33 rows), and each is screened 7 rows at a time
+    assert calls[0] == (66, 16 * 8 * 5)
+    assert [n for n, size in calls if size == screen_row] == [33, 33]
+    assert [len(range(33)[rows]) for rows in real_blocks(33, screen_row)] == [7] * 4 + [5]
 
 
 @st.composite
@@ -466,8 +469,8 @@ def test_knn_neighbours_equal_stable_argsort(case, block_bytes):
 
 def test_knn_distance_blocks_stay_within_budget():
     # 900 queries against 600 training rows of 87 columns: each block's
-    # difference array, squared in place, is held to 4 MiB (the 16 MiB
-    # blocks before held ~16.5 MiB at their peak).
+    # Gram screen and its partitioned copy are held to 4 MiB together (the
+    # 16 MiB blocks before held ~16.5 MiB at their peak).
     gen = np.random.default_rng(8)
     knn = _Knn(gen.normal(size=(600, 87)), gen.random(600), ModelSpec("knn", k=5))
     Zq = gen.normal(size=(900, 87))
@@ -478,3 +481,20 @@ def test_knn_distance_blocks_stay_within_budget():
     finally:
         tracemalloc.stop()
     assert peak < 5 << 20
+
+
+def test_knn_every_row_a_candidate_stays_within_budget():
+    # At k == len(train) every training row is a candidate: the candidates
+    # are taken in row groups sized by their count, and predict orders the
+    # neighbours of one query block at a time (before: 18.4 MiB).
+    gen = np.random.default_rng(8)
+    knn = _Knn(gen.normal(size=(600, 87)), gen.random(600), ModelSpec("knn", k=600))
+    Zq = gen.normal(size=(900, 87))
+    tracemalloc.start()
+    try:
+        pred = knn.predict(Zq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 << 20
+    assert pred == pytest.approx(np.full(900, knn.y.mean()), rel=1e-12)

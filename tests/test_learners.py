@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -353,6 +354,21 @@ def test_default_grid_cv_raises_no_floating_point_error(intensity_features):
         for spec in default_grid(seed=7):
             score, folds = cross_validate(spec, X, y, 7, 7)
             assert np.isfinite(folds).all(), spec.label()
+
+
+def test_tree_cv_holds_one_forest_at_a_time(intensity_features):
+    # The default grid's three 500-tree specs on ~103 training rows a fold,
+    # as intensity-default's CV grows them: int32 node fields and one fold's
+    # forest at a time keep the traced peak near 7 MiB (14 MiB before).
+    X, y = (a[:120] for a in intensity_features)
+    trees = [spec for spec in default_grid(seed=1) if spec.kind == "tree"]
+    tracemalloc.start()
+    try:
+        grid_search(trees, X, y, 7, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 << 20
 
 
 # ---------------------------------------------------------------------------
