@@ -292,7 +292,7 @@ def _draw_splits(Z, rows, counts, keys, min_leaf):
     return feature, cut
 
 
-def _grow_level_wise(Z, y, row_id, min_leaf, seed, trees):
+def _grow_level_wise(Z, y, row_id, min_leaf, seed, trees, first):
     """Grow the given trees together, one level per step.
 
     ``row_id`` numbers the distinct rows of ``Z``; a node whose rows all have
@@ -300,12 +300,12 @@ def _grow_level_wise(Z, y, row_id, min_leaf, seed, trees):
 
     Each open node is a segment of one row-index array, and every draw is
     keyed by (seed, tree, level, the node's position in its tree's level),
-    so a tree comes out the same whichever trees grow beside it.  Returns
-    ``(feature, cut, left, right, value, depth)`` in growth order: level by
-    level, each level in (tree, position) order, so the roots are nodes
-    ``0 .. len(trees) - 1`` and a split node's right child is ``left + 1``.
-    Features and node ids are int32 from the level they are recorded in, so
-    the records of the levels grown add little to a later level's draws.
+    so a tree comes out the same whichever trees grow beside it.  Returns a
+    ``(feature, cut, value, left)`` record per level.  Node ids are final:
+    they count from ``first`` level by level, each level in (tree, position)
+    order.  A split node's right child is ``left + 1``; a leaf is its own
+    ``left``.  Features and node ids are int32, so the levels' records add
+    little to a later level's draws.
     """
     n = len(y)
     min_rows = max(2, 2 * min_leaf)  # a node splits only if both children can hold min_leaf
@@ -314,8 +314,7 @@ def _grow_level_wise(Z, y, row_id, min_leaf, seed, trees):
     counts = np.full(len(tree), n)
     rows = np.tile(np.arange(n), len(tree))
     seed_key = np.uint64(seed % (1 << 64))
-    levels = []  # per level: (feature, cut, value, left child's record)
-    records = 0  # nodes in earlier levels
+    levels = []
     while tree.size:
         level = len(levels)
         starts = _starts(counts)
@@ -334,10 +333,10 @@ def _grow_level_wise(Z, y, row_id, min_leaf, seed, trees):
                 Z, rows[searching[row_node]], counts[search], keys, min_leaf)
         split = np.flatnonzero(feature >= 0)
         value[split] = math.nan
-        child = np.full(len(counts), -1, dtype=np.int32)
-        child[split] = records + len(counts) + 2 * np.arange(split.size)
-        levels.append((feature, cut, value, child))
-        records += len(counts)
+        left = np.arange(first, first + len(counts), dtype=np.int32)
+        first += len(counts)
+        left[split] = first + 2 * np.arange(split.size)
+        levels.append((feature, cut, value, left))
         # the rows of the split nodes, each node's left side then its right side
         sub = feature[row_node] >= 0
         rows, row_node = rows[sub], row_node[sub]
@@ -349,48 +348,42 @@ def _grow_level_wise(Z, y, row_id, min_leaf, seed, trees):
         tree = np.repeat(tree[split], 2)
         rank = np.arange(split.size) - np.searchsorted(tree[::2], tree[::2])
         pos = (2 * rank[:, None] + np.arange(2)).ravel()
-    depth = len(levels)
-    # one field is joined at a time, to keep the peak memory low
-    fields = [list(f) for f in zip(*levels)]
-    del levels
-    feature, cut, value, child = (np.concatenate(fields.pop(0)) for _ in range(4))
-    # leaves point both children back at themselves, so a descent stays put
-    leaf = child < 0
-    left = np.where(leaf, np.arange(child.size, dtype=np.int32), child)
-    return feature, cut, left, left + ~leaf, value, depth
+    return levels
 
 
 class _ExtraTrees:
     """Totally randomized trees: uniform random feature, uniform random cut.
 
     All trees live in one set of flat node arrays (``feature``, ``cut``,
-    ``left``, ``right``, ``value``), tree ``t`` rooted at ``roots[t]``; node
-    ids and features are int32.  A row goes left when ``row[feature] <
-    cut``.  Leaves have ``feature == -1`` and point both children at
-    themselves.  Trees grow in blocks that keep each level's working set
-    within ``_BLOCK_BYTES``, and each block's nodes are kept in growth
-    order; the keyed draws make the trees the same for any split into
-    blocks.
+    ``value``, ``left``), tree ``t`` rooted at ``roots[t]``; node ids and
+    features are int32.  A row goes to ``left`` when ``row[feature] < cut``
+    and to ``left + 1`` otherwise.  A leaf has ``feature == -1`` and is its
+    own ``left``.  Trees grow in blocks that keep each level's working set
+    within ``_BLOCK_BYTES``; the keyed draws make the trees the same for any
+    split into blocks.
     """
 
     def __init__(self, Z, y, spec):
         Z = np.ascontiguousarray(Z, dtype=float)
         y = np.asarray(y, dtype=float)
-        parts, offset, self.depth = [], 0, 0
+        levels, roots, self.depth = [], [], 0
         # -0.0 and 0.0 are one row here, as they are to a column's min and max
         row_id = (np.unique(Z, axis=0, return_inverse=True)[1].ravel() if Z.shape[1]
                   else np.zeros(len(y), dtype=np.intp))
         # per tree and level: row indices, node ids, sides, keys, and the
         # columns, values and cuts of _DRAWS candidates
         for trees in _row_blocks(spec.n_estimators, 8 * len(y) * (3 * _DRAWS + 4)):
-            feature, cut, left, right, value, depth = _grow_level_wise(
-                Z, y, row_id, spec.min_leaf, spec.seed, trees)
-            roots = np.arange(trees.stop - trees.start, dtype=np.int32)
-            parts.append((roots + offset, feature, cut, left + offset, right + offset, value))
-            offset += len(feature)
-            self.depth = max(self.depth, depth)
-        (self.roots, self.feature, self.cut,
-         self.left, self.right, self.value) = (np.concatenate(a) for a in zip(*parts))
+            first = sum(len(record[0]) for record in levels)
+            block = _grow_level_wise(Z, y, row_id, spec.min_leaf, spec.seed, trees, first)
+            roots.append(np.arange(first, first + trees.stop - trees.start, dtype=np.int32))
+            self.depth = max(self.depth, len(block))
+            levels += block
+        self.roots = np.concatenate(roots)
+        # one field is joined at a time, to keep the peak memory low
+        fields = [list(f) for f in zip(*levels)]
+        del levels
+        self.feature, self.cut, self.value, self.left = (
+            np.concatenate(fields.pop(0)) for _ in range(4))
 
     def predict(self, Z):
         Z = np.ascontiguousarray(Z, dtype=float)
@@ -401,11 +394,12 @@ class _ExtraTrees:
             # (tree, row) positions descend all trees at once, one level a step
             offsets = np.arange(rows.start, rows.stop)[None, :] * Z.shape[1]
             # node ids are cast to intp once a level: numpy casts an int32
-            # index array on every lookup, and each level makes four
+            # index array on every lookup, and each level makes three
             node = np.repeat(self.roots[:, None], offsets.shape[1], axis=1).astype(np.intp)
             for _ in range(self.depth - 1):
-                go_left = flat[offsets + self.feature[node]] < self.cut[node]
-                node = np.where(go_left, self.left[node], self.right[node]).astype(np.intp)
+                feature = self.feature[node]
+                go_right = ~(flat[offsets + feature] < self.cut[node]) & (feature >= 0)
+                node = (self.left[node] + go_right).astype(np.intp)
             leaf = self.value[node]
             for t in range(n_trees):  # tree order, as a sequential sum
                 total[rows] += leaf[t]
@@ -648,7 +642,7 @@ class _Share:
     """What the fits of several specs on the same rows have in common.
 
     Each piece is built on first use and kept while the share lives (one
-    fold of one ``grid_search``, or one fit):
+    fold of one ``grid_search``, one top-k refit, or one fit):
 
     * the RFE elimination path, run once down to the fewest columns any spec
       keeps: ``select_features`` always ranks with alpha-1 ridge, so the path
@@ -824,12 +818,14 @@ def grid_search(
 
 
 class AveragedModel:
-    """Unweighted mean of the top-k ranked specs, each refit on all data."""
+    """Unweighted mean of the top-k ranked specs, each refit on all data through one share."""
 
     def __init__(self, ranked: list[tuple[ModelSpec, float]], k: int, X, y):
         if not 1 <= k <= len(ranked):
             raise ValueError(f"k must be in [1, {len(ranked)}]")
-        self.members = [fit_model(spec, X, y) for spec, _ in ranked[:k]]
+        specs = [spec for spec, _ in ranked[:k]]
+        share = _Share(specs, np.asarray(X, dtype=float), np.asarray(y, dtype=float))
+        self.members = [fit_model(spec, share.X, share.y, share) for spec in specs]
 
     def predict(self, X) -> np.ndarray:
         return np.mean([m.predict(X) for m in self.members], axis=0)

@@ -87,24 +87,33 @@ class StageError(RuntimeError):
     """A stage failed; carries the stage name in the message."""
 
 
+def _finite(text: str) -> float:
+    """The finite float ``text`` spells; ``nan`` and ``inf`` are refused."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def parse_epsilon(text: str) -> MetricConfig:
-    """``half_mae`` or ``half_step:<step>`` with step > 0, as written in the
-    ``epsilon_mode`` config key and the ``--epsilon`` flag."""
+    """``half_mae`` or ``half_step:<step>`` with a finite step > 0, as written
+    in the ``epsilon_mode`` config key and the ``--epsilon`` flag."""
     if text == "half_mae":
         return MetricConfig("half_mae")
     mode, colon, step = text.partition(":")
     if mode == "half_step" and colon:
         try:
-            return MetricConfig("half_step", float(step))
+            return MetricConfig("half_step", _finite(step))
         except ValueError:
             pass
-    raise ConfigError(f"epsilon must be half_mae or half_step:<step> with step > 0, got {text!r}")
+    raise ConfigError(
+        f"epsilon must be half_mae or half_step:<step> with a finite step > 0, got {text!r}")
 
 
 def _base_spec(text: str) -> ModelSpec:
     kind, _, arg = text.partition(":")
     if kind == "rr":
-        return ModelSpec("rr", alpha=float(arg or 1.0))
+        return ModelSpec("rr", alpha=_finite(arg or "1.0"))
     if kind == "knn":
         return ModelSpec("knn", k=int(arg or 5))
     if kind == "const":
@@ -159,7 +168,7 @@ def _threshold(text) -> tuple[str, float | None]:
         return text, None
     mode, colon, value = text.partition(":")
     if mode == "fixed" and colon:
-        return mode, float(value)
+        return mode, _finite(value)
     raise ValueError(f"must be none|optimized|grounded|fixed:<t>, got {text!r}")
 
 
@@ -176,8 +185,8 @@ _KEYS = {
     "emotions": (None, _labels),
     "budget": (_REQUIRED, _integer(1)),
     "fda_max_order": ("2", _integer(1)),
-    "decay": ("0.5", float),
-    "length_exponent": ("0.5", float),
+    "decay": ("0.5", _finite),
+    "length_exponent": ("0.5", _finite),
     "lm_order": ("3", _integer(1)),
     "aligner_iterations": ("5", _integer(0)),
     "grids": ("default", _choice(*_GRIDS)),
@@ -498,6 +507,8 @@ def stage_select_interpretants(cfg: RunConfig, out_dir: Path):
 def _read_interpretant_indices(path: Path) -> tuple[list[int], list[int]]:
     """(line numbers, corpus sentence indices) of the rows of ``path``."""
     _, rows = _read_tsv(path)
+    if not rows or rows[0][1] != ["index", "score"]:
+        raise StageError(f"{path}: header row is not index, score")
     linenos, indices = [], []
     for lineno, fields in rows[1:]:  # after the header
         try:
@@ -776,8 +787,6 @@ def run_stage(cfg: RunConfig, out_dir, stage: str):
     except Exception as exc:
         for name in outputs:
             (out_dir / name).unlink(missing_ok=True)
-        if isinstance(exc, StageError):
-            raise
         raise StageError(f"stage {stage}: {exc}") from exc
 
 

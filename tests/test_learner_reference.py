@@ -134,7 +134,8 @@ def descend(forest, Z):
         for r, row in enumerate(Z):
             node = root
             while forest.feature[node] >= 0:
-                node = forest.left[node] if row[forest.feature[node]] < forest.cut[node] else forest.right[node]
+                go_left = row[forest.feature[node]] < forest.cut[node]
+                node = forest.left[node] + (0 if go_left else 1)
             leaves[t, r] = node
     return leaves
 
@@ -150,27 +151,28 @@ def breadth_first(forest, root):
         node = queue.popleft()
         yield node
         if forest.feature[node] >= 0:
-            queue += [forest.left[node], forest.right[node]]
+            queue += [forest.left[node], forest.left[node] + 1]
 
 
 def node_rows(forest, Z):
     """(training rows, level) of each node, routed down the flat arrays.
 
-    Also checks the layout: leaves point both children at themselves, a
-    split node's right child is its left child plus 1, and walking every
-    tree from its root reaches each node exactly once, from exactly one root.
+    Also checks the layout: a leaf's ``left`` is the leaf itself, a split
+    node's right child is ``left + 1``, and walking every tree from its root
+    reaches each node exactly once, from exactly one root.
     """
+    assert not hasattr(forest, "right")  # derived as left + 1
     reach = [None] * len(forest.feature)
     level = np.zeros(len(forest.feature), dtype=int)
     for root in forest.roots:
         assert reach[root] is None
         reach[root] = np.arange(len(Z))
         for node in breadth_first(forest, root):
-            feat, left, right = forest.feature[node], forest.left[node], forest.right[node]
+            feat, left = forest.feature[node], forest.left[node]
             if feat < 0:
-                assert left == right == node
+                assert left == node
                 continue
-            assert right == left + 1
+            right = left + 1
             assert reach[left] is None and reach[right] is None
             idx = reach[node]
             go_left = Z[idx, feat] < forest.cut[node]

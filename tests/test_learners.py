@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -126,7 +127,7 @@ class TestExtraTrees:
                 return
             mask = Z[idx, forest.feature[node]] < forest.cut[node]
             yield from walk(forest.left[node], Z, idx[mask])
-            yield from walk(forest.right[node], Z, idx[~mask])
+            yield from walk(forest.left[node] + 1, Z, idx[~mask])
 
         Z = model.scaler.transform(X)
         for root in forest.roots:
@@ -304,6 +305,27 @@ class TestAverageTopK:
         p = fit_model(specs[0][0], X, y).predict(X)
         q = fit_model(specs[1][0], X, y).predict(X)
         assert np.abs(ens.predict(X) - (p + q) / 2.0).max() < 1e-12
+
+    def test_members_share_one_design_and_predict_as_if_alone(self):
+        X = rng.normal(size=(40, 6))
+        y = X[:, 0] - X[:, 2] + rng.normal(0.0, 0.1, 40)
+        # members 0-2 and 3-4 each share one column selection; the RFE path
+        # and PLS fit serve two specs each
+        specs = [ModelSpec("knn", k=3), ModelSpec("knn", k=5), ModelSpec("rr", alpha=1.0),
+                 ModelSpec("rr", alpha=1.0, n_features=4), ModelSpec("knn", k=3, n_features=4),
+                 ModelSpec("rr", alpha=0.1, n_features=2), ModelSpec("knn", k=3, n_components=4),
+                 ModelSpec("rr", alpha=1.0, n_components=2), ModelSpec("tree", n_estimators=10)]
+        ens = average_top_k([(spec, 0.0) for spec in specs], len(specs), X, y)
+        for m in (pickle.loads(pickle.dumps(ens)), ens):
+            knn3, knn5, rr, rr_fs, knn_fs = m.members[:5]
+            assert knn3.scaler is knn5.scaler is rr.scaler
+            assert knn3.inner.Z is knn5.inner.Z
+            assert rr_fs.scaler is knn_fs.scaler and rr_fs.selected == knn_fs.selected
+        alone = [fit_model(spec, X, y) for spec in specs]
+        for member, single in zip(ens.members, alone):
+            assert member.predict(X).tobytes() == single.predict(X).tobytes(), member.spec
+        want = np.mean([single.predict(X) for single in alone], axis=0)
+        assert ens.predict(X).tobytes() == want.tobytes()
 
 
 class TestSpecsAndGrids:

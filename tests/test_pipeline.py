@@ -128,6 +128,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f": {key}: "):
             parse_config(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("decay", "nan"), ("length_exponent", "nan"), ("length_exponent", "inf"),
+        ("threshold", "fixed:nan"), ("threshold", "fixed:-inf"),
+        ("epsilon_mode", "half_step:nan"), ("epsilon_mode", "half_step:inf"),
+        ("base_learner", "rr:nan"), ("base_learner", "rr:inf"),
+    ])
+    def test_non_finite_number_rejected_at_parse_time(self, tmp_path, key, value):
+        path = self._minimal(tmp_path, **{key: value})
+        with pytest.raises(ConfigError, match=f": {key}: .*finite"):
+            parse_config(path)
+
     def test_values_parsed_into_fields(self, tmp_path):
         cfg = parse_config(self._minimal(tmp_path, base_learner="knn:3", threshold="fixed:0.25",
                                          epsilon_mode="half_step:0.5"))
@@ -160,14 +171,15 @@ class TestConfig:
     def test_epsilon_flag_and_key_share_one_parser(self, tmp_path, capsys):
         (tmp_path / "gold.tsv").write_text("a\t0.1\nb\t0.6\n")
         (tmp_path / "pred.tsv").write_text("a\t0.2\nb\t0.5\n")
-        argv = ["evaluate", "--pred", str(tmp_path / "pred.tsv"),
-                "--gold", str(tmp_path / "gold.tsv"), "--epsilon", "bogus"]
-        assert main(argv) == 1
-        flag_error = capsys.readouterr().err.removeprefix("rtm: ").strip()
-        with pytest.raises(ConfigError) as key_error:
-            parse_config(self._minimal(tmp_path, epsilon_mode="bogus"))
-        assert "bogus" in flag_error
-        assert str(key_error.value).endswith(f"epsilon_mode: {flag_error}")
+        for value in ("bogus", "half_step:nan", "half_step:inf"):
+            argv = ["evaluate", "--pred", str(tmp_path / "pred.tsv"),
+                    "--gold", str(tmp_path / "gold.tsv"), "--epsilon", value]
+            assert main(argv) == 1
+            flag_error = capsys.readouterr().err.removeprefix("rtm: ").strip()
+            with pytest.raises(ConfigError) as key_error:
+                parse_config(self._minimal(tmp_path, epsilon_mode=value))
+            assert value in flag_error
+            assert str(key_error.value).endswith(f"epsilon_mode: {flag_error}")
 
 
 class TestPipelineRun:
@@ -415,6 +427,19 @@ class TestPipelineRun:
         with pytest.raises(StageError, match="stage train"):
             run_stage(cfg, tiny_intensity_cfg.parent / "fresh", "train")
 
+    def test_interpretants_header_row_checked(self, tiny_intensity_cfg):
+        cfg = parse_config(tiny_intensity_cfg)
+        out = tiny_intensity_cfg.parent / "out_headless"
+        run_stage(cfg, out, "select-interpretants")
+        path = out / "interpretants.tsv"
+        text = path.read_text()
+        assert text.count("index\tscore\n") == 1
+        path.write_text(text.replace("index\tscore\n", ""))
+        with pytest.raises(StageError, match=r"^stage build-resources: .*interpretants\.tsv: "
+                                             r"header row is not index, score$"):
+            run_stage(cfg, out, "build-resources")
+        assert not (out / "resources.pkl").exists()
+
     def test_failed_stage_leaves_no_outputs(self, tiny_intensity_cfg):
         cfg = parse_config(tiny_intensity_cfg)
         out = tiny_intensity_cfg.parent / "cleanup"
@@ -553,8 +578,8 @@ class TestNonFiniteRefused:
         width = 2 + len(FEATURE_NAMES)
         got = len(edit([""] * width))
         lineno = self._edit_first_row(out / name, edit)
-        with pytest.raises(StageError, match=rf"{name}:{lineno}: expected {width} columns, "
-                                             rf"got {got}$"):
+        with pytest.raises(StageError, match=rf"^stage {stage}: .*{name}:{lineno}: "
+                                             rf"expected {width} columns, got {got}$"):
             run_stage(cfg, out, stage)
 
     def test_artifact_header_refuses_nan(self, tiny_intensity_cfg):
