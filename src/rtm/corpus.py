@@ -10,6 +10,7 @@ introduce (``#joy`` is one token).
 from __future__ import annotations
 
 import collections
+import re
 from dataclasses import dataclass, field
 
 
@@ -105,45 +106,26 @@ class Corpus:
         return len(self.sentences)
 
 
-_WORD_PREFIXES = "#@"
-
-
-def _is_word_char(ch: str) -> bool:
-    return ch.isalnum() or ch == "_"
-
-
-def _split_chunk(chunk: str) -> list[str]:
-    if chunk.isalnum():  # every character is a word character
-        return [chunk]
-    out: list[str] = []
-    buf: list[str] = []
-    for i, ch in enumerate(chunk):
-        if _is_word_char(ch):
-            buf.append(ch)
-            continue
-        if buf:
-            out.append("".join(buf))
-            buf = []
-        if ch in _WORD_PREFIXES and i + 1 < len(chunk) and _is_word_char(chunk[i + 1]):
-            buf.append(ch)
-        else:
-            out.append(ch)
-    if buf:
-        out.append("".join(buf))
-    return out
+_TOKEN = re.compile(r"[#@]\w+|\w+|[^\w\s]")
 
 
 def tokenize(text: str) -> TokenSeq:
     """Normalize ``text`` into a TokenSeq.
 
-    Rules: lowercase, split on Unicode whitespace, then each non-alphanumeric
-    character becomes its own token except that a ``#`` or ``@`` introducing a
-    word run stays attached to it.  The char count is taken from the raw
-    input, whitespace included.
+    Rules: lowercase, split on Unicode whitespace, then split each chunk that
+    is not all alphanumeric with ``_TOKEN``: a ``#`` or ``@`` glued to the word
+    run after it, a run of alphanumeric or ``_`` characters, or any other
+    character alone.  The char count is that of the lowercased text,
+    whitespace included; it differs from ``len(text)`` only where ``İ``
+    lowercases to two code points, each of which may become a token.
     """
+    text = text.lower()
     tokens: list[str] = []
-    for chunk in text.lower().split():
-        tokens.extend(_split_chunk(chunk))
+    for chunk in text.split():
+        if chunk.isalnum():  # the common case, no pattern needed
+            tokens.append(chunk)
+        else:
+            tokens.extend(_TOKEN.findall(chunk))
     return TokenSeq(tuple(tokens), len(text))
 
 

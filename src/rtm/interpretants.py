@@ -178,8 +178,16 @@ def select_interpretants(
     containing = pair_sent[np.argsort(pair_feat, kind="stable")]
     starts = [0, *np.cumsum(np.bincount(pair_feat, minlength=n_features)).tolist()]
     del pair_sent
-    inv_norm = np.array([1.0 / (len(sent.tokens) ** cfg.length_exponent)
-                         for sent in corpus.sentences])
+    try:
+        inv_norm = np.array([1.0 / (len(sent.tokens) ** cfg.length_exponent)
+                             for sent in corpus.sentences])
+    except OverflowError:
+        longest = max(len(sent.tokens) for sent in corpus.sentences)
+        raise ValueError(
+            f"length_exponent = {cfg.length_exponent} is too large: the longest corpus "
+            f"sentence has {longest} tokens, and {longest} ** {cfg.length_exponent} "
+            "overflows a float"
+        ) from None
 
     # The padding id ``n_features`` keeps weight 0.0.  cumsum adds each row
     # left to right (np.sum would add pairwise), and x + 0.0 == x, so the

@@ -86,14 +86,13 @@ def mean_ranks(values) -> np.ndarray:
     """1-based ranks; tied values share the mean of their positions."""
     values = np.asarray(values, dtype=float)
     order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    # a run of ties starts wherever adjacent sorted values differ (NaN != NaN,
+    # so each NaN is its own run; -0.0 == 0.0, so they tie)
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(values)] - 1
     ranks = np.empty(len(values))
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    ranks[order] = np.repeat((starts + ends) / 2.0 + 1.0, ends - starts + 1)
     return ranks
 
 
@@ -312,7 +311,6 @@ class MetricReport:
     r_maer: float
     r_mraer: float
     f1: float | None = None
-    rank_err: float | None = None
 
     def rows(self) -> list[tuple[str, float]]:
         rows = list(zip(REPORT_FIELDS, (
@@ -321,8 +319,6 @@ class MetricReport:
         )))
         if self.f1 is not None:
             rows.append(("F1", self.f1))
-        if self.rank_err is not None:
-            rows.append(("rankError", self.rank_err))
         return rows
 
     def format(self) -> str:
@@ -335,22 +331,14 @@ def metric_report(
     cfg: MetricConfig = MetricConfig(),
     pred_classes=None,
     gold_classes=None,
-    rank_inputs=None,
 ) -> MetricReport:
-    """Populate a full MetricReport from the individual operations.
-
-    ``rank_inputs``, when given, is a (train_values, test_values) pair whose
-    rank disagreement fills the optional rankError field.
-    """
+    """Populate a full MetricReport from the individual operations."""
     mae, rae = mae_rae(y_hat, y)
     maer, mraer = maer_mraer(y_hat, y, cfg)
     rmaer, rmraer = r_maer_r_mraer(y_hat, y, cfg)
     f1 = None
     if pred_classes is not None and gold_classes is not None:
         f1 = f1_binary(pred_classes, gold_classes)
-    rank_err = None
-    if rank_inputs is not None:
-        rank_err = rank_error(rank_inputs[0], rank_inputs[1])
     return MetricReport(
         r=pearson(y_hat, y),
         r_s=spearman(y_hat, y),
@@ -361,7 +349,6 @@ def metric_report(
         r_maer=rmaer,
         r_mraer=rmraer,
         f1=f1,
-        rank_err=rank_err,
     )
 
 

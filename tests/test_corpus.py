@@ -36,6 +36,13 @@ class TestTokenize:
         assert tokenize("# #").tokens == ("#", "#")
         assert tokenize("##joy").tokens == ("#", "#joy")
 
+    def test_dotted_capital_i_counts_lowered_chars(self):
+        # "İ" lowercases to "i" plus a combining dot, two tokens from one
+        # raw character; the count follows the lowered text so it covers them
+        seq = tokenize("İİ")
+        assert seq.tokens == ("i", "̇", "i", "̇")
+        assert seq.char_count == 4
+
     @given(st.text(" \t\x0b\x0c\x1c\x85\u2028\u3000a!#@", max_size=8))
     def test_no_token_exactly_when_no_non_whitespace(self, text):
         # the dataset row parser finds an empty word with str.split, untokenized

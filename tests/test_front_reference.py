@@ -1,6 +1,6 @@
 """Array-pass FDA, shared n-gram sides, row-walk alignment, array IBM-1,
 bit-vector edit distance, the count-table Witten-Bell LM and the tokenizer
-fast path against references.
+pattern against references.
 
 The references below are the O(N*B) argmax scan of feature-decay selection
 (adding each sentence's features in the order select_interpretants
@@ -17,12 +17,14 @@ import collections
 import itertools
 import math
 import pickle
+import re
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rtm.corpus import Corpus, TokenSeq, _split_chunk, extract_ngrams, tokenize
+from rtm.corpus import Corpus, TokenSeq, extract_ngrams, tokenize
 from rtm.features import (
     NULL,
     ORDER_SETS,
@@ -638,17 +640,29 @@ def test_lm_matches_reference_on_special_tokens(sentences, queries, order):
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer fast path.
+# Tokenizer.
 
 chunk_chars = st.sampled_from(
     list("aZ09_#@!.:'-") + ["é", "ß", "ж", "ا", "٣", "²", "中", "·", "́"]
+    + ["😀", "İ", "\x1c", "_#x"]
 )
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.text(chunk_chars, min_size=1, max_size=10))
+@given(st.lists(chunk_chars, min_size=1, max_size=10).map("".join))
 def test_split_chunk_matches_char_loop(chunk):
-    assert _split_chunk(chunk) == ref_split_chunk(chunk)
+    # "İ" lowercases to two code points and "\x1c" is whitespace, so the
+    # reference runs on each lowered chunk, as tokenize documents.
+    expected = [t for c in chunk.lower().split() for t in ref_split_chunk(c)]
+    assert list(tokenize(chunk).tokens) == expected
+
+
+def test_pattern_classes_are_isalnum_and_isspace():
+    # The pattern states the rule only if re's \w and \s are exactly the
+    # str predicates that the reference uses, on every code point.
+    s = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"\w", s) == [c for c in s if c.isalnum() or c == "_"]
+    assert re.findall(r"\s", s) == [c for c in s if c.isspace()]
 
 
 @settings(max_examples=200, deadline=None)

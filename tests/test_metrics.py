@@ -117,6 +117,10 @@ class TestSpearman:
         for _ in range(25):
             values = rng.integers(0, 5, size=15).astype(float)
             assert np.array_equal(mean_ranks(values), stats.rankdata(values))
+            signed = np.array([-np.inf, -0.0, 0.0, 1.0, np.inf])[rng.integers(0, 5, size=15)]
+            assert np.array_equal(mean_ranks(signed), stats.rankdata(signed))
+        # each NaN ranks alone, after every number, in index order
+        assert mean_ranks([np.nan, 1.0, np.nan, 1.0]).tolist() == [3.0, 1.5, 4.0, 1.5]
 
     def test_exact_handles_ties_like_scipy(self):
         for _ in range(25):
@@ -399,13 +403,6 @@ class TestMetricReport:
         assert (report.mae, report.rae) == mae_rae(y_hat, y)
         assert (report.maer, report.mraer) == maer_mraer(y_hat, y)
         assert (report.r_maer, report.r_mraer) == r_maer_r_mraer(y_hat, y)
-
-    def test_rank_inputs_fill_rank_error(self):
-        y = rng.uniform(size=10)
-        y_hat = y + rng.normal(0, 0.1, 10)
-        report = metric_report(y_hat, y, rank_inputs=([1.0, 2.0], [2.0, 1.0]))
-        assert report.rank_err == pytest.approx(0.5)
-        assert ("rankError", report.rank_err) == report.rows()[-1]
 
     def test_format_and_parse(self):
         y = rng.uniform(size=10)

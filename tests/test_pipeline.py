@@ -966,6 +966,15 @@ class TestCli:
         assert main(["run", "--config", str(bad)]) == 1
         assert "rtm:" in capsys.readouterr().err
 
+    def test_overflowing_length_exponent_names_the_key(self, tiny_intensity_cfg, capsys):
+        cfg_path = tiny_intensity_cfg.parent / "huge_exponent.cfg"
+        cfg_path.write_text(tiny_intensity_cfg.read_text() + "length_exponent = 400\n")
+        out = tiny_intensity_cfg.parent / "huge_exponent"
+        assert main(["select-interpretants", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("rtm: stage select-interpretants: length_exponent = 400.0 ")
+        assert "tokens" in err and "overflows" in err
+
     def test_seed_override_changes_outputs(self, tiny_intensity_cfg):
         root = tiny_intensity_cfg.parent
         main(["run", "--config", str(tiny_intensity_cfg), "--out", str(root / "s7")])
