@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import collections
 import re
+import unicodedata
 from dataclasses import dataclass, field
 
 
@@ -106,20 +107,69 @@ class Corpus:
         return len(self.sentences)
 
 
-_TOKEN = re.compile(r"[#@]\w+|\w+|[^\w\s]")
+# Unicode general category M (Mn, Mc, Me) as code point ranges, from the
+# Unicode 14.0 database of Python 3.11's ``unicodedata``; a test checks them
+# against ``unicodedata.category`` over every code point.
+_MARK_RANGES = """
+0300-036F 0483-0489 0591-05BD 05BF 05C1-05C2 05C4-05C5 05C7 0610-061A
+064B-065F 0670 06D6-06DC 06DF-06E4 06E7-06E8 06EA-06ED 0711 0730-074A
+07A6-07B0 07EB-07F3 07FD 0816-0819 081B-0823 0825-0827 0829-082D 0859-085B
+0898-089F 08CA-08E1 08E3-0903 093A-093C 093E-094F 0951-0957 0962-0963
+0981-0983 09BC 09BE-09C4 09C7-09C8 09CB-09CD 09D7 09E2-09E3 09FE 0A01-0A03
+0A3C 0A3E-0A42 0A47-0A48 0A4B-0A4D 0A51 0A70-0A71 0A75 0A81-0A83 0ABC
+0ABE-0AC5 0AC7-0AC9 0ACB-0ACD 0AE2-0AE3 0AFA-0AFF 0B01-0B03 0B3C 0B3E-0B44
+0B47-0B48 0B4B-0B4D 0B55-0B57 0B62-0B63 0B82 0BBE-0BC2 0BC6-0BC8 0BCA-0BCD
+0BD7 0C00-0C04 0C3C 0C3E-0C44 0C46-0C48 0C4A-0C4D 0C55-0C56 0C62-0C63
+0C81-0C83 0CBC 0CBE-0CC4 0CC6-0CC8 0CCA-0CCD 0CD5-0CD6 0CE2-0CE3 0D00-0D03
+0D3B-0D3C 0D3E-0D44 0D46-0D48 0D4A-0D4D 0D57 0D62-0D63 0D81-0D83 0DCA
+0DCF-0DD4 0DD6 0DD8-0DDF 0DF2-0DF3 0E31 0E34-0E3A 0E47-0E4E 0EB1 0EB4-0EBC
+0EC8-0ECD 0F18-0F19 0F35 0F37 0F39 0F3E-0F3F 0F71-0F84 0F86-0F87 0F8D-0F97
+0F99-0FBC 0FC6 102B-103E 1056-1059 105E-1060 1062-1064 1067-106D 1071-1074
+1082-108D 108F 109A-109D 135D-135F 1712-1715 1732-1734 1752-1753 1772-1773
+17B4-17D3 17DD 180B-180D 180F 1885-1886 18A9 1920-192B 1930-193B 1A17-1A1B
+1A55-1A5E 1A60-1A7C 1A7F 1AB0-1ACE 1B00-1B04 1B34-1B44 1B6B-1B73 1B80-1B82
+1BA1-1BAD 1BE6-1BF3 1C24-1C37 1CD0-1CD2 1CD4-1CE8 1CED 1CF4 1CF7-1CF9
+1DC0-1DFF 20D0-20F0 2CEF-2CF1 2D7F 2DE0-2DFF 302A-302F 3099-309A A66F-A672
+A674-A67D A69E-A69F A6F0-A6F1 A802 A806 A80B A823-A827 A82C A880-A881
+A8B4-A8C5 A8E0-A8F1 A8FF A926-A92D A947-A953 A980-A983 A9B3-A9C0 A9E5
+AA29-AA36 AA43 AA4C-AA4D AA7B-AA7D AAB0 AAB2-AAB4 AAB7-AAB8 AABE-AABF AAC1
+AAEB-AAEF AAF5-AAF6 ABE3-ABEA ABEC-ABED FB1E FE00-FE0F FE20-FE2F 101FD 102E0
+10376-1037A 10A01-10A03 10A05-10A06 10A0C-10A0F 10A38-10A3A 10A3F
+10AE5-10AE6 10D24-10D27 10EAB-10EAC 10F46-10F50 10F82-10F85 11000-11002
+11038-11046 11070 11073-11074 1107F-11082 110B0-110BA 110C2 11100-11102
+11127-11134 11145-11146 11173 11180-11182 111B3-111C0 111C9-111CC
+111CE-111CF 1122C-11237 1123E 112DF-112EA 11300-11303 1133B-1133C
+1133E-11344 11347-11348 1134B-1134D 11357 11362-11363 11366-1136C
+11370-11374 11435-11446 1145E 114B0-114C3 115AF-115B5 115B8-115C0
+115DC-115DD 11630-11640 116AB-116B7 1171D-1172B 1182C-1183A 11930-11935
+11937-11938 1193B-1193E 11940 11942-11943 119D1-119D7 119DA-119E0 119E4
+11A01-11A0A 11A33-11A39 11A3B-11A3E 11A47 11A51-11A5B 11A8A-11A99
+11C2F-11C36 11C38-11C3F 11C92-11CA7 11CA9-11CB6 11D31-11D36 11D3A
+11D3C-11D3D 11D3F-11D45 11D47 11D8A-11D8E 11D90-11D91 11D93-11D97
+11EF3-11EF6 16AF0-16AF4 16B30-16B36 16F4F 16F51-16F87 16F8F-16F92 16FE4
+16FF0-16FF1 1BC9D-1BC9E 1CF00-1CF2D 1CF30-1CF46 1D165-1D169 1D16D-1D172
+1D17B-1D182 1D185-1D18B 1D1AA-1D1AD 1D242-1D244 1DA00-1DA36 1DA3B-1DA6C
+1DA75 1DA84 1DA9B-1DA9F 1DAA1-1DAAF 1E000-1E006 1E008-1E018 1E01B-1E021
+1E023-1E024 1E026-1E02A 1E130-1E136 1E2AE 1E2EC-1E2EF 1E8D0-1E8D6
+1E944-1E94A E0100-E01EF
+"""
+_MARK = "".join("-".join(f"\\U{int(cp, 16):08x}" for cp in r.split("-"))
+                for r in _MARK_RANGES.split())
+_TOKEN = re.compile(rf"[#@]?\w[\w{_MARK}]*|[^\w\s][{_MARK}]*")
 
 
 def tokenize(text: str) -> TokenSeq:
     """Normalize ``text`` into a TokenSeq.
 
-    Rules: lowercase, split on Unicode whitespace, then split each chunk that
-    is not all alphanumeric with ``_TOKEN``: a ``#`` or ``@`` glued to the word
-    run after it, a run of alphanumeric or ``_`` characters, or any other
-    character alone.  The char count is that of the lowercased text,
-    whitespace included; it differs from ``len(text)`` only where ``İ``
-    lowercases to two code points, each of which may become a token.
+    Rules: NFC-normalize, lowercase, split on Unicode whitespace, then split
+    each chunk that is not all alphanumeric with ``_TOKEN``: a ``#`` or ``@``
+    glued to the word run after it, a run of alphanumeric or ``_``
+    characters, or any other character alone.  A combining mark (category M)
+    extends the token before it, as UAX #29 rule WB4 treats Extend
+    characters, so a word run goes on through its marks.  The char count is
+    that of the normalized, lowercased text, whitespace included.
     """
-    text = text.lower()
+    text = unicodedata.normalize("NFC", text).lower()
     tokens: list[str] = []
     for chunk in text.split():
         if chunk.isalnum():  # the common case, no pattern needed

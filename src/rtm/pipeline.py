@@ -436,12 +436,6 @@ def read_golds(path, task: str | None = None) -> dict[str, float | None]:
             for _, fields, gold in _dataset_rows(path, task)}
 
 
-def _gold_array(golds: dict[str, float | None]) -> np.ndarray:
-    if None in golds.values():
-        raise StageError("training instances must all carry gold values")
-    return np.asarray(list(golds.values()), dtype=float)
-
-
 def load_rows(cfg: RunConfig, *splits: str) -> tuple[list[TokenSeq], list[RowSet]]:
     """The emotion target(s) of an intensity task (none for triples) and one
     RowSet per named split (``"train"``, ``"test"``).  The lexicon and each
@@ -482,9 +476,39 @@ def load_rows(cfg: RunConfig, *splits: str) -> tuple[list[TokenSeq], list[RowSet
 
 
 def _instance_ids(ids: list[str], tags: list[str]) -> list[str]:
+    """The instance of each plain row, or of each a/b row pair; the a-rows
+    and b-rows must carry the same ids in the same order."""
     if not tags or tags[0] == "-":
         return ids
-    return [rid for rid, tag in zip(ids, tags) if tag == "a"]
+    a_ids = [rid for rid, tag in zip(ids, tags) if tag == "a"]
+    b_ids = [rid for rid, tag in zip(ids, tags) if tag == "b"]
+    if len(a_ids) != len(b_ids):
+        raise StageError(f"unpaired rows: {len(a_ids)} a-rows vs {len(b_ids)} b-rows")
+    for i, (a, b) in enumerate(zip(a_ids, b_ids)):
+        if a != b:
+            raise StageError(f"row pair {i + 1}: a-row id {a!r} but b-row id {b!r}")
+    return a_ids
+
+
+def _train_golds(cfg: RunConfig, inst_ids: list[str], features: Path) -> np.ndarray:
+    """The golds of ``cfg.train`` for the instances of the features file
+    ``features``, in its row order; an id in one file and not the other is
+    refused."""
+    golds = read_golds(cfg.train, cfg.task)
+    known = set(inst_ids)
+    missing = next((rid for rid in inst_ids if rid not in golds), None)
+    if missing is not None:
+        raise StageError(f"{features}: instance {missing!r} is not in {cfg.train}")
+    missing = next((rid for rid in golds if rid not in known), None)
+    if missing is not None:
+        raise StageError(f"{cfg.train}: instance {missing!r} is not in {features}")
+    if len(known) != len(inst_ids):
+        twice = next(rid for rid in inst_ids if inst_ids.count(rid) > 1)
+        raise StageError(f"{features}: instance {twice!r} appears twice")
+    gold = [golds[rid] for rid in inst_ids]
+    if None in gold:
+        raise StageError("training instances must all carry gold values")
+    return np.asarray(gold, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -587,21 +611,20 @@ def stage_extract_features(cfg: RunConfig, out_dir: Path):
 
 
 def _split_sides(tags: list[str], matrix: np.ndarray):
-    a_rows = [i for i, t in enumerate(tags) if t == "a"]
-    b_rows = [i for i, t in enumerate(tags) if t == "b"]
-    if len(a_rows) != len(b_rows):
-        raise StageError(f"unpaired rows: {len(a_rows)} a-rows vs {len(b_rows)} b-rows")
-    return matrix[a_rows], matrix[b_rows]
+    """The a-rows and the b-rows of rows that ``_instance_ids`` has paired."""
+    tags = np.asarray(tags)
+    return matrix[tags == "a"], matrix[tags == "b"]
 
 
 def stage_train(cfg: RunConfig, out_dir: Path):
     resources_fp = _read_artifact(out_dir / "resources.pkl", body=False)[0]["fingerprint"]
-    ids, tags, matrix, feat_fp = _read_features(out_dir / "features_train.tsv")
+    features = out_dir / "features_train.tsv"
+    ids, tags, matrix, feat_fp = _read_features(features)
     if feat_fp != resources_fp:
         raise StageError(
             f"feature fingerprint {feat_fp} does not match resources {resources_fp}"
         )
-    gold = _gold_array(read_golds(cfg.train, cfg.task))
+    gold = _train_golds(cfg, _instance_ids(ids, tags), features)
     if cfg.architecture == "plain":
         ranked = grid_search(cfg.grid(), matrix, gold, cfg.cv_folds, cfg.seed)
         model = average_top_k(ranked, min(cfg.top_k, len(ranked)), matrix, gold)
@@ -643,6 +666,7 @@ def _apply_model(header: dict, model, path: Path) -> tuple[list[str], np.ndarray
         raise StageError(
             f"feature fingerprint {feat_fp} does not match model {header['fingerprint']}"
         )
+    inst_ids = _instance_ids(ids, tags)
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             if header["architecture"] == "plain":
@@ -652,7 +676,6 @@ def _apply_model(header: dict, model, path: Path) -> tuple[list[str], np.ndarray
     except FloatingPointError as exc:
         raise StageError(f"{path}: the model's arithmetic on these features failed "
                          f"({exc})") from None
-    inst_ids = _instance_ids(ids, tags)
     bad = np.flatnonzero(~np.isfinite(preds))
     if bad.size:
         raise StageError(f"the model's prediction for {inst_ids[bad[0]]} is "
@@ -666,8 +689,12 @@ def stage_predict(cfg: RunConfig, out_dir: Path):
 
     mode, t = cfg.threshold  # always ("none", None) for intensity
     tune = mode in ("optimized", "grounded")
-    if cfg.grounding == "predictions" or tune:
-        train_gold = _gold_array(read_golds(cfg.train, cfg.task))
+    features = out_dir / "features_train.tsv"
+    if tune:
+        train_ids, train_preds = _apply_model(header, model, features)
+        train_gold = _train_golds(cfg, train_ids, features)
+    elif cfg.grounding == "predictions":
+        train_gold = _train_golds(cfg, _instance_ids(*_read_features(features)[:2]), features)
     if cfg.grounding == "predictions":
         preds = ground_predictions(preds, ScoreStats.of(train_gold))
     if cfg.task == "intensity":
@@ -676,7 +703,6 @@ def stage_predict(cfg: RunConfig, out_dir: Path):
     classes = None
     if mode != "none":
         if tune:
-            train_preds = _apply_model(header, model, out_dir / "features_train.tsv")[1]
             t = optimize_threshold(train_preds, train_gold.astype(int))
             if mode == "grounded":
                 t = ground_threshold(t, ScoreStats.of(train_preds), ScoreStats.of(preds))

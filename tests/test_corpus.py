@@ -37,11 +37,22 @@ class TestTokenize:
         assert tokenize("##joy").tokens == ("#", "#joy")
 
     def test_dotted_capital_i_counts_lowered_chars(self):
-        # "İ" lowercases to "i" plus a combining dot, two tokens from one
-        # raw character; the count follows the lowered text so it covers them
+        # "İ" lowercases to "i" plus a combining dot, two code points from one
+        # raw character; the count follows the lowered text, and the dot, a
+        # mark, stays in its word
         seq = tokenize("İİ")
-        assert seq.tokens == ("i", "̇", "i", "̇")
+        assert seq.tokens == ("i\u0307i\u0307",)
         assert seq.char_count == 4
+
+    @pytest.mark.parametrize("text, tokens", [
+        ("مَرْحَبًا بِكُمْ", ("مَرْحَبًا", "بِكُمْ")),  # Arabic harakat
+        ("cafe\u0301", ("café",)),  # decomposed, composed by NFC
+        ("café", ("café",)),
+        ("नमस्ते दुनिया", ("नमस्ते", "दुनिया")),  # Devanagari vowel signs and virama
+        ("\u0301a #\u0301b", ("\u0301", "a", "#\u0301", "b")),  # nothing before, a '#'
+    ])
+    def test_combining_marks_stay_in_their_word(self, text, tokens):
+        assert tokenize(text).tokens == tokens
 
     @given(st.text(" \t\x0b\x0c\x1c\x85\u2028\u3000a!#@", max_size=8))
     def test_no_token_exactly_when_no_non_whitespace(self, text):

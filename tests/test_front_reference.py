@@ -19,9 +19,11 @@ import math
 import pickle
 import re
 import sys
+import unicodedata
 
 import numpy as np
 import pytest
+import rtm.corpus
 from hypothesis import given, settings, strategies as st
 
 from rtm.corpus import Corpus, TokenSeq, extract_ngrams, tokenize
@@ -263,8 +265,16 @@ class RefWittenBellLM:
 
 
 def ref_split_chunk(chunk):
+    """The char loop; a combining mark extends the token before it, and a
+    word goes on through its marks."""
     out, buf = [], []
     for i, ch in enumerate(chunk):
+        if unicodedata.category(ch)[0] == "M" and (buf or out):
+            if buf:
+                buf.append(ch)
+            else:
+                out[-1] += ch
+            continue
         if ch.isalnum() or ch == "_":
             buf.append(ch)
             continue
@@ -645,16 +655,32 @@ def test_lm_matches_reference_on_special_tokens(sentences, queries, order):
 chunk_chars = st.sampled_from(
     list("aZ09_#@!.:'-") + ["é", "ß", "ж", "ا", "٣", "²", "中", "·", "́"]
     + ["😀", "İ", "\x1c", "_#x"]
+    # marks: Arabic fatha (Mn), Devanagari vowel sign aa (Mc), enclosing circle (Me)
+    + ["\u064e", "\u093e", "\u20dd", "e\u0301"]
 )
+
+
+def normalized(text):
+    return unicodedata.normalize("NFC", text).lower()
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(chunk_chars, min_size=1, max_size=10).map("".join))
 def test_split_chunk_matches_char_loop(chunk):
-    # "İ" lowercases to two code points and "\x1c" is whitespace, so the
-    # reference runs on each lowered chunk, as tokenize documents.
-    expected = [t for c in chunk.lower().split() for t in ref_split_chunk(c)]
+    # "İ" lowercases to two code points, "e" + U+0301 composes to "é" and
+    # "\x1c" is whitespace, so the reference runs on each chunk of the
+    # normalized, lowered text, as tokenize documents.
+    expected = [t for c in normalized(chunk).split() for t in ref_split_chunk(c)]
     assert list(tokenize(chunk).tokens) == expected
+
+
+def test_mark_ranges_are_category_m():
+    # The pattern's mark class is exactly Unicode category M on every code
+    # point (the table is Unicode 14.0's, that of Python 3.11).
+    s = "".join(map(chr, range(sys.maxunicode + 1)))
+    marks = re.findall(f"[{rtm.corpus._MARK}]", s)
+    assert marks == [c for c in s if unicodedata.category(c)[0] == "M"], \
+        f"regenerate _MARK_RANGES for Unicode {unicodedata.unidata_version}"
 
 
 def test_pattern_classes_are_isalnum_and_isspace():
@@ -668,6 +694,6 @@ def test_pattern_classes_are_isalnum_and_isspace():
 @settings(max_examples=200, deadline=None)
 @given(st.text(max_size=30))
 def test_tokenize_matches_char_loop(text):
-    lowered = text.lower()
+    lowered = normalized(text)
     expected = list(itertools.chain.from_iterable(ref_split_chunk(c) for c in lowered.split()))
     assert list(tokenize(text).tokens) == expected

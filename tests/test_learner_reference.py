@@ -1,9 +1,12 @@
-"""The presorted stump scan and KNN against references; extra-trees by property.
+"""The presorted stump scan, KNN and RFE against references; extra-trees by
+property.
 
 The references below are the scalar per-split stump scan, which squares by
 product as the presorted scan does, and the unblocked KNN that
 ``rtm.learners`` used before; the current code must reproduce them bit for
-bit.  The level-wise forest has no reference: its tests walk each tree
+bit.  The RFE reference rescales and re-solves the remaining columns at each
+step, and the downdated path must drop the same columns in the same order.
+The level-wise forest has no reference: its tests walk each tree
 breadth-first from its root, route the training rows down the flat node
 arrays and check what every node holds, that the keyed draws are uniform,
 that any split into blocks gives the same trees, and that ``predict``
@@ -20,7 +23,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rtm.learners
-from rtm.learners import ModelSpec, _AdaBoostR2, _ExtraTrees, _Knn, _StumpScan
+from rtm.learners import (RFE_TIE, ModelSpec, Scaler, _AdaBoostR2, _elimination_order,
+                          _ExtraTrees, _Knn, _StumpScan)
 
 # ---------------------------------------------------------------------------
 # Reference implementations.
@@ -106,6 +110,19 @@ def ref_adaboost(Z, y, rounds, learning_rate=1.0):
     return stumps, alphas
 
 
+def ref_elimination_order(X, y, m):
+    """Per-step RFE: each step standardizes the remaining columns, solves
+    alpha-1 ridge on them and drops the highest index among the columns
+    whose |coefficient| is within ``RFE_TIE * max`` of the smallest."""
+    remaining, dropped = list(range(X.shape[1])), []
+    while len(remaining) > m:
+        sub = X[:, remaining]
+        Z = Scaler(sub).transform(sub)
+        c = np.abs(np.linalg.solve(Z.T @ Z + np.eye(len(remaining)), Z.T @ (y - y.mean())))
+        dropped.append(remaining.pop(int(np.flatnonzero(c <= c.min() + RFE_TIE * c.max())[-1])))
+    return dropped
+
+
 # ---------------------------------------------------------------------------
 # Inputs and comparison helpers.
 
@@ -125,6 +142,38 @@ def design(seed, n=48, d=6):
     Z[:, 4] = np.round(Z[:, 4], 1)
     y = Z[:, 0] - Z[:, 1] + gen.normal(0.0, 0.3, n)
     return Z, y, gen.normal(size=(17, d))
+
+
+def rfe_design(seed, n=60):
+    """Columns 0-3 random; 4 and 5 constant; 6 and 9 copies of 0; 7 a scaled
+    copy of 3 (equal once standardized); 8 the sum of 1 and twice 2
+    (collinear); 10 and 11 a pair of equal columns that y does not use; 12
+    weak."""
+    gen = np.random.default_rng(seed)
+    X = gen.normal(size=(n, 13))
+    X[:, 4], X[:, 5] = 0.1, 3.0
+    X[:, 6] = X[:, 9] = X[:, 0]
+    X[:, 7] = 2.0 * X[:, 3] - 1.0
+    X[:, 8] = X[:, 1] + 2.0 * X[:, 2]
+    X[:, 11] = X[:, 10]
+    y = X[:, 0] - 0.5 * X[:, 1] + 0.3 * X[:, 3] + 0.05 * X[:, 12] + gen.normal(0.0, 0.2, n)
+    return X, y
+
+
+def twins(X):
+    """Pairs (i, j), i < j, of columns equal once standardized."""
+    Z = Scaler(X).transform(X)
+    d = X.shape[1]
+    return [(i, j) for i in range(d) for j in range(i + 1, d)
+            if np.abs(Z[:, i] - Z[:, j]).max() <= 1e-12 * max(1.0, np.abs(Z[:, i]).max())]
+
+
+def assert_twins_drop_higher_first(X, path):
+    pairs = twins(X)
+    assert pairs
+    for i, j in pairs:
+        if i in path:
+            assert j in path and path.index(j) < path.index(i), (i, j, path)
 
 
 def descend(forest, Z):
@@ -500,3 +549,33 @@ def test_knn_every_row_a_candidate_stays_within_budget():
         tracemalloc.stop()
     assert peak < 5 << 20
     assert pred == pytest.approx(np.full(900, knn.y.mean()), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Recursive feature elimination.
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rfe_path_equals_per_step_reference(seed):
+    X, y = rfe_design(seed)
+    path = _elimination_order(X, y, 1)
+    assert path == ref_elimination_order(X, y, 1)
+    assert len(set(path)) == 12
+    assert_twins_drop_higher_first(X, path)
+    # the path to m' is a prefix of the path to any m < m'
+    for m in (2, 5, 12, 13):
+        assert _elimination_order(X, y, m) == path[: 13 - m], m
+
+
+def test_rfe_constant_target_drops_from_the_last_column():
+    # every coefficient is 0, so all tie and each step drops the highest index
+    X, _ = rfe_design(1)
+    assert _elimination_order(X, np.full(len(X), 2.0), 3) == list(range(12, 2, -1))
+
+
+def test_rfe_refuses_m_outside_the_columns():
+    X, y = rfe_design(2)
+    for m in (0, 14):
+        with pytest.raises(ValueError, match=r"m must be in \[1, 13\]"):
+            _elimination_order(X, y, m)
+

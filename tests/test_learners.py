@@ -11,6 +11,7 @@ from rtm.learners import (
     ModelSpec,
     Scaler,
     _Share,
+    _elimination_order,
     average_top_k,
     cross_validate,
     default_grid,
@@ -507,6 +508,23 @@ def test_grid_scores_equal_per_spec_cv(case, request):
     assert score[kept] == score[clamped]
     order = [spec for spec, _ in ranked]
     assert order.index(kept) < order.index(clamped)
+
+
+def test_rfe_on_the_triples_final_design(triples_final_matrix):
+    # 87 columns of rank 34, with constant columns and groups of equal
+    # columns: each fold's path, and the full matrix's, is the per-step
+    # reference's, and of two equal columns the higher index goes first
+    from test_learner_reference import assert_twins_drop_higher_first, ref_elimination_order
+
+    X, y = triples_final_matrix
+    assert X.shape[1] == 87 and np.linalg.matrix_rank(X) < 87
+    assert (np.ptp(X, axis=0) == 0).any()
+    parts = fold_indices(len(y), 7, 3)
+    for rows in [np.concatenate(parts[1:]), np.concatenate(parts[:-1]), np.arange(len(y))]:
+        Xf, yf = X[rows], y[rows]
+        path = _elimination_order(Xf, yf, 8)
+        assert path == ref_elimination_order(Xf, yf, 8)
+        assert_twins_drop_higher_first(Xf, path)
 
 
 def test_shared_selections_equal_select_features(intensity_features):

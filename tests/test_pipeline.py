@@ -520,6 +520,74 @@ class TestInstanceIds:
         assert capsys.readouterr().out == block
 
 
+def _reverse_rows(path):
+    """Reverse the data rows of a dataset file, keeping its header row."""
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    head = 1 if lines[0].startswith("id\t") else 0
+    path.write_text("".join(lines[:head] + lines[head:][::-1]), encoding="utf-8")
+
+
+class TestGoldsBoundById:
+    """Training golds are read by the instance ids of the features file,
+    not by their position in the dataset file."""
+
+    @pytest.mark.parametrize("task, extra", [("intensity", "grounding = predictions"),
+                                             ("triples", "threshold = optimized")])
+    def test_reordered_train_file_changes_nothing(self, tmp_path, task, extra):
+        # train and the two predict paths that read the training golds
+        cfg_path = _small_case(tmp_path, task)
+        text = cfg_path.read_text(encoding="utf-8").replace("threshold = fixed:0.5\n", "")
+        cfg_path.write_text(text + extra + "\n", encoding="utf-8")
+        cfg, out = _full_run(cfg_path, "out")
+        before = {n: (out / n).read_bytes() for n in ("cv_table.tsv", "predictions.tsv",
+                                                     "report.txt")}
+        _reverse_rows(tmp_path / "train.tsv")
+        for stage in STAGES[3:]:
+            run_stage(cfg, out, stage)
+        assert {n: (out / n).read_bytes() for n in before} == before
+
+    @pytest.mark.parametrize("task", ["intensity", "triples"])
+    def test_id_in_one_file_only_refused(self, tmp_path, task):
+        cfg, out = _full_run(_small_case(tmp_path, task), "out")
+        train = tmp_path / "train.tsv"
+        kept = train.read_text(encoding="utf-8")
+        _edit_ids(train, lambda rid: rid + "x", lineno=3)
+        rid = train.read_text(encoding="utf-8").splitlines()[2].split("\t")[0]
+        with pytest.raises(StageError, match=rf"stage train: \S*features_train\.tsv: instance "
+                                             rf"'{rid[:-1]}' is not in \S*train\.tsv"):
+            run_stage(cfg, out, "train")
+        # a gold id that no feature row carries
+        train.write_text(kept + kept.splitlines(keepends=True)[2].replace(rid[:-1], "zz", 1),
+                         encoding="utf-8")
+        with pytest.raises(StageError, match=r"stage train: \S*train\.tsv: instance 'zz' "
+                                             r"is not in \S*features_train\.tsv"):
+            run_stage(cfg, out, "train")
+
+    def test_instance_listed_twice_refused(self, tmp_path):
+        cfg, out = _full_run(_small_case(tmp_path, "intensity"), "out")
+        path = out / "features_train.tsv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(lines + lines[-1:]), encoding="utf-8")
+        rid = lines[-1].split("\t")[0]
+        with pytest.raises(StageError, match=rf"stage train: \S*features_train\.tsv: instance "
+                                             rf"'{rid}' appears twice"):
+            run_stage(cfg, out, "train")
+
+    def test_paired_rows_with_other_ids_refused(self, tmp_path):
+        cfg, out = _full_run(_small_case(tmp_path, "triples"), "out")
+        # predict first: a failed train removes model.pkl
+        for stage, name in (("predict", "features_test.tsv"), ("train", "features_train.tsv")):
+            path = out / name
+            lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+            b_rows = [i for i, line in enumerate(lines) if line.split("\t")[1:2] == ["b"]]
+            a_id, other = (lines[i].split("\t")[0] for i in (b_rows[1] - 1, b_rows[2]))
+            lines[b_rows[1]] = other + lines[b_rows[1]][len(a_id):]
+            path.write_text("".join(lines), encoding="utf-8")
+            with pytest.raises(StageError, match=rf"stage {stage}: row pair 2: a-row id "
+                                                 rf"'{a_id}' but b-row id '{other}'"):
+                run_stage(cfg, out, stage)
+
+
 class TestNonFiniteRefused:
     def _front(self, cfg_path, stages=STAGES[:3]):
         cfg = parse_config(cfg_path)
