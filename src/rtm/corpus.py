@@ -10,8 +10,10 @@ introduce (``#joy`` is one token).
 from __future__ import annotations
 
 import collections
+import functools
 import re
 import unicodedata
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 
@@ -99,12 +101,19 @@ class Lexicon:
 
 @dataclass
 class Corpus:
-    """Ordered nonempty sentences from a one-sentence-per-line file."""
+    """Ordered nonempty sentences from a one-sentence-per-line file.
 
-    sentences: list[TokenSeq]
+    ``sentences`` is a list, or for a corpus from ``load_corpus`` a
+    sequence that reads its file as it is iterated.
+    """
+
+    sentences: Sequence[TokenSeq]
 
     def __len__(self) -> int:
         return len(self.sentences)
+
+    def __iter__(self) -> Iterator[TokenSeq]:
+        return iter(self.sentences)
 
 
 # Unicode general category M (Mn, Mc, Me) as code point ranges, from the
@@ -193,15 +202,22 @@ def extract_ngrams(seq: TokenSeq, n: int) -> collections.Counter:
 INTENSITY_HEADER = ("id", "text", "affect", "score")
 
 
-def _read_lines(path) -> list[str]:
-    """The lines of a UTF-8 text file, the one line rule of every reader.
+def _read_lines(path) -> Iterator[str]:
+    """The lines of a UTF-8 text file, read one at a time: the one line rule
+    of every reader.
 
     Lines end at ``\\n`` (``\\r\\n`` and a lone ``\\r`` read as ``\\n``); no other
     character ends a line, unlike ``str.splitlines``, which also breaks at
-    ``\\x0c``, ``\\x85``, U+2028 and other characters a field may hold.
+    ``\\x0c``, ``\\x85``, U+2028 and other characters a field may hold.  The
+    lines are those of ``text.split("\\n")``: a file ending in ``\\n``, or an
+    empty file, ends with an empty line.
     """
     with open(path, encoding="utf-8") as fh:
-        return fh.read().split("\n")
+        line = "\n"
+        for line in fh:
+            yield line.removesuffix("\n")
+        if line.endswith("\n"):
+            yield ""
 
 
 def _check_new_id(path, lineno: int, rid: str, first_line: dict[str, int]):
@@ -225,16 +241,17 @@ def _dataset_rows(path, task: str):
     """
     lines = _read_lines(path)
     if task == "intensity":
-        if not lines[0].strip():
+        head = next(lines)
+        if not head.strip():
             _fail(path, 1, "missing header row")
-        header = tuple(lines[0].split("\t"))
+        header = tuple(head.split("\t"))
         if header not in (INTENSITY_HEADER, INTENSITY_HEADER[:3]):
             _fail(path, 1, f"bad header {header!r}")
         ncols, first_row = len(header), 2
     else:
         ncols, first_row = 5, 1
     first_line: dict[str, int] = {}
-    for lineno, line in enumerate(lines[first_row - 1 :], start=first_row):
+    for lineno, line in enumerate(lines, start=first_row):
         if not line.strip():
             continue
         fields = line.split("\t")
@@ -321,26 +338,55 @@ def load_lexicon(path) -> Lexicon:
     return Lexicon({emo: tuple(words) for emo, words in entries.items()})
 
 
-def _corpus_lines(path) -> list[str]:
+def _corpus_lines(path) -> Iterator[str]:
     # A line holds a sentence when it has a non-whitespace character, which
     # is exactly when ``tokenize`` makes a token of it (same whitespace rule).
-    return [line for line in _read_lines(path) if line.split()]
+    return (line for line in _read_lines(path) if line.split())
+
+
+class _CorpusFile(Sequence):
+    """The sentences of a corpus file.  Iterating reads and tokenizes the
+    file one line at a time and keeps no sentence; the first length or index
+    asked for tokenizes the whole file once and keeps the list."""
+
+    def __init__(self, path):
+        self.path = path
+
+    @functools.cached_property
+    def _sentences(self) -> list[TokenSeq]:
+        return list(map(tokenize, _corpus_lines(self.path)))
+
+    def __iter__(self) -> Iterator[TokenSeq]:
+        kept = self.__dict__.get("_sentences")
+        return iter(kept) if kept is not None else map(tokenize, _corpus_lines(self.path))
+
+    def __len__(self) -> int:
+        return len(self._sentences)
+
+    def __getitem__(self, i):
+        return self._sentences[i]
 
 
 def load_corpus(path) -> Corpus:
-    """Load a one-sentence-per-line corpus, skipping empty lines."""
-    return Corpus([tokenize(line) for line in _corpus_lines(path)])
+    """A one-sentence-per-line corpus, skipping empty lines.  The file is
+    read when the corpus is used: one pass over it holds one line at a time."""
+    return Corpus(_CorpusFile(path))
 
 
 def load_corpus_sentences(path, indices) -> list[TokenSeq]:
     """``[load_corpus(path).sentences[i] for i in indices]``, tokenizing only
-    those lines.  The first index outside ``range(n)`` for an n-sentence
-    corpus raises ``IndexError(position in indices, n)``."""
-    lines = _corpus_lines(path)
+    those lines and keeping only those lines.  The first index outside
+    ``range(n)`` for an n-sentence corpus raises ``IndexError(position in
+    indices, n)``."""
+    wanted = dict.fromkeys(indices)
+    n = 0
+    for n, line in enumerate(_corpus_lines(path), start=1):
+        if n - 1 in wanted:
+            wanted[n - 1] = line
     for pos, i in enumerate(indices):
-        if not 0 <= i < len(lines):
-            raise IndexError(pos, len(lines))
-    return [tokenize(lines[i]) for i in indices]
+        if not 0 <= i < n:
+            raise IndexError(pos, n)
+    return [tokenize(wanted[i]) for i in indices]
 
 
 def lexicon_to_target(lexicon: Lexicon, emotions) -> TokenSeq:

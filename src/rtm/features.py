@@ -268,8 +268,11 @@ def train_aligner(pairs: list[tuple[TokenSeq, TokenSeq]], iterations: int = 5) -
     The E-step runs over flat entries, one per (pair, target position,
     source word with null last), in that order; entries of one (pair, target
     position) form a group.  Every sum adds in that order: a group's
-    denominator column by column, counts and totals by ``np.bincount``.  A
-    source word whose total is 0 keeps its row.
+    denominator column by column, counts and totals by ``np.bincount``.  An
+    entry of a group without mass, or with probability 0, adds +0.0, which
+    changes no sum.  A source word whose total is 0 keeps its row.  Between
+    iterations an entry holds only its int32 index into the co-occurring
+    pairs; each iteration's per-entry arrays are freed before the next.
     """
     if not pairs:
         raise ValueError("pairs must be nonempty")
@@ -282,32 +285,38 @@ def train_aligner(pairs: list[tuple[TokenSeq, TokenSeq]], iterations: int = 5) -
         tgt_flat.extend([ids.setdefault(w, len(ids)) for w in tgt.tokens])
         tgt_len.append(len(tgt))
     n_words = len(ids)
-    src_flat = np.asarray(src_flat, dtype=np.int64)
+    # a (source word, target word) pair as one code e * n_words + f
+    code_type = np.int32 if n_words * n_words < 2**31 else np.int64
     src_len = np.asarray(src_len, dtype=np.int64)
-    src_start = np.cumsum(src_len) - src_len
     group_pair = np.repeat(np.arange(len(pairs)), tgt_len)
     group_len = src_len[group_pair]
     group_start = np.cumsum(group_len) - group_len
-    group_of = np.repeat(np.arange(len(group_len)), group_len)  # per entry
-    within = np.arange(len(group_of)) - group_start[group_of]
-    e_ids = src_flat[src_start[group_pair][group_of] + within]
-    f_ids = np.asarray(tgt_flat, dtype=np.int64)[group_of]
-    keys, inv = np.unique(e_ids * n_words + f_ids, return_inverse=True)
-    key_e, key_f = keys // n_words, keys % n_words
+    # entry i of group g reads source word src_start[pair of g] + i - group_start[g]
+    at = np.repeat((np.cumsum(src_len) - src_len)[group_pair] - group_start, group_len)
+    at += np.arange(len(at))
+    codes = np.asarray(src_flat, dtype=code_type)[at]
+    del at, src_flat
+    codes *= n_words
+    codes += np.repeat(np.asarray(tgt_flat, dtype=code_type), group_len)
+    keys, inv = np.unique(codes, return_inverse=True)
+    inv = inv.astype(np.int32 if len(keys) < 2**31 else np.int64)
+    del codes
+    key_e = keys // n_words
+    key_f = (keys % n_words).astype(np.int32)
     row_len = np.bincount(key_e, minlength=n_words)
     prob = 1.0 / row_len[key_e]
 
     # Entry j of every group at least j + 1 long, longest groups first: the
     # denominators add column by column, left to right as the row is read.
     by_len = np.argsort(-group_len, kind="stable")
-    longer = len(group_len) - np.cumsum(np.bincount(group_len))
-    columns = [inv[group_start[by_len[:n]] + j] for j, n in enumerate(longer) if n]
+    by_len_start = group_start[by_len]
+    longer = (len(group_len) - np.cumsum(np.bincount(group_len))).tolist()
 
     lls = []
     for _ in range(iterations):
         by_len_denom = np.zeros(len(group_len))
-        for col in columns:
-            by_len_denom[: len(col)] += prob[col]
+        for j, n in enumerate(longer):
+            by_len_denom[:n] += prob[inv[by_len_start[:n] + j]]
         denom = np.empty(len(group_len))
         denom[by_len] = by_len_denom
         ok = denom > 0.0
@@ -315,17 +324,19 @@ def train_aligner(pairs: list[tuple[TokenSeq, TokenSeq]], iterations: int = 5) -
         for x in (denom[ok] / group_len[ok]).tolist():
             ll += math.log(x)
         lls.append(ll)
-        p = prob[inv]
-        live = np.flatnonzero((p > 0.0) & ok[group_of])
-        share = p[live] / denom[group_of[live]]
-        counts = np.bincount(inv[live], weights=share, minlength=len(keys))
-        totals = np.bincount(e_ids[live], weights=share, minlength=n_words)
-        update = totals[key_e] > 0.0
-        prob[update] = counts[update] / totals[key_e[update]]
+        denom[~ok] = 1.0  # every entry of such a group has p = 0 and adds 0.0
+        share = prob[inv]
+        share /= np.repeat(denom, group_len)
+        totals = np.bincount(key_e[inv], weights=share, minlength=n_words)
+        counts = np.bincount(inv, weights=share, minlength=len(key_e))
+        del share
+        row_total = totals[key_e]
+        np.divide(counts, row_total, out=prob, where=row_total > 0.0)
+        del counts, row_total  # before the next iteration's per-entry arrays
 
     indptr = np.zeros(n_words + 1, dtype=np.int64)
     np.cumsum(row_len, out=indptr[1:])
-    return AlignmentModel(ids, indptr, key_f.astype(np.int32), prob, lls)
+    return AlignmentModel(ids, indptr, key_f, prob, lls)
 
 
 def _edit_distance(text, pattern) -> int:

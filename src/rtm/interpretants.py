@@ -13,14 +13,16 @@ interpolated Witten-Bell language model.
 
 from __future__ import annotations
 
+import array
 import collections
 import itertools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Corpus, TokenSeq, extract_ngrams
+from .corpus import TokenSeq, extract_ngrams
 
 BOS = "<s>"
 EOS = "</s>"
@@ -84,20 +86,26 @@ def _task_features(task_texts: list[TokenSeq], max_order: int) -> tuple[dict, li
     return token_ids, order_keys, n_features
 
 
-def _sentence_features(sentences: list[TokenSeq], token_ids: dict, order_keys: list[dict],
-                       n_features: int) -> tuple[np.ndarray, np.ndarray]:
+def _sentence_features(sentences: Iterable[TokenSeq], token_ids: dict, order_keys: list[dict],
+                       n_features: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The distinct (sentence, feature id) pairs of ``sentences``, ordered by
-    sentence, then feature id, as two int32 arrays."""
+    sentence, then feature id, as two int32 arrays, and the sentence lengths.
+
+    ``sentences`` is read once, and each sentence is dropped once its tokens
+    are mapped to task token ids.
+    """
     n_types = len(token_ids)
-    lengths = [len(sent.tokens) for sent in sentences]
     # Flat corpus tokens as task token ids (-1: not a task token); ``cur``
     # holds the id of the task n-gram of the current order at each position.
-    tokens = np.fromiter(
-        map(token_ids.get, itertools.chain.from_iterable(s.tokens for s in sentences),
-            itertools.repeat(-1)),
-        dtype=np.int32, count=sum(lengths))
-    sent_of = np.repeat(np.arange(len(sentences), dtype=np.int32), lengths)
-    room = np.cumsum(lengths)[sent_of] - np.arange(len(tokens))  # tokens left in the sentence
+    tokens, lengths = array.array("i"), array.array("i")
+    not_task = itertools.repeat(-1)
+    for sent in sentences:
+        lengths.append(len(sent.tokens))
+        tokens.extend(map(token_ids.get, sent.tokens, not_task))
+    tokens = np.frombuffer(tokens, dtype=np.intc)
+    lengths = np.frombuffer(lengths, dtype=np.intc)
+    sent_of = np.repeat(np.arange(len(lengths), dtype=np.int32), lengths)
+    room = np.cumsum(lengths, dtype=np.int64)[sent_of] - np.arange(len(tokens))  # left in sentence
     hit_pos = [np.flatnonzero(tokens >= 0)]
     hit_ids = [tokens[hit_pos[0]]]
     cur = tokens
@@ -124,7 +132,8 @@ def _sentence_features(sentences: list[TokenSeq], token_ids: dict, order_keys: l
     pairs += np.concatenate(hit_ids)
     pairs.sort()
     pairs = pairs[np.diff(pairs, prepend=-1) != 0]
-    return tuple(a.astype(np.int32) for a in np.divmod(pairs, max(n_features, 1)))
+    pair_sent, pair_feat = (a.astype(np.int32) for a in np.divmod(pairs, max(n_features, 1)))
+    return pair_sent, pair_feat, lengths
 
 
 def _padded_groups(n_feats: np.ndarray, first: np.ndarray, pair_feat: np.ndarray, pad: int):
@@ -150,9 +159,9 @@ def _padded_groups(n_feats: np.ndarray, first: np.ndarray, pair_feat: np.ndarray
 
 
 def select_interpretants(
-    corpus: Corpus, task_texts: list[TokenSeq], cfg: FdaConfig
+    corpus: Iterable[TokenSeq], task_texts: list[TokenSeq], cfg: FdaConfig
 ) -> InterpretantSet:
-    """Greedy feature-decay selection of ``cfg.budget`` sentences.
+    """Greedy feature-decay selection of ``cfg.budget`` sentences of ``corpus``.
 
     Each round picks the sentence with the highest score
     ``sum(weight of matching task n-grams) / len**length_exponent``
@@ -161,15 +170,18 @@ def select_interpretants(
     summed left to right in increasing feature id (by order, then by first
     occurrence in the task texts), so a score does not depend on the hash
     seed.
+
+    ``corpus`` is read once, as a stream: a sentence is kept only as its
+    task token ids and its length.
     """
     if not task_texts:
         raise ValueError("task_texts must be nonempty")
-    if cfg.budget > len(corpus):
-        raise ValueError(f"budget {cfg.budget} exceeds corpus size {len(corpus)}")
 
     token_ids, order_keys, n_features = _task_features(task_texts, cfg.max_order)
-    pair_sent, pair_feat = _sentence_features(corpus.sentences, token_ids, order_keys, n_features)
-    n_sents = len(corpus)
+    pair_sent, pair_feat, lengths = _sentence_features(corpus, token_ids, order_keys, n_features)
+    n_sents = len(lengths)
+    if cfg.budget > n_sents:
+        raise ValueError(f"budget {cfg.budget} exceeds corpus size {n_sents}")
     n_feats = np.bincount(pair_sent, minlength=n_sents)
     first = np.cumsum(n_feats) - n_feats  # sentence i's features: pair_feat[first[i]:][:n_feats[i]]
     group, row, matrices = _padded_groups(n_feats, first, pair_feat, n_features)
@@ -179,10 +191,9 @@ def select_interpretants(
     starts = [0, *np.cumsum(np.bincount(pair_feat, minlength=n_features)).tolist()]
     del pair_sent
     try:
-        inv_norm = np.array([1.0 / (len(sent.tokens) ** cfg.length_exponent)
-                             for sent in corpus.sentences])
+        inv_norm = np.array([1.0 / (n ** cfg.length_exponent) for n in lengths.tolist()])
     except OverflowError:
-        longest = max(len(sent.tokens) for sent in corpus.sentences)
+        longest = int(lengths.max())
         raise ValueError(
             f"length_exponent = {cfg.length_exponent} is too large: the longest corpus "
             f"sentence has {longest} tokens, and {longest} ** {cfg.length_exponent} "

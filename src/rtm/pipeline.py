@@ -490,22 +490,28 @@ def _instance_ids(ids: list[str], tags: list[str]) -> list[str]:
     return a_ids
 
 
-def _train_golds(cfg: RunConfig, inst_ids: list[str], features: Path) -> np.ndarray:
-    """The golds of ``cfg.train`` for the instances of the features file
-    ``features``, in its row order; an id in one file and not the other is
-    refused."""
-    golds = read_golds(cfg.train, cfg.task)
+def _golds_by_id(cfg: RunConfig, split: str, inst_ids: list[str],
+                 features: Path) -> list[float | None]:
+    """The golds of the ``split`` dataset (``"train"``, ``"test"``) for the
+    instances of the features file ``features``, in its row order; an id in
+    one file and not the other is refused."""
+    dataset = getattr(cfg, split)
+    golds = read_golds(dataset, cfg.task)
     known = set(inst_ids)
     missing = next((rid for rid in inst_ids if rid not in golds), None)
     if missing is not None:
-        raise StageError(f"{features}: instance {missing!r} is not in {cfg.train}")
+        raise StageError(f"{features}: instance {missing!r} is not in {dataset}")
     missing = next((rid for rid in golds if rid not in known), None)
     if missing is not None:
-        raise StageError(f"{cfg.train}: instance {missing!r} is not in {features}")
+        raise StageError(f"{dataset}: instance {missing!r} is not in {features}")
     if len(known) != len(inst_ids):
         twice = next(rid for rid in inst_ids if inst_ids.count(rid) > 1)
         raise StageError(f"{features}: instance {twice!r} appears twice")
-    gold = [golds[rid] for rid in inst_ids]
+    return [golds[rid] for rid in inst_ids]
+
+
+def _train_golds(cfg: RunConfig, inst_ids: list[str], features: Path) -> np.ndarray:
+    gold = _golds_by_id(cfg, "train", inst_ids, features)
     if None in gold:
         raise StageError("training instances must all carry gold values")
     return np.asarray(gold, dtype=float)
@@ -516,7 +522,7 @@ def _train_golds(cfg: RunConfig, inst_ids: list[str], features: Path) -> np.ndar
 
 
 def stage_select_interpretants(cfg: RunConfig, out_dir: Path):
-    corpus = load_corpus(cfg.corpus)
+    corpus = load_corpus(cfg.corpus)  # read once, a line at a time, by the selection
     targets, (train, test) = load_rows(cfg, "train", "test")
     # task texts: train texts, test texts, then the target(s)
     selection = select_interpretants(corpus, train.texts + test.texts + targets, cfg.fda_config())
@@ -685,7 +691,9 @@ def _apply_model(header: dict, model, path: Path) -> tuple[list[str], np.ndarray
 
 def stage_predict(cfg: RunConfig, out_dir: Path):
     header, model = _read_artifact(out_dir / "model.pkl")
-    inst_ids, preds = _apply_model(header, model, out_dir / "features_test.tsv")
+    test_features = out_dir / "features_test.tsv"
+    inst_ids, preds = _apply_model(header, model, test_features)
+    _golds_by_id(cfg, "test", inst_ids, test_features)  # refuses an instance in one file only
 
     mode, t = cfg.threshold  # always ("none", None) for intensity
     tune = mode in ("optimized", "grounded")
@@ -749,14 +757,23 @@ def _report_text(cfg: RunConfig, fingerprint: str, cv_table, report: MetricRepor
     return "".join(lines)
 
 
+def _first_five(ids: list[str]) -> str:
+    return f"{ids[:5]}{'...' if len(ids) > 5 else ''}"
+
+
 def _score(pred_path, golds: dict[str, float | None], cfg: MetricConfig) -> MetricReport | None:
     """The metrics of the predictions file at ``pred_path`` against ``golds``
     (from ``read_golds``), or None when a predicted instance's gold is None.
-    The class column is scored when every gold is 0 or 1."""
+    Every instance with a gold must be predicted.  The class column is
+    scored when every gold is 0 or 1."""
     ids, preds, classes = read_predictions(pred_path)
     missing = [rid for rid in ids if rid not in golds]
     if missing:
-        raise ValueError(f"gold file lacks ids: {missing[:5]}{'...' if len(missing) > 5 else ''}")
+        raise ValueError(f"gold file lacks ids: {_first_five(missing)}")
+    predicted = set(ids)
+    unpredicted = [rid for rid, g in golds.items() if g is not None and rid not in predicted]
+    if unpredicted:
+        raise ValueError(f"{pred_path} has no row for gold instances {_first_five(unpredicted)}")
     gold = [golds[rid] for rid in ids]
     if None in gold:
         return None

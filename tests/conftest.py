@@ -1,5 +1,7 @@
 """Shared synthetic-data builders for pipeline and acceptance tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,21 @@ def pytest_runtest_logreport(report):
     if report.when == "call" and "test_acceptance.py" in report.nodeid:
         name = report.nodeid.split("::")[-1]
         print(f"\nACCEPTANCE {name}: {report.outcome.upper()}")
+
+
+def traced_peak(fn, *args):
+    """``(fn(*args), the peak bytes tracemalloc traced while it ran)``.
+
+    Python and numpy allocations are traced alike, so the peak does not
+    depend on the allocator's layout as RSS does.
+    """
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def write_intensity_case(

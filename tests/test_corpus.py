@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from rtm.corpus import (
     DataFormatError,
     TokenSeq,
+    _read_lines,
     extract_ngrams,
     lexicon_to_target,
     load_corpus,
@@ -240,3 +241,21 @@ class TestCorpus:
             ("a", "b"), ("c", "d"), ("e", "f"), ("g",), ("h", "i", "!"), ("j",)]
         indices = [5, 0, 3, 3, 1]
         assert load_corpus_sentences(path, indices) == [corpus.sentences[i] for i in indices]
+
+    def test_loaded_corpus_reads_its_file_per_pass(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text("a b\n\nc\n")
+        corpus = load_corpus(path)
+        assert [s.tokens for s in corpus] == [("a", "b"), ("c",)]
+        path.write_text("d\n")  # a pass reads the file as it is then
+        assert [s.tokens for s in corpus] == [("d",)]
+        assert len(corpus) == 1 and corpus.sentences[0].tokens == ("d",)
+
+
+@pytest.mark.parametrize("text", ["", "\n", "a", "a\n", "a\nb", "a\r\nb\r", "a\rb\r\n\n", "\r",
+                                  "x\x0cy\x85z\u2028w\n", "\n\n"])
+def test_lines_read_one_at_a_time_are_the_split_lines(tmp_path, text):
+    path = tmp_path / "f.txt"
+    path.write_bytes(text.encode("utf-8"))
+    whole = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    assert list(_read_lines(path)) == whole

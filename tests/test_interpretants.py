@@ -91,6 +91,29 @@ class TestSelectInterpretants:
         with pytest.raises(ValueError):
             select_interpretants(corpus, seqs("a"), FdaConfig(budget=2))
 
+    def test_one_pass_over_a_generator(self):
+        rng = np.random.default_rng(6)
+        vocab = [f"w{i}" for i in range(30)]
+        sentences = [TokenSeq.from_tokens(rng.choice(vocab, size=rng.integers(1, 9)))
+                     for _ in range(200)]
+        task = [TokenSeq.from_tokens(rng.choice(vocab[:15], size=12)) for _ in range(5)]
+        cfg = FdaConfig(max_order=3, budget=60)
+        expected = select_interpretants(sentences, task, cfg)
+        assert select_interpretants((s for s in sentences), task, cfg) == expected
+        assert select_interpretants(Corpus(sentences), task, cfg) == expected
+
+    @pytest.mark.parametrize("cfg, message", [
+        (FdaConfig(budget=3), r"^budget 3 exceeds corpus size 2$"),
+        (FdaConfig(budget=1, length_exponent=700.0),
+         r"^length_exponent = 700\.0 is too large: the longest corpus sentence has 3 tokens, "
+         r"and 3 \*\* 700\.0 overflows a float$"),
+    ])
+    def test_errors_same_for_a_generator(self, cfg, message):
+        sentences = seqs("a b", "a b c")
+        for corpus in (Corpus(sentences), (s for s in sentences)):
+            with pytest.raises(ValueError, match=message):
+                select_interpretants(corpus, seqs("a"), cfg)
+
 
 class TestNGramWeights:
     def test_unigram_relative_frequency(self):

@@ -15,7 +15,6 @@ averages per-tree walks.
 
 import collections
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -25,6 +24,8 @@ from hypothesis import given, settings, strategies as st
 import rtm.learners
 from rtm.learners import (RFE_TIE, ModelSpec, Scaler, _AdaBoostR2, _elimination_order,
                           _ExtraTrees, _Knn, _StumpScan)
+
+from conftest import traced_peak
 
 # ---------------------------------------------------------------------------
 # Reference implementations.
@@ -525,12 +526,7 @@ def test_knn_distance_blocks_stay_within_budget():
     gen = np.random.default_rng(8)
     knn = _Knn(gen.normal(size=(600, 87)), gen.random(600), ModelSpec("knn", k=5))
     Zq = gen.normal(size=(900, 87))
-    tracemalloc.start()
-    try:
-        knn.predict(Zq)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(knn.predict, Zq)
     assert peak < 5 << 20
 
 
@@ -541,12 +537,7 @@ def test_knn_every_row_a_candidate_stays_within_budget():
     gen = np.random.default_rng(8)
     knn = _Knn(gen.normal(size=(600, 87)), gen.random(600), ModelSpec("knn", k=600))
     Zq = gen.normal(size=(900, 87))
-    tracemalloc.start()
-    try:
-        pred = knn.predict(Zq)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    pred, peak = traced_peak(knn.predict, Zq)
     assert peak < 5 << 20
     assert pred == pytest.approx(np.full(900, knn.y.mean()), rel=1e-12)
 

@@ -1,7 +1,6 @@
 import copy
 import dataclasses
 import pickle
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +21,8 @@ from rtm.learners import (
     select_features,
     small_grid,
 )
+
+from conftest import traced_peak
 
 rng = np.random.default_rng(1234)
 
@@ -385,12 +386,7 @@ def test_tree_cv_holds_one_forest_at_a_time(intensity_features):
     # forest at a time keep the traced peak near 7 MiB (14 MiB before).
     X, y = (a[:120] for a in intensity_features)
     trees = [spec for spec in default_grid(seed=1) if spec.kind == "tree"]
-    tracemalloc.start()
-    try:
-        grid_search(trees, X, y, 7, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(grid_search, trees, X, y, 7, 1)
     assert peak < 10 << 20
 
 

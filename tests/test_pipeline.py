@@ -27,7 +27,7 @@ from rtm.pipeline import (
     run_stage,
 )
 
-from conftest import write_intensity_case, write_triples_case
+from conftest import traced_peak, write_intensity_case, write_triples_case
 
 # artifact -> (stages that read only its header, stages that read it whole)
 ARTIFACT_READERS = {
@@ -563,6 +563,52 @@ class TestGoldsBoundById:
                                              r"is not in \S*features_train\.tsv"):
             run_stage(cfg, out, "train")
 
+    def test_test_row_deleted_from_features_refused(self, tmp_path, capsys):
+        # Deleting a data row of features_test.tsv once left its instance out
+        # of predictions.tsv and the report, and both stages exited 0.
+        cfg_path = _small_case(tmp_path, "intensity")
+        _, out = _full_run(cfg_path, "out")
+        path = out / "features_test.tsv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        rid = lines[-1].split("\t")[0]
+        path.write_text("".join(lines[:-1]), encoding="utf-8")
+        argv = ["predict", "--config", str(cfg_path), "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"rtm: stage predict: \S*test\.tsv: instance '{rid}' is not in "
+                            rf"\S*features_test\.tsv\n", err), err
+        assert not (out / "predictions.tsv").exists()
+
+    @pytest.mark.parametrize("task", ["intensity", "triples"])
+    def test_test_id_in_one_file_only_refused(self, tmp_path, task):
+        cfg, out = _full_run(_small_case(tmp_path, task), "out")
+        test = tmp_path / "test.tsv"
+        _edit_ids(test, lambda rid: rid + "x", lineno=3)
+        rid = test.read_text(encoding="utf-8").splitlines()[2].split("\t")[0]
+        with pytest.raises(StageError, match=rf"stage predict: \S*features_test\.tsv: instance "
+                                             rf"'{rid[:-1]}' is not in \S*test\.tsv"):
+            run_stage(cfg, out, "predict")
+
+    def test_unpredicted_gold_instance_refused(self, tmp_path):
+        cfg, out = _full_run(_small_case(tmp_path, "intensity"), "out")
+        path = out / "predictions.tsv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        ids = [line.split("\t")[0] for line in lines[-6:]]
+        path.write_text("".join(lines[:-6]), encoding="utf-8")
+        listed = re.escape(str(ids[:5])) + r"\.\.\."
+        with pytest.raises(StageError, match=rf"stage evaluate: \S*predictions\.tsv has no row "
+                                             rf"for gold instances {listed}$"):
+            run_stage(cfg, out, "evaluate")
+        with pytest.raises(ValueError, match=rf"has no row for gold instances {listed}$"):
+            evaluate_files(path, tmp_path / "test.tsv")
+        # an instance whose gold is NONE need not be predicted
+        test = tmp_path / "test.tsv"
+        rows = test.read_text(encoding="utf-8").splitlines(keepends=True)
+        unscored = [r if r.split("\t")[0] not in ids else "\t".join(r.split("\t")[:3]) + "\tNONE\n"
+                    for r in rows]
+        test.write_text("".join(unscored), encoding="utf-8")
+        assert evaluate_files(path, test).r > 0.0
+
     def test_instance_listed_twice_refused(self, tmp_path):
         cfg, out = _full_run(_small_case(tmp_path, "intensity"), "out")
         path = out / "features_train.tsv"
@@ -783,10 +829,10 @@ class TestLoadOnce:
         assert counts["select-interpretants"] == {"corpus.txt": 1, **datasets}
         assert counts["build-resources"] == {"interpretants.tsv": 1, "corpus.txt": 1}
         assert counts["extract-features"] == datasets
-        # the later stages read only golds, from the one dataset they need,
-        # and never the lexicon
+        # the later stages read only golds and ids, from the one dataset they
+        # need, and never the lexicon
         assert counts["train"] == {"features_train.tsv": 1, "train.tsv": 1}
-        assert counts["predict"] == {"features_test.tsv": 1}
+        assert counts["predict"] == {"features_test.tsv": 1, "test.tsv": 1}
         assert counts["evaluate"] == {"predictions.tsv": 1, "test.tsv": 1}
 
     def test_triples_train_set_loaded_once_in_predict(self, tmp_path, monkeypatch):
@@ -797,7 +843,7 @@ class TestLoadOnce:
         cfg_path.write_text(text + "grounding = predictions\n")
         counts = self._reads_per_stage(cfg_path, monkeypatch)
         # grounding and threshold tuning both need the training golds
-        assert counts["predict"] == {"features_test.tsv": 1, "train.tsv": 1,
+        assert counts["predict"] == {"features_test.tsv": 1, "test.tsv": 1, "train.tsv": 1,
                                      "features_train.tsv": 1}
         for per_stage in counts.values():
             assert max(per_stage.values()) == 1
@@ -846,6 +892,20 @@ class TestCorpusLoadedOnce:
                             lambda path, indices: [load_corpus(path).sentences[i] for i in indices])
         run_stage(cfg, out, "build-resources")
         assert (out / "resources.pkl").read_bytes() == selected
+
+    def test_select_interpretants_streams_the_corpus(self, tiny_intensity_cfg):
+        # Each corpus line is tokenized, mapped to task token ids and dropped:
+        # 43 B per corpus token traced over 20k lines (124 B when every
+        # sentence was kept as a TokenSeq).
+        rng = np.random.default_rng(5)
+        vocab = [f"w{i:03d}" for i in range(400)]
+        lines = [" ".join(rng.choice(vocab, size=rng.integers(3, 12))) for _ in range(20000)]
+        root = tiny_intensity_cfg.parent
+        (root / "corpus.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cfg = parse_config(tiny_intensity_cfg)
+        _, peak = traced_peak(run_stage, cfg, root / "out", "select-interpretants")
+        tokens = sum(line.count(" ") + 1 for line in lines)
+        assert peak / tokens < 60
 
 
 def _perfbench_layers():
