@@ -35,9 +35,11 @@ class TokenSeq:
     def __post_init__(self):
         if self.char_count < 0:
             raise ValueError("char_count must be >= 0")
-        for tok in self.tokens:
-            if not tok or tok.split() != [tok]:
-                raise ValueError(f"bad token {tok!r}: empty or contains whitespace")
+        # Joined by spaces, tokens split back into themselves exactly when
+        # none is empty or holds whitespace; the walk only names the bad one.
+        if " ".join(self.tokens).split() != list(self.tokens):
+            bad = next(tok for tok in self.tokens if not tok or tok.split() != [tok])
+            raise ValueError(f"bad token {bad!r}: empty or contains whitespace")
         if self.tokens and self.char_count < len(self.tokens) - 1:
             raise ValueError("char_count too small for token count")
 

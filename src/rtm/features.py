@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import TokenSeq, extract_ngrams
+from .corpus import TokenSeq
 from .interpretants import NGramWeightTable, WittenBellLM
 
 ORDER_SETS: tuple[tuple[int, ...], ...] = ((1,), (2,), (3,), (1, 2), (1, 2, 3))
@@ -66,16 +66,20 @@ def _token_types(seq: TokenSeq) -> TokenTypes:
 class NGramSide:
     """One side of an overlap: its distinct n-grams per order with their weights.
 
-    Orders are filled on first use and weight totals are kept per order set,
-    so a side shared by many rows (a lexicon target) is built once.  A target
-    side also keeps its token types for alignment (``types``).
+    Orders are filled on first use, in first-occurrence order, and the count
+    and total weight of each order set are kept, so a side shared by many
+    rows (a lexicon target) is built once.  The weights of the n-grams a
+    side shares with another are kept per (other side, order), so the order
+    sets of one row intersect each order once.  A target side also keeps
+    its token types for alignment (``types``).
     """
 
     def __init__(self, seq: TokenSeq, table: NGramWeightTable):
         self.seq = seq
         self.table = table
         self._weights: dict[int, dict] = {}
-        self._totals: dict[tuple, float] = {}
+        self._totals: dict[tuple, tuple[int, float]] = {}
+        self._common: dict[tuple, list] = {}
         self._types: TokenTypes | None = None
 
     def types(self) -> TokenTypes:
@@ -87,23 +91,39 @@ class NGramSide:
         """Distinct n-grams of order ``n`` mapped to their table weights."""
         got = self._weights.get(n)
         if got is None:
-            weight = self.table.weight
-            got = self._weights[n] = {g: weight(g) for g in extract_ngrams(self.seq, n)}
+            if n < 1:
+                raise ValueError("n must be >= 1")
+            toks, weight = self.seq.tokens, self.table.weight
+            grams = dict.fromkeys(toks[i : i + n] for i in range(len(toks) - n + 1))
+            got = self._weights[n] = {g: weight(g) for g in grams}
         return got
 
-    def total(self, orders: tuple) -> float:
-        """Total weight of the distinct n-grams of ``orders``.
+    def total(self, orders: tuple) -> tuple[int, float]:
+        """(number, total weight) of the distinct n-grams of ``orders``.
 
-        Grams of different orders differ, so this is the fsum over the union;
-        fsum is exactly rounded, so it does not depend on iteration order,
-        which follows PYTHONHASHSEED.
+        Grams of different orders differ, so the total is the fsum over the
+        union; fsum is exactly rounded, so it does not depend on iteration
+        order.
         """
         got = self._totals.get(orders)
         if got is None:
-            got = self._totals[orders] = math.fsum(
-                w for n in orders for w in self.weights(n).values()
-            )
+            values = [w for n in orders for w in self.weights(n).values()]
+            got = self._totals[orders] = (len(values), math.fsum(values))
         return got
+
+    def common(self, other: NGramSide, n: int) -> list[float]:
+        """Weights of the order-``n`` grams this side shares with ``other``."""
+        key = (other, n)
+        got = self._common.get(key)
+        if got is None:
+            small, large = self.weights(n), other.weights(n)
+            if len(large) < len(small):
+                small, large = large, small
+            got = self._common[key] = [w for g, w in small.items() if g in large]
+        return got
+
+
+_NO_OVERLAP = OverlapScores(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def _side(seq: TokenSeq | NGramSide, table: NGramWeightTable) -> NGramSide:
@@ -122,24 +142,22 @@ def weighted_overlap(
     ``src`` and ``tgt`` are TokenSeqs or NGramSides built from ``table``.
     wrec sums the weights of target n-grams also present in the source over
     the total target weight; wprec mirrors it on the source side.  Any empty
-    denominator makes all six outputs 0.
+    denominator makes all six outputs 0.  The shared n-grams of an order
+    are found once per pair of sides and serve every order set that holds
+    the order; a union's common weight is the fsum over its orders' pieces,
+    the same exactly rounded value as over the union.
     """
     orders = tuple(orders)
     if not orders:
         raise ValueError("orders must be nonempty")
     src, tgt = _side(src, table), _side(tgt, table)
-    n_src = sum(len(src.weights(n)) for n in orders)
-    n_tgt = sum(len(tgt.weights(n)) for n in orders)
-    src_total = src.total(orders)
-    tgt_total = tgt.total(orders)
-    if not n_src or not n_tgt or src_total == 0.0 or tgt_total == 0.0:
-        return OverlapScores(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    common: list[float] = []
-    for n in orders:
-        small, large = src.weights(n), tgt.weights(n)
-        if len(large) < len(small):
-            small, large = large, small
-        common.extend(w for g, w in small.items() if g in large)
+    n_tgt, tgt_total = tgt.total(orders)
+    if not n_tgt or tgt_total == 0.0:
+        return _NO_OVERLAP
+    n_src, src_total = src.total(orders)
+    if not n_src or src_total == 0.0:
+        return _NO_OVERLAP
+    common = [w for n in orders for w in src.common(tgt, n)]
     common_w = math.fsum(common)
     wprec = common_w / src_total
     wrec = common_w / tgt_total
@@ -344,10 +362,13 @@ def _edit_distance(text, pattern) -> int:
 
     Myers' bit-vector algorithm (J. ACM 1999) in Hyyrö's edit-distance form
     (2003): ``pattern`` is a Python-int bit mask per token, so any length
-    works, and each ``text`` token costs a few word operations.  ``pv``/``mv``
-    hold the +1/-1 vertical deltas of the current DP column; ``score`` is
-    its last cell.
+    works, and each ``text`` token costs a few word operations.  The
+    distance is symmetric, so the loop runs over the shorter sequence, with
+    the longer one as the pattern.  ``pv``/``mv`` hold the +1/-1 vertical
+    deltas of the current DP column; ``score`` is its last cell.
     """
+    if len(text) > len(pattern):
+        text, pattern = pattern, text
     m = len(pattern)
     if not m:
         return len(text)
@@ -419,6 +440,35 @@ class FeatureResources:
     aligner: AlignmentModel
 
 
+def _check_resources(resources: FeatureResources):
+    for name in ("weight_table", "lm", "aligner"):
+        if getattr(resources, name, None) is None:
+            raise ValueError(f"missing resource: {name}")
+
+
+def _feature_row(src: TokenSeq, tgt: NGramSide, resources: FeatureResources) -> list[float]:
+    """The 41 features of one (src, tgt) pair as Python floats; ``tgt`` is an
+    NGramSide built from the resources' weight table."""
+    table = resources.weight_table
+    src_side = NGramSide(src, table)
+    row: list[float] = []
+    for orders in ORDER_SETS:
+        row.extend(weighted_overlap(src_side, tgt, table, orders))
+    row.extend(lm_features(resources.lm, src))
+    row.extend(alignment_features(resources.aligner, src, tgt))
+    row.extend(length_features(src, tgt.seq))
+    return row
+
+
+def _finite(matrix: np.ndarray) -> np.ndarray:
+    """``matrix``, after refusing its first NaN or inf by feature name and row."""
+    bad = np.argwhere(~np.isfinite(matrix))
+    if bad.size:
+        i, j = bad[0]
+        raise AssertionError(f"non-finite feature {FEATURE_NAMES[j]} in row {i}")
+    return matrix
+
+
 def extract_feature_vector(
     src: TokenSeq, tgt: TokenSeq | NGramSide, resources: FeatureResources
 ) -> np.ndarray:
@@ -427,38 +477,23 @@ def extract_feature_vector(
     ``tgt`` is a TokenSeq or an NGramSide of it built from the resources'
     weight table, which lets many rows share one target's n-grams.
     """
-    for name in ("weight_table", "lm", "aligner"):
-        if getattr(resources, name, None) is None:
-            raise ValueError(f"missing resource: {name}")
-    table = resources.weight_table
-    tgt_side = _side(tgt, table)
-    tgt = tgt_side.seq
-    src_side = NGramSide(src, table)
-    values: list[float] = []
-    for orders in ORDER_SETS:
-        values.extend(weighted_overlap(src_side, tgt_side, table, orders))
-    values.extend(lm_features(resources.lm, src))
-    values.extend(alignment_features(resources.aligner, src, tgt_side))
-    values.extend(length_features(src, tgt))
-    vec = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(vec)):
-        bad = FEATURE_NAMES[int(np.flatnonzero(~np.isfinite(vec))[0])]
-        raise AssertionError(f"non-finite feature {bad}")
-    return vec
+    _check_resources(resources)
+    tgt = _side(tgt, resources.weight_table)
+    return _finite(np.array([_feature_row(src, tgt, resources)]))[0]
 
 
 def build_feature_matrix(rows: list[tuple[TokenSeq, TokenSeq]], resources: FeatureResources) -> np.ndarray:
     """Stack feature vectors for each (src, tgt) row, preserving order.
 
-    Each distinct target's n-gram side is built once and shared by its rows.
+    Each distinct target's n-gram side is built once and shared by its rows;
+    the matrix is assembled and checked for NaN and inf once.
     """
-    if not rows:
-        return np.empty((0, N_FEATURES))
+    _check_resources(resources)
     sides: dict[TokenSeq, NGramSide] = {}
-    vectors = []
-    for src, tgt in rows:
+    matrix = np.empty((len(rows), N_FEATURES))
+    for i, (src, tgt) in enumerate(rows):
         side = sides.get(tgt)
         if side is None:
             side = sides[tgt] = NGramSide(tgt, resources.weight_table)
-        vectors.append(extract_feature_vector(src, side, resources))
-    return np.vstack(vectors)
+        matrix[i] = _feature_row(src, side, resources)
+    return _finite(matrix)

@@ -15,7 +15,9 @@ one JSON header line carrying the same fields, a layout number and a
 resource fingerprint (corpus hash + resource-relevant parameters) that later
 stages verify before applying a model; the pickled body follows.  The header
 is checked before the body is unpickled, and a stage that needs only the
-header reads only the header.
+header reads only the header.  A features file carries the resource
+fingerprint and a digest of the dataset ids and texts its rows came from
+(``# dataset=``), which train and predict check against the dataset files.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import pickle
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,13 +43,13 @@ from .corpus import (
     _read_lines,
     load_corpus,
     load_corpus_sentences,
-    load_intensity_dataset,
     load_lexicon,
-    load_triple_dataset,
     lexicon_to_target,
+    tokenize,
 )
 from .features import (
     FEATURE_NAMES,
+    N_FEATURES,
     FeatureResources,
     build_feature_matrix,
     train_aligner,
@@ -410,6 +413,33 @@ class RowSet:
     tags: list[str]  # "-" for plain rows, "a"/"b" for paired rows
     pairs: list[tuple]  # (source, target) TokenSeqs, one per row
     texts: list[TokenSeq]  # the dataset's own texts, in FDA task-text order
+    dataset: str = ""  # the digest of the rows' ids and texts (``_dataset_digest``)
+
+
+def _row_text(task: str, fields: list[str]) -> str:
+    """What a dataset row's feature rows come from: its id and text
+    (intensity) or its id and three words (triples), not its gold."""
+    return "\t".join(fields[:2] if task == "intensity" else fields[:4])
+
+
+def _dataset_digest(row_texts: list[str]) -> str:
+    """The ``# dataset=`` digest of a dataset's ``_row_text``s.  They are
+    hashed in sorted order, so reordering the rows keeps it: golds are bound
+    by instance id, not by position."""
+    h = hashlib.sha256()
+    for text in sorted(row_texts):
+        h.update(text.encode("utf-8") + b"\n")
+    return h.hexdigest()[:16]
+
+
+def _golds_and_digest(path, task: str) -> tuple[dict[str, float | None], str]:
+    """(instance id -> gold or None in file order, ``_dataset_digest``) of a
+    dataset file of ``task``, read without tokenizing."""
+    golds, texts = {}, []
+    for _, fields, gold in _dataset_rows(path, task):
+        golds[fields[0]] = None if gold is None else float(gold)
+        texts.append(_row_text(task, fields))
+    return golds, _dataset_digest(texts)
 
 
 def read_golds(path, task: str | None = None) -> dict[str, float | None]:
@@ -432,14 +462,14 @@ def read_golds(path, task: str | None = None) -> dict[str, float | None]:
             return dict(zip(ids, values.tolist()))
         else:
             raise ValueError(f"{path}: unrecognized gold format ({len(first)} columns)")
-    return {fields[0]: None if gold is None else float(gold)
-            for _, fields, gold in _dataset_rows(path, task)}
+    return _golds_and_digest(path, task)[0]
 
 
 def load_rows(cfg: RunConfig, *splits: str) -> tuple[list[TokenSeq], list[RowSet]]:
     """The emotion target(s) of an intensity task (none for triples) and one
     RowSet per named split (``"train"``, ``"test"``).  The lexicon and each
-    dataset are loaded and tokenized once.
+    dataset are loaded and tokenized once; the pass over a dataset also
+    takes its ``_dataset_digest``.
 
     An intensity instance is one row per target: its text against the words of
     all emotions (plain) or of one emotion each (rows a and b).  A triple is
@@ -453,24 +483,21 @@ def load_rows(cfg: RunConfig, *splits: str) -> tuple[list[TokenSeq], list[RowSet
     row_tags = "-" if cfg.architecture == "plain" else "ab"
     out = []
     for split in splits:
-        path = getattr(cfg, split)
-        if cfg.task == "intensity":
-            instances = [
-                (i.id, (i.source,), [(i.source, t) for t in targets])
-                for i in load_intensity_dataset(path)
-            ]
-        else:
-            instances = [
-                (i.id, (i.w1, i.w2, i.attribute), [(i.w1, i.attribute), (i.w2, i.attribute)])
-                for i in load_triple_dataset(path)
-            ]
-        rows = RowSet([], [], [], [])
-        for rid, texts, pairs in instances:
+        rows, row_texts = RowSet([], [], [], []), []
+        for _, fields, _ in _dataset_rows(getattr(cfg, split), cfg.task):
+            row_texts.append(_row_text(cfg.task, fields))
+            if cfg.task == "intensity":
+                texts = (tokenize(fields[1]),)
+                pairs = [(texts[0], t) for t in targets]
+            else:
+                w1, w2, attribute = texts = tuple(map(tokenize, fields[1:4]))
+                pairs = [(w1, attribute), (w2, attribute)]
             rows.texts.extend(texts)
             for tag, pair in zip(row_tags, pairs):
-                rows.ids.append(rid)
+                rows.ids.append(fields[0])
                 rows.tags.append(tag)
                 rows.pairs.append(pair)
+        rows.dataset = _dataset_digest(row_texts)
         out.append(rows)
     return targets, out
 
@@ -490,28 +517,32 @@ def _instance_ids(ids: list[str], tags: list[str]) -> list[str]:
     return a_ids
 
 
-def _golds_by_id(cfg: RunConfig, split: str, inst_ids: list[str],
-                 features: Path) -> list[float | None]:
+def _golds_by_id(cfg: RunConfig, split: str, features: FeatureFile) -> list[float | None]:
     """The golds of the ``split`` dataset (``"train"``, ``"test"``) for the
-    instances of the features file ``features``, in its row order; an id in
-    one file and not the other is refused."""
+    instances of the features file ``features``, in its row order.  An id in
+    one file and not the other is refused, and so is a dataset whose ids or
+    texts are not those the features came from."""
     dataset = getattr(cfg, split)
-    golds = read_golds(dataset, cfg.task)
+    inst_ids = _instance_ids(features.ids, features.tags)
+    golds, digest = _golds_and_digest(dataset, cfg.task)
     known = set(inst_ids)
     missing = next((rid for rid in inst_ids if rid not in golds), None)
     if missing is not None:
-        raise StageError(f"{features}: instance {missing!r} is not in {dataset}")
+        raise StageError(f"{features.path}: instance {missing!r} is not in {dataset}")
     missing = next((rid for rid in golds if rid not in known), None)
     if missing is not None:
-        raise StageError(f"{dataset}: instance {missing!r} is not in {features}")
+        raise StageError(f"{dataset}: instance {missing!r} is not in {features.path}")
     if len(known) != len(inst_ids):
         twice = next(rid for rid in inst_ids if inst_ids.count(rid) > 1)
-        raise StageError(f"{features}: instance {twice!r} appears twice")
+        raise StageError(f"{features.path}: instance {twice!r} appears twice")
+    if features.dataset != digest:
+        raise StageError(f"{features.path}: dataset={features.dataset or '(none)'} but {dataset} "
+                         f"reads {digest}: its texts changed; re-run extract-features")
     return [golds[rid] for rid in inst_ids]
 
 
-def _train_golds(cfg: RunConfig, inst_ids: list[str], features: Path) -> np.ndarray:
-    gold = _golds_by_id(cfg, "train", inst_ids, features)
+def _train_golds(cfg: RunConfig, features: FeatureFile) -> np.ndarray:
+    gold = _golds_by_id(cfg, "train", features)
     if None in gold:
         raise StageError("training instances must all carry gold values")
     return np.asarray(gold, dtype=float)
@@ -567,18 +598,39 @@ def stage_build_resources(cfg: RunConfig, out_dir: Path):
     _write_artifact(out_dir / "resources.pkl", cfg, header, resources)
 
 
+# One features row: id, row tag, then each value with 17 significant digits
+# (``%g`` drops trailing zeros), which reads back as the same float.
+_FEATURE_ROW = "%s\t%s" + "\t%.17g" * N_FEATURES + "\n"
+
+
 def _write_features(path: Path, cfg: RunConfig, fingerprint: str, rows: RowSet, matrix):
-    lines = [_banner(cfg), f"# fingerprint={fingerprint}\n"]
+    lines = [_banner(cfg), f"# fingerprint={fingerprint}\n", f"# dataset={rows.dataset}\n"]
     lines.append("id\trow\t" + "\t".join(FEATURE_NAMES) + "\n")
-    for rid, tag, vec in zip(rows.ids, rows.tags, matrix):
-        lines.append(rid + "\t" + tag + "\t" + "\t".join(f"{v:.17g}" for v in vec) + "\n")
+    # a row's floats at a time: the whole matrix as Python floats would
+    # raise the peak of the stages that run after this one in the process
+    lines.extend(_FEATURE_ROW % (rid, tag, *vec.tolist())
+                 for rid, tag, vec in zip(rows.ids, rows.tags, matrix))
     _write_text(path, "".join(lines))
 
 
-def _read_features(path: Path) -> tuple[list[str], list[str], np.ndarray, str]:
+class FeatureFile(NamedTuple):
+    """A features file as read back: its rows and its comment fields."""
+
+    ids: list[str]  # one per row
+    tags: list[str]
+    matrix: np.ndarray
+    fingerprint: str  # of the resources the features came from
+    dataset: str  # ``_dataset_digest`` of the rows' dataset when they were extracted
+    path: Path
+
+
+def _comment_field(comments: list[str], name: str) -> str:
+    prefix = f"# {name}="
+    return next((c[len(prefix):] for c in comments if c.startswith(prefix)), "")
+
+
+def _read_features(path: Path) -> FeatureFile:
     comments, rows = _read_tsv(path)
-    prefix = "# fingerprint="
-    fingerprint = next((c[len(prefix):] for c in comments if c.startswith(prefix)), "")
     if not rows or rows[0][1] != ["id", "row", *FEATURE_NAMES]:
         raise StageError(f"{path}: header row is not id, row and this build's feature names")
     rows = rows[1:]
@@ -598,7 +650,8 @@ def _read_features(path: Path) -> tuple[list[str], list[str], np.ndarray, str]:
         i, j = bad[0]
         raise StageError(f"{path}:{rows[i][0]}: {FEATURE_NAMES[j]} is {rows[i][1][j + 2]!r}, "
                          "not a finite number")
-    return ids, tags, matrix, fingerprint
+    return FeatureFile(ids, tags, matrix, _comment_field(comments, "fingerprint"),
+                       _comment_field(comments, "dataset"), path)
 
 
 def _float_or_nan(text: str) -> float:
@@ -624,13 +677,13 @@ def _split_sides(tags: list[str], matrix: np.ndarray):
 
 def stage_train(cfg: RunConfig, out_dir: Path):
     resources_fp = _read_artifact(out_dir / "resources.pkl", body=False)[0]["fingerprint"]
-    features = out_dir / "features_train.tsv"
-    ids, tags, matrix, feat_fp = _read_features(features)
-    if feat_fp != resources_fp:
+    features = _read_features(out_dir / "features_train.tsv")
+    if features.fingerprint != resources_fp:
         raise StageError(
-            f"feature fingerprint {feat_fp} does not match resources {resources_fp}"
+            f"feature fingerprint {features.fingerprint} does not match resources {resources_fp}"
         )
-    gold = _train_golds(cfg, _instance_ids(ids, tags), features)
+    tags, matrix = features.tags, features.matrix
+    gold = _train_golds(cfg, features)
     if cfg.architecture == "plain":
         ranked = grid_search(cfg.grid(), matrix, gold, cfg.cv_folds, cfg.seed)
         model = average_top_k(ranked, min(cfg.top_k, len(ranked)), matrix, gold)
@@ -661,26 +714,27 @@ def stage_train(cfg: RunConfig, out_dir: Path):
     _write_text(out_dir / "cv_table.tsv", "".join(lines))
 
 
-def _apply_model(header: dict, model, path: Path) -> tuple[list[str], np.ndarray]:
-    """(instance ids, the model's predictions) for the features file at ``path``.
+def _apply_model(header: dict, model, features: FeatureFile) -> tuple[list[str], np.ndarray]:
+    """(instance ids, the model's predictions) for a features file.
 
     An overflow, invalid operation or division by zero is refused as it
     happens, naming the file, instead of printing a numpy warning.
     """
-    ids, tags, matrix, feat_fp = _read_features(path)
-    if feat_fp != header["fingerprint"]:
+    if features.fingerprint != header["fingerprint"]:
         raise StageError(
-            f"feature fingerprint {feat_fp} does not match model {header['fingerprint']}"
+            f"feature fingerprint {features.fingerprint} does not match model "
+            f"{header['fingerprint']}"
         )
-    inst_ids = _instance_ids(ids, tags)
+    inst_ids = _instance_ids(features.ids, features.tags)
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             if header["architecture"] == "plain":
-                preds = model.predict(matrix)
+                preds = model.predict(features.matrix)
             else:
-                preds = predict_stack_matrices(model, *_split_sides(tags, matrix))
+                preds = predict_stack_matrices(model, *_split_sides(features.tags,
+                                                                    features.matrix))
     except FloatingPointError as exc:
-        raise StageError(f"{path}: the model's arithmetic on these features failed "
+        raise StageError(f"{features.path}: the model's arithmetic on these features failed "
                          f"({exc})") from None
     bad = np.flatnonzero(~np.isfinite(preds))
     if bad.size:
@@ -691,18 +745,18 @@ def _apply_model(header: dict, model, path: Path) -> tuple[list[str], np.ndarray
 
 def stage_predict(cfg: RunConfig, out_dir: Path):
     header, model = _read_artifact(out_dir / "model.pkl")
-    test_features = out_dir / "features_test.tsv"
+    test_features = _read_features(out_dir / "features_test.tsv")
     inst_ids, preds = _apply_model(header, model, test_features)
-    _golds_by_id(cfg, "test", inst_ids, test_features)  # refuses an instance in one file only
+    # refuses an instance in one file only, and changed test texts
+    _golds_by_id(cfg, "test", test_features)
 
     mode, t = cfg.threshold  # always ("none", None) for intensity
     tune = mode in ("optimized", "grounded")
-    features = out_dir / "features_train.tsv"
-    if tune:
-        train_ids, train_preds = _apply_model(header, model, features)
-        train_gold = _train_golds(cfg, train_ids, features)
-    elif cfg.grounding == "predictions":
-        train_gold = _train_golds(cfg, _instance_ids(*_read_features(features)[:2]), features)
+    if tune or cfg.grounding == "predictions":
+        features = _read_features(out_dir / "features_train.tsv")
+        if tune:
+            train_preds = _apply_model(header, model, features)[1]
+        train_gold = _train_golds(cfg, features)
     if cfg.grounding == "predictions":
         preds = ground_predictions(preds, ScoreStats.of(train_gold))
     if cfg.task == "intensity":

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -76,6 +78,13 @@ class TestTokenSeq:
             TokenSeq(("a b",), 3)
         with pytest.raises(ValueError):
             TokenSeq(("",), 1)
+
+    @pytest.mark.parametrize("bad", ["", "b\u00a0c", "b "])
+    def test_bad_token_named(self, bad):
+        # the one joined check finds the fault; the message names the token
+        with pytest.raises(ValueError, match=re.escape(f"bad token {bad!r}: empty or contains "
+                                                       "whitespace")):
+            TokenSeq(("a", bad, "d"), 10)
 
     def test_char_count_floor(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -279,3 +280,41 @@ class TestFeatureMatrix:
         rows = [(tokenize("a b"), tokenize("b"))] * 2
         mat = build_feature_matrix(rows, resources)
         assert np.array_equal(mat[0], mat[1])
+
+    def test_non_finite_feature_names_its_row(self, resources, monkeypatch):
+        import rtm.features
+
+        real = rtm.features.lm_features
+
+        def lm_inf_on_c(lm, seq):
+            logprob, bpw, oov = real(lm, seq)
+            return (math.inf if seq.tokens == ("c",) else logprob), bpw, oov
+
+        monkeypatch.setattr(rtm.features, "lm_features", lm_inf_on_c)
+        rows = [(tokenize("a b"), tokenize("b")), (tokenize("c"), tokenize("b"))]
+        with pytest.raises(AssertionError, match=r"^non-finite feature lm_logprob in row 1$"):
+            build_feature_matrix(rows, resources)
+
+    def test_weights_looked_up_once_per_row_and_target(self, resources, monkeypatch):
+        # Each source n-gram is weighed once per row, for all five order sets,
+        # and the shared target's once for the whole matrix.
+        table = resources.weight_table
+        real, calls = table.weight, collections.Counter()
+
+        def counting(gram):
+            calls[gram] += 1
+            return real(gram)
+
+        monkeypatch.setattr(table, "weight", counting)
+        sources = seqs("a b c a b", "b c d e", "a b c a b", "f", "")
+        rows = [(src, tokenize("a b c a b d x")) for src in sources]  # equal, not the same object
+        build_feature_matrix(rows, resources)
+
+        def distinct_grams(seq):
+            toks = seq.tokens
+            return {toks[i : i + n] for n in (1, 2, 3) for i in range(len(toks) - n + 1)}
+
+        expected = collections.Counter()
+        for seq in sources + [rows[0][1]]:
+            expected.update(distinct_grams(seq))
+        assert calls == expected

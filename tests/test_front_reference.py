@@ -543,6 +543,8 @@ tokens = st.lists(st.sampled_from("abcd"), max_size=12)
 @given(tokens, tokens)
 def test_edit_distance_matches_dp(text, pattern):
     assert _edit_distance(text, pattern) == ref_levenshtein(text, pattern)
+    # the loop runs over the shorter sequence, whichever argument it is
+    assert _edit_distance(pattern, text) == ref_levenshtein(text, pattern)
 
 
 @settings(max_examples=60, deadline=None)

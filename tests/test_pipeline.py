@@ -13,10 +13,11 @@ import pytest
 
 import rtm
 from rtm.cli import main
-from rtm.features import FEATURE_NAMES
+from rtm.features import FEATURE_NAMES, N_FEATURES
 from rtm.learners import ModelSpec
 from rtm.metrics import MetricConfig, parse_report
 from rtm.pipeline import (
+    _FEATURE_ROW,
     STAGES,
     ConfigError,
     StageError,
@@ -632,6 +633,72 @@ class TestGoldsBoundById:
             with pytest.raises(StageError, match=rf"stage {stage}: row pair 2: a-row id "
                                                  rf"'{a_id}' but b-row id '{other}'"):
                 run_stage(cfg, out, stage)
+
+
+def _edit_field(path, col, edit, lineno):
+    """Apply ``edit`` to column ``col`` of line ``lineno`` of a dataset."""
+    lines = path.read_text(encoding="utf-8").split("\n")
+    fields = lines[lineno - 1].split("\t")
+    fields[col] = edit(fields[col])
+    lines[lineno - 1] = "\t".join(fields)
+    path.write_text("\n".join(lines), encoding="utf-8")
+
+
+class TestDatasetDigest:
+    """A features file records which dataset texts its rows came from."""
+
+    @pytest.mark.parametrize("task, text_col, gold_col, fix_gold", [
+        ("intensity", 1, 3, lambda gold: "0.5"),
+        ("triples", 3, 4, lambda gold: "1" if gold == "0" else "0"),
+    ])
+    def test_changed_text_refused_changed_gold_retrains(self, tmp_path, capsys, task, text_col,
+                                                        gold_col, fix_gold):
+        cfg_path = _small_case(tmp_path, task)
+        _, out = _full_run(cfg_path, "out")
+        train, argv = tmp_path / "train.tsv", ["train", "--config", str(cfg_path), "--out", str(out)]
+        kept = train.read_text(encoding="utf-8")
+        assert sum(line.startswith("# dataset=") for line in
+                   (out / "features_train.tsv").read_text(encoding="utf-8").splitlines()) == 1
+        _edit_field(train, text_col, lambda text: text + " extra", lineno=3)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"rtm: stage train: \S*features_train\.tsv: dataset=[0-9a-f]{16} "
+                            r"but \S*train\.tsv reads [0-9a-f]{16}: its texts changed; "
+                            r"re-run extract-features\n", err), err
+        assert not (out / "model.pkl").exists()
+        # a fixed gold is not a changed text: train runs on the same features
+        train.write_text(kept, encoding="utf-8")
+        _edit_field(train, gold_col, fix_gold, lineno=3)
+        assert main(argv) == 0
+
+    def test_changed_test_text_refused_in_predict(self, tmp_path):
+        cfg, out = _full_run(_small_case(tmp_path, "intensity"), "out")
+        _edit_field(tmp_path / "test.tsv", 1, lambda text: "new " + text, lineno=2)
+        with pytest.raises(StageError, match=r"stage predict: \S*features_test\.tsv: dataset=\w+ "
+                                             r"but \S*test\.tsv reads \w+: its texts changed; "
+                                             r"re-run extract-features"):
+            run_stage(cfg, out, "predict")
+
+    def test_features_without_dataset_line_refused(self, tmp_path):
+        cfg, out = _full_run(_small_case(tmp_path, "triples"), "out")
+        path = out / "features_train.tsv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(line for line in lines if not line.startswith("# dataset=")),
+                        encoding="utf-8")
+        with pytest.raises(StageError, match=r"dataset=\(none\) .* re-run extract-features"):
+            run_stage(cfg, out, "train")
+
+
+def test_feature_row_format_matches_numpy_scalar_format():
+    # the writer formats Python floats from tolist(); the bytes are those of
+    # formatting each numpy scalar
+    values = [-0.0, 5e-324, 0.1, 1 / 3, 1e16, 2.0**53 + 2, 1.7976931348623157e308]
+    for v in values:
+        assert "%.17g" % v == f"{np.float64(v):.17g}"
+    matrix = np.resize(np.array(values), (3, N_FEATURES))
+    for vec, row in zip(matrix, matrix.tolist()):
+        expected = "t1\ta\t" + "\t".join(f"{v:.17g}" for v in vec) + "\n"
+        assert _FEATURE_ROW % ("t1", "a", *row) == expected
 
 
 class TestNonFiniteRefused:
