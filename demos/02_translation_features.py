@@ -36,7 +36,7 @@ for tgt_text in ("the happy cat sat on the mat", "happy sun day", "night rain"):
     tgt = tokenize(tgt_text)
     vec = extract_feature_vector(src, tgt, resources)
     named = dict(zip(FEATURE_NAMES, vec))
-    print(f"\nsrc={src.text()!r}  tgt={tgt_text!r}")
+    print(f"\nsrc={' '.join(src)!r}  tgt={tgt_text!r}")
     for name in ("wf1_12", "wgm_1", "rec_1", "lm_bpw", "align_f1", "token_ratio"):
         print(f"  {name:12} {named[name]:8.4f}")
 
@@ -46,4 +46,4 @@ table = resources.weight_table
 target = tokenize("the mouse")
 for text in ("the dog", "mouse dog"):
     ov = weighted_overlap(tokenize(text), target, table, orders=(1,))
-    print(f"\noverlap {text!r} vs {target.text()!r}: wrec={ov.wrec:.3f} plain rec={ov.rec:.3f}")
+    print(f"\noverlap {text!r} vs {' '.join(target)!r}: wrec={ov.wrec:.3f} plain rec={ov.rec:.3f}")

@@ -13,16 +13,11 @@ __version__ = "0.1.0"
 from .corpus import (
     Corpus,
     DataFormatError,
-    IntensityInstance,
-    Lexicon,
     TokenSeq,
-    TripleInstance,
     extract_ngrams,
     lexicon_to_target,
     load_corpus,
-    load_intensity_dataset,
     load_lexicon,
-    load_triple_dataset,
     tokenize,
 )
 from .features import (

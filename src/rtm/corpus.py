@@ -13,8 +13,8 @@ import collections
 import functools
 import re
 import unicodedata
-from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
 
 
 class DataFormatError(ValueError):
@@ -54,68 +54,6 @@ class TokenSeq:
 
     def __iter__(self):
         return iter(self.tokens)
-
-    def text(self) -> str:
-        return " ".join(self.tokens)
-
-
-@dataclass(frozen=True)
-class IntensityInstance:
-    """One text-to-score row: a tweet/text, its affect label and gold in [0, 1]."""
-
-    id: str
-    source: TokenSeq
-    affect: str
-    gold: float | None
-
-    def __post_init__(self):
-        if self.gold is not None and not 0.0 <= self.gold <= 1.0:
-            raise ValueError(f"gold {self.gold} outside [0, 1]")
-
-
-@dataclass(frozen=True)
-class TripleInstance:
-    """One word/word/attribute row with a binary discriminativeness label."""
-
-    id: str
-    w1: TokenSeq
-    w2: TokenSeq
-    attribute: TokenSeq
-    gold: int | None
-
-    def __post_init__(self):
-        for name in ("w1", "w2", "attribute"):
-            if len(getattr(self, name)) == 0:
-                raise ValueError(f"{name} must be nonempty")
-        if self.gold is not None and self.gold not in (0, 1):
-            raise ValueError(f"label {self.gold} not in {{0, 1}}")
-
-
-@dataclass
-class Lexicon:
-    """Emotion label -> ordered words (each word a TokenSeq, possibly multi-token)."""
-
-    entries: dict[str, tuple[TokenSeq, ...]] = field(default_factory=dict)
-
-    def emotions(self) -> list[str]:
-        return list(self.entries)
-
-
-@dataclass
-class Corpus:
-    """Ordered nonempty sentences from a one-sentence-per-line file.
-
-    ``sentences`` is a list, or for a corpus from ``load_corpus`` a
-    sequence that reads its file as it is iterated.
-    """
-
-    sentences: Sequence[TokenSeq]
-
-    def __len__(self) -> int:
-        return len(self.sentences)
-
-    def __iter__(self) -> Iterator[TokenSeq]:
-        return iter(self.sentences)
 
 
 # Unicode general category M (Mn, Mc, Me) as code point ranges, from the
@@ -281,30 +219,12 @@ def _dataset_rows(path, task: str):
         yield lineno, fields, gold
 
 
-def load_intensity_dataset(path) -> list[IntensityInstance]:
-    """Load an intensity TSV: header ``id\\ttext\\taffect\\tscore`` then rows.
-
-    The score column may be omitted entirely or hold ``NONE`` per row (test
-    mode).  Scores must lie in [0, 1] and ids must be unique.
-    """
-    return [IntensityInstance(id=f[0], source=tokenize(f[1]), affect=f[2], gold=gold)
-            for _, f, gold in _dataset_rows(path, "intensity")]
-
-
-def load_triple_dataset(path) -> list[TripleInstance]:
-    """Load a triples TSV: ``id\\tword1\\tword2\\tattribute\\tlabel``, no header.
-
-    Labels are ``0``, ``1`` or ``NONE``; ids must be unique.
-    """
-    return [TripleInstance(f[0], *(tokenize(text) for text in f[1:4]), gold)
-            for _, f, gold in _dataset_rows(path, "triples")]
-
-
-def load_lexicon(path) -> Lexicon:
+def load_lexicon(path) -> dict[str, tuple[TokenSeq, ...]]:
     """Load an emotion lexicon: ``#<emotion>`` headers, then one entry per line.
 
-    Entries may be multi-word.  Duplicate entries within a section are
-    rejected; every section must contain at least one entry.
+    Returns emotion -> its entries, both in file order.  Entries may be
+    multi-word.  Duplicate entries within a section are rejected; every
+    section must contain at least one entry.
     """
     entries: dict[str, list[TokenSeq]] = {}
     seen: dict[str, set] = {}
@@ -337,7 +257,7 @@ def load_lexicon(path) -> Lexicon:
         _fail(path, 1, "no emotion sections found")
     if not entries[current]:
         _fail(path, last_header_line, f"emotion {current!r} has no entries")
-    return Lexicon({emo: tuple(words) for emo, words in entries.items()})
+    return {emo: tuple(words) for emo, words in entries.items()}
 
 
 def _corpus_lines(path) -> Iterator[str]:
@@ -346,33 +266,27 @@ def _corpus_lines(path) -> Iterator[str]:
     return (line for line in _read_lines(path) if line.split())
 
 
-class _CorpusFile(Sequence):
-    """The sentences of a corpus file.  Iterating reads and tokenizes the
-    file one line at a time and keeps no sentence; the first length or index
-    asked for tokenizes the whole file once and keeps the list."""
+class Corpus:
+    """The sentences of a one-sentence-per-line corpus file, empty lines
+    skipped.  Iterating reads and tokenizes the file one line at a time and
+    keeps no sentence; ``sentences`` tokenizes the whole file on first use
+    and keeps the list."""
 
     def __init__(self, path):
         self.path = path
 
     @functools.cached_property
-    def _sentences(self) -> list[TokenSeq]:
-        return list(map(tokenize, _corpus_lines(self.path)))
+    def sentences(self) -> list[TokenSeq]:
+        return list(self)
 
     def __iter__(self) -> Iterator[TokenSeq]:
-        kept = self.__dict__.get("_sentences")
-        return iter(kept) if kept is not None else map(tokenize, _corpus_lines(self.path))
-
-    def __len__(self) -> int:
-        return len(self._sentences)
-
-    def __getitem__(self, i):
-        return self._sentences[i]
+        return map(tokenize, _corpus_lines(self.path))
 
 
 def load_corpus(path) -> Corpus:
-    """A one-sentence-per-line corpus, skipping empty lines.  The file is
-    read when the corpus is used: one pass over it holds one line at a time."""
-    return Corpus(_CorpusFile(path))
+    """The corpus of the file at ``path``, read when it is used: one pass over
+    it holds one line at a time."""
+    return Corpus(path)
 
 
 def load_corpus_sentences(path, indices) -> list[TokenSeq]:
@@ -391,7 +305,7 @@ def load_corpus_sentences(path, indices) -> list[TokenSeq]:
     return [tokenize(wanted[i]) for i in indices]
 
 
-def lexicon_to_target(lexicon: Lexicon, emotions) -> TokenSeq:
+def lexicon_to_target(lexicon: dict[str, tuple[TokenSeq, ...]], emotions) -> TokenSeq:
     """Render the words of the requested emotions as one long token sequence.
 
     Concatenation follows lexicon file order (sections, then entries within a
@@ -400,11 +314,11 @@ def lexicon_to_target(lexicon: Lexicon, emotions) -> TokenSeq:
     requested = set(emotions)
     if not requested:
         raise ValueError("no emotions requested")
-    unknown = requested - set(lexicon.entries)
+    unknown = requested - set(lexicon)
     if unknown:
         raise ValueError(f"unknown emotions: {sorted(unknown)}")
     tokens: list[str] = []
-    for emo, words in lexicon.entries.items():
+    for emo, words in lexicon.items():
         if emo in requested:
             for word in words:
                 tokens.extend(word.tokens)

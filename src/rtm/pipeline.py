@@ -15,9 +15,12 @@ one JSON header line carrying the same fields, a layout number and a
 resource fingerprint (corpus hash + resource-relevant parameters) that later
 stages verify before applying a model; the pickled body follows.  The header
 is checked before the body is unpickled, and a stage that needs only the
-header reads only the header.  A features file carries the resource
-fingerprint and a digest of the dataset ids and texts its rows came from
-(``# dataset=``), which train and predict check against the dataset files.
+header reads only the header.  interpretants.tsv carries a digest of the
+corpus bytes and the FDA keys (``# selection=``), which build-resources checks
+against the corpus and config.  A features file carries the resource
+fingerprint and a digest of the dataset ids and texts its rows came from and
+of the emotion targets they were scored against (``# dataset=``), which train
+and predict check against the dataset files and the lexicon.
 """
 
 from __future__ import annotations
@@ -389,15 +392,24 @@ def _read_tsv(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
     return comments, rows
 
 
-def resource_fingerprint(cfg: RunConfig) -> str:
-    h = hashlib.sha256()
-    h.update(Path(cfg.corpus).read_bytes())
-    params = (
-        f"budget={cfg.budget};fda_max_order={cfg.fda_max_order};decay={cfg.decay};"
-        f"length_exponent={cfg.length_exponent};lm_order={cfg.lm_order};"
-        f"aligner_iterations={cfg.aligner_iterations}"
-    )
-    h.update(params.encode("utf-8"))
+def _corpus_hash(cfg: RunConfig):
+    """A sha256 object fed the corpus bytes, read in chunks; ``_digest``
+    copies it for each set of keys."""
+    with open(cfg.corpus, "rb") as fh:
+        return hashlib.file_digest(fh, "sha256")
+
+
+def _fda_keys(cfg: RunConfig) -> str:
+    return (f"budget={cfg.budget};fda_max_order={cfg.fda_max_order};decay={cfg.decay};"
+            f"length_exponent={cfg.length_exponent}")
+
+
+def _digest(corpus_hash, keys: str) -> str:
+    """The digest of the corpus bytes then ``keys``: ``# selection=`` of
+    interpretants.tsv over the FDA keys, the resource fingerprint over those
+    and the LM and aligner keys."""
+    h = corpus_hash.copy()
+    h.update(keys.encode("utf-8"))
     return h.hexdigest()[:16]
 
 
@@ -413,7 +425,7 @@ class RowSet:
     tags: list[str]  # "-" for plain rows, "a"/"b" for paired rows
     pairs: list[tuple]  # (source, target) TokenSeqs, one per row
     texts: list[TokenSeq]  # the dataset's own texts, in FDA task-text order
-    dataset: str = ""  # the digest of the rows' ids and texts (``_dataset_digest``)
+    dataset: str = ""  # ``_dataset_digest`` of the rows' ids, texts and targets
 
 
 def _row_text(task: str, fields: list[str]) -> str:
@@ -422,24 +434,29 @@ def _row_text(task: str, fields: list[str]) -> str:
     return "\t".join(fields[:2] if task == "intensity" else fields[:4])
 
 
-def _dataset_digest(row_texts: list[str]) -> str:
-    """The ``# dataset=`` digest of a dataset's ``_row_text``s.  They are
-    hashed in sorted order, so reordering the rows keeps it: golds are bound
-    by instance id, not by position."""
+def _dataset_digest(row_texts: list[str], targets: list[TokenSeq]) -> str:
+    """The ``# dataset=`` digest of a dataset's ``_row_text``s and of the
+    emotion targets (``_targets``) its rows are scored against.  The row
+    texts are hashed in sorted order, so reordering the rows keeps it: golds
+    are bound by instance id, not by position.  The targets follow in row-tag
+    order; a row text holds a tab and a target does not, so neither can pass
+    for the other."""
     h = hashlib.sha256()
     for text in sorted(row_texts):
         h.update(text.encode("utf-8") + b"\n")
+    for target in targets:
+        h.update(" ".join(target.tokens).encode("utf-8") + b"\n")
     return h.hexdigest()[:16]
 
 
-def _golds_and_digest(path, task: str) -> tuple[dict[str, float | None], str]:
-    """(instance id -> gold or None in file order, ``_dataset_digest``) of a
+def _golds_and_texts(path, task: str) -> tuple[dict[str, float | None], list[str]]:
+    """(instance id -> gold or None in file order, the ``_row_text``s) of a
     dataset file of ``task``, read without tokenizing."""
     golds, texts = {}, []
     for _, fields, gold in _dataset_rows(path, task):
         golds[fields[0]] = None if gold is None else float(gold)
         texts.append(_row_text(task, fields))
-    return golds, _dataset_digest(texts)
+    return golds, texts
 
 
 def read_golds(path, task: str | None = None) -> dict[str, float | None]:
@@ -462,24 +479,30 @@ def read_golds(path, task: str | None = None) -> dict[str, float | None]:
             return dict(zip(ids, values.tolist()))
         else:
             raise ValueError(f"{path}: unrecognized gold format ({len(first)} columns)")
-    return _golds_and_digest(path, task)[0]
+    return _golds_and_texts(path, task)[0]
+
+
+def _targets(cfg: RunConfig) -> list[TokenSeq]:
+    """The emotion target of each row tag of an intensity task, none for
+    triples: the words of all emotions (plain) or of one emotion each (rows
+    a and b), read from the lexicon."""
+    if cfg.task != "intensity":
+        return []
+    lexicon = load_lexicon(cfg.lexicon)
+    groups = [cfg.emotions] if cfg.architecture == "plain" else [[e] for e in cfg.emotions]
+    return [lexicon_to_target(lexicon, g) for g in groups]
 
 
 def load_rows(cfg: RunConfig, *splits: str) -> tuple[list[TokenSeq], list[RowSet]]:
-    """The emotion target(s) of an intensity task (none for triples) and one
-    RowSet per named split (``"train"``, ``"test"``).  The lexicon and each
-    dataset are loaded and tokenized once; the pass over a dataset also
-    takes its ``_dataset_digest``.
+    """The emotion target(s) of the task (``_targets``) and one RowSet per
+    named split (``"train"``, ``"test"``).  The lexicon and each dataset are
+    loaded and tokenized once; the pass over a dataset also takes its
+    ``_dataset_digest``.
 
-    An intensity instance is one row per target: its text against the words of
-    all emotions (plain) or of one emotion each (rows a and b).  A triple is
-    two rows, word1 and word2 against the attribute.
+    An intensity instance is one row per target: its text against each
+    target.  A triple is two rows, word1 and word2 against the attribute.
     """
-    targets = []
-    if cfg.task == "intensity":
-        lexicon = load_lexicon(cfg.lexicon)
-        groups = [cfg.emotions] if cfg.architecture == "plain" else [[e] for e in cfg.emotions]
-        targets = [lexicon_to_target(lexicon, g) for g in groups]
+    targets = _targets(cfg)
     row_tags = "-" if cfg.architecture == "plain" else "ab"
     out = []
     for split in splits:
@@ -497,7 +520,7 @@ def load_rows(cfg: RunConfig, *splits: str) -> tuple[list[TokenSeq], list[RowSet
                 rows.ids.append(fields[0])
                 rows.tags.append(tag)
                 rows.pairs.append(pair)
-        rows.dataset = _dataset_digest(row_texts)
+        rows.dataset = _dataset_digest(row_texts, targets)
         out.append(rows)
     return targets, out
 
@@ -517,14 +540,16 @@ def _instance_ids(ids: list[str], tags: list[str]) -> list[str]:
     return a_ids
 
 
-def _golds_by_id(cfg: RunConfig, split: str, features: FeatureFile) -> list[float | None]:
+def _golds_by_id(cfg: RunConfig, split: str, features: FeatureFile,
+                 targets: list[TokenSeq]) -> list[float | None]:
     """The golds of the ``split`` dataset (``"train"``, ``"test"``) for the
     instances of the features file ``features``, in its row order.  An id in
     one file and not the other is refused, and so is a dataset whose ids or
-    texts are not those the features came from."""
+    texts, or emotion targets (``_targets``), are not those the features came
+    from."""
     dataset = getattr(cfg, split)
     inst_ids = _instance_ids(features.ids, features.tags)
-    golds, digest = _golds_and_digest(dataset, cfg.task)
+    golds, texts = _golds_and_texts(dataset, cfg.task)
     known = set(inst_ids)
     missing = next((rid for rid in inst_ids if rid not in golds), None)
     if missing is not None:
@@ -535,14 +560,17 @@ def _golds_by_id(cfg: RunConfig, split: str, features: FeatureFile) -> list[floa
     if len(known) != len(inst_ids):
         twice = next(rid for rid in inst_ids if inst_ids.count(rid) > 1)
         raise StageError(f"{features.path}: instance {twice!r} appears twice")
+    digest = _dataset_digest(texts, targets)
     if features.dataset != digest:
-        raise StageError(f"{features.path}: dataset={features.dataset or '(none)'} but {dataset} "
-                         f"reads {digest}: its texts changed; re-run extract-features")
+        source, changed = ((f"{dataset} with the lexicon {cfg.lexicon}", "its texts or the lexicon")
+                           if targets else (dataset, "its texts"))
+        raise StageError(f"{features.path}: dataset={features.dataset or '(none)'} but {source} "
+                         f"reads {digest}: {changed} changed; re-run extract-features")
     return [golds[rid] for rid in inst_ids]
 
 
-def _train_golds(cfg: RunConfig, features: FeatureFile) -> np.ndarray:
-    gold = _golds_by_id(cfg, "train", features)
+def _train_golds(cfg: RunConfig, features: FeatureFile, targets: list[TokenSeq]) -> np.ndarray:
+    gold = _golds_by_id(cfg, "train", features, targets)
     if None in gold:
         raise StageError("training instances must all carry gold values")
     return np.asarray(gold, dtype=float)
@@ -557,7 +585,8 @@ def stage_select_interpretants(cfg: RunConfig, out_dir: Path):
     targets, (train, test) = load_rows(cfg, "train", "test")
     # task texts: train texts, test texts, then the target(s)
     selection = select_interpretants(corpus, train.texts + test.texts + targets, cfg.fda_config())
-    lines = [_banner(cfg), "index\tscore\n"]
+    digest = _digest(_corpus_hash(cfg), _fda_keys(cfg))
+    lines = [_banner(cfg), f"# selection={digest}\n", "index\tscore\n"]
     lines.extend(
         f"{idx}\t{score:.6f}\n"
         for idx, score in zip(selection.selected_indices, selection.selection_scores)
@@ -565,9 +594,10 @@ def stage_select_interpretants(cfg: RunConfig, out_dir: Path):
     _write_text(out_dir / "interpretants.tsv", "".join(lines))
 
 
-def _read_interpretant_indices(path: Path) -> tuple[list[int], list[int]]:
-    """(line numbers, corpus sentence indices) of the rows of ``path``."""
-    _, rows = _read_tsv(path)
+def _read_interpretant_indices(path: Path) -> tuple[str, list[int], list[int]]:
+    """(the ``# selection=`` digest, line numbers, corpus sentence indices)
+    of the rows of ``path``."""
+    comments, rows = _read_tsv(path)
     if not rows or rows[0][1] != ["index", "score"]:
         raise StageError(f"{path}: header row is not index, score")
     linenos, indices = [], []
@@ -577,12 +607,18 @@ def _read_interpretant_indices(path: Path) -> tuple[list[int], list[int]]:
         except ValueError:
             raise StageError(f"{path}:{lineno}: {fields[0]!r} is not a sentence index") from None
         linenos.append(lineno)
-    return linenos, indices
+    return _comment_field(comments, "selection"), linenos, indices
 
 
 def stage_build_resources(cfg: RunConfig, out_dir: Path):
     path = out_dir / "interpretants.tsv"
-    linenos, indices = _read_interpretant_indices(path)
+    written, linenos, indices = _read_interpretant_indices(path)
+    corpus_hash = _corpus_hash(cfg)  # the one read of the corpus bytes
+    selection = _digest(corpus_hash, _fda_keys(cfg))
+    if written != selection:
+        raise StageError(f"{path}: selection={written or '(none)'} but {cfg.corpus} with the FDA "
+                         f"keys reads {selection}: the corpus or an FDA key changed; "
+                         "re-run select-interpretants")
     try:
         sentences = load_corpus_sentences(cfg.corpus, indices)
     except IndexError as exc:
@@ -594,8 +630,9 @@ def stage_build_resources(cfg: RunConfig, out_dir: Path):
         lm=WittenBellLM(sentences, order=cfg.lm_order),
         aligner=train_aligner([(s, s) for s in sentences], cfg.aligner_iterations),
     )
-    header = {"fingerprint": resource_fingerprint(cfg)}
-    _write_artifact(out_dir / "resources.pkl", cfg, header, resources)
+    keys = f"{_fda_keys(cfg)};lm_order={cfg.lm_order};aligner_iterations={cfg.aligner_iterations}"
+    _write_artifact(out_dir / "resources.pkl", cfg, {"fingerprint": _digest(corpus_hash, keys)},
+                    resources)
 
 
 # One features row: id, row tag, then each value with 17 significant digits
@@ -675,6 +712,13 @@ def _split_sides(tags: list[str], matrix: np.ndarray):
     return matrix[tags == "a"], matrix[tags == "b"]
 
 
+def _cv_lines(cv_table) -> list[str]:
+    """The ``rank\tlabel\tscore`` lines of cv_table.tsv and of the ``[cv]``
+    block of report.txt."""
+    return [f"{rank}\t{label}\t{score:.6f}\n"
+            for rank, (label, score) in enumerate(cv_table, start=1)]
+
+
 def stage_train(cfg: RunConfig, out_dir: Path):
     resources_fp = _read_artifact(out_dir / "resources.pkl", body=False)[0]["fingerprint"]
     features = _read_features(out_dir / "features_train.tsv")
@@ -683,11 +727,10 @@ def stage_train(cfg: RunConfig, out_dir: Path):
             f"feature fingerprint {features.fingerprint} does not match resources {resources_fp}"
         )
     tags, matrix = features.tags, features.matrix
-    gold = _train_golds(cfg, features)
+    gold = _train_golds(cfg, features, _targets(cfg))
     if cfg.architecture == "plain":
         ranked = grid_search(cfg.grid(), matrix, gold, cfg.cv_folds, cfg.seed)
         model = average_top_k(ranked, min(cfg.top_k, len(ranked)), matrix, gold)
-        cv_table = [(spec.label(), score) for spec, score in ranked]
     else:
         feats_a, feats_b = _split_sides(tags, matrix)
         stack_cfg = StackConfig(
@@ -703,15 +746,12 @@ def stage_train(cfg: RunConfig, out_dir: Path):
             else train_separate_stack_matrices
         )
         model = train_fn(feats_a, feats_b, gold, stack_cfg)
-        cv_table = [(spec.label(), score) for spec, score in model.cv_table]
+        ranked = model.cv_table
+    cv_table = [(spec.label(), score) for spec, score in ranked]
     header = {"fingerprint": resources_fp, "architecture": cfg.architecture, "cv_table": cv_table}
     _write_artifact(out_dir / "model.pkl", cfg, header, model)
-    lines = [_banner(cfg), "rank\tmodel\tcv_mae\n"]
-    lines.extend(
-        f"{rank}\t{label}\t{score:.6f}\n"
-        for rank, (label, score) in enumerate(cv_table, start=1)
-    )
-    _write_text(out_dir / "cv_table.tsv", "".join(lines))
+    _write_text(out_dir / "cv_table.tsv",
+                "".join([_banner(cfg), "rank\tmodel\tcv_mae\n", *_cv_lines(cv_table)]))
 
 
 def _apply_model(header: dict, model, features: FeatureFile) -> tuple[list[str], np.ndarray]:
@@ -747,8 +787,9 @@ def stage_predict(cfg: RunConfig, out_dir: Path):
     header, model = _read_artifact(out_dir / "model.pkl")
     test_features = _read_features(out_dir / "features_test.tsv")
     inst_ids, preds = _apply_model(header, model, test_features)
-    # refuses an instance in one file only, and changed test texts
-    _golds_by_id(cfg, "test", test_features)
+    targets = _targets(cfg)
+    # refuses an instance in one file only, and changed test texts or targets
+    _golds_by_id(cfg, "test", test_features, targets)
 
     mode, t = cfg.threshold  # always ("none", None) for intensity
     tune = mode in ("optimized", "grounded")
@@ -756,7 +797,7 @@ def stage_predict(cfg: RunConfig, out_dir: Path):
         features = _read_features(out_dir / "features_train.tsv")
         if tune:
             train_preds = _apply_model(header, model, features)[1]
-        train_gold = _train_golds(cfg, features)
+        train_gold = _train_golds(cfg, features, targets)
     if cfg.grounding == "predictions":
         preds = ground_predictions(preds, ScoreStats.of(train_gold))
     if cfg.task == "intensity":
@@ -802,10 +843,7 @@ def _report_text(cfg: RunConfig, fingerprint: str, cv_table, report: MetricRepor
     lines.append("[resources]\n")
     lines.append(f"fingerprint = {fingerprint}\n")
     lines.append("[cv]\n")
-    lines.extend(
-        f"{rank}\t{label}\t{score:.6f}\n"
-        for rank, (label, score) in enumerate(cv_table, start=1)
-    )
+    lines.extend(_cv_lines(cv_table))
     lines.append("[metrics]\n")
     lines.append(report.format() + "\n" if report is not None else "absent\n")
     return "".join(lines)

@@ -6,16 +6,16 @@ from hypothesis import given, strategies as st
 from rtm.corpus import (
     DataFormatError,
     TokenSeq,
+    _dataset_rows,
     _read_lines,
     extract_ngrams,
     lexicon_to_target,
     load_corpus,
     load_corpus_sentences,
-    load_intensity_dataset,
     load_lexicon,
-    load_triple_dataset,
     tokenize,
 )
+from rtm.pipeline import read_golds
 
 
 class TestTokenize:
@@ -113,6 +113,11 @@ class TestNGrams:
         assert sum(extract_ngrams(seq, n).values()) == max(0, len(tokens) - n + 1)
 
 
+def _rows(path, task):
+    """(line number, fields, gold) of each row ``_dataset_rows`` yields."""
+    return list(_dataset_rows(path, task))
+
+
 class TestIntensityDataset:
     def test_load_in_order(self, tmp_path):
         path = tmp_path / "d.tsv"
@@ -120,30 +125,40 @@ class TestIntensityDataset:
             "id\ttext\taffect\tscore\n"
             "a\tgood day\tjoy\t0.0\n"
             "b\tbad day\tsadness\t0.5\n"
+            "\n"
             "c\tok day\tjoy\t1.0\n"
         )
-        insts = load_intensity_dataset(path)
-        assert [i.id for i in insts] == ["a", "b", "c"]
-        assert [i.gold for i in insts] == [0.0, 0.5, 1.0]
+        assert _rows(path, "intensity") == [
+            (2, ["a", "good day", "joy", "0.0"], 0.0),
+            (3, ["b", "bad day", "sadness", "0.5"], 0.5),
+            (5, ["c", "ok day", "joy", "1.0"], 1.0),
+        ]
+        assert read_golds(path, "intensity") == {"a": 0.0, "b": 0.5, "c": 1.0}
 
     def test_score_out_of_range(self, tmp_path):
         path = tmp_path / "d.tsv"
-        path.write_text("id\ttext\taffect\tscore\na\they\tjoy\t1.2\n")
-        with pytest.raises(DataFormatError, match="d.tsv:2"):
-            load_intensity_dataset(path)
+        for score, message in [("1.2", r"score 1.2 outside \[0, 1\]"),
+                               ("-0.1", r"score -0.1 outside \[0, 1\]"),
+                               ("high", "bad score 'high'")]:
+            path.write_text(f"id\ttext\taffect\tscore\na\they\tjoy\t{score}\n")
+            with pytest.raises(DataFormatError, match=rf"d.tsv:2: {message}$"):
+                _rows(path, "intensity")
 
     def test_none_and_missing_column(self, tmp_path):
         path = tmp_path / "d.tsv"
         path.write_text("id\ttext\taffect\tscore\na\they\tjoy\tNONE\n")
-        assert load_intensity_dataset(path)[0].gold is None
+        assert _rows(path, "intensity") == [(2, ["a", "hey", "joy", "NONE"], None)]
         path.write_text("id\ttext\taffect\na\they\tjoy\n")
-        assert load_intensity_dataset(path)[0].gold is None
+        assert _rows(path, "intensity") == [(2, ["a", "hey", "joy"], None)]
+        assert read_golds(path, "intensity") == {"a": None}
 
     def test_header_required(self, tmp_path):
         path = tmp_path / "d.tsv"
-        path.write_text("a\they\tjoy\t0.5\n")
-        with pytest.raises(DataFormatError, match="header"):
-            load_intensity_dataset(path)
+        for text, message in [("a\they\tjoy\t0.5\n", "d.tsv:1: bad header"),
+                              ("\n", "d.tsv:1: missing header row")]:
+            path.write_text(text)
+            with pytest.raises(DataFormatError, match=message):
+                _rows(path, "intensity")
 
     def test_duplicate_id_rejected(self, tmp_path):
         path = tmp_path / "d.tsv"
@@ -151,28 +166,45 @@ class TestIntensityDataset:
             "id\ttext\taffect\tscore\na\tone\tjoy\t0.1\n\nb\ttwo\tjoy\t0.2\na\tthree\tjoy\t0.3\n"
         )
         with pytest.raises(DataFormatError, match=r"d.tsv:5: duplicate id 'a' \(first on line 2\)"):
-            load_intensity_dataset(path)
+            _rows(path, "intensity")
+        path.write_text("id\ttext\taffect\tscore\na\tone\tjoy\t0.1\n#b\ttwo\tjoy\t0.2\n")
+        with pytest.raises(DataFormatError, match=r"d.tsv:3: id '#b' starts with '#'"):
+            _rows(path, "intensity")
 
 
 class TestTripleDataset:
     def test_load(self, tmp_path):
         path = tmp_path / "t.tsv"
-        path.write_text("q1\tapple\tbanana\tred\t1\nq2\tdog\tcat\tbark\tNONE\n")
-        insts = load_triple_dataset(path)
-        assert insts[0].gold == 1 and insts[1].gold is None
-        assert insts[0].w1.tokens == ("apple",)
+        path.write_text("q1\tapple\tbanana\tred\t1\nq2\tdog\tcat\tbark\tNONE\nq3\tx\ty\tz\t0\n")
+        assert _rows(path, "triples") == [(1, ["q1", "apple", "banana", "red", "1"], 1),
+                                          (2, ["q2", "dog", "cat", "bark", "NONE"], None),
+                                          (3, ["q3", "x", "y", "z", "0"], 0)]
+        assert read_golds(path, "triples") == {"q1": 1.0, "q2": None, "q3": 0.0}
 
     def test_bad_label_names_line(self, tmp_path):
         path = tmp_path / "t.tsv"
-        path.write_text("q1\tapple\tbanana\tred\t1\nq2\tdog\tcat\tbark\t2\n")
-        with pytest.raises(DataFormatError, match="t.tsv:2"):
-            load_triple_dataset(path)
+        for label in ["2", "", "yes"]:
+            path.write_text(f"q1\tapple\tbanana\tred\t1\nq2\tdog\tcat\tbark\t{label}\n")
+            with pytest.raises(DataFormatError, match=rf"t.tsv:2: label '{label}' not in"):
+                _rows(path, "triples")
 
     def test_duplicate_id_rejected(self, tmp_path):
         path = tmp_path / "t.tsv"
         path.write_text("q1\tapple\tbanana\tred\t1\nq2\tdog\tcat\tbark\t0\nq1\tsun\tmoon\thot\t1\n")
         with pytest.raises(DataFormatError, match=r"t.tsv:3: duplicate id 'q1' \(first on line 1\)"):
-            load_triple_dataset(path)
+            _rows(path, "triples")
+        path.write_text("q1\tapple\tbanana\tred\t1\n#q2\tdog\tcat\tbark\t0\n")
+        with pytest.raises(DataFormatError, match=r"t.tsv:2: id '#q2' starts with '#'"):
+            _rows(path, "triples")
+
+    @pytest.mark.parametrize("col, name", [(1, "word1"), (2, "word2"), (3, "attribute")])
+    def test_empty_word_rejected(self, tmp_path, col, name):
+        fields = ["q1", "apple", "banana", "red", "1"]
+        fields[col] = " \u3000"
+        path = tmp_path / "t.tsv"
+        path.write_text("q0\tx\ty\tz\t0\n" + "\t".join(fields) + "\n", encoding="utf-8")
+        with pytest.raises(DataFormatError, match=rf"t.tsv:2: empty {name}"):
+            _rows(path, "triples")
 
 
 class TestLexicon:
@@ -180,14 +212,14 @@ class TestLexicon:
         path = tmp_path / "lex.txt"
         path.write_text("#joy\nglad\nmerry\ncheerful\n#sadness\nblue\n")
         lex = load_lexicon(path)
-        assert len(lex.entries["joy"]) == 3
-        assert lex.emotions() == ["joy", "sadness"]
+        assert len(lex["joy"]) == 3
+        assert list(lex) == ["joy", "sadness"]
 
     def test_multiword_entries(self, tmp_path):
         path = tmp_path / "lex.txt"
         path.write_text("#joy\nover the moon\n")
         lex = load_lexicon(path)
-        assert lex.entries["joy"][0].tokens == ("over", "the", "moon")
+        assert lex["joy"][0].tokens == ("over", "the", "moon")
 
     def test_duplicate_entry_rejected(self, tmp_path):
         path = tmp_path / "lex.txt"
@@ -235,7 +267,7 @@ class TestCorpus:
         path = tmp_path / "c.txt"
         path.write_text("a b\n\n   \nc d\n")
         corpus = load_corpus(path)
-        assert len(corpus) == 2
+        assert len(corpus.sentences) == 2
         assert corpus.sentences[1].tokens == ("c", "d")
 
     def test_selected_sentences_match_full_load(self, tmp_path):
@@ -258,7 +290,7 @@ class TestCorpus:
         assert [s.tokens for s in corpus] == [("a", "b"), ("c",)]
         path.write_text("d\n")  # a pass reads the file as it is then
         assert [s.tokens for s in corpus] == [("d",)]
-        assert len(corpus) == 1 and corpus.sentences[0].tokens == ("d",)
+        assert len(corpus.sentences) == 1 and corpus.sentences[0].tokens == ("d",)
 
 
 @pytest.mark.parametrize("text", ["", "\n", "a", "a\n", "a\nb", "a\r\nb\r", "a\rb\r\n\n", "\r",

@@ -26,7 +26,7 @@ import pytest
 import rtm.corpus
 from hypothesis import given, settings, strategies as st
 
-from rtm.corpus import Corpus, TokenSeq, extract_ngrams, tokenize
+from rtm.corpus import TokenSeq, extract_ngrams, tokenize
 from rtm.features import (
     NULL,
     ORDER_SETS,
@@ -76,7 +76,7 @@ def ref_select_interpretants(corpus, task_texts, cfg):
     weights = {g: 1.0 for g in task_features}
     sent_features, inv_norm = [], []
     containing = collections.defaultdict(list)
-    for i, sent in enumerate(corpus.sentences):
+    for i, sent in enumerate(corpus):
         feats = sorted(ref_ngrams(sent, range(1, cfg.max_order + 1)) & task_features,
                        key=rank.__getitem__)
         sent_features.append(feats)
@@ -327,7 +327,7 @@ def assert_same_selection(corpus, task, cfg):
 )
 def test_fda_matches_argmax_scan(sentences, task, decay, exponent, max_order, data):
     # letters g/h never occur in the task: their sentences score 0
-    corpus = Corpus([seq(s) for s in sentences])
+    corpus = [seq(s) for s in sentences]
     budget = data.draw(st.integers(1, len(corpus)))
     cfg = FdaConfig(max_order=max_order, decay=decay, budget=budget, length_exponent=exponent)
     assert_same_selection(corpus, [seq(t) for t in task], cfg)
@@ -340,7 +340,7 @@ def test_fda_seeded_corpus_full_budget():
     p /= p.sum()
     sentences = [seq(rng.choice(vocab, size=rng.integers(1, 12), p=p)) for _ in range(400)]
     task = [seq(rng.choice(vocab[:30], size=8)) for _ in range(20)]
-    corpus = Corpus(sentences)
+    corpus = sentences
     for budget in (150, len(corpus)):
         for decay in (0.5, 1.0):
             assert_same_selection(corpus, task, FdaConfig(max_order=2, decay=decay, budget=budget))
@@ -354,7 +354,7 @@ def test_fda_long_sentences_span_width_groups():
     rng = np.random.default_rng(5)
     vocab = [f"w{i}" for i in range(40)]
     lengths = list(rng.integers(1, 12, size=150)) + [150, 60, 20, 5, 100]
-    corpus = Corpus([seq(rng.choice(vocab, size=n)) for n in lengths])
+    corpus = [seq(rng.choice(vocab, size=n)) for n in lengths]
     task = [seq(rng.choice(vocab, size=300))]
     for decay in (0.3, 0.5):
         assert_same_selection(corpus, task, FdaConfig(max_order=2, decay=decay, budget=100))
@@ -374,11 +374,11 @@ def test_fda_padding_bounded_by_group():
 
 
 def test_fda_corpus_shorter_than_max_order():
-    assert_same_selection(Corpus([seq(["a"])]), [seq(["a", "a", "a"])], FdaConfig(max_order=3, budget=1))
+    assert_same_selection([seq(["a"])], [seq(["a", "a", "a"])], FdaConfig(max_order=3, budget=1))
 
 
 def test_fda_all_ties_take_lowest_index():
-    corpus = Corpus([seq(["a"])] * 5 + [seq(["z"])] * 3)
+    corpus = [seq(["a"])] * 5 + [seq(["z"])] * 3
     cfg = FdaConfig(budget=8, decay=1.0)
     got = select_interpretants(corpus, [seq(["a"])], cfg)
     assert got.selected_indices == list(range(8))

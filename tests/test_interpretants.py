@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import rtm
-from rtm.corpus import Corpus, TokenSeq, tokenize
+from rtm.corpus import TokenSeq, tokenize
 from rtm.interpretants import (
     EOS,
     UNK,
@@ -25,13 +25,13 @@ def seqs(*texts):
 
 class TestSelectInterpretants:
     def test_picks_only_overlapping_sentence(self):
-        corpus = Corpus(seqs("a b", "c d"))
+        corpus = seqs("a b", "c d")
         sel = select_interpretants(corpus, seqs("a b"), FdaConfig(budget=1))
         assert sel.selected_indices == [0]
 
     def test_duplicate_copy_scores_exactly_decay_times_first(self):
         # two identical copies of the only matching sentence, nothing else overlaps
-        corpus = Corpus(seqs("a b c", "a b c", "x y z"))
+        corpus = seqs("a b c", "a b c", "x y z")
         sel = select_interpretants(
             corpus, seqs("a b c"), FdaConfig(max_order=2, decay=0.5, budget=2)
         )
@@ -39,23 +39,22 @@ class TestSelectInterpretants:
         assert sel.selection_scores[1] == pytest.approx(0.5 * sel.selection_scores[0], rel=1e-12)
 
     def test_full_budget_is_permutation(self):
-        corpus = Corpus(seqs("a b", "b c", "c d", "e f"))
+        corpus = seqs("a b", "b c", "c d", "e f")
         sel = select_interpretants(corpus, seqs("a b c"), FdaConfig(budget=4))
         assert sorted(sel.selected_indices) == [0, 1, 2, 3]
 
     def test_scores_non_increasing(self):
         rng = np.random.default_rng(0)
         vocab = [f"w{i}" for i in range(20)]
-        corpus = Corpus(
-            [TokenSeq.from_tokens(rng.choice(vocab, size=rng.integers(2, 6))) for _ in range(40)]
-        )
+        corpus = [TokenSeq.from_tokens(rng.choice(vocab, size=rng.integers(2, 6)))
+                  for _ in range(40)]
         task = [TokenSeq.from_tokens(rng.choice(vocab, size=5)) for _ in range(4)]
         sel = select_interpretants(corpus, task, FdaConfig(budget=40))
         assert all(a >= b - 1e-12 for a, b in zip(sel.selection_scores, sel.selection_scores[1:]))
 
     def test_no_decay_keeps_static_order(self):
         # decay=1: selection order must equal descending static-score order
-        corpus = Corpus(seqs("a b c d", "a b", "a", "x"))
+        corpus = seqs("a b c d", "a b", "a", "x")
         sel = select_interpretants(corpus, seqs("a b c d"), FdaConfig(decay=1.0, budget=4))
         static = sel.selection_scores
         assert static == sorted(static, reverse=True)
@@ -66,10 +65,10 @@ class TestSelectInterpretants:
         # scores 1 + 2**-52 if b and c are added before a, and exactly 1 (a
         # tie with sentence 3) if a comes first, as the task order puts it.
         script = (
-            "from rtm.corpus import Corpus, tokenize\n"
+            "from rtm.corpus import tokenize\n"
             "from rtm.interpretants import FdaConfig, select_interpretants\n"
-            "corpus = Corpus([tokenize(t) for t in ['b c g h i j', 'e f k l m n', "
-            "'e f o p q r', 'd e f', 'a b c']])\n"
+            "corpus = [tokenize(t) for t in ['b c g h i j', 'e f k l m n', "
+            "'e f o p q r', 'd e f', 'a b c']]\n"
             "task = [tokenize('a b c d e f g h i j k l m n o p q r')]\n"
             "cfg = FdaConfig(max_order=1, decay=2.0**-53, budget=5, length_exponent=0.0)\n"
             "sel = select_interpretants(corpus, task, cfg)\n"
@@ -85,7 +84,7 @@ class TestSelectInterpretants:
         assert len(outputs) == 1, outputs
 
     def test_errors(self):
-        corpus = Corpus(seqs("a b"))
+        corpus = seqs("a b")
         with pytest.raises(ValueError):
             select_interpretants(corpus, [], FdaConfig(budget=1))
         with pytest.raises(ValueError):
@@ -100,7 +99,6 @@ class TestSelectInterpretants:
         cfg = FdaConfig(max_order=3, budget=60)
         expected = select_interpretants(sentences, task, cfg)
         assert select_interpretants((s for s in sentences), task, cfg) == expected
-        assert select_interpretants(Corpus(sentences), task, cfg) == expected
 
     @pytest.mark.parametrize("cfg, message", [
         (FdaConfig(budget=3), r"^budget 3 exceeds corpus size 2$"),
@@ -110,7 +108,7 @@ class TestSelectInterpretants:
     ])
     def test_errors_same_for_a_generator(self, cfg, message):
         sentences = seqs("a b", "a b c")
-        for corpus in (Corpus(sentences), (s for s in sentences)):
+        for corpus in (sentences, (s for s in sentences)):
             with pytest.raises(ValueError, match=message):
                 select_interpretants(corpus, seqs("a"), cfg)
 

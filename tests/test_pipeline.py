@@ -1,11 +1,13 @@
 import errno
 import json
+import math
 import os
 import pickle
 import re
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -441,6 +443,31 @@ class TestPipelineRun:
             run_stage(cfg, out, "build-resources")
         assert not (out / "resources.pkl").exists()
 
+    def test_stale_interpretants_refused(self, tiny_intensity_cfg):
+        # the indices name lines of the corpus the selection read, picked
+        # under its FDA keys; another corpus or key makes them other sentences
+        cfg = parse_config(tiny_intensity_cfg)
+        out = tiny_intensity_cfg.parent / "out"
+        run_stage(cfg, out, "select-interpretants")
+        path, corpus = out / "interpretants.tsv", tiny_intensity_cfg.parent / "corpus.txt"
+        written, sentences = path.read_text(), corpus.read_text()
+        corpus.write_text("".join(reversed(sentences.splitlines(keepends=True))))
+        with pytest.raises(StageError, match=r"^stage build-resources: \S*interpretants\.tsv: "
+                                             r"selection=[0-9a-f]{16} but \S*corpus\.txt with "
+                                             r"the FDA keys reads [0-9a-f]{16}: the corpus or an "
+                                             r"FDA key changed; re-run select-interpretants$"):
+            run_stage(cfg, out, "build-resources")
+        corpus.write_text(sentences)
+        with pytest.raises(StageError, match="FDA key changed; re-run select-interpretants$"):
+            run_stage(replace(cfg, decay=0.25), out, "build-resources")
+        path.write_text("".join(line for line in written.splitlines(keepends=True)
+                                if not line.startswith("# selection=")))
+        with pytest.raises(StageError, match=r"selection=\(none\) .* re-run select-interpretants$"):
+            run_stage(cfg, out, "build-resources")
+        assert not (out / "resources.pkl").exists()
+        path.write_text(written)
+        run_stage(replace(cfg, lm_order=2), out, "build-resources")  # not an FDA key
+
     def test_failed_stage_leaves_no_outputs(self, tiny_intensity_cfg):
         cfg = parse_config(tiny_intensity_cfg)
         out = tiny_intensity_cfg.parent / "cleanup"
@@ -662,9 +689,11 @@ class TestDatasetDigest:
         _edit_field(train, text_col, lambda text: text + " extra", lineno=3)
         assert main(argv) == 1
         err = capsys.readouterr().err
+        read = (r"\S*train\.tsv with the lexicon \S*lexicon\.txt reads [0-9a-f]{16}: its texts "
+                r"or the lexicon" if task == "intensity" else
+                r"\S*train\.tsv reads [0-9a-f]{16}: its texts")
         assert re.fullmatch(r"rtm: stage train: \S*features_train\.tsv: dataset=[0-9a-f]{16} "
-                            r"but \S*train\.tsv reads [0-9a-f]{16}: its texts changed; "
-                            r"re-run extract-features\n", err), err
+                            rf"but {read} changed; re-run extract-features\n", err), err
         assert not (out / "model.pkl").exists()
         # a fixed gold is not a changed text: train runs on the same features
         train.write_text(kept, encoding="utf-8")
@@ -675,9 +704,31 @@ class TestDatasetDigest:
         cfg, out = _full_run(_small_case(tmp_path, "intensity"), "out")
         _edit_field(tmp_path / "test.tsv", 1, lambda text: "new " + text, lineno=2)
         with pytest.raises(StageError, match=r"stage predict: \S*features_test\.tsv: dataset=\w+ "
-                                             r"but \S*test\.tsv reads \w+: its texts changed; "
+                                             r"but \S*test\.tsv with the lexicon \S*lexicon\.txt "
+                                             r"reads \w+: its texts or the lexicon changed; "
                                              r"re-run extract-features"):
             run_stage(cfg, out, "predict")
+
+    def test_changed_lexicon_refused(self, tmp_path, capsys):
+        # every intensity row was scored against the emotion target(s)
+        cfg_path = _small_case(tmp_path, "intensity")
+        _, out = _full_run(cfg_path, "out")
+        lexicon = tmp_path / "lexicon.txt"
+        kept = lexicon.read_text(encoding="utf-8")
+        # a section no run asks for leaves the targets, and the features, as they are
+        lexicon.write_text(kept + "#anger\nfury\n", encoding="utf-8")
+        for stage in ("predict", "train"):
+            assert main([stage, "--config", str(cfg_path), "--out", str(out)]) == 0
+        lexicon.write_text("".join(line if line.startswith("#") else "new" + line
+                                   for line in kept.splitlines(keepends=True)), encoding="utf-8")
+        # predict first: a failed train removes model.pkl
+        for stage, split in (("predict", "test"), ("train", "train")):
+            assert main([stage, "--config", str(cfg_path), "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert re.fullmatch(rf"rtm: stage {stage}: \S*features_{split}\.tsv: "
+                                rf"dataset=[0-9a-f]{{16}} but \S*{split}\.tsv with the lexicon "
+                                r"\S*lexicon\.txt reads [0-9a-f]{16}: its texts or the lexicon "
+                                r"changed; re-run extract-features\n", err), err
 
     def test_features_without_dataset_line_refused(self, tmp_path):
         cfg, out = _full_run(_small_case(tmp_path, "triples"), "out")
@@ -782,10 +833,10 @@ class TestNonFiniteRefused:
         cfg, out = self._front(tiny_intensity_cfg, STAGES[:1])
         path = out / "interpretants.tsv"
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        assert lines[1] == "index\tscore\n"
-        lines[4] = index + "\t" + lines[4].split("\t", 1)[1]
+        row = lines.index("index\tscore\n") + 3
+        lines[row] = index + "\t" + lines[row].split("\t", 1)[1]
         path.write_text("".join(lines), encoding="utf-8")
-        with pytest.raises(StageError, match=r"interpretants.tsv:5: " + message):
+        with pytest.raises(StageError, match=rf"interpretants.tsv:{row + 1}: " + message):
             run_stage(cfg, out, "build-resources")
         assert not (out / "resources.pkl").exists()
 
@@ -897,9 +948,10 @@ class TestLoadOnce:
         assert counts["build-resources"] == {"interpretants.tsv": 1, "corpus.txt": 1}
         assert counts["extract-features"] == datasets
         # the later stages read only golds and ids, from the one dataset they
-        # need, and never the lexicon
-        assert counts["train"] == {"features_train.tsv": 1, "train.tsv": 1}
-        assert counts["predict"] == {"features_test.tsv": 1, "test.tsv": 1}
+        # need, and the lexicon for the targets the features file's dataset
+        # digest covers
+        assert counts["train"] == {"features_train.tsv": 1, "train.tsv": 1, "lexicon.txt": 1}
+        assert counts["predict"] == {"features_test.tsv": 1, "test.tsv": 1, "lexicon.txt": 1}
         assert counts["evaluate"] == {"predictions.tsv": 1, "test.tsv": 1}
 
     def test_triples_train_set_loaded_once_in_predict(self, tmp_path, monkeypatch):
@@ -1016,6 +1068,30 @@ def test_perfbench_tracer_sees_every_cv_fit(monkeypatch):
     for family in layers.CV_FAMILIES:
         assert tracer.seconds[f"learners.cv_{family}"] > 0.0, family
     assert tracer.ada_rounds[0] > 0
+
+
+@pytest.mark.parametrize("task", ["intensity", "triples"])
+def test_perfbench_layer_metrics_of_a_traced_run(tmp_path, monkeypatch, task):
+    """``layer_metrics`` reads what the traced calls return: the corpus's
+    ``sentences``, ``selected_indices``, ``lm.in_vocab``, ``inner.stumps`` of
+    an AdaBoost fit (default grid, intensity) and ``oof_audit`` of a stack
+    (triples).  A refactor that drops one breaks ``--trace 1`` runs."""
+    layers = _perfbench_layers()
+    for owner_path, attr, _ in layers.SPANS:  # monkeypatch restores each one
+        owner = layers._owner(owner_path)
+        monkeypatch.setattr(owner, attr, getattr(owner, attr))
+    tracer = layers.install()
+    if task == "intensity":
+        cfg_path = write_intensity_case(tmp_path, n_texts=60, n_train=45, corpus_size=60,
+                                        vocab_size=60, n_lex=12, grids="default")
+    else:
+        cfg_path = _small_case(tmp_path, task)
+    _full_run(cfg_path, "out")
+    metrics = layers.layer_metrics(tracer)
+    assert all(math.isfinite(v) for v in metrics.values()), metrics
+    assert metrics["corpus.sentences"] == 60
+    counted = "learners.ada_rounds_fitted" if task == "intensity" else "stacking.oof_fits"
+    assert metrics[counted] > 0
 
 
 class TestEvaluateFiles:
