@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import TokenSeq, extract_ngrams
+from .corpus import TokenSeq
 
 BOS = "<s>"
 EOS = "</s>"
@@ -261,9 +261,9 @@ def build_ngram_weights(sentences: list[TokenSeq]) -> NGramWeightTable:
     weights: dict[int, dict] = {}
     totals: dict[int, int] = {}
     for n in range(1, 4):
-        counts: collections.Counter = collections.Counter()
-        for sent in sentences:
-            counts.update(extract_ngrams(sent, n))
+        # one count over every sentence's windows, in order of first occurrence
+        counts = collections.Counter(itertools.chain.from_iterable(
+            zip(*(sent.tokens[i:] for i in range(n))) for sent in sentences))
         total = sum(counts.values())
         totals[n] = total
         weights[n] = {g: c / total for g, c in counts.items()} if total else {}

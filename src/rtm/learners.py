@@ -672,39 +672,59 @@ class PlsProjection:
 class _Share:
     """What the fits of several specs on the same rows have in common.
 
-    Each piece is built on first use and kept while the share lives (one
+    A share holds the whole ``X`` and ``y`` and the indices of its training
+    rows and, for a CV fold, of its held-out rows; it copies no rows.  A
+    fold's rows are gathered only inside the work that needs them.  Each
+    piece below is built on first use and kept while the share lives (one
     fold of one ``grid_search``, one top-k refit, or one fit):
 
     * the RFE elimination path, run once down to the fewest columns any spec
       keeps: ``select_features`` always ranks with alpha-1 ridge, so the path
       to 8 columns passes through the 16-column selection;
-    * the scaler and scaled design of each column selection;
-    * one NIPALS PLS per design, fitted to the most components any spec asks
-      for; ``PlsProjection.prefix`` gives each spec its first components;
+    * one NIPALS PLS per column selection, fitted to the most components any
+      spec asks for; ``PlsProjection.prefix`` gives each spec its first
+      components;
     * with held-out rows, the first ``max k`` columns of their stable
       neighbour order under each KNN design, whose ``[:, :k]`` prefix is the
-      order for every ``k``.
+      order for every ``k``;
+    * without held-out rows (a top-k refit or one fit), the scaler and
+      scaled design of each column selection, so members on one selection
+      share one array.  A CV fold rebuilds them inside each fit, which gives
+      the same bits and holds one fold's design at a time.
 
-    So every piece is bit for bit the one a fit of one spec computes.  The
-    share holds index prefixes, never distance matrices.
+    So every piece is bit for bit the one a fit of one spec on the gathered
+    rows computes.  The share holds index prefixes, never distance matrices.
     """
 
-    def __init__(self, specs, X, y, X_test=None, y_test=None):
-        self.X, self.y, self.X_test, self.y_test = X, y, X_test, y_test
+    def __init__(self, specs, X, y, train=None, test=None):
+        self.X, self.y, self.train, self.test = X, y, train, test
+        self.y_train = y if train is None else y[train]
         d = X.shape[1]
         self._fewest = min((min(s.n_features, d) for s in specs if s.n_features is not None),
                            default=d)
         self._most_components = max(
             (s.n_components for s in specs if s.n_components is not None), default=1)
-        self._most_k = min(max((s.k for s in specs if s.kind == "knn"), default=1), len(y))
+        self._most_k = min(max((s.k for s in specs if s.kind == "knn"), default=1),
+                           len(self.y_train))
         self._dropped = None  # the RFE path: columns in the order dropped
         self._designs, self._pls, self._nearest = {}, {}, {}
+
+    def _gather(self, rows, selected=None) -> np.ndarray:
+        """A new array of ``X``'s ``rows`` (None: all) and ``selected`` columns."""
+        if rows is None:
+            return self.X.copy() if selected is None else self.X[:, selected]
+        if selected is None:
+            return self.X[rows]
+        # the column-major layout of ``X[rows][:, selected]``, whose sums the
+        # scaler's must equal, without its copy of the rows
+        return self.X.T[np.ix_(selected, rows)].T
 
     def selection(self, n_features: int | None) -> tuple[int, ...] | None:
         if n_features is None:
             return None
         if self._dropped is None:
-            self._dropped = _elimination_order(self.X, self.y, self._fewest)
+            self._dropped = _elimination_order(self._gather(self.train), self.y_train,
+                                               self._fewest)
         d = self.X.shape[1]
         # clamp so grid presets written for the full manifest stay valid
         dropped = set(self._dropped[: d - min(n_features, d)])
@@ -712,29 +732,34 @@ class _Share:
 
     def design(self, selected):
         """(scaler, scaled training design) of a column selection."""
-        if selected not in self._designs:
-            X = self.X if selected is None else self.X[:, selected]
-            scaler = Scaler(X)
-            Z = scaler.transform(X)
+        if selected in self._designs:
+            return self._designs[selected]
+        Z = self._gather(self.train, selected)
+        scaler = Scaler(Z)
+        Z -= scaler.mean_  # in place: the bits of ``scaler.transform``
+        Z /= scaler.std_
+        if self.test is None:
             Z.flags.writeable = False  # shared by every spec on this selection
             self._designs[selected] = scaler, Z
-        return self._designs[selected]
+        return scaler, Z
 
-    def pls(self, selected, n_components: int | None) -> PlsProjection | None:
+    def pls(self, selected, n_components: int | None, Z) -> PlsProjection | None:
+        """The ``n_components`` prefix of the selection's PLS, fitted on its
+        scaled design ``Z`` on first use."""
         if n_components is None:
             return None
         if selected not in self._pls:
-            Z = self.design(selected)[1]
-            self._pls[selected] = PlsProjection(Z, self.y, self._most_components)
+            self._pls[selected] = PlsProjection(Z, self.y_train, self._most_components)
         return self._pls[selected].prefix(n_components)
 
     def held_out_predictions(self, model: TrainedModel) -> np.ndarray:
-        """``model.predict(X_test)``; KNN reads the shared neighbour order."""
+        """The model's predictions for the held-out rows; KNN reads the
+        shared neighbour order."""
         if model.spec.kind != "knn":
-            return model.predict(self.X_test)
+            return model.predict(self._gather(self.test))
         key = (model.selected, model.spec.n_components)
         if key not in self._nearest:
-            self._nearest[key] = model.inner.neighbours(model._design(self.X_test),
+            self._nearest[key] = model.inner.neighbours(model._design(self._gather(self.test)),
                                                         self._most_k)
         return model.inner.average(self._nearest[key])
 
@@ -743,7 +768,8 @@ class TrainedModel:
     """A fitted spec: scaler + optional FS/PLS + the inner learner.
 
     ``share``, built on the same ``X`` and ``y`` for a set of specs holding
-    this one, supplies the preprocessing; without one the model builds its own.
+    this one, supplies the training rows and the preprocessing; without one
+    the model fits all rows and builds its own.
     """
 
     def __init__(self, spec: ModelSpec, X: np.ndarray, y: np.ndarray,
@@ -752,18 +778,18 @@ class TrainedModel:
         y = np.asarray(y, dtype=float)
         if X.ndim != 2 or len(X) != len(y):
             raise ValueError("X must be 2-d with one row per target")
-        if len(y) < 2:
-            raise ValueError("need at least 2 training rows")
         if share is None:
             share = _Share([spec], X, y)
+        if len(share.y_train) < 2:
+            raise ValueError("need at least 2 training rows")
         self.spec = spec
         self.n_features_in = X.shape[1]
         self.selected = share.selection(spec.n_features)
         self.scaler, Z = share.design(self.selected)
-        self.pls = share.pls(self.selected, spec.n_components)
+        self.pls = share.pls(self.selected, spec.n_components, Z)
         if self.pls is not None:
             Z = self.pls.transform(Z)
-        self.inner = _INNER[spec.kind](Z, y, spec)
+        self.inner = _INNER[spec.kind](Z, share.y_train, spec)
 
     def _design(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -797,13 +823,10 @@ def fold_indices(n: int, folds: int, seed: int) -> list[np.ndarray]:
 
 
 def _fold_shares(specs, X, y, folds: int, seed: int) -> list[_Share]:
-    """One share per fold: its training rows, held-out rows and shared work."""
+    """One share per fold: its training and held-out row indices into ``X``."""
     parts = fold_indices(len(y), folds, seed)
-    shares = []
-    for i, test_idx in enumerate(parts):
-        train_idx = np.concatenate([p for j, p in enumerate(parts) if j != i])
-        shares.append(_Share(specs, X[train_idx], y[train_idx], X[test_idx], y[test_idx]))
-    return shares
+    return [_Share(specs, X, y, np.concatenate(parts[:i] + parts[i + 1:]), test)
+            for i, test in enumerate(parts)]
 
 
 def cross_validate(
@@ -821,7 +844,7 @@ def cross_validate(
     scores = []
     for fold in shares:
         model = fit_model(spec, fold.X, fold.y, fold)
-        errors = np.abs(fold.held_out_predictions(model) - fold.y_test)
+        errors = np.abs(fold.held_out_predictions(model) - fold.y[fold.test])
         del model  # so the next fold's fit grows without this one beside it
         scores.append(float(np.mean(errors)))
     return float(np.mean(scores)), scores

@@ -12,8 +12,9 @@ guarantee).
 Every text output starts with a comment line carrying the tool version and
 the config hash.  The binary artifacts (resources.pkl, model.pkl) start with
 one JSON header line carrying the same fields, a layout number and a
-resource fingerprint (corpus hash + resource-relevant parameters) that later
-stages verify before applying a model; the pickled body follows.  The header
+resource fingerprint (corpus hash + resource-relevant parameters), which
+extract-features checks against the corpus and config and later stages verify
+before applying a model; the pickled body follows.  The header
 is checked before the body is unpickled, and a stage that needs only the
 header reads only the header.  interpretants.tsv carries a digest of the
 corpus bytes and the FDA keys (``# selection=``), which build-resources checks
@@ -25,13 +26,16 @@ and predict check against the dataset files and the lexicon.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import hashlib
+import itertools
 import json
 import math
 import os
 import pickle
 import time
+from array import array
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -404,6 +408,10 @@ def _fda_keys(cfg: RunConfig) -> str:
             f"length_exponent={cfg.length_exponent}")
 
 
+def _resource_keys(cfg: RunConfig) -> str:
+    return f"{_fda_keys(cfg)};lm_order={cfg.lm_order};aligner_iterations={cfg.aligner_iterations}"
+
+
 def _digest(corpus_hash, keys: str) -> str:
     """The digest of the corpus bytes then ``keys``: ``# selection=`` of
     interpretants.tsv over the FDA keys, the resource fingerprint over those
@@ -558,7 +566,8 @@ def _golds_by_id(cfg: RunConfig, split: str, features: FeatureFile,
     if missing is not None:
         raise StageError(f"{dataset}: instance {missing!r} is not in {features.path}")
     if len(known) != len(inst_ids):
-        twice = next(rid for rid in inst_ids if inst_ids.count(rid) > 1)
+        counts = collections.Counter(inst_ids)
+        twice = next(rid for rid in inst_ids if counts[rid] > 1)
         raise StageError(f"{features.path}: instance {twice!r} appears twice")
     digest = _dataset_digest(texts, targets)
     if features.dataset != digest:
@@ -630,9 +639,8 @@ def stage_build_resources(cfg: RunConfig, out_dir: Path):
         lm=WittenBellLM(sentences, order=cfg.lm_order),
         aligner=train_aligner([(s, s) for s in sentences], cfg.aligner_iterations),
     )
-    keys = f"{_fda_keys(cfg)};lm_order={cfg.lm_order};aligner_iterations={cfg.aligner_iterations}"
-    _write_artifact(out_dir / "resources.pkl", cfg, {"fingerprint": _digest(corpus_hash, keys)},
-                    resources)
+    _write_artifact(out_dir / "resources.pkl", cfg,
+                    {"fingerprint": _digest(corpus_hash, _resource_keys(cfg))}, resources)
 
 
 # One features row: id, row tag, then each value with 17 significant digits
@@ -641,13 +649,13 @@ _FEATURE_ROW = "%s\t%s" + "\t%.17g" * N_FEATURES + "\n"
 
 
 def _write_features(path: Path, cfg: RunConfig, fingerprint: str, rows: RowSet, matrix):
-    lines = [_banner(cfg), f"# fingerprint={fingerprint}\n", f"# dataset={rows.dataset}\n"]
-    lines.append("id\trow\t" + "\t".join(FEATURE_NAMES) + "\n")
-    # a row's floats at a time: the whole matrix as Python floats would
-    # raise the peak of the stages that run after this one in the process
-    lines.extend(_FEATURE_ROW % (rid, tag, *vec.tolist())
-                 for rid, tag, vec in zip(rows.ids, rows.tags, matrix))
-    _write_text(path, "".join(lines))
+    with _replacing(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(f"{_banner(cfg)}# fingerprint={fingerprint}\n# dataset={rows.dataset}\n")
+        fh.write("id\trow\t" + "\t".join(FEATURE_NAMES) + "\n")
+        # a row's floats and text at a time: the whole matrix as Python floats
+        # or text would raise the peak of the stages that run after this one
+        fh.writelines(_FEATURE_ROW % (rid, tag, *vec.tolist())
+                      for rid, tag, vec in zip(rows.ids, rows.tags, matrix))
 
 
 class FeatureFile(NamedTuple):
@@ -667,25 +675,49 @@ def _comment_field(comments: list[str], name: str) -> str:
 
 
 def _read_features(path: Path) -> FeatureFile:
-    comments, rows = _read_tsv(path)
-    if not rows or rows[0][1] != ["id", "row", *FEATURE_NAMES]:
+    """A features file, each data row parsed straight into one float64
+    buffer: the reader keeps the rows' ids, tags and line numbers, but no row
+    text and no per-cell float.  A missing or foreign header row is refused
+    naming the file, and a row of the wrong width or a cell that is not a
+    finite number naming the file and line."""
+    comments, ids, tags, linenos = [], [], [], []
+    values = array("d")
+    names = ["id", "row", *FEATURE_NAMES]
+    header = False
+    for lineno, line in enumerate(_read_lines(path), start=1):
+        if line.startswith("#"):
+            comments.append(line)
+            continue
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if not header:
+            if fields != names:
+                break
+            header = True
+            continue
+        if len(fields) != len(names):
+            raise StageError(f"{path}:{lineno}: expected {len(names)} columns, got {len(fields)}")
+        end = len(values)
+        try:
+            values.extend(map(float, fields[2:]))
+        except ValueError:
+            # the row goes in whole, a cell that is not a number as NaN (refused below)
+            del values[end:]
+            values.extend(map(_float_or_nan, fields[2:]))
+        ids.append(fields[0])
+        tags.append(fields[1])
+        linenos.append(lineno)
+    if not header:
         raise StageError(f"{path}: header row is not id, row and this build's feature names")
-    rows = rows[1:]
-    width = 2 + len(FEATURE_NAMES)
-    for lineno, fields in rows:
-        if len(fields) != width:
-            raise StageError(f"{path}:{lineno}: expected {width} columns, got {len(fields)}")
-    ids = [fields[0] for _, fields in rows]
-    tags = [fields[1] for _, fields in rows]
-    try:
-        values = [[float(v) for v in fields[2:]] for _, fields in rows]
-    except ValueError:  # read a cell that is not a number as NaN, refused below
-        values = [[_float_or_nan(v) for v in fields[2:]] for _, fields in rows]
-    matrix = np.asarray(values, dtype=float).reshape(len(ids), len(FEATURE_NAMES))
-    bad = np.argwhere(~np.isfinite(matrix))
-    if bad.size:
-        i, j = bad[0]
-        raise StageError(f"{path}:{rows[i][0]}: {FEATURE_NAMES[j]} is {rows[i][1][j + 2]!r}, "
+    matrix = np.frombuffer(values, dtype=float).reshape(len(ids), len(FEATURE_NAMES))
+    finite = np.isfinite(matrix)
+    if not finite.all():
+        i, j = divmod(int(finite.argmin()), len(FEATURE_NAMES))
+        # the cell's text, from its line read again
+        line = next(itertools.islice(_read_lines(path), linenos[i] - 1, None))
+        cell = line.split("\t")[j + 2]
+        raise StageError(f"{path}:{linenos[i]}: {FEATURE_NAMES[j]} is {cell!r}, "
                          "not a finite number")
     return FeatureFile(ids, tags, matrix, _comment_field(comments, "fingerprint"),
                        _comment_field(comments, "dataset"), path)
@@ -699,7 +731,13 @@ def _float_or_nan(text: str) -> float:
 
 
 def stage_extract_features(cfg: RunConfig, out_dir: Path):
-    header, resources = _read_artifact(out_dir / "resources.pkl")
+    path = out_dir / "resources.pkl"
+    header, resources = _read_artifact(path)
+    fingerprint = _digest(_corpus_hash(cfg), _resource_keys(cfg))
+    if header["fingerprint"] != fingerprint:
+        raise StageError(f"{path}: fingerprint={header['fingerprint']} but {cfg.corpus} with the "
+                         f"resource keys reads {fingerprint}: the corpus or a resource key "
+                         "changed; re-run build-resources")
     _, splits = load_rows(cfg, "train", "test")
     for split, rows in zip(("train", "test"), splits):
         matrix = build_feature_matrix(rows.pairs, resources)
@@ -726,13 +764,13 @@ def stage_train(cfg: RunConfig, out_dir: Path):
         raise StageError(
             f"feature fingerprint {features.fingerprint} does not match resources {resources_fp}"
         )
-    tags, matrix = features.tags, features.matrix
     gold = _train_golds(cfg, features, _targets(cfg))
     if cfg.architecture == "plain":
-        ranked = grid_search(cfg.grid(), matrix, gold, cfg.cv_folds, cfg.seed)
-        model = average_top_k(ranked, min(cfg.top_k, len(ranked)), matrix, gold)
+        ranked = grid_search(cfg.grid(), features.matrix, gold, cfg.cv_folds, cfg.seed)
+        model = average_top_k(ranked, min(cfg.top_k, len(ranked)), features.matrix, gold)
     else:
-        feats_a, feats_b = _split_sides(tags, matrix)
+        feats_a, feats_b = _split_sides(features.tags, features.matrix)
+        del features  # the two sides are the one copy of the rows the stack needs
         stack_cfg = StackConfig(
             base_spec=cfg.base_learner,
             final_specs=tuple(cfg.grid()),

@@ -23,6 +23,7 @@ from rtm.pipeline import (
     STAGES,
     ConfigError,
     StageError,
+    _read_features,
     evaluate_files,
     parse_config,
     read_predictions,
@@ -468,6 +469,29 @@ class TestPipelineRun:
         path.write_text(written)
         run_stage(replace(cfg, lm_order=2), out, "build-resources")  # not an FDA key
 
+    def test_stale_resources_refused(self, tiny_intensity_cfg, capsys):
+        # the resources were built from the corpus's sentences under the
+        # resource keys; another corpus or key makes them other resources
+        root = tiny_intensity_cfg.parent
+        out = root / "out"
+        argv = ["--config", str(tiny_intensity_cfg), "--out", str(out)]
+        assert main(["run", *argv]) == 0
+        corpus = root / "corpus.txt"
+        sentences = corpus.read_text().splitlines(keepends=True)
+        corpus.write_text("".join(np.random.default_rng(0).permutation(sentences)))
+        capsys.readouterr()
+        assert main(["extract-features", *argv]) == 1
+        err = capsys.readouterr().err
+        assert re.search(r"stage extract-features: \S*resources\.pkl: fingerprint=[0-9a-f]{16} "
+                         r"but \S*corpus\.txt with the resource keys reads [0-9a-f]{16}: the "
+                         r"corpus or a resource key changed; re-run build-resources\n", err), err
+        assert not (out / "features_train.tsv").exists()
+        corpus.write_text("".join(sentences))
+        with pytest.raises(StageError, match="resource key changed; re-run build-resources$"):
+            run_stage(replace(parse_config(tiny_intensity_cfg), lm_order=2), out,
+                      "extract-features")
+        assert main(["extract-features", *argv]) == 0
+
     def test_failed_stage_leaves_no_outputs(self, tiny_intensity_cfg):
         cfg = parse_config(tiny_intensity_cfg)
         out = tiny_intensity_cfg.parent / "cleanup"
@@ -750,6 +774,103 @@ def test_feature_row_format_matches_numpy_scalar_format():
     for vec, row in zip(matrix, matrix.tolist()):
         expected = "t1\ta\t" + "\t".join(f"{v:.17g}" for v in vec) + "\n"
         assert _FEATURE_ROW % ("t1", "a", *row) == expected
+
+
+def _ref_read_features(text: str):
+    """(ids, tags, matrix) of a features file's text, parsed through lists."""
+    rows = [line.split("\t") for line in text.replace("\r\n", "\n").split("\n")
+            if line.strip() and not line.startswith("#")][1:]
+    return ([r[0] for r in rows], [r[1] for r in rows],
+            np.array([[float(v) for v in r[2:]] for r in rows]).reshape(len(rows), N_FEATURES))
+
+
+def _features_text(matrix) -> str:
+    """A features file of ``matrix``, its rows t0/a, t1/b, t2/a, ..."""
+    lines = ["# rtm 0 config=0\n", "# fingerprint=f\n", "# dataset=d\n",
+             "id\trow\t" + "\t".join(FEATURE_NAMES) + "\n"]
+    lines += [_FEATURE_ROW % (f"t{i}", "ab"[i % 2], *vec) for i, vec in enumerate(matrix.tolist())]
+    return "".join(lines)
+
+
+class TestFeaturesReader:
+    def test_equals_a_list_parse(self, tmp_path):
+        g = np.random.default_rng(4)
+        matrix = g.normal(size=(9, N_FEATURES)) * 10.0 ** g.integers(-300, 300, (9, N_FEATURES))
+        matrix[0, :3] = -0.0, 5e-324, -5e-324
+        matrix[4] = 0.0
+        text = _features_text(matrix)
+        head, _, body = text.partition("t0\t")
+        lines = ("t0\t" + body).splitlines(keepends=True)
+        # blank lines, a comment between rows and a CRLF row end
+        text = head + "\n" + lines[0] + "  \n# note\n" + lines[1].replace("\n", "\r\n")
+        text += "".join(lines[2:]) + "\n\n"
+        path = tmp_path / "features_train.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        got = _read_features(path)
+        ids, tags, ref = _ref_read_features(text)
+        assert got.ids == ids and got.tags == tags and len(ids) == 9
+        assert got.matrix.tobytes() == ref.tobytes() == matrix.tobytes()
+        assert (got.fingerprint, got.dataset) == ("f", "d")
+
+    def test_traced_peak_near_the_matrix(self, tmp_path):
+        # the rows go straight into one float64 buffer: no row text and no
+        # per-cell float is kept (a list parse peaks near 16x the matrix)
+        matrix = np.random.default_rng(5).random((5000, N_FEATURES))
+        path = tmp_path / "features_train.tsv"
+        path.write_text(_features_text(matrix), encoding="utf-8")
+        got, peak = traced_peak(_read_features, path)
+        assert got.matrix.tobytes() == matrix.tobytes()
+        assert peak < 3 * matrix.nbytes
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda f: f[:22] + ["abc"] + f[23:], rf":6: {FEATURE_NAMES[20]} is 'abc', not a finite"),
+        (lambda f: f[:-1] + ["-nan"], rf":6: {FEATURE_NAMES[-1]} is '-nan', not a finite"),
+        (lambda f: f[:-1], rf":6: expected {2 + N_FEATURES} columns, got {1 + N_FEATURES}$"),
+    ], ids=["non-numeric", "nan", "short"])
+    def test_refusals_name_line_and_cell(self, tmp_path, edit, message):
+        lines = _features_text(np.ones((4, N_FEATURES))).splitlines(keepends=True)
+        lines[5] = "\t".join(edit(lines[5].rstrip("\n").split("\t"))) + "\n"  # the 2nd row
+        # a later non-numeric cell is not reached first
+        lines[7] = lines[7].replace("\t1\t", "\tx\t", 1)
+        path = tmp_path / "features_train.tsv"
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(StageError, match=rf"^{re.escape(str(path))}{message}"):
+            _read_features(path)
+
+    def test_wrong_width_refused_before_a_bad_cell(self, tmp_path):
+        lines = _features_text(np.ones((4, N_FEATURES))).splitlines(keepends=True)
+        lines[4] = lines[4].replace("\t1\t", "\tabc\t", 1)
+        lines[6] = lines[6].rstrip("\n") + "\t1\n"
+        path = tmp_path / "features_train.tsv"
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(StageError, match=rf":7: expected {2 + N_FEATURES} columns, got "):
+            _read_features(path)
+
+    @pytest.mark.parametrize("text", ["", "# only a comment\n", "t1\ta\t1\n"])
+    def test_missing_header_refused(self, tmp_path, text):
+        path = tmp_path / "features_train.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(StageError, match="header row is not id, row and this build's"):
+            _read_features(path)
+
+    def test_streamed_file_equals_the_joined_one(self, tiny_intensity_cfg, tmp_path):
+        from rtm.pipeline import RowSet, _banner, _write_features
+
+        cfg = parse_config(tiny_intensity_cfg)
+        g = np.random.default_rng(6)
+        matrix = g.normal(size=(50, N_FEATURES)) * 10.0 ** g.integers(-300, 300, (50, N_FEATURES))
+        matrix[0, :2] = -0.0, 5e-324
+        rows = RowSet([f"t{i // 2}" for i in range(50)], ["ab"[i % 2] for i in range(50)], [], [],
+                      "0123456789abcdef")
+        (tmp_path / "out").mkdir()
+        path = tmp_path / "out" / "features_train.tsv"
+        _write_features(path, cfg, "fedcba9876543210", rows, matrix)
+        joined = [_banner(cfg), "# fingerprint=fedcba9876543210\n", "# dataset=0123456789abcdef\n",
+                  "id\trow\t" + "\t".join(FEATURE_NAMES) + "\n"]
+        joined += [_FEATURE_ROW % (rid, tag, *vec.tolist())
+                   for rid, tag, vec in zip(rows.ids, rows.tags, matrix)]
+        assert path.read_bytes() == "".join(joined).encode("utf-8")
+        assert list(path.parent.iterdir()) == [path]  # no temporary file left
 
 
 class TestNonFiniteRefused:
