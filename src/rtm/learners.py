@@ -257,6 +257,7 @@ def _draw_splits(Z, rows, counts, keys, min_leaf):
     changes no result.
     """
     n_nodes, d = len(counts), Z.shape[1]
+    flat = Z.ravel()
     feature = np.full(n_nodes, -1, dtype=np.intp)
     cut = np.full(n_nodes, math.inf)
     tries = np.zeros(n_nodes, dtype=np.intp)
@@ -270,15 +271,25 @@ def _draw_splits(Z, rows, counts, keys, min_leaf):
         feat = (h % np.uint64(d)).astype(np.intp)
         u = (_keyed(h, 0) >> np.uint64(11)) * (1.0 / (1 << 53))
         # (draw, row) values; ``take`` on flat indices gathers much faster than 2-d indexing
-        vals = Z.ravel().take(rows * d + feat.take(row_node, axis=1))
+        at = feat.take(row_node, axis=1)
+        at += rows * d
+        vals = flat.take(at)
+        del at
         lo = np.minimum.reduceat(vals, starts, axis=1)
         hi = np.maximum.reduceat(vals, starts, axis=1)
         c = lo + (hi - lo) * u
         c = np.where(c <= lo, np.nextafter(lo, hi), c)
-        n_left = np.add.reduceat(vals < c.take(row_node, axis=1), starts, axis=1, dtype=np.intp)
+        if min_leaf == 1:
+            # a cut is above its node's lowest value, which goes left, so the
+            # draw splits exactly when the highest value goes right
+            fits = c <= hi
+        else:
+            n_left = np.add.reduceat(vals < c.take(row_node, axis=1), starts, axis=1,
+                                     dtype=np.intp)
+            fits = (n_left >= min_leaf) & (n_left <= counts - min_leaf)
+        del vals
         varies = hi > lo
-        ok = (varies & (tries[live] + np.cumsum(varies, axis=0) <= _TRIES)
-              & (n_left >= min_leaf) & (n_left <= counts - min_leaf))
+        ok = varies & (tries[live] + np.cumsum(varies, axis=0) <= _TRIES) & fits
         won = ok.any(axis=0)
         first = ok.argmax(axis=0)[won]
         feature[live[won]] = feat[first, won]
@@ -292,7 +303,7 @@ def _draw_splits(Z, rows, counts, keys, min_leaf):
     return feature, cut
 
 
-def _grow_level_wise(Z, y, row_id, min_leaf, seed, trees, first):
+def _grow_level_wise(Z, y, row_id, min_leaf, seed, trees):
     """Grow the given trees together, one level per step.
 
     ``row_id`` numbers the distinct rows of ``Z``; a node whose rows all have
@@ -301,27 +312,37 @@ def _grow_level_wise(Z, y, row_id, min_leaf, seed, trees, first):
     Each open node is a segment of one row-index array, and every draw is
     keyed by (seed, tree, level, the node's position in its tree's level),
     so a tree comes out the same whichever trees grow beside it.  Returns a
-    ``(feature, cut, value, left)`` record per level.  Node ids are final:
-    they count from ``first`` level by level, each level in (tree, position)
-    order.  A split node's right child is ``left + 1``; a leaf is its own
-    ``left``.  Features and node ids are int32, so the levels' records add
-    little to a later level's draws.
+    ``(feature, cut, value, left)`` record per level.  Node ids count from 0
+    level by level, each level in (tree, position) order.  A split node's
+    right child is ``left + 1``; a leaf is its own ``left``.  Features and
+    node ids are int32, so the levels' records add little to a later level's
+    draws.
+
+    A level step holds the open rows and their node numbers (8 bytes a row
+    each) and, one at a time, the rows' targets and ids for the node stats,
+    the split search's (draw, row) values and flat indices, and the
+    partition's values, sides and sort order; the search reads the open rows
+    themselves when every node searches.
     """
-    n = len(y)
+    n, d = len(y), Z.shape[1]
+    flat = Z.ravel()
     min_rows = max(2, 2 * min_leaf)  # a node splits only if both children can hold min_leaf
     tree = np.arange(trees.start, trees.stop)
     pos = np.zeros(len(tree), dtype=np.intp)
     counts = np.full(len(tree), n)
     rows = np.tile(np.arange(n), len(tree))
     seed_key = np.uint64(seed % (1 << 64))
-    levels = []
+    levels, first = [], 0
     while tree.size:
         level = len(levels)
         starts = _starts(counts)
-        yr, ids = y[rows], row_id[rows]
+        yr = y[rows]
         constant = np.minimum.reduceat(yr, starts) == np.maximum.reduceat(yr, starts)
-        one_row = np.minimum.reduceat(ids, starts) == np.maximum.reduceat(ids, starts)
         value = np.add.reduceat(yr, starts) / counts
+        del yr
+        ids = row_id[rows]
+        one_row = np.minimum.reduceat(ids, starts) == np.maximum.reduceat(ids, starts)
+        del ids
         searching = (counts >= min_rows) & ~constant & ~one_row
         search = np.flatnonzero(searching)
         row_node = np.repeat(np.arange(len(counts)), counts)
@@ -330,7 +351,8 @@ def _grow_level_wise(Z, y, row_id, min_leaf, seed, trees, first):
         if search.size:
             keys = _keyed(_keyed(_keyed(seed_key, tree[search]), level), pos[search])
             feature[search], cut[search] = _draw_splits(
-                Z, rows[searching[row_node]], counts[search], keys, min_leaf)
+                Z, rows if search.size == len(counts) else rows[searching[row_node]],
+                counts[search], keys, min_leaf)
         split = np.flatnonzero(feature >= 0)
         value[split] = math.nan
         left = np.arange(first, first + len(counts), dtype=np.int32)
@@ -338,17 +360,55 @@ def _grow_level_wise(Z, y, row_id, min_leaf, seed, trees, first):
         left[split] = first + 2 * np.arange(split.size)
         levels.append((feature, cut, value, left))
         # the rows of the split nodes, each node's left side then its right side
-        sub = feature[row_node] >= 0
+        sub = feature.take(row_node) >= 0
         rows, row_node = rows[sub], row_node[sub]
-        right = ~(Z[rows, feature[row_node]] < cut[row_node])
+        del sub
+        at = rows * d
+        at += feature.take(row_node)
+        right = ~(flat.take(at) < cut.take(row_node))
+        del at
         order = np.argsort(2 * row_node + right, kind="stable")
         rows = rows[order]
+        del order
         n_left = np.bincount(row_node[~right], minlength=len(counts))[split]
+        del row_node, right
         counts = np.column_stack([n_left, counts[split] - n_left]).ravel()
         tree = np.repeat(tree[split], 2)
         rank = np.arange(split.size) - np.searchsorted(tree[::2], tree[::2])
         pos = (2 * rank[:, None] + np.arange(2)).ravel()
     return levels
+
+
+def _joined(records):
+    """The ``(feature, cut, value, left)`` records' fields, each joined into
+    one array.  ``records`` is emptied, so each field's parts are freed once
+    it is joined: the join holds one joined field beyond the records."""
+    if len(records) == 1:
+        return records.pop()
+    fields = [list(f) for f in zip(*records)]
+    records.clear()
+    return tuple(np.concatenate(fields.pop(0)) for _ in range(4))
+
+
+def _forest_blocks(Z, y, spec):
+    """Grow the forest of ``spec`` one block of trees at a time.
+
+    Yields each block's tree count, depth and joined ``(feature, cut, value,
+    left)`` node fields, node ids counting from 0 in every block.  A block
+    keeps each level's working set within ``_BLOCK_BYTES``; the keyed draws
+    make the trees the same for any split into blocks.
+    """
+    Z = np.ascontiguousarray(Z, dtype=float)
+    y = np.asarray(y, dtype=float)
+    # -0.0 and 0.0 are one row here, as they are to a column's min and max
+    row_id = (np.unique(Z, axis=0, return_inverse=True)[1].ravel() if Z.shape[1]
+              else np.zeros(len(y), dtype=np.intp))
+    # per tree and level: row indices, node ids, sides, keys, and the
+    # columns, values and cuts of _DRAWS candidates
+    for trees in _row_blocks(spec.n_estimators, 8 * len(y) * (3 * _DRAWS + 4)):
+        levels = _grow_level_wise(Z, y, row_id, spec.min_leaf, spec.seed, trees)
+        depth = len(levels)
+        yield trees.stop - trees.start, depth, _joined(levels)
 
 
 class _ExtraTrees:
@@ -358,37 +418,43 @@ class _ExtraTrees:
     ``value``, ``left``), tree ``t`` rooted at ``roots[t]``; node ids and
     features are int32.  A row goes to ``left`` when ``row[feature] < cut``
     and to ``left + 1`` otherwise.  A leaf has ``feature == -1`` and is its
-    own ``left``.  Trees grow in blocks that keep each level's working set
-    within ``_BLOCK_BYTES``; the keyed draws make the trees the same for any
-    split into blocks.
+    own ``left``.  The trees grow in blocks (``_forest_blocks``) whose level
+    steps each hold the working set ``_grow_level_wise`` describes; the
+    forest joins the blocks' fields one field at a time.  A CV fold holds at
+    most one block of a forest: its ``_FoldForest`` scores each block as a
+    forest of its own (``of_block``) and drops it.
     """
 
     def __init__(self, Z, y, spec):
-        Z = np.ascontiguousarray(Z, dtype=float)
-        y = np.asarray(y, dtype=float)
-        levels, roots, self.depth = [], [], 0
-        # -0.0 and 0.0 are one row here, as they are to a column's min and max
-        row_id = (np.unique(Z, axis=0, return_inverse=True)[1].ravel() if Z.shape[1]
-                  else np.zeros(len(y), dtype=np.intp))
-        # per tree and level: row indices, node ids, sides, keys, and the
-        # columns, values and cuts of _DRAWS candidates
-        for trees in _row_blocks(spec.n_estimators, 8 * len(y) * (3 * _DRAWS + 4)):
-            first = sum(len(record[0]) for record in levels)
-            block = _grow_level_wise(Z, y, row_id, spec.min_leaf, spec.seed, trees, first)
-            roots.append(np.arange(first, first + trees.stop - trees.start, dtype=np.int32))
-            self.depth = max(self.depth, len(block))
-            levels += block
+        self._join(_forest_blocks(Z, y, spec))
+
+    @classmethod
+    def of_block(cls, block):
+        """The forest of one block that ``_forest_blocks`` yields."""
+        forest = cls.__new__(cls)
+        forest._join([block])
+        return forest
+
+    def _join(self, blocks):
+        records, roots, self.depth, first = [], [], 0, 0
+        for n_trees, depth, block in blocks:
+            np.add(block[3], first, out=block[3])  # its ids follow the earlier blocks'
+            roots.append(np.arange(first, first + n_trees, dtype=np.int32))
+            self.depth = max(self.depth, depth)
+            first += len(block[0])
+            records.append(block)
+            del block  # so the join below frees each field's parts
         self.roots = np.concatenate(roots)
-        # one field is joined at a time, to keep the peak memory low
-        fields = [list(f) for f in zip(*levels)]
-        del levels
-        self.feature, self.cut, self.value, self.left = (
-            np.concatenate(fields.pop(0)) for _ in range(4))
+        self.feature, self.cut, self.value, self.left = _joined(records)
 
     def predict(self, Z):
         Z = np.ascontiguousarray(Z, dtype=float)
+        return self.add_leaf_values(Z, np.zeros(len(Z))) / len(self.roots)
+
+    def add_leaf_values(self, Z, total):
+        """Add to ``total`` each row's leaf value in every tree, in tree
+        order (a sequential sum); ``Z`` is C-contiguous float64."""
         n_trees = len(self.roots)
-        total = np.zeros(len(Z))
         flat = Z.ravel()
         for rows in _row_blocks(len(Z), 64 * n_trees):
             # (tree, row) positions descend all trees at once, one level a step
@@ -403,7 +469,29 @@ class _ExtraTrees:
             leaf = self.value[node]
             for t in range(n_trees):  # tree order, as a sequential sum
                 total[rows] += leaf[t]
-        return total / n_trees
+        return total
+
+
+class _FoldForest:
+    """The forest a CV fold scores its held-out rows with, never stored.
+
+    ``predict`` grows the forest one block at a time, adds each block's leaf
+    values to the rows' running totals in tree order (the sum
+    ``_ExtraTrees.predict`` makes, so the bits are its) and drops the block
+    before the next one grows; it holds the training rows and at most one
+    block of trees.
+    """
+
+    def __init__(self, Z, y, spec):
+        self._Z, self._y, self._spec = Z, y, spec
+
+    def predict(self, Z):
+        Z = np.ascontiguousarray(Z, dtype=float)
+        total = np.zeros(len(Z))
+        for block in _forest_blocks(self._Z, self._y, self._spec):
+            _ExtraTrees.of_block(block).add_leaf_values(Z, total)
+            del block  # before the next block grows
+        return total / self._spec.n_estimators
 
 
 class _Stump:
@@ -600,8 +688,19 @@ def select_features(X: np.ndarray, y: np.ndarray, m: int) -> tuple[int, ...]:
     return tuple(j for j in range(X.shape[1]) if j not in dropped)
 
 
+def _deflate(Xk: np.ndarray, t: np.ndarray, p: np.ndarray) -> None:
+    """``Xk -= np.outer(t, p)`` in place, one row block at a time, each
+    block's outer product held to a sixteenth of the budget (1 MiB)."""
+    for rows in _row_blocks(len(Xk), 16 * 8 * Xk.shape[1]):
+        Xk[rows] -= np.outer(t[rows], p)
+
+
 class PlsProjection:
-    """NIPALS PLS1: sequence of weight/loading vectors on standardized X."""
+    """NIPALS PLS1: sequence of weight/loading vectors on standardized X.
+
+    Fitting and ``transform`` each copy the design once and deflate the copy
+    in place (``_deflate``), which gives the bits of ``Xk - outer(t, p)``.
+    """
 
     def __init__(self, Z: np.ndarray, y: np.ndarray, n_components: int):
         if n_components < 1:
@@ -622,7 +721,7 @@ class PlsProjection:
                 break
             p = Xk.T @ t / tt
             q = float(yk @ t) / tt
-            Xk = Xk - np.outer(t, p)
+            _deflate(Xk, t, p)
             yk = yk - q * t
             W.append(w)
             P.append(p)
@@ -657,7 +756,7 @@ class PlsProjection:
         for k in range(self.n_components):
             t = Zk @ self.W[:, k]
             scores[:, k] = t
-            Zk -= np.outer(t, self.P[:, k])
+            _deflate(Zk, t, self.P[:, k])
         return scores
 
     def predict(self, Z: np.ndarray) -> np.ndarray:
@@ -694,6 +793,9 @@ class _Share:
 
     So every piece is bit for bit the one a fit of one spec on the gathered
     rows computes.  The share holds index prefixes, never distance matrices.
+    Nor does a CV fold store a forest: a tree spec fitted on it gets a
+    ``_FoldForest``, which grows the forest one block at a time and scores
+    the held-out rows as it goes, so a fold holds at most one block of it.
     """
 
     def __init__(self, specs, X, y, train=None, test=None):
@@ -789,7 +891,8 @@ class TrainedModel:
         self.pls = share.pls(self.selected, spec.n_components, Z)
         if self.pls is not None:
             Z = self.pls.transform(Z)
-        self.inner = _INNER[spec.kind](Z, share.y_train, spec)
+        cv_forest = spec.kind == "tree" and share.test is not None
+        self.inner = (_FoldForest if cv_forest else _INNER[spec.kind])(Z, share.y_train, spec)
 
     def _design(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)

@@ -1,16 +1,17 @@
-"""The presorted stump scan, KNN and RFE against references; extra-trees by
-property.
+"""The presorted stump scan, KNN, RFE, PLS and the forest grower against
+references.
 
 The references below are the scalar per-split stump scan, which squares by
-product as the presorted scan does, and the unblocked KNN that
-``rtm.learners`` used before; the current code must reproduce them bit for
-bit.  The RFE reference rescales and re-solves the remaining columns at each
-step, and the downdated path must drop the same columns in the same order.
-The level-wise forest has no reference: its tests walk each tree
-breadth-first from its root, route the training rows down the flat node
-arrays and check what every node holds, that the keyed draws are uniform,
-that any split into blocks gives the same trees, and that ``predict``
-averages per-tree walks.
+product as the presorted scan does, the unblocked KNN that ``rtm.learners``
+used before, the NIPALS fit that deflated out of place and the level-wise
+grower whose level step held every row array at once; the current code must
+reproduce them bit for bit (the grower's level records dtypes included).
+The RFE reference rescales and re-solves the remaining columns at each step,
+and the downdated path must drop the same columns in the same order.  The
+forest's other tests walk each tree breadth-first from its root, route the
+training rows down the flat node arrays and check what every node holds,
+that the keyed draws are uniform, that any split into blocks gives the same
+trees, and that ``predict`` averages per-tree walks.
 """
 
 import collections
@@ -22,8 +23,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rtm.learners
-from rtm.learners import (RFE_TIE, ModelSpec, Scaler, _AdaBoostR2, _elimination_order,
-                          _ExtraTrees, _Knn, _StumpScan)
+from rtm.learners import (_DRAWS, _TRIES, RFE_TIE, ModelSpec, PlsProjection, Scaler,
+                          _AdaBoostR2, _elimination_order, _ExtraTrees, _grow_level_wise,
+                          _keyed, _Knn, _starts, _StumpScan)
 
 from conftest import traced_peak
 
@@ -122,6 +124,146 @@ def ref_elimination_order(X, y, m):
         c = np.abs(np.linalg.solve(Z.T @ Z + np.eye(len(remaining)), Z.T @ (y - y.mean())))
         dropped.append(remaining.pop(int(np.flatnonzero(c <= c.min() + RFE_TIE * c.max())[-1])))
     return dropped
+
+
+def ref_draw_splits(Z, rows, counts, keys, min_leaf):
+    """(feature, cut) of each node, drawn from its key; feature -1 makes a leaf.
+
+    ``rows`` holds the nodes' row indices one segment after another.  Draw
+    ``j`` of a node picks column ``h % d`` and ``u`` in [0, 1) from the hash
+    of (key, j), and a column constant in the node is rejected, so the
+    feature is uniform over the node's non-constant columns.  Among its
+    first ``_TRIES`` non-constant draws, the first whose cut
+    ``lo + (hi - lo) * u`` (at least ``nextafter(lo, hi)``) leaves
+    ``min_leaf`` rows on both sides wins.  Every node must hold two distinct
+    rows, so some column varies in it and its draws find one.  Nodes still
+    searching get more draws a round as their rows shrink, never more
+    (draw, row) pairs than the first round had; the draws are keyed, so this
+    changes no result.
+    """
+    n_nodes, d = len(counts), Z.shape[1]
+    feature = np.full(n_nodes, -1, dtype=np.intp)
+    cut = np.full(n_nodes, math.inf)
+    tries = np.zeros(n_nodes, dtype=np.intp)
+    live = np.arange(n_nodes)  # nodes still searching
+    draw, n_draws = 0, _DRAWS
+    budget = _DRAWS * len(rows)
+    while live.size:
+        starts = _starts(counts)
+        row_node = np.repeat(np.arange(live.size), counts)
+        h = _keyed(keys[live], np.arange(draw, draw + n_draws)[:, None])  # (draw, node)
+        feat = (h % np.uint64(d)).astype(np.intp)
+        u = (_keyed(h, 0) >> np.uint64(11)) * (1.0 / (1 << 53))
+        # (draw, row) values; ``take`` on flat indices gathers much faster than 2-d indexing
+        vals = Z.ravel().take(rows * d + feat.take(row_node, axis=1))
+        lo = np.minimum.reduceat(vals, starts, axis=1)
+        hi = np.maximum.reduceat(vals, starts, axis=1)
+        c = lo + (hi - lo) * u
+        c = np.where(c <= lo, np.nextafter(lo, hi), c)
+        n_left = np.add.reduceat(vals < c.take(row_node, axis=1), starts, axis=1, dtype=np.intp)
+        varies = hi > lo
+        ok = (varies & (tries[live] + np.cumsum(varies, axis=0) <= _TRIES)
+              & (n_left >= min_leaf) & (n_left <= counts - min_leaf))
+        won = ok.any(axis=0)
+        first = ok.argmax(axis=0)[won]
+        feature[live[won]] = feat[first, won]
+        cut[live[won]] = c[first, won]
+        tries[live] += varies.sum(axis=0)
+        keep = ~won & (tries[live] < _TRIES)
+        rows = rows[keep[row_node]]
+        live, counts = live[keep], counts[keep]
+        draw += n_draws
+        n_draws = max(_DRAWS, min(2 * n_draws, budget // max(1, len(rows))))
+    return feature, cut
+
+
+def ref_grow_level_wise(Z, y, row_id, min_leaf, seed, trees, first):
+    """Grow the given trees together, one level per step.
+
+    ``row_id`` numbers the distinct rows of ``Z``; a node whose rows all have
+    one id has no split and is a leaf, as is a node whose target is constant.
+
+    Each open node is a segment of one row-index array, and every draw is
+    keyed by (seed, tree, level, the node's position in its tree's level),
+    so a tree comes out the same whichever trees grow beside it.  Returns a
+    ``(feature, cut, value, left)`` record per level.  Node ids are final:
+    they count from ``first`` level by level, each level in (tree, position)
+    order.  A split node's right child is ``left + 1``; a leaf is its own
+    ``left``.  Features and node ids are int32, so the levels' records add
+    little to a later level's draws.
+    """
+    n = len(y)
+    min_rows = max(2, 2 * min_leaf)  # a node splits only if both children can hold min_leaf
+    tree = np.arange(trees.start, trees.stop)
+    pos = np.zeros(len(tree), dtype=np.intp)
+    counts = np.full(len(tree), n)
+    rows = np.tile(np.arange(n), len(tree))
+    seed_key = np.uint64(seed % (1 << 64))
+    levels = []
+    while tree.size:
+        level = len(levels)
+        starts = _starts(counts)
+        yr, ids = y[rows], row_id[rows]
+        constant = np.minimum.reduceat(yr, starts) == np.maximum.reduceat(yr, starts)
+        one_row = np.minimum.reduceat(ids, starts) == np.maximum.reduceat(ids, starts)
+        value = np.add.reduceat(yr, starts) / counts
+        searching = (counts >= min_rows) & ~constant & ~one_row
+        search = np.flatnonzero(searching)
+        row_node = np.repeat(np.arange(len(counts)), counts)
+        feature = np.full(len(counts), -1, dtype=np.int32)
+        cut = np.full(len(counts), math.inf)
+        if search.size:
+            keys = _keyed(_keyed(_keyed(seed_key, tree[search]), level), pos[search])
+            feature[search], cut[search] = ref_draw_splits(
+                Z, rows[searching[row_node]], counts[search], keys, min_leaf)
+        split = np.flatnonzero(feature >= 0)
+        value[split] = math.nan
+        left = np.arange(first, first + len(counts), dtype=np.int32)
+        first += len(counts)
+        left[split] = first + 2 * np.arange(split.size)
+        levels.append((feature, cut, value, left))
+        # the rows of the split nodes, each node's left side then its right side
+        sub = feature[row_node] >= 0
+        rows, row_node = rows[sub], row_node[sub]
+        right = ~(Z[rows, feature[row_node]] < cut[row_node])
+        order = np.argsort(2 * row_node + right, kind="stable")
+        rows = rows[order]
+        n_left = np.bincount(row_node[~right], minlength=len(counts))[split]
+        counts = np.column_stack([n_left, counts[split] - n_left]).ravel()
+        tree = np.repeat(tree[split], 2)
+        rank = np.arange(split.size) - np.searchsorted(tree[::2], tree[::2])
+        pos = (2 * rank[:, None] + np.arange(2)).ravel()
+    return levels
+
+
+def ref_pls(Z, y, n_components):
+    """(W, P, Q) of the NIPALS fit that deflates out of place, as
+    ``PlsProjection.__init__`` did."""
+    if n_components < 1:
+        raise ValueError("n_components must be >= 1")
+    Xk = np.array(Z, dtype=float)
+    yk = np.asarray(y, dtype=float) - float(np.mean(y))
+    W, P, Q = [], [], []
+    for _ in range(min(n_components, Z.shape[1])):
+        w = Xk.T @ yk
+        nw = np.linalg.norm(w)
+        if nw < 1e-12:
+            break
+        w = w / nw
+        t = Xk @ w
+        tt = float(t @ t)
+        if tt < 1e-12:
+            break
+        p = Xk.T @ t / tt
+        q = float(yk @ t) / tt
+        Xk = Xk - np.outer(t, p)
+        yk = yk - q * t
+        W.append(w)
+        P.append(p)
+        Q.append(q)
+    if not W:
+        raise ValueError("no PLS component could be extracted (constant input)")
+    return np.column_stack(W), np.column_stack(P), np.asarray(Q)
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +503,66 @@ def test_forest_predict_is_mean_of_tree_walks(monkeypatch):
     assert bits(forest.predict(Zq).tolist()) == want
 
 
+def grower_case(case):
+    """(Z, y) for the grower's reference tests.
+
+    ``mixed``: ``design``'s continuous, tied, constant, duplicate and coarse
+    columns, plus copies of rows, some holding -0.0 where the original holds
+    0.0.  ``adjacent``: a column of two adjacent floats beside a constant
+    one, so each root cut is the higher value, reached by rounding up or by
+    ``nextafter``.
+    """
+    if case == "adjacent":
+        hi = np.nextafter(1.0, 2.0)
+        assert 1.0 + (hi - 1.0) * 0.75 == hi  # a draw with u > 1/2 rounds up to hi
+        Z = np.column_stack([np.where(np.arange(30) % 2, 1.0, hi), np.full(30, 3.0)])
+        return Z, np.random.default_rng(11).normal(size=30)
+    Z, y, _ = design(9, n=40)
+    Z[::3, 5] = 0.0
+    copies = Z[:10].copy()
+    copies[:, 5] = np.where(copies[:, 5] == 0.0, -0.0, copies[:, 5])
+    Z = np.vstack([Z, copies, Z[20:25]])
+    return Z, np.concatenate([y, y[:10] + 0.25, y[20:25]])
+
+
+def assert_same_arrays(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("case", ["mixed", "adjacent"])
+@pytest.mark.parametrize("min_leaf", range(1, 7))
+def test_grower_equals_reference(case, min_leaf, monkeypatch):
+    # Each block's level records are the reference's (node ids from 0), and
+    # the forest's joined fields are the reference's records with each
+    # block's ids after the earlier blocks', for blocks of 1, 7 and all trees.
+    Z, y = grower_case(case)
+    row_id = np.unique(Z, axis=0, return_inverse=True)[1].ravel()
+    spec = ModelSpec("tree", min_leaf=min_leaf, n_estimators=23, seed=min_leaf)
+    per_tree = 8 * len(y) * (3 * _DRAWS + 4)
+    for trees_per_block in (1, 7, 23):
+        monkeypatch.setattr(rtm.learners, "_BLOCK_BYTES", trees_per_block * per_tree)
+        records, first = [], 0
+        for trees in rtm.learners._row_blocks(23, per_tree):
+            assert trees.stop - trees.start <= trees_per_block
+            want = ref_grow_level_wise(Z, y, row_id, min_leaf, spec.seed, trees, first)
+            got = _grow_level_wise(Z, y, row_id, min_leaf, spec.seed, trees)
+            assert len(got) == len(want)
+            for got_record, want_record in zip(got, want):
+                assert_same_arrays(got_record[:3], want_record[:3])
+                assert_same_arrays([got_record[3] + np.int32(first)], [want_record[3]])
+            first += sum(len(record[0]) for record in want)
+            records += want
+        forest = _ExtraTrees(Z, y, spec)
+        assert_same_arrays([forest.feature, forest.cut, forest.value, forest.left],
+                           [np.concatenate(field) for field in zip(*records)])
+    if case == "adjacent":
+        assert (forest.feature[forest.roots] == 0).all()
+        assert (forest.cut[forest.roots] == Z[:, 0].max()).all()
+
+
 @pytest.mark.parametrize("seed", [0, 3])
 def test_stump_scan_matches_scalar_reference(seed):
     Z, y, _ = design(seed)
@@ -544,6 +746,37 @@ def test_knn_every_row_a_candidate_stays_within_budget():
 
 # ---------------------------------------------------------------------------
 # Recursive feature elimination.
+
+
+@pytest.mark.parametrize("case", ["random", "rank_two"])
+def test_pls_equals_out_of_place_reference(case, monkeypatch):
+    # In-place deflation by row blocks gives the reference's W, P and Q bit
+    # for bit, early stop included (the rank-two design stops after two).
+    g = np.random.default_rng(12)
+    X = g.normal(size=(300, 12))
+    if case == "rank_two":
+        X[:, 2:] = np.arange(10.0)
+    else:
+        X[:, 9] = X[:, 0]
+    y = X[:, 0] - 0.5 * X[:, 1] + g.normal(0.0, 0.1, 300)
+    Z = Scaler(X).transform(X)
+    monkeypatch.setattr(rtm.learners, "_BLOCK_BYTES", 16 * 8 * 12 * 70)  # 70 rows a block
+    pls = PlsProjection(Z, y, 8)
+    assert pls.n_components == (2 if case == "rank_two" else 8)
+    assert_same_arrays([pls.W, pls.P, pls.Q], list(ref_pls(Z, y, 8)))
+
+
+def test_pls_fit_holds_one_copy_of_the_design():
+    # A 15,000 x 87 design: the fit copies it once and deflates the copy in
+    # place, 1 MiB of outer product at a time.  Deflating out of place held
+    # the design's copy, the outer product and the new copy at once (3.0x).
+    g = np.random.default_rng(13)
+    Z = g.normal(size=(15000, 87))
+    Z[:, :10] = np.round(Z[:, :10])
+    y = (Z[:, 0] > 0).astype(float)
+    pls, peak = traced_peak(PlsProjection, Z, y, 8)
+    assert peak <= 1.5 * Z.nbytes
+    assert_same_arrays([pls.W, pls.P, pls.Q], list(ref_pls(Z, y, 8)))
 
 
 @pytest.mark.parametrize("seed", range(6))

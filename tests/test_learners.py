@@ -5,12 +5,15 @@ import pickle
 import numpy as np
 import pytest
 
+import rtm.learners
 from rtm.learners import (
+    _DRAWS,
     _INNER,
     ModelSpec,
     Scaler,
     _Share,
     _elimination_order,
+    _fold_shares,
     average_top_k,
     cross_validate,
     default_grid,
@@ -382,12 +385,57 @@ def test_default_grid_cv_raises_no_floating_point_error(intensity_features):
 
 def test_tree_cv_holds_one_forest_at_a_time(intensity_features):
     # The default grid's three 500-tree specs on ~103 training rows a fold,
-    # as intensity-default's CV grows them: int32 node fields and one fold's
-    # forest at a time keep the traced peak near 7 MiB (14 MiB before).
+    # as intensity-default's CV grows them, one block of 500 trees a forest:
+    # int32 node fields, a fold's forest scored and dropped block by block,
+    # and a level step that frees each row array once used keep the traced
+    # peak near 4.6 MiB (6.2 MiB with the level step holding them all).
     X, y = (a[:120] for a in intensity_features)
     trees = [spec for spec in default_grid(seed=1) if spec.kind == "tree"]
     _, peak = traced_peak(grid_search, trees, X, y, 7, 1)
-    assert peak < 10 << 20
+    assert peak < 5.5 * 2**20
+
+
+@pytest.mark.parametrize("trees_per_block", [8, None])
+@pytest.mark.parametrize("min_leaf", [1, 3, 5])
+def test_tree_cv_scored_by_block_equals_reference(intensity_features, monkeypatch,
+                                                  min_leaf, trees_per_block):
+    # A fold's held-out predictions summed block by block are the whole
+    # forest's predictions bit for bit, over 4 blocks of a 30-tree forest
+    # (8 trees a block on 342 or 343 training rows) and over one block.
+    X, y = intensity_features
+    spec = ModelSpec("tree", min_leaf=min_leaf, n_estimators=30, seed=min_leaf)
+    if trees_per_block:
+        monkeypatch.setattr(rtm.learners, "_BLOCK_BYTES",
+                            trees_per_block * 8 * 343 * (3 * _DRAWS + 4))
+    per_tree = 8 * 342 * (3 * _DRAWS + 4)
+    assert len(rtm.learners._row_blocks(30, per_tree)) == (4 if trees_per_block else 1)
+    scores = cross_validate(spec, X, y, 7, 3)[1]
+    assert _hex(scores) == _hex(ref_cross_validate(spec, X, y, 7, 3, {})[1])
+
+
+def test_tree_cv_fold_holds_one_block(monkeypatch):
+    # One fold of a 500-tree leaf-1 forest on 514 training rows, grown in
+    # 50-tree blocks: the fold scores each block and drops it, so its traced
+    # peak reads near 2.2 MiB; storing the forest to predict read 16.6 MiB.
+    g = np.random.default_rng(21)
+    X = g.normal(size=(600, 41))
+    y = X[:, 0] + g.normal(0.0, 0.3, 600)
+    spec = ModelSpec("tree", min_leaf=1, seed=2)
+    fold = _fold_shares([spec], X, y, 7, 2)[0]
+    monkeypatch.setattr(rtm.learners, "_BLOCK_BYTES", 50 * 8 * 514 * (3 * _DRAWS + 4))
+    assert len(fold.y_train) == 514
+
+    def scored():
+        return fold.held_out_predictions(fit_model(spec, fold.X, fold.y, fold))
+
+    pred, peak = traced_peak(scored)
+    assert peak < 6 << 20
+    scaler = Scaler(X[fold.train])
+    whole = _INNER["tree"](scaler.transform(X[fold.train]), y[fold.train], spec)
+    want = whole.predict(scaler.transform(X[fold.test]))
+    assert _hex(pred) == _hex(want)
+    # the fold's model predicts like any other, growing its forest again
+    assert _hex(fit_model(spec, fold.X, fold.y, fold).predict(X[fold.test])) == _hex(want)
 
 
 # ---------------------------------------------------------------------------
