@@ -11,17 +11,17 @@ guarantee).
 
 Every text output starts with a comment line carrying the tool version and
 the config hash.  The binary artifacts (resources.pkl, model.pkl) start with
-one JSON header line carrying the same fields, a layout number and a
-resource fingerprint (corpus hash + resource-relevant parameters), which
-extract-features checks against the corpus and config and later stages verify
-before applying a model; the pickled body follows.  The header
-is checked before the body is unpickled, and a stage that needs only the
-header reads only the header.  interpretants.tsv carries a digest of the
-corpus bytes and the FDA keys (``# selection=``), which build-resources checks
-against the corpus and config.  A features file carries the resource
-fingerprint and a digest of the dataset ids and texts its rows came from and
-of the emotion targets they were scored against (``# dataset=``), which train
-and predict check against the dataset files and the lexicon.
+one JSON header line carrying the same fields and a layout number; the
+pickled body follows.  The header is checked before the body is unpickled,
+and a stage that needs only the header reads only the header.
+
+One provenance rule covers every stage.  ``_SOURCES`` lists the sources of
+the outputs (the corpus bytes, each dataset's ids and texts, the emotion
+targets, the training golds, each stage's config keys), each with the first
+stage that reads it.  An output records the digest of every source of the
+stages up to its own, under the source's name.  Before a stage reads an
+output, it recomputes those digests from the current inputs and config and
+refuses a mismatch, naming the earliest stage that reads the changed source.
 """
 
 from __future__ import annotations
@@ -84,10 +84,6 @@ from .stacking import (
 # Witten-Bell LM holds one count table per order (a format-3 body may hold the
 # LM's older fields).
 ARTIFACT_FORMAT = 4
-
-# The stage that writes each artifact, named when one is refused.
-_WRITER = {"resources.pkl": "build-resources", "model.pkl": "train"}
-
 
 class ConfigError(ValueError):
     pass
@@ -322,8 +318,11 @@ def parse_config(path, seed_override: int | None = None) -> RunConfig:
 # File helpers.
 
 
-def _banner(cfg: RunConfig) -> str:
-    return f"# rtm {__version__} config={cfg.hash()}\n"
+def _banner(cfg: RunConfig, record: dict[str, str] | None = None) -> str:
+    """The first lines of a text output: the version and config hash, then
+    the ``# <source>=<digest>`` lines of ``record`` (``_sources``)."""
+    return f"# rtm {__version__} config={cfg.hash()}\n" + "".join(
+        f"# {name}={digest}\n" for name, digest in (record or {}).items())
 
 
 @contextlib.contextmanager
@@ -357,7 +356,7 @@ def _read_artifact(path: Path, body: bool = True) -> tuple[dict, object]:
     """(header, body) of an artifact written by ``_write_artifact``.  The header
     is checked before anything is unpickled; ``body=False`` leaves the body
     unread and returns None for it."""
-    rerun = f"; re-run {_WRITER[path.name]} to rewrite it"
+    rerun = f"; re-run {_writer(path.name)} to rewrite it"
     with open(path, "rb") as fh:
         try:
             header = json.loads(fh.readline())
@@ -396,31 +395,6 @@ def _read_tsv(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
     return comments, rows
 
 
-def _corpus_hash(cfg: RunConfig):
-    """A sha256 object fed the corpus bytes, read in chunks; ``_digest``
-    copies it for each set of keys."""
-    with open(cfg.corpus, "rb") as fh:
-        return hashlib.file_digest(fh, "sha256")
-
-
-def _fda_keys(cfg: RunConfig) -> str:
-    return (f"budget={cfg.budget};fda_max_order={cfg.fda_max_order};decay={cfg.decay};"
-            f"length_exponent={cfg.length_exponent}")
-
-
-def _resource_keys(cfg: RunConfig) -> str:
-    return f"{_fda_keys(cfg)};lm_order={cfg.lm_order};aligner_iterations={cfg.aligner_iterations}"
-
-
-def _digest(corpus_hash, keys: str) -> str:
-    """The digest of the corpus bytes then ``keys``: ``# selection=`` of
-    interpretants.tsv over the FDA keys, the resource fingerprint over those
-    and the LM and aligner keys."""
-    h = corpus_hash.copy()
-    h.update(keys.encode("utf-8"))
-    return h.hexdigest()[:16]
-
-
 # ---------------------------------------------------------------------------
 # Dataset -> (src, tgt) rows.
 
@@ -433,28 +407,12 @@ class RowSet:
     tags: list[str]  # "-" for plain rows, "a"/"b" for paired rows
     pairs: list[tuple]  # (source, target) TokenSeqs, one per row
     texts: list[TokenSeq]  # the dataset's own texts, in FDA task-text order
-    dataset: str = ""  # ``_dataset_digest`` of the rows' ids, texts and targets
 
 
 def _row_text(task: str, fields: list[str]) -> str:
     """What a dataset row's feature rows come from: its id and text
     (intensity) or its id and three words (triples), not its gold."""
     return "\t".join(fields[:2] if task == "intensity" else fields[:4])
-
-
-def _dataset_digest(row_texts: list[str], targets: list[TokenSeq]) -> str:
-    """The ``# dataset=`` digest of a dataset's ``_row_text``s and of the
-    emotion targets (``_targets``) its rows are scored against.  The row
-    texts are hashed in sorted order, so reordering the rows keeps it: golds
-    are bound by instance id, not by position.  The targets follow in row-tag
-    order; a row text holds a tab and a target does not, so neither can pass
-    for the other."""
-    h = hashlib.sha256()
-    for text in sorted(row_texts):
-        h.update(text.encode("utf-8") + b"\n")
-    for target in targets:
-        h.update(" ".join(target.tokens).encode("utf-8") + b"\n")
-    return h.hexdigest()[:16]
 
 
 def _golds_and_texts(path, task: str) -> tuple[dict[str, float | None], list[str]]:
@@ -501,19 +459,20 @@ def _targets(cfg: RunConfig) -> list[TokenSeq]:
     return [lexicon_to_target(lexicon, g) for g in groups]
 
 
-def load_rows(cfg: RunConfig, *splits: str) -> tuple[list[TokenSeq], list[RowSet]]:
-    """The emotion target(s) of the task (``_targets``) and one RowSet per
-    named split (``"train"``, ``"test"``).  The lexicon and each dataset are
-    loaded and tokenized once; the pass over a dataset also takes its
-    ``_dataset_digest``.
+def load_rows(cfg: RunConfig) -> tuple[list[TokenSeq], RowSet, RowSet, dict[str, str]]:
+    """The emotion target(s) of the task (``_targets``), the train and test
+    RowSets, and the digests of the sources read on the way (``_SOURCES``:
+    each dataset's ids and texts, and the targets).  The lexicon and each
+    dataset are loaded and tokenized once.
 
     An intensity instance is one row per target: its text against each
     target.  A triple is two rows, word1 and word2 against the attribute.
     """
     targets = _targets(cfg)
+    read = {"targets": _hash_targets(targets)}
     row_tags = "-" if cfg.architecture == "plain" else "ab"
     out = []
-    for split in splits:
+    for split in ("train", "test"):
         rows, row_texts = RowSet([], [], [], []), []
         for _, fields, _ in _dataset_rows(getattr(cfg, split), cfg.task):
             row_texts.append(_row_text(cfg.task, fields))
@@ -528,9 +487,9 @@ def load_rows(cfg: RunConfig, *splits: str) -> tuple[list[TokenSeq], list[RowSet
                 rows.ids.append(fields[0])
                 rows.tags.append(tag)
                 rows.pairs.append(pair)
-        rows.dataset = _dataset_digest(row_texts, targets)
+        read[split] = _hash_lines(sorted(row_texts))
         out.append(rows)
-    return targets, out
+    return targets, *out, read
 
 
 def _instance_ids(ids: list[str], tags: list[str]) -> list[str]:
@@ -548,16 +507,11 @@ def _instance_ids(ids: list[str], tags: list[str]) -> list[str]:
     return a_ids
 
 
-def _golds_by_id(cfg: RunConfig, split: str, features: FeatureFile,
-                 targets: list[TokenSeq]) -> list[float | None]:
-    """The golds of the ``split`` dataset (``"train"``, ``"test"``) for the
-    instances of the features file ``features``, in its row order.  An id in
-    one file and not the other is refused, and so is a dataset whose ids or
-    texts, or emotion targets (``_targets``), are not those the features came
-    from."""
-    dataset = getattr(cfg, split)
+def _golds_by_id(golds: dict, dataset: Path, features: FeatureFile) -> list[float | None]:
+    """The golds (``golds``, read from the file ``dataset``) of the instances
+    of the features file ``features``, in its row order.  An id in one file
+    and not the other is refused, and so is an id listed twice."""
     inst_ids = _instance_ids(features.ids, features.tags)
-    golds, texts = _golds_and_texts(dataset, cfg.task)
     known = set(inst_ids)
     missing = next((rid for rid in inst_ids if rid not in golds), None)
     if missing is not None:
@@ -569,20 +523,96 @@ def _golds_by_id(cfg: RunConfig, split: str, features: FeatureFile,
         counts = collections.Counter(inst_ids)
         twice = next(rid for rid in inst_ids if counts[rid] > 1)
         raise StageError(f"{features.path}: instance {twice!r} appears twice")
-    digest = _dataset_digest(texts, targets)
-    if features.dataset != digest:
-        source, changed = ((f"{dataset} with the lexicon {cfg.lexicon}", "its texts or the lexicon")
-                           if targets else (dataset, "its texts"))
-        raise StageError(f"{features.path}: dataset={features.dataset or '(none)'} but {source} "
-                         f"reads {digest}: {changed} changed; re-run extract-features")
     return [golds[rid] for rid in inst_ids]
 
 
-def _train_golds(cfg: RunConfig, features: FeatureFile, targets: list[TokenSeq]) -> np.ndarray:
-    gold = _golds_by_id(cfg, "train", features, targets)
+def _train_golds(cfg: RunConfig, golds: dict, features: FeatureFile) -> np.ndarray:
+    gold = _golds_by_id(golds, cfg.train, features)
     if None in gold:
         raise StageError("training instances must all carry gold values")
     return np.asarray(gold, dtype=float)
+
+
+# ---------------------------------------------------------------------------
+# Provenance.  The sources of the outputs, in stage order: name -> (the first
+# stage that reads it, the config field of its file or the config keys it is,
+# what a refusal says changed).  An output records the digest of every source
+# whose first stage is not after its own.
+_SOURCES = {
+    "corpus": ("select-interpretants", "corpus", "the corpus"),
+    "train": ("select-interpretants", "train", "its ids or texts"),  # FDA's task texts
+    "test": ("select-interpretants", "test", "its ids or texts"),
+    "targets": ("select-interpretants", "lexicon", "an emotion target"),  # intensity only
+    "fda_keys": ("select-interpretants", ("budget", "fda_max_order", "decay", "length_exponent"),
+                 "an FDA key"),
+    "resource_keys": ("build-resources", ("lm_order", "aligner_iterations"), "a resource key"),
+    "golds": ("train", "train", "its golds"),
+    "train_keys": ("train", ("architecture", "grids", "top_k", "base_learner", "cv_folds",
+                             "seed"), "a train key"),
+    "predict_keys": ("predict", ("threshold", "grounding"), "a predict key"),
+}
+
+
+def _hash_lines(lines) -> str:
+    return hashlib.sha256("".join(f"{line}\n" for line in lines).encode("utf-8")).hexdigest()[:16]
+
+
+def _hash_targets(targets: list[TokenSeq]) -> str:
+    """The ``targets`` digest: each target's tokens, in row-tag order."""
+    return _hash_lines(" ".join(target.tokens) for target in targets)
+
+
+def _source_names(cfg: RunConfig, stage: str) -> list[str]:
+    """The sources the outputs of ``stage`` are built from."""
+    last = STAGES.index(stage)
+    return [name for name, (first, _, _) in _SOURCES.items()
+            if STAGES.index(first) <= last and (name != "targets" or cfg.task == "intensity")]
+
+
+def _sources(cfg: RunConfig, stage: str,
+             read: dict[str, str] | None = None) -> tuple[dict[str, str], dict[str, dict]]:
+    """(the current digest of each source of the outputs of ``stage``, the
+    golds of each dataset read for them, by split).  ``read`` holds digests
+    already taken (``load_rows``); each other input is read once.  No digest
+    depends on the order of a dataset's rows."""
+    digests, golds, names = dict(read or {}), {}, _source_names(cfg, stage)
+    for name in names:
+        if name in digests:
+            continue
+        where = _SOURCES[name][1]
+        if isinstance(where, tuple):
+            digests[name] = _hash_lines(f"{key}={getattr(cfg, key)!r}" for key in where)
+        elif name == "corpus":
+            with open(cfg.corpus, "rb") as fh:
+                digests[name] = hashlib.file_digest(fh, "sha256").hexdigest()[:16]
+        elif name == "targets":
+            digests[name] = _hash_targets(_targets(cfg))
+        elif name == "golds":  # read with the train set's ids and texts
+            digests[name] = _hash_lines(sorted(f"{rid}\t{gold!r}"
+                                               for rid, gold in golds["train"].items()))
+        else:
+            golds[name], texts = _golds_and_texts(getattr(cfg, name), cfg.task)
+            digests[name] = _hash_lines(sorted(texts))
+    return {name: digests[name] for name in names}, golds
+
+
+def _check(cfg: RunConfig, path: Path, recorded: dict[str, str], current: dict[str, str]):
+    """Refuse the output ``path`` unless it ``recorded`` the ``current``
+    digest of every source it is built from.  The first stale source names
+    the stage to re-run: the earliest one that reads it."""
+    for name in _source_names(cfg, _writer(path.name)):
+        if recorded.get(name) != current[name]:
+            stage, where, what = _SOURCES[name]
+            source = (f"the config ({', '.join(where)})" if isinstance(where, tuple)
+                      else getattr(cfg, where))
+            raise StageError(f"{path}: {name}={recorded.get(name) or '(none)'} but {source} "
+                             f"reads {current[name]}: {what} changed; re-run {stage}")
+
+
+def _records(comments: list[str]) -> dict[str, str]:
+    """The ``# <source>=<digest>`` lines among a text output's comments."""
+    fields = (comment[2:].partition("=") for comment in comments)
+    return {name: digest for name, _, digest in fields if name in _SOURCES}
 
 
 # ---------------------------------------------------------------------------
@@ -591,11 +621,11 @@ def _train_golds(cfg: RunConfig, features: FeatureFile, targets: list[TokenSeq])
 
 def stage_select_interpretants(cfg: RunConfig, out_dir: Path):
     corpus = load_corpus(cfg.corpus)  # read once, a line at a time, by the selection
-    targets, (train, test) = load_rows(cfg, "train", "test")
+    targets, train, test, read = load_rows(cfg)
     # task texts: train texts, test texts, then the target(s)
     selection = select_interpretants(corpus, train.texts + test.texts + targets, cfg.fda_config())
-    digest = _digest(_corpus_hash(cfg), _fda_keys(cfg))
-    lines = [_banner(cfg), f"# selection={digest}\n", "index\tscore\n"]
+    record = _sources(cfg, "select-interpretants", read)[0]
+    lines = [_banner(cfg, record), "index\tscore\n"]
     lines.extend(
         f"{idx}\t{score:.6f}\n"
         for idx, score in zip(selection.selected_indices, selection.selection_scores)
@@ -603,8 +633,8 @@ def stage_select_interpretants(cfg: RunConfig, out_dir: Path):
     _write_text(out_dir / "interpretants.tsv", "".join(lines))
 
 
-def _read_interpretant_indices(path: Path) -> tuple[str, list[int], list[int]]:
-    """(the ``# selection=`` digest, line numbers, corpus sentence indices)
+def _read_interpretant_indices(path: Path) -> tuple[dict[str, str], list[int], list[int]]:
+    """(the records (``_records``), line numbers, corpus sentence indices)
     of the rows of ``path``."""
     comments, rows = _read_tsv(path)
     if not rows or rows[0][1] != ["index", "score"]:
@@ -616,18 +646,14 @@ def _read_interpretant_indices(path: Path) -> tuple[str, list[int], list[int]]:
         except ValueError:
             raise StageError(f"{path}:{lineno}: {fields[0]!r} is not a sentence index") from None
         linenos.append(lineno)
-    return _comment_field(comments, "selection"), linenos, indices
+    return _records(comments), linenos, indices
 
 
 def stage_build_resources(cfg: RunConfig, out_dir: Path):
     path = out_dir / "interpretants.tsv"
-    written, linenos, indices = _read_interpretant_indices(path)
-    corpus_hash = _corpus_hash(cfg)  # the one read of the corpus bytes
-    selection = _digest(corpus_hash, _fda_keys(cfg))
-    if written != selection:
-        raise StageError(f"{path}: selection={written or '(none)'} but {cfg.corpus} with the FDA "
-                         f"keys reads {selection}: the corpus or an FDA key changed; "
-                         "re-run select-interpretants")
+    recorded, linenos, indices = _read_interpretant_indices(path)
+    current = _sources(cfg, "build-resources")[0]
+    _check(cfg, path, recorded, current)
     try:
         sentences = load_corpus_sentences(cfg.corpus, indices)
     except IndexError as exc:
@@ -639,8 +665,7 @@ def stage_build_resources(cfg: RunConfig, out_dir: Path):
         lm=WittenBellLM(sentences, order=cfg.lm_order),
         aligner=train_aligner([(s, s) for s in sentences], cfg.aligner_iterations),
     )
-    _write_artifact(out_dir / "resources.pkl", cfg,
-                    {"fingerprint": _digest(corpus_hash, _resource_keys(cfg))}, resources)
+    _write_artifact(out_dir / "resources.pkl", cfg, {"sources": current}, resources)
 
 
 # One features row: id, row tag, then each value with 17 significant digits
@@ -648,9 +673,9 @@ def stage_build_resources(cfg: RunConfig, out_dir: Path):
 _FEATURE_ROW = "%s\t%s" + "\t%.17g" * N_FEATURES + "\n"
 
 
-def _write_features(path: Path, cfg: RunConfig, fingerprint: str, rows: RowSet, matrix):
+def _write_features(path: Path, cfg: RunConfig, record: dict[str, str], rows: RowSet, matrix):
     with _replacing(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(f"{_banner(cfg)}# fingerprint={fingerprint}\n# dataset={rows.dataset}\n")
+        fh.write(_banner(cfg, record))
         fh.write("id\trow\t" + "\t".join(FEATURE_NAMES) + "\n")
         # a row's floats and text at a time: the whole matrix as Python floats
         # or text would raise the peak of the stages that run after this one
@@ -659,19 +684,13 @@ def _write_features(path: Path, cfg: RunConfig, fingerprint: str, rows: RowSet, 
 
 
 class FeatureFile(NamedTuple):
-    """A features file as read back: its rows and its comment fields."""
+    """A features file as read back: its rows and its records."""
 
     ids: list[str]  # one per row
     tags: list[str]
     matrix: np.ndarray
-    fingerprint: str  # of the resources the features came from
-    dataset: str  # ``_dataset_digest`` of the rows' dataset when they were extracted
+    records: dict[str, str]  # ``_records``: the sources the rows were built from
     path: Path
-
-
-def _comment_field(comments: list[str], name: str) -> str:
-    prefix = f"# {name}="
-    return next((c[len(prefix):] for c in comments if c.startswith(prefix)), "")
 
 
 def _read_features(path: Path) -> FeatureFile:
@@ -719,8 +738,7 @@ def _read_features(path: Path) -> FeatureFile:
         cell = line.split("\t")[j + 2]
         raise StageError(f"{path}:{linenos[i]}: {FEATURE_NAMES[j]} is {cell!r}, "
                          "not a finite number")
-    return FeatureFile(ids, tags, matrix, _comment_field(comments, "fingerprint"),
-                       _comment_field(comments, "dataset"), path)
+    return FeatureFile(ids, tags, matrix, _records(comments), path)
 
 
 def _float_or_nan(text: str) -> float:
@@ -733,15 +751,12 @@ def _float_or_nan(text: str) -> float:
 def stage_extract_features(cfg: RunConfig, out_dir: Path):
     path = out_dir / "resources.pkl"
     header, resources = _read_artifact(path)
-    fingerprint = _digest(_corpus_hash(cfg), _resource_keys(cfg))
-    if header["fingerprint"] != fingerprint:
-        raise StageError(f"{path}: fingerprint={header['fingerprint']} but {cfg.corpus} with the "
-                         f"resource keys reads {fingerprint}: the corpus or a resource key "
-                         "changed; re-run build-resources")
-    _, splits = load_rows(cfg, "train", "test")
-    for split, rows in zip(("train", "test"), splits):
+    _, train, test, read = load_rows(cfg)
+    current = _sources(cfg, "extract-features", read)[0]
+    _check(cfg, path, header.get("sources", {}), current)
+    for split, rows in (("train", train), ("test", test)):
         matrix = build_feature_matrix(rows.pairs, resources)
-        _write_features(out_dir / f"features_{split}.tsv", cfg, header["fingerprint"], rows, matrix)
+        _write_features(out_dir / f"features_{split}.tsv", cfg, current, rows, matrix)
 
 
 def _split_sides(tags: list[str], matrix: np.ndarray):
@@ -758,13 +773,10 @@ def _cv_lines(cv_table) -> list[str]:
 
 
 def stage_train(cfg: RunConfig, out_dir: Path):
-    resources_fp = _read_artifact(out_dir / "resources.pkl", body=False)[0]["fingerprint"]
     features = _read_features(out_dir / "features_train.tsv")
-    if features.fingerprint != resources_fp:
-        raise StageError(
-            f"feature fingerprint {features.fingerprint} does not match resources {resources_fp}"
-        )
-    gold = _train_golds(cfg, features, _targets(cfg))
+    current, golds = _sources(cfg, "train")
+    gold = _train_golds(cfg, golds["train"], features)
+    _check(cfg, features.path, features.records, current)
     if cfg.architecture == "plain":
         ranked = grid_search(cfg.grid(), features.matrix, gold, cfg.cv_folds, cfg.seed)
         model = average_top_k(ranked, min(cfg.top_k, len(ranked)), features.matrix, gold)
@@ -786,27 +798,21 @@ def stage_train(cfg: RunConfig, out_dir: Path):
         model = train_fn(feats_a, feats_b, gold, stack_cfg)
         ranked = model.cv_table
     cv_table = [(spec.label(), score) for spec, score in ranked]
-    header = {"fingerprint": resources_fp, "architecture": cfg.architecture, "cv_table": cv_table}
-    _write_artifact(out_dir / "model.pkl", cfg, header, model)
+    _write_artifact(out_dir / "model.pkl", cfg, {"sources": current, "cv_table": cv_table}, model)
     _write_text(out_dir / "cv_table.tsv",
                 "".join([_banner(cfg), "rank\tmodel\tcv_mae\n", *_cv_lines(cv_table)]))
 
 
-def _apply_model(header: dict, model, features: FeatureFile) -> tuple[list[str], np.ndarray]:
+def _apply_model(cfg: RunConfig, model, features: FeatureFile) -> tuple[list[str], np.ndarray]:
     """(instance ids, the model's predictions) for a features file.
 
     An overflow, invalid operation or division by zero is refused as it
     happens, naming the file, instead of printing a numpy warning.
     """
-    if features.fingerprint != header["fingerprint"]:
-        raise StageError(
-            f"feature fingerprint {features.fingerprint} does not match model "
-            f"{header['fingerprint']}"
-        )
     inst_ids = _instance_ids(features.ids, features.tags)
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            if header["architecture"] == "plain":
+            if cfg.architecture == "plain":
                 preds = model.predict(features.matrix)
             else:
                 preds = predict_stack_matrices(model, *_split_sides(features.tags,
@@ -822,20 +828,23 @@ def _apply_model(header: dict, model, features: FeatureFile) -> tuple[list[str],
 
 
 def stage_predict(cfg: RunConfig, out_dir: Path):
-    header, model = _read_artifact(out_dir / "model.pkl")
+    path = out_dir / "model.pkl"
+    header, model = _read_artifact(path)
     test_features = _read_features(out_dir / "features_test.tsv")
-    inst_ids, preds = _apply_model(header, model, test_features)
-    targets = _targets(cfg)
-    # refuses an instance in one file only, and changed test texts or targets
-    _golds_by_id(cfg, "test", test_features, targets)
+    current, golds = _sources(cfg, "predict")
+    _golds_by_id(golds["test"], cfg.test, test_features)  # an instance in one file only
+    _check(cfg, test_features.path, test_features.records, current)
+    _check(cfg, path, header.get("sources", {}), current)
+    inst_ids, preds = _apply_model(cfg, model, test_features)
 
     mode, t = cfg.threshold  # always ("none", None) for intensity
     tune = mode in ("optimized", "grounded")
     if tune or cfg.grounding == "predictions":
         features = _read_features(out_dir / "features_train.tsv")
+        train_gold = _train_golds(cfg, golds["train"], features)
+        _check(cfg, features.path, features.records, current)
         if tune:
-            train_preds = _apply_model(header, model, features)[1]
-        train_gold = _train_golds(cfg, features, targets)
+            train_preds = _apply_model(cfg, model, features)[1]
     if cfg.grounding == "predictions":
         preds = ground_predictions(preds, ScoreStats.of(train_gold))
     if cfg.task == "intensity":
@@ -849,7 +858,7 @@ def stage_predict(cfg: RunConfig, out_dir: Path):
                 t = ground_threshold(t, ScoreStats.of(train_preds), ScoreStats.of(preds))
         classes = (preds >= t).astype(int)
 
-    lines = [_banner(cfg)]
+    lines = [_banner(cfg, current)]
     for i, rid in enumerate(inst_ids):
         row = f"{rid}\t{preds[i]:.6f}"
         if classes is not None:
@@ -860,9 +869,14 @@ def stage_predict(cfg: RunConfig, out_dir: Path):
 
 def read_predictions(path) -> tuple[list[str], np.ndarray, np.ndarray | None]:
     """Read a predictions TSV -> (ids, values, classes or None)."""
+    return _parse_predictions(path, _read_tsv(path)[1])
+
+
+def _parse_predictions(path, rows) -> tuple[list[str], np.ndarray, np.ndarray | None]:
+    """``read_predictions`` of the data rows (``_read_tsv``) of ``path``."""
     ids, values, classes = [], [], []
     first_line: dict[str, int] = {}
-    for lineno, fields in _read_tsv(path)[1]:
+    for lineno, fields in rows:
         if len(fields) not in (2, 3):
             raise ValueError(f"{path}:{lineno}: expected 2 or 3 columns, got {len(fields)}")
         _check_new_id(path, lineno, fields[0], first_line)
@@ -875,11 +889,11 @@ def read_predictions(path) -> tuple[list[str], np.ndarray, np.ndarray | None]:
     return ids, np.asarray(values), np.asarray(classes, dtype=int) if classes else None
 
 
-def _report_text(cfg: RunConfig, fingerprint: str, cv_table, report: MetricReport | None) -> str:
+def _report_text(cfg: RunConfig, sources: dict, cv_table, report: MetricReport | None) -> str:
     lines = [_banner(cfg), "[config]\n"]
     lines.extend(f"{k} = {cfg.raw[k]}\n" for k in sorted(cfg.raw))
-    lines.append("[resources]\n")
-    lines.append(f"fingerprint = {fingerprint}\n")
+    lines.append("[sources]\n")
+    lines.extend(f"{name} = {digest}\n" for name, digest in sources.items())
     lines.append("[cv]\n")
     lines.extend(_cv_lines(cv_table))
     lines.append("[metrics]\n")
@@ -891,12 +905,12 @@ def _first_five(ids: list[str]) -> str:
     return f"{ids[:5]}{'...' if len(ids) > 5 else ''}"
 
 
-def _score(pred_path, golds: dict[str, float | None], cfg: MetricConfig) -> MetricReport | None:
-    """The metrics of the predictions file at ``pred_path`` against ``golds``
-    (from ``read_golds``), or None when a predicted instance's gold is None.
-    Every instance with a gold must be predicted.  The class column is
-    scored when every gold is 0 or 1."""
-    ids, preds, classes = read_predictions(pred_path)
+def _score(pred_path, rows, golds: dict, cfg: MetricConfig) -> MetricReport | None:
+    """The metrics of the predictions file at ``pred_path`` (its data rows
+    ``rows``) against ``golds`` (from ``read_golds``), or None when a
+    predicted instance's gold is None.  Every instance with a gold must be
+    predicted.  The class column is scored when every gold is 0 or 1."""
+    ids, preds, classes = _parse_predictions(pred_path, rows)
     missing = [rid for rid in ids if rid not in golds]
     if missing:
         raise ValueError(f"gold file lacks ids: {_first_five(missing)}")
@@ -917,12 +931,14 @@ def _score(pred_path, golds: dict[str, float | None], cfg: MetricConfig) -> Metr
 def stage_evaluate(cfg: RunConfig, out_dir: Path) -> MetricReport | None:
     """Score predictions.tsv against the test golds; the report's metrics
     read ``absent`` when some test instance has no gold."""
-    header = _read_artifact(out_dir / "model.pkl", body=False)[0]
-    report = _score(out_dir / "predictions.tsv", read_golds(cfg.test, cfg.task), cfg.epsilon_mode)
-    _write_text(
-        out_dir / "report.txt",
-        _report_text(cfg, header["fingerprint"], header["cv_table"], report),
-    )
+    model_path, path = out_dir / "model.pkl", out_dir / "predictions.tsv"
+    header = _read_artifact(model_path, body=False)[0]
+    comments, rows = _read_tsv(path)
+    current, golds = _sources(cfg, "predict")
+    _check(cfg, path, _records(comments), current)
+    _check(cfg, model_path, header.get("sources", {}), current)
+    report = _score(path, rows, golds["test"], cfg.epsilon_mode)
+    _write_text(out_dir / "report.txt", _report_text(cfg, current, header["cv_table"], report))
     return report
 
 
@@ -936,6 +952,11 @@ _STAGES = {
     "evaluate": (stage_evaluate, ("report.txt",)),
 }
 STAGES = tuple(_STAGES)
+
+
+def _writer(name: str) -> str:
+    """The stage that writes the output ``name``."""
+    return next(stage for stage, (_, outputs) in _STAGES.items() if name in outputs)
 
 
 @dataclass
@@ -989,4 +1010,4 @@ def evaluate_files(pred_path, gold_path, cfg: MetricConfig = MetricConfig()) -> 
     """MetricReport for any predictions TSV against any gold file; an
     instance whose gold is ``NONE`` counts as missing from it."""
     golds = {rid: g for rid, g in read_golds(gold_path).items() if g is not None}
-    return _score(pred_path, golds, cfg)
+    return _score(pred_path, _read_tsv(pred_path)[1], golds, cfg)

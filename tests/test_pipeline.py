@@ -20,6 +20,7 @@ from rtm.learners import ModelSpec
 from rtm.metrics import MetricConfig, parse_report
 from rtm.pipeline import (
     _FEATURE_ROW,
+    _SOURCES,
     STAGES,
     ConfigError,
     StageError,
@@ -35,7 +36,7 @@ from conftest import traced_peak, write_intensity_case, write_triples_case
 
 # artifact -> (stages that read only its header, stages that read it whole)
 ARTIFACT_READERS = {
-    "resources.pkl": (("train",), ("extract-features",)),
+    "resources.pkl": ((), ("extract-features",)),
     "model.pkl": (("evaluate",), ("predict",)),
 }
 
@@ -250,9 +251,12 @@ class TestPipelineRun:
             run_stage(cfg, out, stage)
         features = (out / "features_train.tsv").read_text()
         (out / "features_train.tsv").write_text(
-            features.replace("# fingerprint=", "# fingerprint=dead")
+            features.replace("# resource_keys=", "# resource_keys=dead")
         )
-        with pytest.raises(StageError, match="fingerprint"):
+        with pytest.raises(StageError, match=r"features_train\.tsv: resource_keys=dead\w+ but "
+                                             r"the config \(lm_order, aligner_iterations\) "
+                                             r"reads \w+: a resource key changed; "
+                                             r"re-run build-resources$"):
             run_stage(cfg, out, "train")
 
     def test_incompatible_model_pickle_refused(self, tiny_intensity_cfg, monkeypatch):
@@ -275,6 +279,8 @@ class TestPipelineRun:
             run_stage(cfg, out, "predict")
 
     def test_train_reads_only_the_resources_header(self, tiny_intensity_cfg):
+        # the features record every source of the resources, so train reads
+        # none of resources.pkl
         cfg = parse_config(tiny_intensity_cfg)
         out = tiny_intensity_cfg.parent / "out_header"
         for stage in STAGES[:3]:
@@ -282,10 +288,8 @@ class TestPipelineRun:
         path = out / "resources.pkl"
         path.write_bytes(_header_line(path) + b"\nnot a pickle")  # the body, unreadable
         features = (out / "features_train.tsv").read_text()
-        (out / "features_train.tsv").write_text(
-            features.replace("# fingerprint=", "# fingerprint=dead")
-        )
-        with pytest.raises(StageError, match="fingerprint"):
+        (out / "features_train.tsv").write_text(features.replace("# corpus=", "# corpus=dead"))
+        with pytest.raises(StageError, match="corpus=dead"):
             run_stage(cfg, out, "train")
         (out / "features_train.tsv").write_text(features)
         run_stage(cfg, out, "train")
@@ -313,7 +317,7 @@ class TestPipelineRun:
             patch.setattr(rtm.features, "AlignmentModel", _DictAligner)
             blob = {k: v for k, v in header.items() if k != "format"}
             (out / "resources.pkl").write_bytes(pickle.dumps({**blob, "resources": resources}))
-        for stage in ("extract-features", "train"):
+        for stage in sum(ARTIFACT_READERS["resources.pkl"], ()):
             with pytest.raises(StageError, match="incompatible build"):
                 run_stage(cfg, out, stage)
 
@@ -385,10 +389,9 @@ class TestPipelineRun:
         report = (out / "report.txt").read_bytes()
         path = out / "model.pkl"
         header = json.loads(_header_line(path))
-        assert set(header) == {"version", "format", "config_hash",
-                               "fingerprint", "architecture", "cv_table"}
+        assert set(header) == {"version", "format", "config_hash", "sources", "cv_table"}
         assert set(json.loads(_header_line(out / "resources.pkl"))) == {
-            "version", "format", "config_hash", "fingerprint"}
+            "version", "format", "config_hash", "sources"}
         path.write_bytes(_header_line(path) + b"\nnot a pickle")
         (out / "report.txt").unlink()
         run_stage(cfg, out, "evaluate")
@@ -454,16 +457,16 @@ class TestPipelineRun:
         written, sentences = path.read_text(), corpus.read_text()
         corpus.write_text("".join(reversed(sentences.splitlines(keepends=True))))
         with pytest.raises(StageError, match=r"^stage build-resources: \S*interpretants\.tsv: "
-                                             r"selection=[0-9a-f]{16} but \S*corpus\.txt with "
-                                             r"the FDA keys reads [0-9a-f]{16}: the corpus or an "
-                                             r"FDA key changed; re-run select-interpretants$"):
+                                             r"corpus=[0-9a-f]{16} but \S*corpus\.txt reads "
+                                             r"[0-9a-f]{16}: the corpus changed; "
+                                             r"re-run select-interpretants$"):
             run_stage(cfg, out, "build-resources")
         corpus.write_text(sentences)
         with pytest.raises(StageError, match="FDA key changed; re-run select-interpretants$"):
             run_stage(replace(cfg, decay=0.25), out, "build-resources")
         path.write_text("".join(line for line in written.splitlines(keepends=True)
-                                if not line.startswith("# selection=")))
-        with pytest.raises(StageError, match=r"selection=\(none\) .* re-run select-interpretants$"):
+                                if not line.startswith("# corpus=")))
+        with pytest.raises(StageError, match=r"corpus=\(none\) .* re-run select-interpretants$"):
             run_stage(cfg, out, "build-resources")
         assert not (out / "resources.pkl").exists()
         path.write_text(written)
@@ -482,9 +485,9 @@ class TestPipelineRun:
         capsys.readouterr()
         assert main(["extract-features", *argv]) == 1
         err = capsys.readouterr().err
-        assert re.search(r"stage extract-features: \S*resources\.pkl: fingerprint=[0-9a-f]{16} "
-                         r"but \S*corpus\.txt with the resource keys reads [0-9a-f]{16}: the "
-                         r"corpus or a resource key changed; re-run build-resources\n", err), err
+        assert re.search(r"stage extract-features: \S*resources\.pkl: corpus=[0-9a-f]{16} "
+                         r"but \S*corpus\.txt reads [0-9a-f]{16}: the corpus changed; "
+                         r"re-run select-interpretants\n", err), err
         assert not (out / "features_train.tsv").exists()
         corpus.write_text("".join(sentences))
         with pytest.raises(StageError, match="resource key changed; re-run build-resources$"):
@@ -708,16 +711,15 @@ class TestDatasetDigest:
         _, out = _full_run(cfg_path, "out")
         train, argv = tmp_path / "train.tsv", ["train", "--config", str(cfg_path), "--out", str(out)]
         kept = train.read_text(encoding="utf-8")
-        assert sum(line.startswith("# dataset=") for line in
+        assert sum(line.startswith("# train=") for line in
                    (out / "features_train.tsv").read_text(encoding="utf-8").splitlines()) == 1
         _edit_field(train, text_col, lambda text: text + " extra", lineno=3)
         assert main(argv) == 1
         err = capsys.readouterr().err
-        read = (r"\S*train\.tsv with the lexicon \S*lexicon\.txt reads [0-9a-f]{16}: its texts "
-                r"or the lexicon" if task == "intensity" else
-                r"\S*train\.tsv reads [0-9a-f]{16}: its texts")
-        assert re.fullmatch(r"rtm: stage train: \S*features_train\.tsv: dataset=[0-9a-f]{16} "
-                            rf"but {read} changed; re-run extract-features\n", err), err
+        # FDA selected the interpretants for the training texts too
+        assert re.fullmatch(r"rtm: stage train: \S*features_train\.tsv: train=[0-9a-f]{16} "
+                            r"but \S*train\.tsv reads [0-9a-f]{16}: its ids or texts changed; "
+                            r"re-run select-interpretants\n", err), err
         assert not (out / "model.pkl").exists()
         # a fixed gold is not a changed text: train runs on the same features
         train.write_text(kept, encoding="utf-8")
@@ -727,10 +729,9 @@ class TestDatasetDigest:
     def test_changed_test_text_refused_in_predict(self, tmp_path):
         cfg, out = _full_run(_small_case(tmp_path, "intensity"), "out")
         _edit_field(tmp_path / "test.tsv", 1, lambda text: "new " + text, lineno=2)
-        with pytest.raises(StageError, match=r"stage predict: \S*features_test\.tsv: dataset=\w+ "
-                                             r"but \S*test\.tsv with the lexicon \S*lexicon\.txt "
-                                             r"reads \w+: its texts or the lexicon changed; "
-                                             r"re-run extract-features"):
+        with pytest.raises(StageError, match=r"stage predict: \S*features_test\.tsv: test=\w+ "
+                                             r"but \S*test\.tsv reads \w+: its ids or texts "
+                                             r"changed; re-run select-interpretants$"):
             run_stage(cfg, out, "predict")
 
     def test_changed_lexicon_refused(self, tmp_path, capsys):
@@ -750,18 +751,166 @@ class TestDatasetDigest:
             assert main([stage, "--config", str(cfg_path), "--out", str(out)]) == 1
             err = capsys.readouterr().err
             assert re.fullmatch(rf"rtm: stage {stage}: \S*features_{split}\.tsv: "
-                                rf"dataset=[0-9a-f]{{16}} but \S*{split}\.tsv with the lexicon "
-                                r"\S*lexicon\.txt reads [0-9a-f]{16}: its texts or the lexicon "
-                                r"changed; re-run extract-features\n", err), err
+                                r"targets=[0-9a-f]{16} but \S*lexicon\.txt reads [0-9a-f]{16}: "
+                                r"an emotion target changed; re-run select-interpretants\n",
+                                err), err
 
     def test_features_without_dataset_line_refused(self, tmp_path):
         cfg, out = _full_run(_small_case(tmp_path, "triples"), "out")
         path = out / "features_train.tsv"
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        path.write_text("".join(line for line in lines if not line.startswith("# dataset=")),
+        path.write_text("".join(line for line in lines if not line.startswith("# train=")),
                         encoding="utf-8")
-        with pytest.raises(StageError, match=r"dataset=\(none\) .* re-run extract-features"):
+        with pytest.raises(StageError, match=r"train=\(none\) .* re-run select-interpretants$"):
             run_stage(cfg, out, "train")
+
+
+def _set_key(cfg_path, key, value):
+    """Set ``key = value`` in a config file, replacing the key's line if any."""
+    text = cfg_path.read_text(encoding="utf-8")
+    line = f"{key} = {value}\n"
+    text, found = re.subn(rf"^{key} = .*\n", line, text, flags=re.M)
+    cfg_path.write_text(text if found else text + line, encoding="utf-8")
+
+
+def _append(path, text):
+    path.write_text(path.read_text(encoding="utf-8") + text, encoding="utf-8")
+
+
+def _flip_golds(root):
+    """Replace each intensity training gold g by 1 - g."""
+    path = root / "train.tsv"
+    lines = path.read_text(encoding="utf-8").split("\n")
+    for i, line in enumerate(lines):
+        if line and not line.startswith("id\t"):
+            rest, _, gold = line.rpartition("\t")
+            lines[i] = f"{rest}\t{1.0 - float(gold)!r}"
+    path.write_text("\n".join(lines), encoding="utf-8")
+
+
+def _rename_lexicon_entries(root):
+    lexicon = root / "lexicon.txt"
+    lines = lexicon.read_text(encoding="utf-8").splitlines(keepends=True)
+    lexicon.write_text("".join(line if line.startswith("#") else "new" + line for line in lines),
+                       encoding="utf-8")
+
+
+# One edit of each source in ``_SOURCES`` after a full run of the intensity
+# case, and the first stage to read an output built from it, which must
+# refuse naming that output.
+STALE_EDITS = {
+    "corpus": (lambda root: _append(root / "corpus.txt", "w001 w002 w003\n"),
+               "build-resources", "interpretants.tsv"),
+    "train": (lambda root: _edit_field(root / "train.tsv", 1, lambda t: t + " w001", lineno=2),
+              "build-resources", "interpretants.tsv"),
+    "test": (lambda root: _edit_field(root / "test.tsv", 1, lambda t: "w001 " + t, lineno=3),
+             "build-resources", "interpretants.tsv"),
+    "targets": (_rename_lexicon_entries, "build-resources", "interpretants.tsv"),
+    "fda_keys": (lambda root: _set_key(root / "run.cfg", "decay", "0.25"),
+                 "build-resources", "interpretants.tsv"),
+    "resource_keys": (lambda root: _set_key(root / "run.cfg", "aligner_iterations", "2"),
+                      "extract-features", "resources.pkl"),
+    "golds": (_flip_golds, "predict", "model.pkl"),
+    "train_keys": (lambda root: _set_key(root / "run.cfg", "top_k", "1"), "predict", "model.pkl"),
+    "predict_keys": (lambda root: _set_key(root / "run.cfg", "grounding", "predictions"),
+                     "evaluate", "predictions.tsv"),
+}
+
+# Edits that leave every output current: the stages after the full run all
+# still run, in order.
+LEGAL_EDITS = {
+    "reordered train.tsv": lambda root: _reverse_rows(root / "train.tsv"),
+    # a gold fix needs a new train only, which the stage walk runs
+    "fixed gold": lambda root: _edit_field(root / "train.tsv", 3, lambda gold: "0.5", lineno=2),
+    "unasked lexicon section": lambda root: _append(root / "lexicon.txt", "#anger\nfury\n"),
+}
+
+
+class TestProvenance:
+    """Every output records the sources it was built from; a stage refuses
+    an output whose sources changed since, naming the stage to re-run."""
+
+    @pytest.mark.parametrize("edit", [*STALE_EDITS, *LEGAL_EDITS])
+    def test_each_source_change_refused_where_first_read(self, tmp_path, capsys, edit):
+        assert list(STALE_EDITS) == list(_SOURCES)  # one edit per row of the table
+        cfg_path = _small_case(tmp_path, "intensity")
+        _, out = _full_run(cfg_path, "out")
+        argv = ["--config", str(cfg_path), "--out", str(out)]
+        capsys.readouterr()
+        if edit in LEGAL_EDITS:
+            LEGAL_EDITS[edit](tmp_path)
+            for stage in STAGES[1:]:
+                assert main([stage, *argv]) == 0, capsys.readouterr().err
+            return
+        change, stage, name = STALE_EDITS[edit]
+        rerun = _SOURCES[edit][0]
+        assert stage == STAGES[STAGES.index(rerun) + 1]
+        change(tmp_path)
+        assert main([stage, *argv]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"rtm: stage {stage}: \S*/{re.escape(name)}: {edit}=[0-9a-f]{{16}} "
+                            rf"but .* reads [0-9a-f]{{16}}: .* changed; re-run {rerun}\n", err), err
+
+    def test_stale_model_refused(self, tmp_path, capsys):
+        cfg_path = write_intensity_case(tmp_path, n_texts=80, n_train=60, corpus_size=120)
+        _, out = _full_run(cfg_path, "out")
+        argv = ["--config", str(cfg_path), "--out", str(out)]
+        _flip_golds(tmp_path)
+        assert main(["extract-features", *argv]) == 0  # the golds are no feature source
+        # evaluate first: a failed predict removes predictions.tsv
+        for stage, name in (("evaluate", "predictions.tsv"), ("predict", "model.pkl")):
+            assert main([stage, *argv]) == 1
+            assert re.fullmatch(rf"rtm: stage {stage}: \S*/{name}: golds=\w+ but \S*train\.tsv "
+                                r"reads \w+: its golds changed; re-run train\n",
+                                capsys.readouterr().err)
+        assert main(["train", *argv]) == main(["predict", *argv]) == 0
+        # a train key changed after training, in the config or by --seed
+        for top_k, seed in (("1", []), ("2", ["--seed", "5"])):
+            _set_key(cfg_path, "top_k", top_k)
+            if seed:
+                assert main(["train", *argv, *seed]) == 0
+            capsys.readouterr()
+            assert main(["predict", *argv]) == 1
+            assert re.fullmatch(r"rtm: stage predict: \S*/model\.pkl: train_keys=\w+ but the "
+                                r"config \(architecture, grids, top_k, base_learner, cv_folds, "
+                                r"seed\) reads \w+: a train key changed; re-run train\n",
+                                capsys.readouterr().err)
+
+    def test_stale_predictions_refused_by_evaluate(self, tmp_path, capsys):
+        cfg_path = write_triples_case(tmp_path, "combined", n_instances=120, n_train=90,
+                                      corpus_size=150)
+        _, out = _full_run(cfg_path, "out")
+        argv = ["--config", str(cfg_path), "--out", str(out)]
+        before = (out / "report.txt").read_text(encoding="utf-8").partition("[metrics]")[2]
+        _set_key(cfg_path, "threshold", "fixed:1.5")
+        capsys.readouterr()
+        assert main(["evaluate", *argv]) == 1
+        assert re.fullmatch(r"rtm: stage evaluate: \S*/predictions\.tsv: predict_keys=\w+ but "
+                            r"the config \(threshold, grounding\) reads \w+: a predict key "
+                            r"changed; re-run predict\n", capsys.readouterr().err)
+        assert main(["predict", *argv]) == main(["evaluate", *argv]) == 0
+        assert (out / "report.txt").read_text(encoding="utf-8").partition("[metrics]")[2] != before
+
+    def test_stale_selection_refused(self, tmp_path, capsys):
+        # FDA picked the interpretants for the test texts too
+        cfg_path = write_intensity_case(tmp_path, n_texts=80, n_train=60, corpus_size=120)
+        _set_key(cfg_path, "budget", "40")
+        _, out = _full_run(cfg_path, "out")
+        argv = ["--config", str(cfg_path), "--out", str(out)]
+        train_texts = [line.split("\t")[1] for line in
+                       (tmp_path / "train.tsv").read_text(encoding="utf-8").splitlines()[1:]]
+        for lineno in range(2, 22):  # every test row
+            _edit_field(tmp_path / "test.tsv", 1, lambda _: train_texts[lineno], lineno=lineno)
+        capsys.readouterr()
+        assert main(["extract-features", *argv]) == 1
+        assert re.fullmatch(r"rtm: stage extract-features: \S*/resources\.pkl: test=\w+ but "
+                            r"\S*test\.tsv reads \w+: its ids or texts changed; "
+                            r"re-run select-interpretants\n", capsys.readouterr().err)
+        for stage in STAGES:
+            assert main([stage, *argv]) == 0
+        _, fresh = _full_run(cfg_path, "fresh")
+        for name in ("interpretants.tsv", "features_test.tsv", "predictions.tsv", "report.txt"):
+            assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
 
 
 def test_feature_row_format_matches_numpy_scalar_format():
@@ -786,7 +935,7 @@ def _ref_read_features(text: str):
 
 def _features_text(matrix) -> str:
     """A features file of ``matrix``, its rows t0/a, t1/b, t2/a, ..."""
-    lines = ["# rtm 0 config=0\n", "# fingerprint=f\n", "# dataset=d\n",
+    lines = ["# rtm 0 config=0\n", "# corpus=c\n", "# train=t\n",
              "id\trow\t" + "\t".join(FEATURE_NAMES) + "\n"]
     lines += [_FEATURE_ROW % (f"t{i}", "ab"[i % 2], *vec) for i, vec in enumerate(matrix.tolist())]
     return "".join(lines)
@@ -810,7 +959,7 @@ class TestFeaturesReader:
         ids, tags, ref = _ref_read_features(text)
         assert got.ids == ids and got.tags == tags and len(ids) == 9
         assert got.matrix.tobytes() == ref.tobytes() == matrix.tobytes()
-        assert (got.fingerprint, got.dataset) == ("f", "d")
+        assert got.records == {"corpus": "c", "train": "t"}
 
     def test_traced_peak_near_the_matrix(self, tmp_path):
         # the rows go straight into one float64 buffer: no row text and no
@@ -860,12 +1009,12 @@ class TestFeaturesReader:
         g = np.random.default_rng(6)
         matrix = g.normal(size=(50, N_FEATURES)) * 10.0 ** g.integers(-300, 300, (50, N_FEATURES))
         matrix[0, :2] = -0.0, 5e-324
-        rows = RowSet([f"t{i // 2}" for i in range(50)], ["ab"[i % 2] for i in range(50)], [], [],
-                      "0123456789abcdef")
+        rows = RowSet([f"t{i // 2}" for i in range(50)], ["ab"[i % 2] for i in range(50)], [], [])
         (tmp_path / "out").mkdir()
         path = tmp_path / "out" / "features_train.tsv"
-        _write_features(path, cfg, "fedcba9876543210", rows, matrix)
-        joined = [_banner(cfg), "# fingerprint=fedcba9876543210\n", "# dataset=0123456789abcdef\n",
+        _write_features(path, cfg, {"corpus": "fedcba9876543210", "train": "0123456789abcdef"},
+                        rows, matrix)
+        joined = [_banner(cfg), "# corpus=fedcba9876543210\n", "# train=0123456789abcdef\n",
                   "id\trow\t" + "\t".join(FEATURE_NAMES) + "\n"]
         joined += [_FEATURE_ROW % (rid, tag, *vec.tolist())
                    for rid, tag, vec in zip(rows.ids, rows.tags, matrix)]
@@ -1064,16 +1213,15 @@ class TestLoadOnce:
 
     def test_intensity_inputs_loaded_once_per_stage(self, tiny_intensity_cfg, monkeypatch):
         counts = self._reads_per_stage(tiny_intensity_cfg, monkeypatch)
+        # every stage reads the datasets and the lexicon for the digests of
+        # the sources its outputs and inputs record
         datasets = {"lexicon.txt": 1, "train.tsv": 1, "test.tsv": 1}
         assert counts["select-interpretants"] == {"corpus.txt": 1, **datasets}
-        assert counts["build-resources"] == {"interpretants.tsv": 1, "corpus.txt": 1}
+        assert counts["build-resources"] == {"interpretants.tsv": 1, "corpus.txt": 1, **datasets}
         assert counts["extract-features"] == datasets
-        # the later stages read only golds and ids, from the one dataset they
-        # need, and the lexicon for the targets the features file's dataset
-        # digest covers
-        assert counts["train"] == {"features_train.tsv": 1, "train.tsv": 1, "lexicon.txt": 1}
-        assert counts["predict"] == {"features_test.tsv": 1, "test.tsv": 1, "lexicon.txt": 1}
-        assert counts["evaluate"] == {"predictions.tsv": 1, "test.tsv": 1}
+        assert counts["train"] == {"features_train.tsv": 1, **datasets}
+        assert counts["predict"] == {"features_test.tsv": 1, **datasets}
+        assert counts["evaluate"] == {"predictions.tsv": 1, **datasets}
 
     def test_triples_train_set_loaded_once_in_predict(self, tmp_path, monkeypatch):
         cfg_path = write_triples_case(
@@ -1117,7 +1265,10 @@ class TestCorpusLoadedOnce:
         real = rtm.corpus.tokenize
         monkeypatch.setattr(rtm.corpus, "tokenize", lambda text: texts.append(text) or real(text))
         run_stage(cfg, out, "build-resources")
-        assert len(texts) == 15
+        # and the lexicon's entries, for the digest of the emotion targets
+        lexicon = (tiny_intensity_cfg.parent / "lexicon.txt").read_text().split("\n")
+        entries = [line for line in lexicon if line.strip() and not line.startswith("#")]
+        assert len(texts) == 15 + len(entries)
 
     def test_resources_match_a_full_corpus_load(self, tiny_intensity_cfg, monkeypatch):
         import rtm.pipeline
