@@ -775,7 +775,7 @@ class _Share:
     rows and, for a CV fold, of its held-out rows; it copies no rows.  A
     fold's rows are gathered only inside the work that needs them.  Each
     piece below is built on first use and kept while the share lives (one
-    fold of one ``grid_search``, one top-k refit, or one fit):
+    fold of a ``grid_search`` or of a stack's base model, one top-k refit, or one fit):
 
     * the RFE elimination path, run once down to the fewest columns any spec
       keeps: ``select_features`` always ranks with alpha-1 ridge, so the path
@@ -932,6 +932,16 @@ def _fold_shares(specs, X, y, folds: int, seed: int) -> list[_Share]:
             for i, test in enumerate(parts)]
 
 
+def held_out(spec: ModelSpec, shares):
+    """Yield each fold share of ``shares`` with the held-out predictions of
+    ``spec`` fitted on the share's training rows."""
+    for share in shares:
+        model = fit_model(spec, share.X, share.y, share)
+        predictions = share.held_out_predictions(model)
+        del model  # so the next fold's fit grows without this one beside it
+        yield share, predictions
+
+
 def cross_validate(
     spec: ModelSpec, X, y, folds: int = 7, seed: int = 0, shares: list[_Share] | None = None
 ) -> tuple[float, list[float]]:
@@ -944,12 +954,8 @@ def cross_validate(
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
         shares = _fold_shares([spec], X, y, folds, seed)
-    scores = []
-    for fold in shares:
-        model = fit_model(spec, fold.X, fold.y, fold)
-        errors = np.abs(fold.held_out_predictions(model) - fold.y[fold.test])
-        del model  # so the next fold's fit grows without this one beside it
-        scores.append(float(np.mean(errors)))
+    scores = [float(np.mean(np.abs(predictions - fold.y[fold.test])))
+              for fold, predictions in held_out(spec, shares)]
     return float(np.mean(scores)), scores
 
 

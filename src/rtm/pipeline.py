@@ -409,20 +409,19 @@ class RowSet:
     texts: list[TokenSeq]  # the dataset's own texts, in FDA task-text order
 
 
-def _row_text(task: str, fields: list[str]) -> str:
-    """What a dataset row's feature rows come from: its id and text
-    (intensity) or its id and three words (triples), not its gold."""
-    return "\t".join(fields[:2] if task == "intensity" else fields[:4])
+def _dataset(path, task: str) -> list[tuple[str, float | None]]:
+    """(text, gold or None) of each row of a dataset file of ``task``, in
+    file order, read without tokenizing.  The text is what the row's feature
+    rows come from: its id and text (intensity) or its id and three words
+    (triples), tab-separated."""
+    width = 2 if task == "intensity" else 4
+    return [("\t".join(fields[:width]), None if gold is None else float(gold))
+            for _, fields, gold in _dataset_rows(path, task)]
 
 
-def _golds_and_texts(path, task: str) -> tuple[dict[str, float | None], list[str]]:
-    """(instance id -> gold or None in file order, the ``_row_text``s) of a
-    dataset file of ``task``, read without tokenizing."""
-    golds, texts = {}, []
-    for _, fields, gold in _dataset_rows(path, task):
-        golds[fields[0]] = None if gold is None else float(gold)
-        texts.append(_row_text(task, fields))
-    return golds, texts
+def _golds(rows) -> dict[str, float | None]:
+    """Instance id -> gold or None, in row order, of the rows of a ``_dataset``."""
+    return {text.partition("\t")[0]: gold for text, gold in rows}
 
 
 def read_golds(path, task: str | None = None) -> dict[str, float | None]:
@@ -445,7 +444,7 @@ def read_golds(path, task: str | None = None) -> dict[str, float | None]:
             return dict(zip(ids, values.tolist()))
         else:
             raise ValueError(f"{path}: unrecognized gold format ({len(first)} columns)")
-    return _golds_and_texts(path, task)[0]
+    return _golds(_dataset(path, task))
 
 
 def _targets(cfg: RunConfig) -> list[TokenSeq]:
@@ -459,23 +458,20 @@ def _targets(cfg: RunConfig) -> list[TokenSeq]:
     return [lexicon_to_target(lexicon, g) for g in groups]
 
 
-def load_rows(cfg: RunConfig) -> tuple[list[TokenSeq], RowSet, RowSet, dict[str, str]]:
-    """The emotion target(s) of the task (``_targets``), the train and test
-    RowSets, and the digests of the sources read on the way (``_SOURCES``:
-    each dataset's ids and texts, and the targets).  The lexicon and each
-    dataset are loaded and tokenized once.
+def load_rows(cfg: RunConfig, inputs: dict[str, list]) -> tuple[RowSet, RowSet]:
+    """The train and test RowSets of the datasets and targets that
+    ``_sources`` read (``inputs``), each dataset tokenized once.
 
     An intensity instance is one row per target: its text against each
     target.  A triple is two rows, word1 and word2 against the attribute.
     """
-    targets = _targets(cfg)
-    read = {"targets": _hash_targets(targets)}
+    targets = inputs["targets"]
     row_tags = "-" if cfg.architecture == "plain" else "ab"
     out = []
     for split in ("train", "test"):
-        rows, row_texts = RowSet([], [], [], []), []
-        for _, fields, _ in _dataset_rows(getattr(cfg, split), cfg.task):
-            row_texts.append(_row_text(cfg.task, fields))
+        rows = RowSet([], [], [], [])
+        for text, _ in inputs[split]:
+            fields = text.split("\t")
             if cfg.task == "intensity":
                 texts = (tokenize(fields[1]),)
                 pairs = [(texts[0], t) for t in targets]
@@ -487,9 +483,8 @@ def load_rows(cfg: RunConfig) -> tuple[list[TokenSeq], RowSet, RowSet, dict[str,
                 rows.ids.append(fields[0])
                 rows.tags.append(tag)
                 rows.pairs.append(pair)
-        read[split] = _hash_lines(sorted(row_texts))
         out.append(rows)
-    return targets, *out, read
+    return tuple(out)
 
 
 def _instance_ids(ids: list[str], tags: list[str]) -> list[str]:
@@ -557,11 +552,6 @@ def _hash_lines(lines) -> str:
     return hashlib.sha256("".join(f"{line}\n" for line in lines).encode("utf-8")).hexdigest()[:16]
 
 
-def _hash_targets(targets: list[TokenSeq]) -> str:
-    """The ``targets`` digest: each target's tokens, in row-tag order."""
-    return _hash_lines(" ".join(target.tokens) for target in targets)
-
-
 def _source_names(cfg: RunConfig, stage: str) -> list[str]:
     """The sources the outputs of ``stage`` are built from."""
     last = STAGES.index(stage)
@@ -569,31 +559,31 @@ def _source_names(cfg: RunConfig, stage: str) -> list[str]:
             if STAGES.index(first) <= last and (name != "targets" or cfg.task == "intensity")]
 
 
-def _sources(cfg: RunConfig, stage: str,
-             read: dict[str, str] | None = None) -> tuple[dict[str, str], dict[str, dict]]:
-    """(the current digest of each source of the outputs of ``stage``, the
-    golds of each dataset read for them, by split).  ``read`` holds digests
-    already taken (``load_rows``); each other input is read once.  No digest
-    depends on the order of a dataset's rows."""
-    digests, golds, names = dict(read or {}), {}, _source_names(cfg, stage)
+def _sources(cfg: RunConfig, stage: str) -> tuple[dict[str, str], dict[str, list]]:
+    """(the current digest of each source of the outputs of ``stage``, what
+    was read for them: the rows of each dataset by split (``_dataset``) and
+    the emotion targets (``_targets``)).  Each dataset and the lexicon are
+    read once.  The dataset and golds digests follow the file's row order,
+    as CV folds and FDA's feature ids do."""
+    inputs = {"targets": _targets(cfg)}
+    for split in ("train", "test"):
+        inputs[split] = _dataset(getattr(cfg, split), cfg.task)
+    digests, names = {}, _source_names(cfg, stage)
     for name in names:
-        if name in digests:
-            continue
         where = _SOURCES[name][1]
         if isinstance(where, tuple):
             digests[name] = _hash_lines(f"{key}={getattr(cfg, key)!r}" for key in where)
         elif name == "corpus":
             with open(cfg.corpus, "rb") as fh:
                 digests[name] = hashlib.file_digest(fh, "sha256").hexdigest()[:16]
-        elif name == "targets":
-            digests[name] = _hash_targets(_targets(cfg))
-        elif name == "golds":  # read with the train set's ids and texts
-            digests[name] = _hash_lines(sorted(f"{rid}\t{gold!r}"
-                                               for rid, gold in golds["train"].items()))
+        elif name == "targets":  # each target's tokens, in row-tag order
+            digests[name] = _hash_lines(" ".join(t.tokens) for t in inputs["targets"])
+        elif name == "golds":
+            digests[name] = _hash_lines(f"{rid}\t{gold!r}"
+                                        for rid, gold in _golds(inputs["train"]).items())
         else:
-            golds[name], texts = _golds_and_texts(getattr(cfg, name), cfg.task)
-            digests[name] = _hash_lines(sorted(texts))
-    return {name: digests[name] for name in names}, golds
+            digests[name] = _hash_lines(text for text, _ in inputs[name])
+    return digests, inputs
 
 
 def _check(cfg: RunConfig, path: Path, recorded: dict[str, str], current: dict[str, str]):
@@ -621,10 +611,11 @@ def _records(comments: list[str]) -> dict[str, str]:
 
 def stage_select_interpretants(cfg: RunConfig, out_dir: Path):
     corpus = load_corpus(cfg.corpus)  # read once, a line at a time, by the selection
-    targets, train, test, read = load_rows(cfg)
+    record, inputs = _sources(cfg, "select-interpretants")
+    train, test = load_rows(cfg, inputs)
     # task texts: train texts, test texts, then the target(s)
-    selection = select_interpretants(corpus, train.texts + test.texts + targets, cfg.fda_config())
-    record = _sources(cfg, "select-interpretants", read)[0]
+    selection = select_interpretants(corpus, train.texts + test.texts + inputs["targets"],
+                                     cfg.fda_config())
     lines = [_banner(cfg, record), "index\tscore\n"]
     lines.extend(
         f"{idx}\t{score:.6f}\n"
@@ -751,9 +742,10 @@ def _float_or_nan(text: str) -> float:
 def stage_extract_features(cfg: RunConfig, out_dir: Path):
     path = out_dir / "resources.pkl"
     header, resources = _read_artifact(path)
-    _, train, test, read = load_rows(cfg)
-    current = _sources(cfg, "extract-features", read)[0]
+    current, inputs = _sources(cfg, "extract-features")
     _check(cfg, path, header.get("sources", {}), current)
+    train, test = load_rows(cfg, inputs)
+    del inputs  # before the feature rows are built: holding it raises peak RSS (triples-stack)
     for split, rows in (("train", train), ("test", test)):
         matrix = build_feature_matrix(rows.pairs, resources)
         _write_features(out_dir / f"features_{split}.tsv", cfg, current, rows, matrix)
@@ -774,8 +766,8 @@ def _cv_lines(cv_table) -> list[str]:
 
 def stage_train(cfg: RunConfig, out_dir: Path):
     features = _read_features(out_dir / "features_train.tsv")
-    current, golds = _sources(cfg, "train")
-    gold = _train_golds(cfg, golds["train"], features)
+    current, inputs = _sources(cfg, "train")
+    gold = _train_golds(cfg, _golds(inputs["train"]), features)
     _check(cfg, features.path, features.records, current)
     if cfg.architecture == "plain":
         ranked = grid_search(cfg.grid(), features.matrix, gold, cfg.cv_folds, cfg.seed)
@@ -831,8 +823,8 @@ def stage_predict(cfg: RunConfig, out_dir: Path):
     path = out_dir / "model.pkl"
     header, model = _read_artifact(path)
     test_features = _read_features(out_dir / "features_test.tsv")
-    current, golds = _sources(cfg, "predict")
-    _golds_by_id(golds["test"], cfg.test, test_features)  # an instance in one file only
+    current, inputs = _sources(cfg, "predict")
+    _golds_by_id(_golds(inputs["test"]), cfg.test, test_features)  # an instance in one file only
     _check(cfg, test_features.path, test_features.records, current)
     _check(cfg, path, header.get("sources", {}), current)
     inst_ids, preds = _apply_model(cfg, model, test_features)
@@ -841,7 +833,7 @@ def stage_predict(cfg: RunConfig, out_dir: Path):
     tune = mode in ("optimized", "grounded")
     if tune or cfg.grounding == "predictions":
         features = _read_features(out_dir / "features_train.tsv")
-        train_gold = _train_golds(cfg, golds["train"], features)
+        train_gold = _train_golds(cfg, _golds(inputs["train"]), features)
         _check(cfg, features.path, features.records, current)
         if tune:
             train_preds = _apply_model(cfg, model, features)[1]
@@ -934,10 +926,10 @@ def stage_evaluate(cfg: RunConfig, out_dir: Path) -> MetricReport | None:
     model_path, path = out_dir / "model.pkl", out_dir / "predictions.tsv"
     header = _read_artifact(model_path, body=False)[0]
     comments, rows = _read_tsv(path)
-    current, golds = _sources(cfg, "predict")
+    current, inputs = _sources(cfg, "predict")
     _check(cfg, path, _records(comments), current)
     _check(cfg, model_path, header.get("sources", {}), current)
-    report = _score(path, rows, golds["test"], cfg.epsilon_mode)
+    report = _score(path, rows, _golds(inputs["test"]), cfg.epsilon_mode)
     _write_text(out_dir / "report.txt", _report_text(cfg, current, header["cv_table"], report))
     return report
 

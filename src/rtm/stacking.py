@@ -8,8 +8,9 @@ combination features of the two base predictions.
 
 Base predictions for the training instances are produced out-of-fold (7-fold
 by default, folds assigned at instance level so both rows of an instance sit
-in the same fold) to keep the stack features free of leakage; the audit trail
-of which model scored which rows is kept on the returned model.
+in the same fold) to keep the stack features free of leakage, through the
+fold shares and held-out loop of cross-validation (``learners.held_out``); the
+audit trail of which model scored which rows is kept on the returned model.
 """
 
 from __future__ import annotations
@@ -23,10 +24,12 @@ from .learners import (
     AveragedModel,
     ModelSpec,
     TrainedModel,
+    _Share,
     average_top_k,
     fit_model,
     fold_indices,
     grid_search,
+    held_out,
 )
 
 N_COMBO = 5
@@ -87,26 +90,21 @@ def _row_groups(mode: str, feats_a, feats_b) -> list[tuple[str, tuple, int]]:
 def _oof_group(key, sides, offset, gold, folds, cfg: StackConfig, audit):
     """Out-of-fold predictions per side and the refit base model of one row
     group.  Folds are drawn over instances, so every row of an instance sits in
-    the same fold."""
-    n = len(gold)
-    rows = np.vstack(sides)  # row s*n + i is side s of instance i
-    row_gold = np.tile(gold, len(sides))
+    the same fold; a fold is a share of row indices into the group's matrix."""
+    n, m = len(gold), len(sides)
+    # row s*n + i is side s of instance i
+    rows = np.asarray(sides[0] if m == 1 else np.vstack(sides), dtype=float)
+    row_gold = np.tile(gold, m)
+    shares = (_Share([cfg.base_spec], rows, row_gold,
+                     np.concatenate([np.setdiff1d(np.arange(n), test) + s * n for s in range(m)]),
+                     np.concatenate([test + s * n for s in range(m)]))
+              for test in folds)  # built as held_out asks: one share alive at a time
     oof = np.empty(len(rows))
-    for f, test_inst in enumerate(folds):
-        train_inst = np.setdiff1d(np.arange(n), test_inst)
-        train_rows = np.concatenate([train_inst + s * n for s in range(len(sides))])
-        test_rows = np.concatenate([test_inst + s * n for s in range(len(sides))])
-        model = fit_model(cfg.base_spec, rows[train_rows], row_gold[train_rows])
-        oof[test_rows] = model.predict(rows[test_rows])
-        audit.append(
-            OofAuditRecord(
-                key,
-                f,
-                tuple((train_rows + offset).tolist()),
-                tuple((test_rows + offset).tolist()),
-            )
-        )
-    return fit_model(cfg.base_spec, rows, row_gold), np.split(oof, len(sides))
+    for f, (share, predictions) in enumerate(held_out(cfg.base_spec, shares)):
+        oof[share.test] = predictions
+        audit.append(OofAuditRecord(key, f, tuple((share.train + offset).tolist()),
+                                    tuple((share.test + offset).tolist())))
+    return fit_model(cfg.base_spec, rows, row_gold), np.split(oof, m)
 
 
 def _train_stack(mode: str, feats_a, feats_b, gold, cfg: StackConfig) -> StackModel:

@@ -1,11 +1,12 @@
-"""The presorted stump scan, KNN, RFE, PLS and the forest grower against
-references.
+"""The presorted stump scan, KNN, RFE, PLS, the forest grower and the
+stacked out-of-fold fits against references.
 
 The references below are the scalar per-split stump scan, which squares by
 product as the presorted scan does, the unblocked KNN that ``rtm.learners``
-used before, the NIPALS fit that deflated out of place and the level-wise
-grower whose level step held every row array at once; the current code must
-reproduce them bit for bit (the grower's level records dtypes included).
+used before, the NIPALS fit that deflated out of place, the level-wise
+grower whose level step held every row array at once and the stack's base
+fits on per-fold copies of the rows; the current code must reproduce them
+bit for bit (the grower's level records dtypes included, a stack as pickled).
 The RFE reference rescales and re-solves the remaining columns at each step,
 and the downdated path must drop the same columns in the same order.  The
 forest's other tests walk each tree breadth-first from its root, route the
@@ -16,6 +17,7 @@ trees, and that ``predict`` averages per-tree walks.
 
 import collections
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -23,9 +25,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rtm.learners
+import rtm.stacking
+from rtm.features import N_FEATURES
 from rtm.learners import (_DRAWS, _TRIES, RFE_TIE, ModelSpec, PlsProjection, Scaler,
                           _AdaBoostR2, _elimination_order, _ExtraTrees, _grow_level_wise,
-                          _keyed, _Knn, _starts, _StumpScan)
+                          _keyed, _Knn, _starts, _StumpScan, fit_model, fold_indices)
+from rtm.stacking import (OofAuditRecord, StackConfig, _oof_group, predict_stack_matrices,
+                          train_combined_stack_matrices, train_separate_stack_matrices)
 
 from conftest import traced_peak
 
@@ -264,6 +270,24 @@ def ref_pls(Z, y, n_components):
     if not W:
         raise ValueError("no PLS component could be extracted (constant input)")
     return np.column_stack(W), np.column_stack(P), np.asarray(Q)
+
+
+def ref_oof_group(key, sides, offset, gold, folds, cfg, audit):
+    """``stacking._oof_group`` as a loop of its own: each fold's rows copied
+    out of the stacked sides and fitted without a share."""
+    n = len(gold)
+    rows = np.vstack(sides)  # row s*n + i is side s of instance i
+    row_gold = np.tile(gold, len(sides))
+    oof = np.empty(len(rows))
+    for f, test_inst in enumerate(folds):
+        train_inst = np.setdiff1d(np.arange(n), test_inst)
+        train_rows = np.concatenate([train_inst + s * n for s in range(len(sides))])
+        test_rows = np.concatenate([test_inst + s * n for s in range(len(sides))])
+        model = fit_model(cfg.base_spec, rows[train_rows], row_gold[train_rows])
+        oof[test_rows] = model.predict(rows[test_rows])
+        audit.append(OofAuditRecord(key, f, tuple((train_rows + offset).tolist()),
+                                    tuple((test_rows + offset).tolist())))
+    return fit_model(cfg.base_spec, rows, row_gold), np.split(oof, len(sides))
 
 
 # ---------------------------------------------------------------------------
@@ -803,3 +827,57 @@ def test_rfe_refuses_m_outside_the_columns():
         with pytest.raises(ValueError, match=r"m must be in \[1, 13\]"):
             _elimination_order(X, y, m)
 
+
+
+# ---------------------------------------------------------------------------
+# Stacked out-of-fold fits.
+
+
+def stack_sides(n, seed=0):
+    """Two sides of ``n`` instances with an integer-valued column and a
+    column both sides share, and their gold."""
+    gen = np.random.default_rng(seed)
+    a, b = gen.normal(size=(2, n, N_FEATURES))
+    a[:, 0], b[:, 0] = np.round(3 * a[:, 0]), np.round(3 * b[:, 0])
+    b[:, 7] = a[:, 7]
+    return a, b, a[:, 1] - b[:, 2] + gen.normal(0.0, 0.1, n)
+
+
+STACK_BASES = {"rr1": ModelSpec("rr", alpha=1.0), "rr0": ModelSpec("rr", alpha=0.0),
+               "knn5": ModelSpec("knn", k=5), "const": ModelSpec("const")}
+TRAIN_STACK = {"combined": train_combined_stack_matrices,
+               "separate": train_separate_stack_matrices}
+
+
+@pytest.mark.parametrize("n", [42, 300])
+@pytest.mark.parametrize("mode", list(TRAIN_STACK))
+@pytest.mark.parametrize("base", list(STACK_BASES))
+def test_stack_equals_copying_oof_reference(base, mode, n, monkeypatch):
+    # The fold shares' base fits give the pickled stack of per-fold copies
+    # byte for byte: base models, final model, CV table and audit records.
+    a, b, gold = stack_sides(n)
+    cfg = StackConfig(base_spec=STACK_BASES[base], top_k=2, folds=7, seed=5,
+                      final_specs=(ModelSpec("rr", alpha=1.0), ModelSpec("knn", k=3)))
+    model = TRAIN_STACK[mode](a, b, gold, cfg)
+    monkeypatch.setattr(rtm.stacking, "_oof_group", ref_oof_group)
+    want = TRAIN_STACK[mode](a, b, gold, cfg)
+    assert len(model.oof_audit) == 7 * (1 if mode == "combined" else 2)
+    assert pickle.dumps(model) == pickle.dumps(want)
+    qa, qb, _ = stack_sides(30, seed=1)
+    assert (bits(predict_stack_matrices(model, qa, qb).tolist())
+            == bits(predict_stack_matrices(want, qa, qb).tolist()))
+
+
+def test_combined_oof_holds_no_copy_of_a_fold():
+    # 5000 instances x 41 columns a side, 7 folds: each fold's training rows
+    # are gathered once, into the base fit's design, and one fold share lives
+    # at a time (12.4 MiB).  Copying them out of the stacked rows first, then
+    # again inside a share-less fit, held 13.8 MiB.
+    a, b, gold = stack_sides(5000)
+    cfg = StackConfig(base_spec=ModelSpec("rr", alpha=1.0), folds=7, seed=0)
+    # warm up first, so the peak holds no one-time allocation of a first call
+    _oof_group("combined", (a[:50], b[:50]), 0, gold[:50], fold_indices(50, 7, 0), cfg, [])
+    folds = fold_indices(len(gold), cfg.folds, cfg.seed)
+    (_, oof), peak = traced_peak(_oof_group, "combined", (a, b), 0, gold, folds, cfg, [])
+    assert peak < 13 * 2**20
+    assert len(oof) == 2 and all(side.shape == (5000,) for side in oof)

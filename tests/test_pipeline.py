@@ -588,18 +588,28 @@ class TestGoldsBoundById:
 
     @pytest.mark.parametrize("task, extra", [("intensity", "grounding = predictions"),
                                              ("triples", "threshold = optimized")])
-    def test_reordered_train_file_changes_nothing(self, tmp_path, task, extra):
-        # train and the two predict paths that read the training golds
+    def test_reordered_train_file_refused(self, tmp_path, task, extra):
+        # CV folds and FDA's first-occurrence feature ids follow the row
+        # order, so the reordered file is another run: refused from the
+        # selection on, and equal to a fresh run once re-run from there
+        # (train and the two predict paths that read the training golds)
         cfg_path = _small_case(tmp_path, task)
         text = cfg_path.read_text(encoding="utf-8").replace("threshold = fixed:0.5\n", "")
         cfg_path.write_text(text + extra + "\n", encoding="utf-8")
         cfg, out = _full_run(cfg_path, "out")
-        before = {n: (out / n).read_bytes() for n in ("cv_table.tsv", "predictions.tsv",
-                                                     "report.txt")}
         _reverse_rows(tmp_path / "train.tsv")
-        for stage in STAGES[3:]:
+        for stage in STAGES[3:0:-1]:  # train first: a failed stage removes its outputs
+            with pytest.raises(StageError, match=r"train=\w+ but \S*train\.tsv reads \w+: its "
+                                                 r"ids or texts changed; re-run "
+                                                 r"select-interpretants$"):
+                run_stage(cfg, out, stage)
+        for stage in STAGES:
             run_stage(cfg, out, stage)
-        assert {n: (out / n).read_bytes() for n in before} == before
+        _, fresh = _full_run(cfg_path, "fresh")
+        names = sorted(p.name for p in fresh.iterdir() if p.name != "timings.txt")
+        assert len(names) == 8
+        for name in names:
+            assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
 
     @pytest.mark.parametrize("task", ["intensity", "triples"])
     def test_id_in_one_file_only_refused(self, tmp_path, task):
@@ -816,10 +826,16 @@ STALE_EDITS = {
                      "evaluate", "predictions.tsv"),
 }
 
+# Further edits of a source, refused as the source's own edit is:
+# (source, edit).  CV folds and FDA's first-occurrence feature ids follow the
+# order of a dataset's rows.
+MORE_STALE_EDITS = {
+    "reordered train.tsv": ("train", lambda root: _reverse_rows(root / "train.tsv")),
+}
+
 # Edits that leave every output current: the stages after the full run all
 # still run, in order.
 LEGAL_EDITS = {
-    "reordered train.tsv": lambda root: _reverse_rows(root / "train.tsv"),
     # a gold fix needs a new train only, which the stage walk runs
     "fixed gold": lambda root: _edit_field(root / "train.tsv", 3, lambda gold: "0.5", lineno=2),
     "unasked lexicon section": lambda root: _append(root / "lexicon.txt", "#anger\nfury\n"),
@@ -830,7 +846,7 @@ class TestProvenance:
     """Every output records the sources it was built from; a stage refuses
     an output whose sources changed since, naming the stage to re-run."""
 
-    @pytest.mark.parametrize("edit", [*STALE_EDITS, *LEGAL_EDITS])
+    @pytest.mark.parametrize("edit", [*STALE_EDITS, *MORE_STALE_EDITS, *LEGAL_EDITS])
     def test_each_source_change_refused_where_first_read(self, tmp_path, capsys, edit):
         assert list(STALE_EDITS) == list(_SOURCES)  # one edit per row of the table
         cfg_path = _small_case(tmp_path, "intensity")
@@ -842,13 +858,14 @@ class TestProvenance:
             for stage in STAGES[1:]:
                 assert main([stage, *argv]) == 0, capsys.readouterr().err
             return
-        change, stage, name = STALE_EDITS[edit]
-        rerun = _SOURCES[edit][0]
+        source, change = MORE_STALE_EDITS.get(edit) or (edit, STALE_EDITS[edit][0])
+        _, stage, name = STALE_EDITS[source]
+        rerun = _SOURCES[source][0]
         assert stage == STAGES[STAGES.index(rerun) + 1]
         change(tmp_path)
         assert main([stage, *argv]) == 1
         err = capsys.readouterr().err
-        assert re.fullmatch(rf"rtm: stage {stage}: \S*/{re.escape(name)}: {edit}=[0-9a-f]{{16}} "
+        assert re.fullmatch(rf"rtm: stage {stage}: \S*/{re.escape(name)}: {source}=[0-9a-f]{{16}} "
                             rf"but .* reads [0-9a-f]{{16}}: .* changed; re-run {rerun}\n", err), err
 
     def test_stale_model_refused(self, tmp_path, capsys):
@@ -1362,8 +1379,10 @@ def test_perfbench_layer_metrics_of_a_traced_run(tmp_path, monkeypatch, task):
     metrics = layers.layer_metrics(tracer)
     assert all(math.isfinite(v) for v in metrics.values()), metrics
     assert metrics["corpus.sentences"] == 60
-    counted = "learners.ada_rounds_fitted" if task == "intensity" else "stacking.oof_fits"
-    assert metrics[counted] > 0
+    if task == "intensity":
+        assert metrics["learners.ada_rounds_fitted"] > 0
+    else:  # one fit per fold (cv_folds = 7) of the one combined base model
+        assert metrics["stacking.oof_fits"] == 7
 
 
 class TestEvaluateFiles:
