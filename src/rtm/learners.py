@@ -494,72 +494,60 @@ class _FoldForest:
         return total / self._spec.n_estimators
 
 
-class _Stump:
-    __slots__ = ("feature", "cut", "left", "right")
-
-    def predict(self, Z):
-        if self.feature is None:
-            return np.full(len(Z), self.left)
-        return np.where(Z[:, self.feature] <= self.cut, self.left, self.right)
-
-
 class _StumpScan:
     """Weighted least-squares depth-1 stumps over columns presorted once.
 
     ``fit(w)`` scans every split between distinct sorted values of every
     column, feature by feature and left to right, and keeps a split only if
     both sides carry weight and its SSE beats the best so far by more than
-    1e-15.  The cumulative sums run along each sorted column, so each split's
-    sums and SSE are the ones a per-column scalar scan computes; every square
-    is a product ``x * x``.  Columns without a split are left out of the
-    presort.
+    1e-15.  The scan holds, for the columns that have a split, each one's
+    stable argsort ``order`` (int32 while it fits), the targets in that
+    order and the (column, rank) grid ``gaps`` of the ranks a split follows;
+    no array with one entry per split.  The running sums run along each
+    sorted column, so each split's sums and SSE are the ones a per-column
+    scalar scan computes; every square is a product ``x * x``.  Only the
+    winning split's cut is computed, from the design ``Z`` the scan keeps.
     """
 
     def __init__(self, Z, y):
-        n = len(y)
-        self.y = y
+        self.Z, self.y = Z, y
         order = np.argsort(Z.T, axis=1, kind="stable")  # (feature, rank)
         zs = np.take_along_axis(Z.T, order, axis=1)
-        gaps = zs[:, :-1] < zs[:, 1:]
-        columns = np.flatnonzero(gaps.any(axis=1))
-        self.order = order[columns]
+        gaps = np.zeros(zs.shape, dtype=bool)  # none follows the last rank
+        np.less(zs[:, :-1], zs[:, 1:], out=gaps[:, :-1])
+        del zs
+        self.columns = np.flatnonzero(gaps.any(axis=1))
+        self.gaps = gaps[self.columns]
+        self.order = order[self.columns].astype(np.int32 if len(y) < 2**31 else np.intp)
         self.ys = y[self.order]
-        # split after rank i of feature j, in (feature, split) scan order
-        row, split = np.nonzero(gaps[columns])
-        self.feat = columns[row]
-        self.pos = row * n + split
-        self.last = row * n + (n - 1)
-        self.cuts = (zs[self.feat, split] + zs[self.feat, split + 1]) / 2.0
 
     def fit(self, w):
+        """(feature, cut, left, right) of the best stump under weights ``w``;
+        the constant stump, which splits nothing, is ``(-1, inf, mean, mean)``."""
         y = self.y
-        best = _Stump()
-        best.feature, best.cut = None, None
         total_w = w.sum()
         total_wy = (w * y).sum()
-        best.left = best.right = float(total_wy / total_w)  # np.average's quotient
+        mean = float(total_wy / total_w)  # np.average's quotient
         best_sse = (w * y * y).sum() - total_wy * total_wy / total_w
-        wv = w[self.order]
-        wy = wv * self.ys
-        cw = np.cumsum(wv, axis=1).ravel()
-        cwy = np.cumsum(wy, axis=1).ravel()
-        cwyy = np.cumsum(wy * self.ys, axis=1).ravel()
         # Boosting can drive weights to exactly 0, and a side without weight
         # has no mean (Drucker, ICML 1997), so such splits are never candidates.
         # Each side's sums are differences of one column's running sums: a
         # side of zero weights sums to exactly 0, and so does one whose weight
-        # is lost to rounding, so no kept split divides by 0.
-        pos, last = self.pos, self.last
-        lw = cw[pos]
-        rw = cw[last] - lw
-        live = np.flatnonzero((lw > 0.0) & (rw > 0.0))
-        if live.size == lw.size:
-            live = None  # every split is live: nothing to compact
-        else:
-            pos, last, lw, rw = pos[live], last[live], lw[live], rw[live]
-        lwy, lwyy = cwy[pos], cwyy[pos]
-        rwy = cwy[last] - lwy
-        rwyy = cwyy[last] - lwyy
+        # is lost to rounding, so no kept split divides by 0.  The right
+        # side's weight, the column's last running sum minus ``c``, is > 0
+        # exactly where ``c`` is below that last sum.
+        wv, sides = np.take(w, self.order), []
+        for power in range(3):  # the running sums of w, w*y and w*y*y
+            if power:
+                wv *= self.ys
+            c = np.cumsum(wv, axis=1)
+            if power == 0:  # the candidates, as flat (column, rank) positions
+                live = np.flatnonzero(self.gaps & (c > 0.0) & (c < c[:, -1:]))
+                column = live // c.shape[1]  # each candidate's row of the grid
+            left = c.take(live)
+            sides.append((left, c[:, -1].take(column) - left))
+        del wv, c, left, column
+        (lw, rw), (lwy, rwy), (lwyy, rwyy) = sides
         sse = (lwyy - lwy * lwy / lw) + (rwyy - rwy * rwy / rw)
         # A split is kept only if it beats the best so far by 1e-15, and the
         # best stays within 1e-15 of the running minimum, so every kept split
@@ -571,52 +559,63 @@ class _StumpScan:
         for j, value in zip(records.tolist(), sse[records].tolist()):
             if value < best_sse - 1e-15:
                 k, best_sse = j, value
-        if k >= 0:
-            split = k if live is None else live[k]
-            best.feature = int(self.feat[split])
-            best.cut = float(self.cuts[split])
-            best.left = float(lwy[k] / lw[k])
-            best.right = float(rwy[k] / rw[k])
-        return best
+        if k < 0:
+            return -1, math.inf, mean, mean
+        f, s = divmod(int(live[k]), self.gaps.shape[1])
+        j, (a, b) = int(self.columns[f]), self.order[f, s : s + 2]
+        cut = float((self.Z[a, j] + self.Z[b, j]) / 2.0)
+        return j, cut, float(lwy[k] / lw[k]), float(rwy[k] / rw[k])
+
+
+# one fitted AdaBoost.R2 round; a constant stump has feature -1 and cut inf
+_STUMP = np.dtype([("feature", np.intp), ("cut", float), ("left", float), ("right", float)])
 
 
 class _AdaBoostR2:
-    """Drucker's AdaBoost.R2 with exponential loss and weighted-median output."""
+    """Drucker's AdaBoost.R2 with exponential loss and weighted-median output.
+
+    ``stumps`` holds the fitted rounds as one ``_STUMP`` table and ``alphas``
+    their weights."""
 
     def __init__(self, Z, y, spec):
         y = np.asarray(y, dtype=float)
         n = len(y)
         w = np.full(n, 1.0 / n)
-        self.stumps: list[_Stump] = []
-        self.alphas: list[float] = []
+        stumps, alphas = [], []
         scan = _StumpScan(Z, y)
         for _ in range(spec.n_estimators):
-            stump = scan.fit(w)
-            err = np.abs(stump.predict(Z) - y)
+            stump = feature, cut, left, right = scan.fit(w)
+            pred = np.where(Z[:, feature] <= cut, left, right) if feature >= 0 else left
+            err = np.abs(pred - y)
             d = err.max()
             if d <= 1e-15:
-                self.stumps.append(stump)
-                self.alphas.append(1.0)
+                stumps.append(stump)
+                alphas.append(1.0)
                 break
             loss = 1.0 - np.exp(-err / d)
             avg_loss = float((w * loss).sum())
             if avg_loss >= 0.5:
-                if not self.stumps:
-                    self.stumps.append(stump)
-                    self.alphas.append(1.0)
+                if not stumps:
+                    stumps.append(stump)
+                    alphas.append(1.0)
                 break
             beta = avg_loss / (1.0 - avg_loss)
-            self.stumps.append(stump)
-            self.alphas.append(math.log(1.0 / beta))
+            stumps.append(stump)
+            alphas.append(math.log(1.0 / beta))
             w = w * beta ** (1.0 - loss)
             w /= w.sum()
+        self.stumps = np.array(stumps, dtype=_STUMP)
+        self.alphas = np.array(alphas)
 
     def predict(self, Z):
-        preds = np.stack([s.predict(Z) for s in self.stumps])  # (rounds, n)
-        alphas = np.asarray(self.alphas)
-        order = np.argsort(preds, axis=0, kind="stable")
-        cum = np.cumsum(alphas[order], axis=0)
-        pick = np.argmax(cum >= 0.5 * alphas.sum(), axis=0)
+        s = self.stumps
+        x = np.zeros((len(s), len(Z)))  # a constant stump reads no column
+        split = s["feature"] >= 0
+        x[split] = Z.T[s["feature"][split]]
+        preds = np.where(x <= s["cut"][:, None], s["left"][:, None], s["right"][:, None])
+        order = np.argsort(preds, axis=0, kind="stable")  # (round, row)
+        cum = np.cumsum(self.alphas[order], axis=0)
+        pick = np.argmax(cum >= 0.5 * self.alphas.sum(), axis=0)
         cols = np.arange(preds.shape[1])
         return preds[order[pick, cols], cols]
 

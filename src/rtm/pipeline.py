@@ -47,6 +47,7 @@ from .corpus import (
     TokenSeq,
     _check_new_id,
     _dataset_rows,
+    _fail,
     _read_lines,
     load_corpus,
     load_corpus_sentences,
@@ -873,8 +874,12 @@ def _parse_predictions(path, rows) -> tuple[list[str], np.ndarray, np.ndarray | 
             raise ValueError(f"{path}:{lineno}: expected 2 or 3 columns, got {len(fields)}")
         _check_new_id(path, lineno, fields[0], first_line)
         ids.append(fields[0])
-        values.append(float(fields[1]))
+        values.append(_float_or_nan(fields[1]))
+        if not math.isfinite(values[-1]):
+            _fail(path, lineno, f"value {fields[1]!r} is not a finite number")
         if len(fields) > 2:
+            if fields[2] not in ("0", "1"):
+                _fail(path, lineno, f"class {fields[2]!r} not in {{0, 1}}")
             classes.append(int(fields[2]))
     if classes and len(classes) != len(ids):
         raise ValueError(f"{path}: class column present only on some rows")

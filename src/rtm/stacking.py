@@ -47,12 +47,12 @@ class StackConfig:
 
 @dataclass
 class OofAuditRecord:
-    """Which rows one fold's base model trained on and which rows it scored."""
+    """The int32 indices of the rows one fold's base model trained on and scored."""
 
     side: str
     fold: int
-    train_rows: tuple[int, ...]
-    scored_rows: tuple[int, ...]
+    train_rows: np.ndarray
+    scored_rows: np.ndarray
 
 
 @dataclass
@@ -102,8 +102,8 @@ def _oof_group(key, sides, offset, gold, folds, cfg: StackConfig, audit):
     oof = np.empty(len(rows))
     for f, (share, predictions) in enumerate(held_out(cfg.base_spec, shares)):
         oof[share.test] = predictions
-        audit.append(OofAuditRecord(key, f, tuple((share.train + offset).tolist()),
-                                    tuple((share.test + offset).tolist())))
+        audit.append(OofAuditRecord(key, f, (share.train + offset).astype(np.int32),
+                                    (share.test + offset).astype(np.int32)))
     return fit_model(cfg.base_spec, rows, row_gold), np.split(oof, m)
 
 

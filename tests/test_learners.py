@@ -154,6 +154,12 @@ class TestAdaBoostR2:
         assert len(np.unique(preds)) == 1
         assert preds[0] == pytest.approx(2.5, abs=1e-12)
 
+    def test_no_column_predicts_the_mean(self):
+        y = np.arange(10.0)
+        model = fit_model(ModelSpec("ada", n_estimators=5, seed=0), np.empty((10, 0)), y)
+        assert (model.inner.stumps["feature"] == -1).all()
+        assert np.array_equal(model.predict(np.empty((3, 0))), np.full(3, 4.5))
+
     def test_training_mae_trend_decreases(self):
         gen = np.random.default_rng(3)
         X = gen.uniform(-1, 1, size=(200, 3))

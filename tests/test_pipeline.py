@@ -278,6 +278,37 @@ class TestPipelineRun:
         with pytest.raises(StageError, match="incompatible build"):
             run_stage(cfg, out, "predict")
 
+    def test_model_of_stump_objects_refused(self, tiny_intensity_cfg, monkeypatch, capsys):
+        # AdaBoost.R2 once held its rounds as ``_Stump`` objects in a format-4
+        # body.  The format stayed 4 when they became one stump table, so the
+        # unpickler is what refuses such a body: ``_Stump`` is gone.
+        import rtm.learners
+
+        argv = ["--config", str(tiny_intensity_cfg), "--out", str(tiny_intensity_cfg.parent / "o")]
+        for stage in STAGES[:4]:
+            assert main([stage, *argv]) == 0
+        path = tiny_intensity_cfg.parent / "o" / "model.pkl"
+        model = pickle.loads(path.read_bytes().partition(b"\n")[2])
+
+        class _Stump:  # stands for the old layout's fitted round
+            __slots__ = ("feature", "cut", "left", "right")
+
+        _Stump.__module__, _Stump.__qualname__ = "rtm.learners", "_Stump"
+        stump = _Stump()
+        stump.feature, stump.cut, stump.left, stump.right = None, None, 0.5, 0.5
+        old = rtm.learners._AdaBoostR2.__new__(rtm.learners._AdaBoostR2)
+        old.stumps, old.alphas = [stump], [1.0]
+        model.members[0].inner = old
+        with monkeypatch.context() as patch:
+            patch.setattr(rtm.learners, "_Stump", _Stump, raising=False)
+            path.write_bytes(_header_line(path) + b"\n" + pickle.dumps(model, protocol=4))
+        assert b"rtm.learners" in path.read_bytes() and b"_Stump" in path.read_bytes()
+        capsys.readouterr()
+        assert main(["predict", *argv]) == 1
+        err = capsys.readouterr().err
+        assert re.search(r"model\.pkl: body truncated or written by an incompatible build "
+                         r"\(.*_Stump.*\); re-run train", err), err
+
     def test_train_reads_only_the_resources_header(self, tiny_intensity_cfg):
         # the features record every source of the resources, so train reads
         # none of resources.pkl
@@ -1421,6 +1452,19 @@ class TestEvaluateFiles:
         (tmp_path / "pred.tsv").write_text("a\t0.1\nb\n")
         with pytest.raises(ValueError, match=r"pred.tsv:2: expected 2 or 3 columns, got 1"):
             read_predictions(tmp_path / "pred.tsv")
+
+    @pytest.mark.parametrize("pred, gold, message", [
+        ("a\t0.1\nb\tabc\n", "a\t0.1\nb\t0.5\n", r"pred.tsv:2: value 'abc' is not a finite number"),
+        ("a\t0.1\nb\tnan\n", "a\t0.1\nb\t0.5\n", r"pred.tsv:2: value 'nan' is not a finite number"),
+        ("a\t0.1\nb\t0.5\n", "a\t0.1\nb\tnan\n", r"gold.tsv:2: value 'nan' is not a finite number"),
+        ("a\t0.1\t0\nb\t0.5\tx\n", "a\t0\nb\t1\n", r"pred.tsv:2: class 'x' not in \{0, 1\}"),
+    ], ids=["non-numeric prediction", "nan prediction", "nan gold", "bad class"])
+    def test_bad_cell_named(self, tmp_path, capsys, pred, gold, message):
+        (tmp_path / "pred.tsv").write_text(pred)
+        (tmp_path / "gold.tsv").write_text(gold)
+        assert main(["evaluate", "--pred", str(tmp_path / "pred.tsv"),
+                     "--gold", str(tmp_path / "gold.tsv")]) == 1
+        assert re.search(message, capsys.readouterr().err)
 
     def test_missing_ids_rejected(self, tmp_path):
         (tmp_path / "gold.tsv").write_text("a\t0.1\n")
