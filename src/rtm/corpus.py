@@ -150,9 +150,10 @@ def _read_lines(path) -> Iterator[str]:
     character ends a line, unlike ``str.splitlines``, which also breaks at
     ``\\x0c``, ``\\x85``, U+2028 and other characters a field may hold.  The
     lines are those of ``text.split("\\n")``: a file ending in ``\\n``, or an
-    empty file, ends with an empty line.
+    empty file, ends with an empty line.  One leading byte order mark
+    (U+FEFF) is dropped, as the ``utf-8-sig`` codec does.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         line = "\n"
         for line in fh:
             yield line.removesuffix("\n")

@@ -529,6 +529,16 @@ def _train_golds(cfg: RunConfig, golds: dict, features: FeatureFile) -> np.ndarr
     return np.asarray(gold, dtype=float)
 
 
+def _check_rankable(cfg: RunConfig, gold: np.ndarray):
+    """Refuse, before any fit, training golds no grid could be ranked on:
+    golds that are all the same, or fewer instances than ``cv_folds``."""
+    if len(gold) and (gold == gold[0]).all():
+        raise StageError(f"{cfg.train}: every training gold is {float(gold[0])!r}")
+    if cfg.cv_folds > len(gold):
+        raise StageError(f"{cfg.train}: cv_folds = {cfg.cv_folds} is more than its "
+                         f"{len(gold)} training rows")
+
+
 # ---------------------------------------------------------------------------
 # Provenance.  The sources of the outputs, in stage order: name -> (the first
 # stage that reads it, the config field of its file or the config keys it is,
@@ -770,6 +780,7 @@ def stage_train(cfg: RunConfig, out_dir: Path):
     current, inputs = _sources(cfg, "train")
     gold = _train_golds(cfg, _golds(inputs["train"]), features)
     _check(cfg, features.path, features.records, current)
+    _check_rankable(cfg, gold)
     if cfg.architecture == "plain":
         ranked = grid_search(cfg.grid(), features.matrix, gold, cfg.cv_folds, cfg.seed)
         model = average_top_k(ranked, min(cfg.top_k, len(ranked)), features.matrix, gold)

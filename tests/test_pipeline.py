@@ -1159,6 +1159,57 @@ class TestNonFiniteRefused:
         assert not (out / "resources.pkl").exists()
 
 
+def _set_golds(path, gold):
+    """Set the gold of every data row of a dataset (its last field) to ``gold``."""
+    lines = path.read_text(encoding="utf-8").split("\n")
+    for i, line in enumerate(lines):
+        if line and not line.startswith("id\t"):
+            lines[i] = f"{line.rpartition(chr(9))[0]}\t{gold}"
+    path.write_text("\n".join(lines), encoding="utf-8")
+
+
+class TestRefusedEarly:
+    """Inputs no grid can be ranked on are refused by train, before any fit,
+    naming the file or the config key."""
+
+    @pytest.mark.parametrize("task, gold, shown", [("intensity", "0.5", "0.5"),
+                                                   ("triples", "1", "1.0")])
+    def test_constant_golds_refused(self, tmp_path, monkeypatch, task, gold, shown):
+        import rtm.learners
+        import rtm.stacking
+
+        cfg_path = _small_case(tmp_path, task)
+        _set_golds(tmp_path / "train.tsv", gold)
+        cfg = parse_config(cfg_path)
+        out = tmp_path / "out"
+        for stage in STAGES[:3]:
+            run_stage(cfg, out, stage)
+        for module in (rtm.learners, rtm.stacking):
+            monkeypatch.setattr(module, "fold_indices",
+                                lambda *args: pytest.fail("train drew folds"))
+        with pytest.raises(StageError, match=rf"^stage train: {re.escape(str(cfg.train))}: "
+                                             rf"every training gold is {re.escape(shown)}$"):
+            run_stage(cfg, out, "train")
+        assert not (out / "model.pkl").exists()
+
+    def test_more_folds_than_rows_refused(self, tiny_intensity_cfg):
+        _set_key(tiny_intensity_cfg, "cv_folds", "46")
+        cfg = parse_config(tiny_intensity_cfg)
+        with pytest.raises(StageError, match=rf"^stage train: {re.escape(str(cfg.train))}: "
+                                             r"cv_folds = 46 is more than its 45 training rows$"):
+            run_pipeline(cfg, tiny_intensity_cfg.parent / "out")
+
+    def test_byte_order_mark_dropped(self, tiny_intensity_cfg):
+        _, plain = _full_run(tiny_intensity_cfg, "plain")
+        train = tiny_intensity_cfg.parent / "train.tsv"
+        train.write_text("\ufeff" + train.read_text(encoding="utf-8"), encoding="utf-8")
+        assert train.read_bytes().startswith(b"\xef\xbb\xbfid\t")
+        _, marked = _full_run(tiny_intensity_cfg, "marked")
+        names = sorted(p.name for p in plain.iterdir() if p.name != "timings.txt")
+        for name in names:
+            assert (marked / name).read_bytes() == (plain / name).read_bytes(), name
+
+
 def _floating_point_case(root, case):
     if case == "intensity-default":
         return write_intensity_case(root, n_texts=60, n_train=45, corpus_size=60, vocab_size=60,
