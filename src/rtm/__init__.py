@@ -25,7 +25,6 @@ from .features import (
     N_FEATURES,
     AlignmentModel,
     FeatureResources,
-    NGramSide,
     alignment_features,
     build_feature_matrix,
     extract_feature_vector,

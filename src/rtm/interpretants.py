@@ -232,25 +232,138 @@ def select_interpretants(
     return InterpretantSet(selected, picked_scores)
 
 
-@dataclass
-class NGramWeightTable:
-    """Relative-frequency weights of n-grams (orders 1..3).
+# ---------------------------------------------------------------------------
+# Id-indexed n-gram statistics.  One vocabulary numbers the words, and an
+# order-n gram is keyed by the index of its first n - 1 words among the keys
+# of order n - 1, times the vocabulary size, plus the id of its last word
+# (order 1: the word's id).  So each order's keys are sorted int64, and the
+# first n - 1 words of a stored n-gram are a stored (n - 1)-gram.
 
+
+def _vocabulary(sentences) -> tuple[dict, int, np.ndarray, np.ndarray]:
+    """Word -> id for the words of ``sentences`` in first-occurrence order,
+    then for whichever of BOS, EOS and UNK no sentence holds; the number of
+    sentence words; and the sentences as one flat array of ids with their
+    lengths."""
+    ids: dict[str, int] = {}
+    flat, lengths = array.array("q"), array.array("q")
+    for sent in sentences:
+        lengths.append(len(sent.tokens))
+        flat.extend([ids.setdefault(tok, len(ids)) for tok in sent.tokens])
+    n_words = len(ids)
+    for special in (BOS, EOS, UNK):
+        ids.setdefault(special, len(ids))
+    return ids, n_words, np.array(flat, dtype=np.int64), np.array(lengths, dtype=np.int64)
+
+
+def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """``arange(start, start + size)`` for each (start, size), laid end to end."""
+    return np.repeat(starts - (np.cumsum(sizes) - sizes), sizes) + np.arange(int(sizes.sum()))
+
+
+def _room(lengths: np.ndarray) -> np.ndarray:
+    """For rows of ``lengths`` laid end to end, the number of its row's
+    positions up to and including each position."""
+    return _ranges(np.ones(len(lengths), dtype=np.int64), lengths)
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of an integer array: ``np.unique`` without
+    its masked-array check, which imports ``numpy.ma`` (about 12 ms)."""
+    values = np.sort(values)
+    return values[np.diff(values, prepend=values[:1] - 1) != 0]
+
+
+def _find(keys: np.ndarray, want: np.ndarray) -> np.ndarray:
+    """The index of each of ``want`` in the sorted ``keys``; -1 where absent."""
+    if not len(keys):
+        return np.full(len(want), -1, dtype=np.int64)
+    at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+    return np.where(keys[at] == want, at, -1)
+
+
+def _windows(tokens: np.ndarray, room: np.ndarray, n_ids: int, max_order: int,
+             stored: list | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
+    """For n = 1..``max_order``, the n-grams ending at each position of
+    ``tokens`` (ids below ``n_ids``; ``room`` as ``_room`` gives it): the
+    order's keys, and each position's index among them, -1 where fewer than
+    n tokens of its row end there.  The keys are ``stored[n - 1]`` where
+    given (the index is then -1 also for an n-gram not stored, or one with
+    a negative id), else the distinct n-grams of ``tokens``."""
+    out = []
+    at = None
+    for n in range(1, max_order + 1):
+        if n == 1:
+            pos, want = np.arange(len(tokens)), tokens
+        else:
+            pos = np.flatnonzero(room >= n)
+            pos = pos[(at[pos - 1] >= 0) & (tokens[pos] >= 0)]
+            want = at[pos - 1] * n_ids + tokens[pos]
+        if stored is None:
+            keys, index = np.unique(want, return_inverse=True)
+        else:
+            keys = stored[n - 1]
+            index = _find(keys, want)
+        at = np.full(len(tokens), -1, dtype=np.int64)
+        at[pos] = index
+        out.append((keys, at))
+    return out
+
+
+def _row_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The sum of each row of ``values`` (rows of ``lengths`` laid end to
+    end), added left to right from 0.0 as a Python loop adds them: position
+    j of every row at least j + 1 long, longest rows first."""
+    by_len = np.argsort(-lengths, kind="stable")
+    starts = (np.cumsum(lengths) - lengths)[by_len]
+    longer = len(lengths) - np.cumsum(np.bincount(lengths, minlength=1))
+    acc = np.zeros(len(lengths))
+    for j, n in enumerate(longer.tolist()):
+        if not n:
+            break
+        acc[:n] += values[starts[:n] + j]
+    out = np.empty(len(lengths))
+    out[by_len] = acc
+    return out
+
+
+class NGramWeightTable:
+    """Relative-frequency weights of n-grams (orders 1..3), id-indexed.
+
+    ``words`` is the vocabulary (``_vocabulary``).  For order n, ``keys[n - 1]``
+    holds the sorted keys of the n-grams seen and ``weights[n - 1]`` their
+    relative frequencies; ``totals[n - 1]`` is the order's n-gram count.
     Unseen n-grams fall back to a floor of ``1 / (2 * total count of that
     order)``, i.e. half the weight of a singleton.
     """
 
-    weights: dict[int, dict] = field(default_factory=dict)
-    totals: dict[int, int] = field(default_factory=dict)
+    def __init__(self, words, keys: list, weights: list, totals):
+        self.words = tuple(words)
+        self.ids = {w: i for i, w in enumerate(self.words)}
+        self.keys = list(keys)
+        self.weights = list(weights)
+        self.totals = [int(t) for t in totals]
 
     def floor(self, n: int) -> float:
-        total = self.totals.get(n, 0)
+        total = self.totals[n - 1] if 1 <= n <= len(self.totals) else 0
         return 1.0 / (2.0 * total) if total else 0.0
 
+    def weigh(self, grams: np.ndarray) -> np.ndarray:
+        """The weights of the n-grams in the rows of ``grams``, a k x n array
+        of vocabulary ids (-1: a word outside the vocabulary)."""
+        k, n = grams.shape
+        out = np.full(k, self.floor(n))
+        if 1 <= n <= len(self.keys):
+            room = np.tile(np.arange(1, n + 1), k)
+            node = _windows(grams.ravel(), room, len(self.words), n, self.keys)[-1][1][n - 1 :: n]
+            seen = node >= 0
+            out[seen] = self.weights[n - 1][node[seen]]
+        return out
+
     def weight(self, gram: tuple) -> float:
-        n = len(gram)
-        w = self.weights.get(n, {}).get(gram)
-        return w if w is not None else self.floor(n)
+        """The weight of one n-gram, a tuple of words."""
+        ids = np.array([self.ids.get(w, -1) for w in gram], dtype=np.int64)
+        return float(self.weigh(ids.reshape(1, len(gram)))[0])
 
 
 def build_ngram_weights(sentences: list[TokenSeq]) -> NGramWeightTable:
@@ -258,16 +371,15 @@ def build_ngram_weights(sentences: list[TokenSeq]) -> NGramWeightTable:
     to sum to 1."""
     if not sentences or all(len(s) == 0 for s in sentences):
         raise ValueError("need at least one nonempty sentence")
-    weights: dict[int, dict] = {}
-    totals: dict[int, int] = {}
-    for n in range(1, 4):
-        # one count over every sentence's windows, in order of first occurrence
-        counts = collections.Counter(itertools.chain.from_iterable(
-            zip(*(sent.tokens[i:] for i in range(n))) for sent in sentences))
-        total = sum(counts.values())
-        totals[n] = total
-        weights[n] = {g: c / total for g, c in counts.items()} if total else {}
-    return NGramWeightTable(weights, totals)
+    ids, _, tokens, lengths = _vocabulary(sentences)
+    keys, weights, totals = [], [], []
+    for order_keys, at in _windows(tokens, _room(lengths), len(ids), 3):
+        counts = np.bincount(at[at >= 0], minlength=len(order_keys))
+        total = int(counts.sum())
+        keys.append(order_keys)
+        weights.append(counts / total if total else np.zeros(len(order_keys)))
+        totals.append(total)
+    return NGramWeightTable(ids, keys, weights, totals)
 
 
 class WittenBellLM:
@@ -279,10 +391,14 @@ class WittenBellLM:
     vocabulary (the training words plus the unknown and end-of-sentence
     symbols), which gives the unknown symbol its continuation mass.
 
-    The n-gram counts, one table per order, are the only counted state;
-    ``_histories`` maps each seen history h to (c(h), T(h)) and is derived
-    from them.  Every container is an insertion-ordered dict, so a pickled
-    model does not depend on the hash seed.
+    The model is id-indexed.  ``words`` is the vocabulary (``_vocabulary``):
+    the ``n_words`` training words, then the symbols among BOS, EOS and UNK
+    that are not training words.  For order n, ``keys[n - 1]`` holds the
+    sorted keys of the n-grams of the BOS-padded training sentences and
+    ``counts[n - 1]`` how many end at a predicted position; an n-gram inside
+    the padding is kept with count 0, as the first words of longer ones.
+    The counts are the only counted state: c(h) and T(h) of each history are
+    derived from them.
     """
 
     def __init__(self, sentences: list[TokenSeq], order: int = 3):
@@ -290,54 +406,119 @@ class WittenBellLM:
             raise ValueError("order must be >= 1")
         if not sentences or all(len(s) == 0 for s in sentences):
             raise ValueError("need at least one nonempty sentence")
-        self.order = order
-        self.vocab = dict.fromkeys(tok for sent in sentences for tok in sent.tokens)
-        self._p0 = 1.0 / len(self.vocab.keys() | {UNK, EOS})
+        ids, n_words, tokens, lengths = _vocabulary(sentences)
+        # each nonempty sentence as order - 1 BOS, its words, then EOS
+        lengths = lengths[lengths > 0]
+        sizes = lengths + order
+        padded = np.full(int(sizes.sum()), ids[BOS], dtype=np.int64)
+        padded[np.arange(len(tokens)) + np.repeat(np.arange(1, len(lengths) + 1) * order - 1,
+                                                  lengths)] = tokens
+        padded[np.cumsum(sizes) - 1] = ids[EOS]
+        room = _room(sizes)
+        predicted = room >= order  # each such position ends one n-gram of every order
+        keys, counts = [], []
+        for order_keys, at in _windows(padded, room, len(ids), order):
+            keys.append(order_keys)
+            counts.append(np.bincount(at[predicted], minlength=len(order_keys)))
+        self._setup(ids, n_words, keys, counts)
 
-        padded = [(BOS,) * (order - 1) + sent.tokens + (EOS,) for sent in sentences if len(sent)]
-        # counts[n][ngram]: each padded position j >= order - 1 ends one
-        # n-gram of every order n
-        self._counts = {
-            n: collections.Counter(itertools.chain.from_iterable(
-                zip(*(p[order - n + i :] for i in range(n))) for p in padded))
-            for n in range(1, order + 1)
-        }
-        self._histories: dict[tuple, tuple[int, int]] = {}
-        for counts in self._counts.values():
-            for gram, c in counts.items():
-                total, types = self._histories.get(gram[:-1], (0, 0))
-                self._histories[gram[:-1]] = (total + c, types + 1)
+    @classmethod
+    def from_counts(cls, words, n_words: int, keys: list, counts: list) -> WittenBellLM:
+        """The model of the given vocabulary and n-gram counts."""
+        lm = cls.__new__(cls)
+        lm._setup(words, n_words, keys, counts)
+        return lm
 
-    def _map(self, word: str) -> str:
-        return word if word in self.vocab or word in (UNK, EOS) else UNK
+    def _setup(self, words, n_words: int, keys: list, counts: list):
+        self.words = tuple(words)
+        self.ids = {w: i for i, w in enumerate(self.words)}
+        self.n_words = int(n_words)
+        self.order = len(keys)
+        self.keys = list(keys)
+        self.counts = [np.asarray(c, dtype=np.int64) for c in counts]
+        # c(h) and T(h) of each history: the empty one, then order n's
+        # n-grams as the histories of order n + 1's
+        self._totals = [self.counts[0].sum(keepdims=True)]
+        self._types = [np.array([np.count_nonzero(self.counts[0])])]
+        for n in range(1, self.order):
+            parent = self.keys[n] // len(self.words)
+            size = len(self.keys[n - 1])
+            self._totals.append(np.bincount(parent, weights=self.counts[n],
+                                            minlength=size).astype(np.int64))
+            self._types.append(np.bincount(parent[self.counts[n] > 0], minlength=size))
+        unseen = (self.ids[UNK] >= self.n_words) + (self.ids[EOS] >= self.n_words)
+        self._p0 = 1.0 / (self.n_words + unseen)
+
+    def _probs(self, hist: np.ndarray, room: np.ndarray, word: np.ndarray,
+               last: np.ndarray) -> np.ndarray:
+        """P(word[e] | h) for each event e: h is the up to order - 1 symbols
+        of ``hist`` (rows laid end to end, ``room`` as ``_room`` gives it)
+        that end at position ``last[e]`` (-1: no history).  Each event starts
+        from the uniform p0 and interpolates through ever longer histories,
+        up to the first one never seen: no longer history ending in it was
+        seen either."""
+        n_ids = len(self.words)
+        windows = _windows(hist, room, n_ids, self.order - 1, self.keys) if len(hist) else []
+        p = np.full(len(word), self._p0)
+        node = np.zeros(len(word), dtype=np.int64)  # the empty history
+        for n in range(self.order):
+            if n:
+                if n > len(windows):
+                    break
+                node = np.where(last >= 0, windows[n - 1][1][np.maximum(last, 0)], -1)
+            seen = np.flatnonzero(node >= 0)
+            seen = seen[self._types[n][node[seen]] > 0]
+            if not len(seen):
+                break
+            h, w = node[seen], word[seen]
+            child = _find(self.keys[n], h * n_ids + w if n else w)
+            c = np.where(child >= 0, self.counts[n][child], 0)
+            total, t = self._totals[n][h], self._types[n][h]
+            p[seen] = (c + t * p[seen]) / (total + t)
+        return p
+
+    def logprob2_rows(self, ids: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``sequence_logprob2`` of each row of ``ids``: rows of vocabulary
+        ids (-1: a word outside the vocabulary) of ``lengths`` laid end to
+        end.  Each probability is an array lookup; each event's log2 and each
+        row's sum run as the scalar recursion ran them."""
+        unk, bos = self.ids[UNK], self.ids[BOS]
+        # A literal <s> stays the boundary symbol in a history but is predicted
+        # as itself only when it was a training word, as ``prob`` maps it.
+        hist = np.where(ids < 0, unk, ids)
+        pred = np.where((ids < 0) | ((ids == bos) & (bos >= self.n_words)), unk, ids)
+        k, rows = self.order - 1, np.arange(len(lengths))
+        # the history symbols: k BOS, then the row's words
+        stream = np.full(int(lengths.sum()) + k * len(lengths), bos, dtype=np.int64)
+        stream[np.arange(len(ids)) + np.repeat((rows + 1) * k, lengths)] = hist
+        # the events: each word, then EOS
+        events = lengths + 1
+        word = np.full(int(events.sum()), self.ids[EOS], dtype=np.int64)
+        word[np.arange(len(ids)) + np.repeat(rows, lengths)] = pred
+        # event j of row r follows the history ending at stream position
+        # (start of row r) + k + j - 1
+        last = (np.arange(len(word)) + np.repeat(rows * (k - 1) - 1 + k, events)
+                if k else np.full(len(word), -1))
+        probs = self._probs(stream, _room(lengths + k), word, last)
+        logs = np.fromiter(map(math.log2, probs.tolist()), dtype=float, count=len(probs))
+        return _row_sums(logs, events), events
 
     def prob(self, word: str, history: tuple = ()) -> float:
         """Smoothed P(word | history); history longer than order-1 is truncated."""
-        hist = tuple(w if w == BOS else self._map(w) for w in history)
-        return self._prob(self._map(word), hist[max(0, len(hist) - (self.order - 1)) :])
-
-    def _prob(self, word: str, hist: tuple) -> float:
-        p = self._p0
-        for k in range(len(hist), -1, -1):
-            h = hist[k:]
-            seen = self._histories.get(h)
-            if seen is None:  # then no longer history ending in h was seen either
-                break
-            total, t = seen
-            p = (self._counts[len(h) + 1].get(h + (word,), 0) + t * p) / (total + t)
-        return p
+        unk = self.ids[UNK]
+        hist = [self.ids.get(w, unk) for w in history][max(0, len(history) - (self.order - 1)) :]
+        w = self.ids.get(word, unk)
+        if word == BOS and w >= self.n_words:
+            w = unk
+        n = len(hist)
+        return float(self._probs(np.array(hist, dtype=np.int64), np.arange(1, n + 1),
+                                 np.array([w]), np.array([n - 1]))[0])
 
     def sequence_logprob2(self, seq: TokenSeq) -> tuple[float, int]:
         """(log2 probability of ``seq`` including boundary events, event count)."""
-        # A literal <s> stays the boundary symbol in a history but is predicted
-        # as itself only when it was a training word, as ``prob`` maps it.
-        words = [self._map(w) for w in seq.tokens] + [EOS]
-        k = self.order - 1
-        hists = (BOS,) * k + tuple(w if w == BOS else m for w, m in zip(seq.tokens, words))
-        logprob = 0.0
-        for j, word in enumerate(words):
-            logprob += math.log2(self._prob(word, hists[j : j + k]))
-        return logprob, len(words)
+        ids = np.array([self.ids.get(t, -1) for t in seq.tokens], dtype=np.int64)
+        logprob, events = self.logprob2_rows(ids, np.array([len(ids)]))
+        return float(logprob[0]), int(events[0])
 
     def in_vocab(self, word: str) -> bool:
-        return word in self.vocab
+        return self.ids.get(word, self.n_words) < self.n_words

@@ -12,8 +12,9 @@ guarantee).
 Every text output starts with a comment line carrying the tool version and
 the config hash.  The binary artifacts (resources.pkl, model.pkl) start with
 one JSON header line carrying the same fields and a layout number; the
-pickled body follows.  The header is checked before the body is unpickled,
-and a stage that needs only the header reads only the header.
+body follows: resources.pkl's is named arrays in .npy records, read without
+pickle, and model.pkl's one pickle.  The header is checked before the body
+is read, and a stage that needs only the header reads only the header.
 
 One provenance rule covers every stage.  ``_SOURCES`` lists the sources of
 the outputs (the corpus bytes, each dataset's ids and texts, the emotion
@@ -81,10 +82,11 @@ from .stacking import (
 )
 
 # Layout of resources.pkl and model.pkl; a file of another layout is refused,
-# not misread.  4: one JSON header line, then the pickled body, whose
-# Witten-Bell LM holds one count table per order (a format-3 body may hold the
-# LM's older fields).
-ARTIFACT_FORMAT = 4
+# not misread.  5: one JSON header line, then the body: the arrays the header
+# names, one .npy record each (resources.pkl: id-indexed, one vocabulary for
+# the weight table and the LM), or one pickle (model.pkl).  A format-4
+# resources.pkl is one pickle of dicts of string tuples.
+ARTIFACT_FORMAT = 5
 
 class ConfigError(ValueError):
     pass
@@ -345,18 +347,27 @@ def _write_text(path: Path, text: str):
 
 def _write_artifact(path: Path, cfg: RunConfig, header: dict, body):
     """Write ``header`` (after the version, layout and config hash) as one JSON
-    line, then ``body`` as one pickle."""
+    line, then ``body``: a dict of named arrays as one .npy record each, in
+    the order the header's ``arrays`` lists their names, else one pickle."""
     header = {"version": __version__, "format": ARTIFACT_FORMAT, "config_hash": cfg.hash(),
               **header}
+    if isinstance(body, dict):
+        header["arrays"] = list(body)
     with _replacing(path) as tmp, open(tmp, "wb") as fh:
         fh.write(json.dumps(header, allow_nan=False).encode("utf-8") + b"\n")
-        pickle.dump(body, fh, protocol=4)
+        if isinstance(body, dict):
+            for values in body.values():
+                np.lib.format.write_array(fh, np.asarray(values), allow_pickle=False)
+        else:
+            pickle.dump(body, fh, protocol=4)
 
 
-def _read_artifact(path: Path, body: bool = True) -> tuple[dict, object]:
+def _read_artifact(path: Path, body: bool = True, from_arrays=None) -> tuple[dict, object]:
     """(header, body) of an artifact written by ``_write_artifact``.  The header
-    is checked before anything is unpickled; ``body=False`` leaves the body
-    unread and returns None for it."""
+    is checked before the body is read; ``body=False`` leaves the body unread
+    and returns None for it.  With ``from_arrays`` the body must be named
+    arrays, read with ``allow_pickle=False``, and the result is
+    ``from_arrays`` of them; else the body is unpickled."""
     rerun = f"; re-run {_writer(path.name)} to rewrite it"
     with open(path, "rb") as fh:
         try:
@@ -376,9 +387,17 @@ def _read_artifact(path: Path, body: bool = True) -> tuple[dict, object]:
         if not body:
             return header, None
         try:
-            return header, pickle.load(fh)
-        except (AttributeError, ImportError, EOFError, ValueError, pickle.UnpicklingError) as exc:
-            # e.g. a class an older build pickled, a cut-off file, an unknown protocol
+            if from_arrays is None:
+                return header, pickle.load(fh)
+            names = header.get("arrays")
+            if not isinstance(names, list):
+                raise ValueError("no array names in the header")
+            return header, from_arrays(
+                {name: np.lib.format.read_array(fh, allow_pickle=False) for name in names})
+        except (AttributeError, ImportError, EOFError, KeyError, TypeError, ValueError,
+                pickle.UnpicklingError) as exc:
+            # e.g. a class an older build pickled, a cut-off file, an unknown
+            # protocol, an array missing or not .npy
             raise StageError(
                 f"{path}: body truncated or written by an incompatible build ({exc}){rerun}"
             ) from exc
@@ -667,7 +686,7 @@ def stage_build_resources(cfg: RunConfig, out_dir: Path):
         lm=WittenBellLM(sentences, order=cfg.lm_order),
         aligner=train_aligner([(s, s) for s in sentences], cfg.aligner_iterations),
     )
-    _write_artifact(out_dir / "resources.pkl", cfg, {"sources": current}, resources)
+    _write_artifact(out_dir / "resources.pkl", cfg, {"sources": current}, resources.to_arrays())
 
 
 # One features row: id, row tag, then each value with 17 significant digits
@@ -752,7 +771,7 @@ def _float_or_nan(text: str) -> float:
 
 def stage_extract_features(cfg: RunConfig, out_dir: Path):
     path = out_dir / "resources.pkl"
-    header, resources = _read_artifact(path)
+    header, resources = _read_artifact(path, from_arrays=FeatureResources.from_arrays)
     current, inputs = _sources(cfg, "extract-features")
     _check(cfg, path, header.get("sources", {}), current)
     train, test = load_rows(cfg, inputs)

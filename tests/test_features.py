@@ -19,7 +19,7 @@ from rtm.features import (
     train_aligner,
     weighted_overlap,
 )
-from rtm.interpretants import NGramWeightTable, WittenBellLM, build_ngram_weights
+from rtm.interpretants import WittenBellLM, build_ngram_weights
 
 from conftest import traced_peak
 
@@ -28,12 +28,10 @@ def seqs(*texts):
     return [tokenize(t) for t in texts]
 
 
-def uniform_table(weight=0.1, grams=("a", "b", "c", "x", "y")):
-    """A handmade table where every known unigram has the same weight."""
-    return NGramWeightTable(
-        weights={1: {(g,): weight for g in grams}, 2: {}, 3: {}},
-        totals={1: len(grams), 2: 0, 3: 0},
-    )
+def uniform_table(grams=("a", "b", "c", "x", "y")):
+    """A table where every known unigram has the same weight and no longer
+    n-gram has any: one one-word sentence per word."""
+    return build_ngram_weights([TokenSeq.from_tokens([g]) for g in grams])
 
 
 token_lists = st.lists(st.sampled_from("abcxy"), min_size=0, max_size=6)
@@ -282,30 +280,37 @@ class TestFeatureMatrix:
         assert np.array_equal(mat[0], mat[1])
 
     def test_non_finite_feature_names_its_row(self, resources, monkeypatch):
-        import rtm.features
+        # the LM pass of the split scores both sources at once; the inf goes
+        # to the source "c", as the word ids of the pass give it
+        lm = resources.lm
+        real = lm.logprob2_rows
 
-        real = rtm.features.lm_features
+        def lm_inf_on_c(ids, lengths):
+            logprob, events = real(ids, lengths)
+            ends = np.cumsum(lengths)
+            for row, (start, end) in enumerate(zip(ends - lengths, ends)):
+                if ids[start:end].tolist() == [lm.ids["c"]]:
+                    logprob[row] = math.inf
+            return logprob, events
 
-        def lm_inf_on_c(lm, seq):
-            logprob, bpw, oov = real(lm, seq)
-            return (math.inf if seq.tokens == ("c",) else logprob), bpw, oov
-
-        monkeypatch.setattr(rtm.features, "lm_features", lm_inf_on_c)
+        monkeypatch.setattr(lm, "logprob2_rows", lm_inf_on_c)
         rows = [(tokenize("a b"), tokenize("b")), (tokenize("c"), tokenize("b"))]
         with pytest.raises(AssertionError, match=r"^non-finite feature lm_logprob in row 1$"):
             build_feature_matrix(rows, resources)
 
     def test_weights_looked_up_once_per_row_and_target(self, resources, monkeypatch):
-        # Each source n-gram is weighed once per row, for all five order sets,
-        # and the shared target's once for the whole matrix.
+        # Each distinct n-gram of the split, whichever rows and targets hold
+        # it, is weighed once, for all five order sets.  A looked-up n-gram
+        # reads back as words, None for a word outside the vocabulary ("x").
         table = resources.weight_table
-        real, calls = table.weight, collections.Counter()
+        real, calls = table.weigh, collections.Counter()
 
-        def counting(gram):
-            calls[gram] += 1
-            return real(gram)
+        def counting(grams):
+            calls.update(tuple(table.words[i] if i >= 0 else None for i in row)
+                         for row in grams.tolist())
+            return real(grams)
 
-        monkeypatch.setattr(table, "weight", counting)
+        monkeypatch.setattr(table, "weigh", counting)
         sources = seqs("a b c a b", "b c d e", "a b c a b", "f", "")
         rows = [(src, tokenize("a b c a b d x")) for src in sources]  # equal, not the same object
         build_feature_matrix(rows, resources)
@@ -314,7 +319,7 @@ class TestFeatureMatrix:
             toks = seq.tokens
             return {toks[i : i + n] for n in (1, 2, 3) for i in range(len(toks) - n + 1)}
 
-        expected = collections.Counter()
-        for seq in sources + [rows[0][1]]:
-            expected.update(distinct_grams(seq))
+        expected = collections.Counter(
+            tuple(w if w in table.ids else None for w in gram)
+            for gram in set().union(*map(distinct_grams, sources + [rows[0][1]])))
         assert calls == expected

@@ -1,16 +1,17 @@
-"""Array-pass FDA, shared n-gram sides, row-walk alignment, array IBM-1,
-bit-vector edit distance, the count-table Witten-Bell LM and the tokenizer
-pattern against references.
+"""Array-pass FDA, the split-wide feature passes (overlap, LM, alignment),
+array IBM-1, bit-vector edit distance, the id-indexed weight table and
+Witten-Bell LM and the tokenizer pattern against references.
 
 The references below are the O(N*B) argmax scan of feature-decay selection
 (adding each sentence's features in the order select_interpretants
-documents), the per-row union-set overlap, the |src|x|tgt| probe loop of Viterbi
-alignment, the dict-of-dicts IBM Model 1 EM, the Levenshtein DP, the
-five-table Witten-Bell LM (set vocabularies, per-order context totals and
-type counts, a ``prob`` call per position) and the per-character tokenizer
-that ``rtm`` used before.  The current code must reproduce them bit for bit:
-the same indices, scores, overlap tuples, links, aligner tables,
-log-likelihoods, distances, probabilities and tokens.
+documents), the dict-of-tuples weight table and per-row union-set overlap,
+the |src|x|tgt| probe loop of Viterbi alignment, the dict-of-dicts IBM
+Model 1 EM, the Levenshtein DP, the five-table Witten-Bell LM (set
+vocabularies, per-order context totals and type counts, a ``prob`` call per
+position) and the per-character tokenizer that ``rtm`` used before.  The
+current code must reproduce them bit for bit: the same indices, scores,
+weights, overlap tuples, links, aligner tables, log-likelihoods, distances,
+probabilities, feature rows and tokens.
 """
 
 import collections
@@ -32,7 +33,6 @@ from rtm.features import (
     ORDER_SETS,
     AlignmentModel,
     FeatureResources,
-    NGramSide,
     _edit_distance,
     alignment_features,
     build_feature_matrix,
@@ -108,6 +108,23 @@ def ref_select_interpretants(corpus, task_texts, cfg):
     return selected, picked_scores
 
 
+class RefNGramWeights:
+    """Relative n-gram frequencies of orders 1..3 in dicts of word tuples."""
+
+    def __init__(self, sentences):
+        self.weights, self.totals = {}, {}
+        for n in range(1, 4):
+            counts = collections.Counter(s.tokens[i : i + n] for s in sentences
+                                         for i in range(len(s) - n + 1))
+            self.totals[n] = total = sum(counts.values())
+            self.weights[n] = {g: c / total for g, c in counts.items()}
+
+    def weight(self, gram):
+        total = self.totals.get(len(gram), 0)
+        floor = 1.0 / (2.0 * total) if total else 0.0
+        return self.weights.get(len(gram), {}).get(gram, floor)
+
+
 def ref_weighted_overlap(src, tgt, table, orders):
     src_grams = ref_ngrams(src, orders)
     tgt_grams = ref_ngrams(tgt, orders)
@@ -138,9 +155,15 @@ def ref_align(model, src, tgt):
     return links
 
 
-class RefAlignmentModel(AlignmentModel):
-    def align(self, src, tgt):
-        return ref_align(self, src, tgt)
+def ref_alignment_features(model, src, tgt):
+    if not len(tgt):
+        return (0.0, 0.0)
+    hits = [i for i in ref_align(model, src, tgt) if i is not None]
+    wer = ref_levenshtein([src.tokens[i] for i in hits], list(src.tokens)) / max(len(src), 1)
+    tgt_cov = len(hits) / len(tgt)
+    src_cov = len(set(hits)) / len(src) if len(src) else 0.0
+    f1 = 2.0 * tgt_cov * src_cov / (tgt_cov + src_cov) if tgt_cov + src_cov > 0 else 0.0
+    return (min(1.0, max(0.0, 1.0 - wer)), min(1.0, max(0.0, f1)))
 
 
 def ref_train_aligner(pairs, iterations=5):
@@ -195,14 +218,27 @@ def table_of(model):
     return {e: model.row(e) for e in model.vocab if model.row(e)}
 
 
-def ref_feature_vector(src, tgt, resources):
+class RefResources:
+    """The references of the three resources trained on ``sentences``; the
+    aligner is the trained model's table (the EM has its own reference)."""
+
+    def __init__(self, sentences, aligner, lm_order=3):
+        self.weights = RefNGramWeights(sentences)
+        self.lm = RefWittenBellLM(sentences, order=lm_order)
+        self.aligner = AlignmentModel.from_table(table_of(aligner), [])
+
+
+def ref_feature_vector(src, tgt, ref):
     values = []
     for orders in ORDER_SETS:
-        values.extend(ref_weighted_overlap(src, tgt, resources.weight_table, orders))
-    values.extend(lm_features(resources.lm, src))
-    ref_aligner = RefAlignmentModel.from_table(table_of(resources.aligner), [])
-    values.extend(alignment_features(ref_aligner, src, tgt))
-    values.extend(length_features(src, tgt))
+        values.extend(ref_weighted_overlap(src, tgt, ref.weights, orders))
+    logprob, n_events = ref.lm.sequence_logprob2(src)
+    oov = sum(1 for t in src.tokens if t not in ref.lm.vocab) / len(src) if len(src) else 0.0
+    values.extend([logprob, -logprob / n_events, oov])
+    values.extend(ref_alignment_features(ref.aligner, src, tgt))
+    values.extend([len(src), len(tgt), src.char_count, tgt.char_count,
+                   len(src) / len(tgt) if len(tgt) else 0.0,
+                   src.char_count / tgt.char_count if tgt.char_count else 0.0])
     return np.asarray(values, dtype=float)
 
 
@@ -401,28 +437,13 @@ all_orders = st.sampled_from(ORDER_SETS + ((2, 3), (1, 3), (3, 1, 2)))
 def test_overlap_matches_union_sets(table_sents, src, tgt, orders):
     # "y" and "e"/"f" are often missing from the table (floor weights); short
     # table sentences leave higher orders with zero totals
-    table = build_ngram_weights([seq(s) for s in table_sents])
+    sentences = [seq(s) for s in table_sents]
+    table, ref = build_ngram_weights(sentences), RefNGramWeights(sentences)
     src, tgt = seq(src), seq(tgt)
-    expected = ref_weighted_overlap(src, tgt, table, orders)
+    for gram in ref_ngrams(src, (1, 2, 3, 4)) | ref_ngrams(tgt, (1, 2, 3)):
+        assert table.weight(gram).hex() == ref.weight(gram).hex(), gram
+    expected = ref_weighted_overlap(src, tgt, ref, orders)
     assert hexes(weighted_overlap(src, tgt, table, orders)) == hexes(expected)
-    shared = weighted_overlap(NGramSide(src, table), NGramSide(tgt, table), table, orders)
-    assert hexes(shared) == hexes(expected)
-
-
-def test_one_side_serves_every_order_set():
-    table = build_ngram_weights([seq("a b c a b".split()), seq("c d".split())])
-    tgt = NGramSide(seq("a b c d a b c e".split()), table)
-    for src in (seq("a b c".split()), seq("e".split()), seq([])):
-        for orders in ORDER_SETS:
-            got = weighted_overlap(src, tgt, table, orders)
-            assert hexes(got) == hexes(ref_weighted_overlap(src, tgt.seq, table, orders))
-
-
-def test_side_from_another_table_refused():
-    table = build_ngram_weights([seq(["a"])])
-    other = build_ngram_weights([seq(["a"])])
-    with pytest.raises(ValueError, match="another weight table"):
-        weighted_overlap(NGramSide(seq(["a"]), other), seq(["a"]), table, (1,))
 
 
 # ---------------------------------------------------------------------------
@@ -571,24 +592,68 @@ def test_edit_distance_edges():
 # Whole feature matrix: shared target sides against per-row references.
 
 
+def resources_of(sentences, iterations=3):
+    resources = FeatureResources(
+        weight_table=build_ngram_weights(sentences),
+        lm=WittenBellLM(sentences, order=3),
+        aligner=train_aligner([(s, s) for s in sentences], iterations=iterations),
+    )
+    return resources, RefResources(sentences, resources.aligner)
+
+
+def assert_rows_match_reference(rows, resources, ref):
+    matrix = build_feature_matrix(rows, resources)
+    for i, ((src, tgt), vec) in enumerate(zip(rows, matrix)):
+        assert hexes(vec) == hexes(ref_feature_vector(src, tgt, ref)), (i, src.tokens, tgt.tokens)
+
+
 def test_feature_matrix_matches_per_row_reference():
     rng = np.random.default_rng(11)
     vocab = [f"w{i}" for i in range(30)]
     sents = [seq(rng.choice(vocab, size=rng.integers(1, 10))) for _ in range(50)]
-    resources = FeatureResources(
-        weight_table=build_ngram_weights(sents),
-        lm=WittenBellLM(sents, order=3),
-        aligner=train_aligner([(s, s) for s in sents], iterations=3),
-    )
+    resources, ref = resources_of(sents)
     lexicon_target = seq(rng.choice(vocab + ["unseen"], size=300))
     targets = [lexicon_target, seq(list(lexicon_target.tokens)), seq(["w2"]), seq([])]
     rows = [(sents[int(rng.integers(50))], targets[int(rng.integers(4))]) for _ in range(40)]
     rows.append((seq([]), lexicon_target))
-    matrix = build_feature_matrix(rows, resources)
-    for (src, tgt), vec in zip(rows, matrix):
-        expected = ref_feature_vector(src, tgt, resources)
-        assert hexes(vec) == hexes(expected)
-        assert hexes(extract_feature_vector(src, tgt, resources)) == hexes(expected)
+    assert_rows_match_reference(rows, resources, ref)
+    for src, tgt in rows[:5]:
+        assert hexes(extract_feature_vector(src, tgt, resources)) == \
+            hexes(ref_feature_vector(src, tgt, ref))
+
+
+# few words, so rows repeat n-grams, share targets' words and hold OOV words
+# ("x", "y"); sources past 64 words take the edit distance's wide masks
+split_words = st.lists(st.sampled_from("abcdexy"), max_size=8)
+
+
+@st.composite
+def splits(draw):
+    sentences = draw(st.lists(st.lists(st.sampled_from("abcde"), min_size=1, max_size=7),
+                              min_size=1, max_size=8))
+    srcs = draw(st.lists(split_words | st.lists(st.sampled_from("abx"), min_size=60,
+                                                max_size=70), min_size=1, max_size=12))
+    if draw(st.booleans()):  # one long target shared by every row, as a lexicon is
+        shared = seq(draw(st.lists(st.sampled_from("abcdexy"), max_size=40)))
+        rows = [(seq(s), shared) for s in srcs]
+    else:  # a one-token (or empty) target of its own per row, as triples are
+        rows = [(seq(s), seq(draw(st.lists(st.sampled_from("abcdxy"), max_size=1))))
+                for s in srcs]
+    return [seq(s) for s in sentences], rows
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(splits(), st.sampled_from([None, 1, 300]))
+def test_feature_matrix_matches_reference_on_random_splits(split, block_bytes):
+    # a small block budget cuts the split into several blocks of rows
+    import rtm.learners
+
+    sentences, rows = split
+    resources, ref = resources_of(sentences, iterations=2)
+    with pytest.MonkeyPatch.context() as patch:
+        if block_bytes is not None:
+            patch.setattr(rtm.learners, "_BLOCK_BYTES", block_bytes)
+        assert_rows_match_reference(rows, resources, ref)
 
 
 # ---------------------------------------------------------------------------
@@ -601,15 +666,34 @@ SPECIAL = [BOS, EOS, UNK]
 def assert_same_lm(sentences, order, queries, histories):
     lm = WittenBellLM(sentences, order=order)
     ref = RefWittenBellLM(sentences, order=order)
-    assert lm._counts == ref._counts
-    assert lm._histories == {
+    # the array tables, read back as n-grams of words, are the reference's
+    # counts, context totals and type counts
+    histories_got = {(): (int(lm._totals[0][0]), int(lm._types[0][0]))}
+    size = len(lm.words)
+    for n in range(1, order + 1):
+        keys = lm.keys[n - 1].tolist()
+        grams = ([(lm.words[k],) for k in keys] if n == 1 else
+                 [grams[k // size] + (lm.words[k % size],) for k in keys])
+        counts = dict(zip(grams, lm.counts[n - 1].tolist()))
+        assert {g: c for g, c in counts.items() if c} == ref._counts[n]
+        if n < order:
+            histories_got.update((g, (int(total), int(types))) for g, total, types
+                                 in zip(grams, lm._totals[n], lm._types[n]) if types)
+    assert histories_got == {
         h: (total, ref._types_after[n][h])
         for n, totals in ref._context_totals.items() for h, total in totals.items()
     }
-    assert lm.vocab.keys() == ref.vocab and lm._p0.hex() == ref._p0.hex()
+    assert set(lm.words[: lm.n_words]) == ref.vocab and lm._p0.hex() == ref._p0.hex()
+    assert all(lm.in_vocab(w) == (w in ref.vocab) for w in lm.words + ("unseen",))
     for query in queries:
         got, expected = lm.sequence_logprob2(query), ref.sequence_logprob2(query)
         assert (got[0].hex(), got[1]) == (expected[0].hex(), expected[1]), query.tokens
+    # all queries at once, as one split's sources
+    ids = np.array([lm.ids.get(t, -1) for q in queries for t in q.tokens], dtype=np.int64)
+    logprobs, events = lm.logprob2_rows(ids, np.array([len(q) for q in queries], dtype=np.int64))
+    expected = [ref.sequence_logprob2(q) for q in queries]
+    assert hexes(logprobs) == hexes(lp for lp, _ in expected)
+    assert events.tolist() == [n for _, n in expected]
     words = sorted(ref._pred_vocab | {BOS, "unseen"})
     for hist in histories:
         assert hexes(lm.prob(w, hist) for w in words) == hexes(ref.prob(w, hist) for w in words)

@@ -20,6 +20,7 @@ from rtm.learners import ModelSpec
 from rtm.metrics import MetricConfig, parse_report
 from rtm.pipeline import (
     _FEATURE_ROW,
+    ARTIFACT_FORMAT,
     _SOURCES,
     STAGES,
     ConfigError,
@@ -328,29 +329,39 @@ class TestPipelineRun:
             run_stage(cfg, out, "extract-features")
 
     def test_incompatible_resources_pickle_refused(self, tiny_intensity_cfg, monkeypatch):
-        import rtm.features
-
+        # A resources.pkl body is named arrays read with allow_pickle=False: a
+        # pickled body behind a current header, or a whole-file pickle as the
+        # first builds wrote, is refused and never unpickled.
         cfg = parse_config(tiny_intensity_cfg)
         out = tiny_intensity_cfg.parent / "out_old_resources"
         for stage in STAGES[:3]:
             run_stage(cfg, out, stage)
-        line, _, body = (out / "resources.pkl").read_bytes().partition(b"\n")
-        header, resources = json.loads(line), pickle.loads(body)
+        path = out / "resources.pkl"
+        line = _header_line(path)
+        header = json.loads(line)
+        assert path.read_bytes()[len(line) + 1 :].startswith(b"\x93NUMPY")
+        monkeypatch.setattr(pickle, "load", lambda fh: pytest.fail("unpickled the body"))
+        monkeypatch.setattr(pickle, "loads", lambda data: pytest.fail("unpickled the body"))
+        blob = {k: v for k, v in header.items() if k != "format"}
+        for data in (line + b"\n" + pickle.dumps({"aligner": {"a": {"a": 1.0}}}),
+                     pickle.dumps({**blob, "resources": {"a": 1}})):
+            path.write_bytes(data)
+            for stage in sum(ARTIFACT_READERS["resources.pkl"], ()):
+                with pytest.raises(StageError, match="incompatible build"):
+                    run_stage(cfg, out, stage)
 
-        class _DictAligner:  # the aligner as builds before the CSR table pickled it
-            pass
-
-        _DictAligner.__module__, _DictAligner.__qualname__ = "rtm.features", "AlignmentModel"
-        old = _DictAligner()
-        old.table, old.log_likelihoods = {"a": {"a": 1.0}}, []
-        resources.aligner = old
-        with monkeypatch.context() as patch:
-            patch.setattr(rtm.features, "AlignmentModel", _DictAligner)
-            blob = {k: v for k, v in header.items() if k != "format"}
-            (out / "resources.pkl").write_bytes(pickle.dumps({**blob, "resources": resources}))
-        for stage in sum(ARTIFACT_READERS["resources.pkl"], ()):
-            with pytest.raises(StageError, match="incompatible build"):
-                run_stage(cfg, out, stage)
+    def test_format_4_resources_refused(self, tiny_intensity_cfg, monkeypatch):
+        # a format-4 resources.pkl is one pickle of dicts of string tuples;
+        # the header alone refuses it, naming the stage that rewrites it
+        cfg, out = _full_run(tiny_intensity_cfg, "out_format_4")
+        path = out / "resources.pkl"
+        header = {**json.loads(_header_line(path)), "format": 4}
+        del header["arrays"]
+        path.write_bytes(json.dumps(header).encode() + b"\n" + pickle.dumps({"lm": None}))
+        monkeypatch.setattr(pickle, "load", lambda fh: pytest.fail("unpickled the body"))
+        with pytest.raises(StageError, match=r"resources\.pkl: written by an incompatible build "
+                                             r"\(format 4, expected 5\); re-run build-resources"):
+            run_stage(cfg, out, "extract-features")
 
     @pytest.mark.parametrize("name", sorted(ARTIFACT_READERS))
     def test_parent_layout_artifact_refused(self, tiny_intensity_cfg, name):
@@ -394,7 +405,7 @@ class TestPipelineRun:
         path = out / name
         line = _header_line(path)
         for key, value, message in (("version", "0.0.0", "written by version 0.0.0"),
-                                    ("format", 2, "format 2, expected 4")):
+                                    ("format", 2, f"format 2, expected {ARTIFACT_FORMAT}")):
             header = {**json.loads(line), key: value}
             path.write_bytes(json.dumps(header).encode() + b"\nnot a pickle")
             for stage in sum(ARTIFACT_READERS[name], ()):
@@ -412,7 +423,8 @@ class TestPipelineRun:
         monkeypatch.setattr(pickle, "load", lambda fh: pytest.fail("unpickled the body"))
         writer = {"resources.pkl": "build-resources", "model.pkl": "train"}[name]
         for stage in sum(ARTIFACT_READERS[name], ()):
-            with pytest.raises(StageError, match=rf"\(format 3, expected 4\); re-run {writer}"):
+            with pytest.raises(StageError, match=rf"\(format 3, expected {ARTIFACT_FORMAT}\); "
+                                                 rf"re-run {writer}"):
                 run_stage(cfg, out, stage)
 
     def test_evaluate_reads_only_the_model_header(self, tiny_intensity_cfg):
@@ -422,7 +434,7 @@ class TestPipelineRun:
         header = json.loads(_header_line(path))
         assert set(header) == {"version", "format", "config_hash", "sources", "cv_table"}
         assert set(json.loads(_header_line(out / "resources.pkl"))) == {
-            "version", "format", "config_hash", "sources"}
+            "version", "format", "config_hash", "sources", "arrays"}
         path.write_bytes(_header_line(path) + b"\nnot a pickle")
         (out / "report.txt").unlink()
         run_stage(cfg, out, "evaluate")
@@ -1586,10 +1598,12 @@ class TestHashSeed:
 
     @pytest.mark.parametrize("case", ["intensity", "triples"])
     def test_artifact_bodies_hold_no_set(self, runs, case):
+        from rtm.features import FeatureResources
         from rtm.pipeline import _read_artifact
 
-        for name in ("resources.pkl", "model.pkl"):
-            _, body = _read_artifact(runs[case, "1"] / name)
+        for name, from_arrays in (("resources.pkl", FeatureResources.from_arrays),
+                                  ("model.pkl", None)):
+            _, body = _read_artifact(runs[case, "1"] / name, from_arrays=from_arrays)
             assert _reachable_sets(body) == [], name
 
 
