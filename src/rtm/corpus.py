@@ -1,16 +1,21 @@
 """Text normalization, n-gram extraction and file ingestion.
 
-Everything downstream works on :class:`TokenSeq` objects.  The tokenizer is
-deliberately simple and fully deterministic: lowercase, split on Unicode
-whitespace, then split punctuation into single-character tokens.  The one
-tweet-flavoured exception is that ``#`` and ``@`` stay glued to the word they
-introduce (``#joy`` is one token).
+Everything downstream works on :class:`TokenSeq` objects, made by one
+tokenizer core that works on a block of lines (``_tokenize_block``).  The
+tokenizer is deliberately simple and fully deterministic: remove invisible
+controls, NFC-normalize, lowercase, split on Unicode whitespace, then split
+punctuation into single-character tokens, keeping marks, format characters
+and emoji sequences in their token as UAX #29 does.  The one tweet-flavoured
+exception is that ``#`` and ``@`` stay glued to the word they introduce
+(``#joy`` is one token).
 """
 
 from __future__ import annotations
 
+import bisect
 import collections
 import functools
+import itertools
 import re
 import unicodedata
 from collections.abc import Iterator
@@ -102,30 +107,140 @@ AAEB-AAEF AAF5-AAF6 ABE3-ABEA ABEC-ABED FB1E FE00-FE0F FE20-FE2F 101FD 102E0
 1E023-1E024 1E026-1E02A 1E130-1E136 1E2AE 1E2EC-1E2EF 1E8D0-1E8D6
 1E944-1E94A E0100-E01EF
 """
-_MARK = "".join("-".join(f"\\U{int(cp, 16):08x}" for cp in r.split("-"))
-                for r in _MARK_RANGES.split())
-_TOKEN = re.compile(rf"[#@]?\w[\w{_MARK}]*|[^\w\s][{_MARK}]*")
+# Unicode general category Cf (format characters, ZWJ among them), as _MARK_RANGES.
+_FORMAT_RANGES = """
+00AD 0600-0605 061C 06DD 070F 0890-0891 08E2 180E 200B-200F 202A-202E 2060-2064
+2066-206F FEFF FFF9-FFFB 110BD 110CD 13430-13438 1BCA0-1BCA3 1D173-1D17A E0001
+E0020-E007F
+"""
+# Unicode general category So (other symbols, emoji among them), as _MARK_RANGES.
+_SYMBOL_RANGES = """
+00A6 00A9 00AE 00B0 0482 058D-058E 060E-060F 06DE 06E9 06FD-06FE 07F6 09FA
+0B70 0BF3-0BF8 0BFA 0C7F 0D4F 0D79 0F01-0F03 0F13 0F15-0F17 0F1A-0F1F 0F34
+0F36 0F38 0FBE-0FC5 0FC7-0FCC 0FCE-0FCF 0FD5-0FD8 109E-109F 1390-1399 166D
+1940 19DE-19FF 1B61-1B6A 1B74-1B7C 2100-2101 2103-2106 2108-2109 2114
+2116-2117 211E-2123 2125 2127 2129 212E 213A-213B 214A 214C-214D 214F
+218A-218B 2195-2199 219C-219F 21A1-21A2 21A4-21A5 21A7-21AD 21AF-21CD
+21D0-21D1 21D3 21D5-21F3 2300-2307 230C-231F 2322-2328 232B-237B 237D-239A
+23B4-23DB 23E2-2426 2440-244A 249C-24E9 2500-25B6 25B8-25C0 25C2-25F7
+2600-266E 2670-2767 2794-27BF 2800-28FF 2B00-2B2F 2B45-2B46 2B4D-2B73
+2B76-2B95 2B97-2BFF 2CE5-2CEA 2E50-2E51 2E80-2E99 2E9B-2EF3 2F00-2FD5
+2FF0-2FFB 3004 3012-3013 3020 3036-3037 303E-303F 3190-3191 3196-319F
+31C0-31E3 3200-321E 322A-3247 3250 3260-327F 328A-32B0 32C0-33FF 4DC0-4DFF
+A490-A4C6 A828-A82B A836-A837 A839 AA77-AA79 FD40-FD4F FDCF FDFD-FDFF FFE4
+FFE8 FFED-FFEE FFFC-FFFD 10137-1013F 10179-10189 1018C-1018E 10190-1019C 101A0
+101D0-101FC 10877-10878 10AC8 1173F 11FD5-11FDC 11FE1-11FF1 16B3C-16B3F 16B45
+1BC9C 1CF50-1CFC3 1D000-1D0F5 1D100-1D126 1D129-1D164 1D16A-1D16C 1D183-1D184
+1D18C-1D1A9 1D1AE-1D1EA 1D200-1D241 1D245 1D300-1D356 1D800-1D9FF 1DA37-1DA3A
+1DA6D-1DA74 1DA76-1DA83 1DA85-1DA86 1E14F 1ECAC 1ED2E 1F000-1F02B 1F030-1F093
+1F0A0-1F0AE 1F0B1-1F0BF 1F0C1-1F0CF 1F0D1-1F0F5 1F10D-1F1AD 1F1E6-1F202
+1F210-1F23B 1F240-1F248 1F250-1F251 1F260-1F265 1F300-1F3FA 1F400-1F6D7
+1F6DD-1F6EC 1F6F0-1F6FC 1F700-1F773 1F780-1F7D8 1F7E0-1F7EB 1F7F0 1F800-1F80B
+1F810-1F847 1F850-1F859 1F860-1F887 1F890-1F8AD 1F8B0-1F8B1 1F900-1FA53
+1FA60-1FA6D 1FA70-1FA74 1FA78-1FA7C 1FA80-1FA86 1FA90-1FAAC 1FAB0-1FABA
+1FAC0-1FAC5 1FAD0-1FAD9 1FAE0-1FAE7 1FAF0-1FAF6 1FB00-1FB92 1FB94-1FBCA
+"""
+
+
+def _class(ranges: str) -> str:
+    """A regex class body of the code point ranges ``ranges``."""
+    return "".join("-".join(chr(int(cp, 16)) for cp in r.split("-")) for r in ranges.split())
+
+
+_MARK, _FORMAT, _SYMBOL = map(_class, (_MARK_RANGES, _FORMAT_RANGES, _SYMBOL_RANGES))
+# The invisible controls, removed before NFC: the directional marks,
+# embeddings and isolates, the byte order mark and the soft hyphen.
+_INVISIBLE = dict.fromkeys([0x00AD, 0x200E, 0x200F, *range(0x202A, 0x202F),
+                            *range(0x2066, 0x206A), 0xFEFF])
+_BLOCK_CHARS = 1 << 16  # a block of lines ends at the first line end past this
+
+
+@functools.cache
+def _token_pattern() -> re.Pattern:
+    """The tokens of a chunk that is not all alphanumeric (compiled on first
+    use, as few stages need it).  UAX #29's Extend class (marks, format
+    characters with ZWJ, the emoji modifiers) extends the token before it
+    (WB4); a symbol right after a ZWJ joins it (WB3c); two regional
+    indicators are one token (WB15/16)."""
+    ext = rf"{_MARK}{_FORMAT}\U0001f3fb-\U0001f3ff"
+    joined = rf"(?:(?<=\u200d)[{_SYMBOL}][{{}}]*)*"
+    word = rf"[#@]?\w[\w{ext}]*" + joined.format(rf"\w{ext}")
+    other = rf"(?:[\U0001f1e6-\U0001f1ff]{{2}}|[^\w\s])[{ext}]*" + joined.format(ext)
+    return re.compile(f"{word}|{other}")
+
+
+def _tokenize_block(lines: list[str]) -> tuple[list[str], list[int], list[int]]:
+    """The tokenizer core: the tokens of ``lines`` laid end to end, each
+    line's token count and each line's char count (rules: ``tokenize``), in
+    one pass over the block.  Lines hold no ``\\n``, except the line of a
+    one-line block."""
+    text = "\n".join(lines)
+    if not text.isascii():
+        text = unicodedata.normalize("NFC", text.translate(_INVISIBLE))
+    text = text.lower()
+    if len(lines) == 1:
+        lines = [text]
+    else:  # "\n" is not case-ignorable, and NFC does not cross it
+        n, lines = len(lines), text.split("\n") if lines else []
+        if len(lines) != n:
+            raise ValueError("a line of a block of lines holds '\\n'")
+    tokens = text.split()
+    if not tokens or "".join(tokens).isalnum():  # the common case, no pattern needed
+        counts = list(map(len, map(str.split, lines)))
+    else:
+        per_line = list(map(_token_pattern().findall, lines))
+        tokens = list(itertools.chain.from_iterable(per_line))
+        counts = list(map(len, per_line))
+    return tokens, counts, list(map(len, lines))
+
+
+def _seqs(tokens: list[str], counts: list[int], chars: list[int]) -> list[TokenSeq]:
+    """The TokenSeq of each line of a block ``_tokenize_block`` returned."""
+    rest = iter(tokens)
+    return [TokenSeq(tuple(itertools.islice(rest, n)), c) for n, c in zip(counts, chars)]
+
+
+def _blocks(lines) -> Iterator[list[str]]:
+    """``lines`` in blocks, each ending at the first line end past
+    ``_BLOCK_CHARS`` characters."""
+    block, size = [], 0
+    for line in lines:
+        block.append(line)
+        size += len(line)
+        if size > _BLOCK_CHARS:
+            yield block
+            block, size = [], 0
+    if block:
+        yield block
 
 
 def tokenize(text: str) -> TokenSeq:
     """Normalize ``text`` into a TokenSeq.
 
-    Rules: NFC-normalize, lowercase, split on Unicode whitespace, then split
-    each chunk that is not all alphanumeric with ``_TOKEN``: a ``#`` or ``@``
-    glued to the word run after it, a run of alphanumeric or ``_``
-    characters, or any other character alone.  A combining mark (category M)
-    extends the token before it, as UAX #29 rule WB4 treats Extend
-    characters, so a word run goes on through its marks.  The char count is
-    that of the normalized, lowercased text, whitespace included.
+    Rules: remove the invisible controls (``_INVISIBLE``), NFC-normalize,
+    lowercase, split on Unicode whitespace, then split each chunk that is
+    not all alphanumeric with ``_token_pattern``: a ``#`` or ``@`` glued to
+    the word run after it, a run of alphanumeric or ``_`` characters, two
+    regional indicators, or any other character alone, each extended as
+    UAX #29 extends a word.  The char count is that of the text after the
+    removal, normalized and lowercased, whitespace included.
     """
-    text = unicodedata.normalize("NFC", text).lower()
-    tokens: list[str] = []
-    for chunk in text.split():
-        if chunk.isalnum():  # the common case, no pattern needed
-            tokens.append(chunk)
-        else:
-            tokens.extend(_TOKEN.findall(chunk))
-    return TokenSeq(tuple(tokens), len(text))
+    return _seqs(*_tokenize_block([text]))[0]
+
+
+def tokenize_lines(lines) -> Iterator[TokenSeq]:
+    """``map(tokenize, lines)`` for lines that hold no ``\\n``, tokenized a
+    block at a time."""
+    return itertools.chain.from_iterable(_seqs(*_tokenize_block(block)) for block in _blocks(lines))
+
+
+def _text_lines(lines: list[str]) -> list[str]:
+    """The lines of ``lines`` (none holding ``\\n``) that have a
+    non-whitespace character once the invisible controls are removed:
+    exactly the lines the tokenizer makes a token of."""
+    text = "\n".join(lines)
+    seen = lines if text.isascii() else text.translate(_INVISIBLE).split("\n")
+    return list(itertools.compress(lines, map(str.strip, seen)))
 
 
 def extract_ngrams(seq: TokenSeq, n: int) -> collections.Counter:
@@ -142,9 +257,10 @@ def extract_ngrams(seq: TokenSeq, n: int) -> collections.Counter:
 INTENSITY_HEADER = ("id", "text", "affect", "score")
 
 
-def _read_lines(path) -> Iterator[str]:
-    """The lines of a UTF-8 text file, read one at a time: the one line rule
-    of every reader.
+def _read_blocks(path) -> Iterator[list[str]]:
+    """The lines of a UTF-8 text file, in blocks, one per read of
+    ``_BLOCK_CHARS`` characters that ends a line: the one line rule of every
+    reader.
 
     Lines end at ``\\n`` (``\\r\\n`` and a lone ``\\r`` read as ``\\n``); no other
     character ends a line, unlike ``str.splitlines``, which also breaks at
@@ -154,11 +270,20 @@ def _read_lines(path) -> Iterator[str]:
     (U+FEFF) is dropped, as the ``utf-8-sig`` codec does.
     """
     with open(path, encoding="utf-8-sig") as fh:
-        line = "\n"
-        for line in fh:
-            yield line.removesuffix("\n")
-        if line.endswith("\n"):
-            yield ""
+        head = []  # the start of a line that no block read so far has ended
+        while chunk := fh.read(_BLOCK_CHARS):
+            if "\n" not in chunk:
+                head.append(chunk)
+                continue
+            lines = "".join([*head, chunk]).split("\n")
+            head = [lines.pop()]
+            yield lines
+        yield ["".join(head)]
+
+
+def _read_lines(path) -> Iterator[str]:
+    """The lines of a UTF-8 text file (``_read_blocks``), one at a time."""
+    return itertools.chain.from_iterable(_read_blocks(path))
 
 
 def _check_new_id(path, lineno: int, rid: str, first_line: dict[str, int]):
@@ -177,8 +302,9 @@ def _dataset_rows(path, task: str):
     are skipped.  Rows are checked, not tokenized: the column count, unique
     ids, no id starting with ``#`` (it marks comments in every file rtm
     writes, so such a row would read back as one), the score or label, and
-    for triples that no word is empty (no non-whitespace character, which is
-    exactly when ``tokenize`` makes no token of it).
+    for triples that no word is empty (``_text_lines``: no non-whitespace
+    character once the invisible controls are removed, which is exactly when
+    the tokenizer makes no token of it).
     """
     lines = _read_lines(path)
     if task == "intensity":
@@ -208,7 +334,7 @@ def _dataset_rows(path, task: str):
             elif fields[4] != "NONE":
                 _fail(path, lineno, f"label {fields[4]!r} not in {{0, 1, NONE}}")
             for name, text in zip(("word1", "word2", "attribute"), fields[1:4]):
-                if not text.split():
+                if not _text_lines([text]):
                     _fail(path, lineno, f"empty {name}")
         elif ncols == 4 and fields[3] != "NONE":
             try:
@@ -224,17 +350,17 @@ def load_lexicon(path) -> dict[str, tuple[TokenSeq, ...]]:
     """Load an emotion lexicon: ``#<emotion>`` headers, then one entry per line.
 
     Returns emotion -> its entries, both in file order.  Entries may be
-    multi-word.  Duplicate entries within a section are rejected; every
-    section must contain at least one entry.
+    multi-word.  A line the tokenizer makes no token of is blank.  Duplicate
+    entries within a section are rejected; every section must contain at
+    least one entry.
     """
     entries: dict[str, list[TokenSeq]] = {}
     seen: dict[str, set] = {}
     current = None
     last_header_line = 0
-    for lineno, line in enumerate(_read_lines(path), start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
+    lines = [line.strip() for line in _read_lines(path)]
+    words = tokenize_lines("" if line.startswith("#") else line for line in lines)
+    for lineno, (stripped, word) in enumerate(zip(lines, words), start=1):
         if stripped.startswith("#"):
             if current is not None and not entries[current]:
                 _fail(path, last_header_line, f"emotion {current!r} has no entries")
@@ -247,9 +373,10 @@ def load_lexicon(path) -> dict[str, tuple[TokenSeq, ...]]:
             seen[current] = set()
             last_header_line = lineno
             continue
+        if not word.tokens:
+            continue
         if current is None:
             _fail(path, lineno, "entry before any #<emotion> header")
-        word = tokenize(stripped)
         if word.tokens in seen[current]:
             _fail(path, lineno, f"duplicate entry {stripped!r} in {current!r}")
         seen[current].add(word.tokens)
@@ -261,17 +388,14 @@ def load_lexicon(path) -> dict[str, tuple[TokenSeq, ...]]:
     return {emo: tuple(words) for emo, words in entries.items()}
 
 
-def _corpus_lines(path) -> Iterator[str]:
-    # A line holds a sentence when it has a non-whitespace character, which
-    # is exactly when ``tokenize`` makes a token of it (same whitespace rule).
-    return (line for line in _read_lines(path) if line.split())
-
-
 class Corpus:
-    """The sentences of a one-sentence-per-line corpus file, empty lines
-    skipped.  Iterating reads and tokenizes the file one line at a time and
-    keeps no sentence; ``sentences`` tokenizes the whole file on first use
-    and keeps the list."""
+    """The sentences of a one-sentence-per-line corpus file: its lines that
+    have a non-whitespace character once the invisible controls are removed
+    (``_text_lines``).  A pass reads and tokenizes the file a block of lines
+    at a time (``_read_blocks``) and keeps no sentence: ``blocks`` yields
+    each block's tokens laid end to end with each sentence's token count,
+    and iterating yields each sentence's TokenSeq.  ``sentences`` tokenizes
+    the whole file on first use and keeps the list."""
 
     def __init__(self, path):
         self.path = path
@@ -280,13 +404,19 @@ class Corpus:
     def sentences(self) -> list[TokenSeq]:
         return list(self)
 
+    def _tokenized(self) -> Iterator[tuple[list[str], list[int], list[int]]]:
+        return (_tokenize_block(_text_lines(lines)) for lines in _read_blocks(self.path))
+
+    def blocks(self) -> Iterator[tuple[list[str], list[int]]]:
+        return (block[:2] for block in self._tokenized())
+
     def __iter__(self) -> Iterator[TokenSeq]:
-        return map(tokenize, _corpus_lines(self.path))
+        return itertools.chain.from_iterable(itertools.starmap(_seqs, self._tokenized()))
 
 
 def load_corpus(path) -> Corpus:
     """The corpus of the file at ``path``, read when it is used: one pass over
-    it holds one line at a time."""
+    it holds one block of lines at a time."""
     return Corpus(path)
 
 
@@ -295,15 +425,19 @@ def load_corpus_sentences(path, indices) -> list[TokenSeq]:
     those lines and keeping only those lines.  The first index outside
     ``range(n)`` for an n-sentence corpus raises ``IndexError(position in
     indices, n)``."""
-    wanted = dict.fromkeys(indices)
+    wanted = sorted({i for i in indices if i >= 0})
+    found: dict[int, str] = {}  # index -> line, in index order
     n = 0
-    for n, line in enumerate(_corpus_lines(path), start=1):
-        if n - 1 in wanted:
-            wanted[n - 1] = line
+    for lines in _read_blocks(path):
+        lines = _text_lines(lines)
+        n += len(lines)
+        for i in wanted[len(found) : bisect.bisect_left(wanted, n)]:
+            found[i] = lines[i - n]  # counted from the block's end
     for pos, i in enumerate(indices):
-        if not 0 <= i < n:
+        if i not in found:
             raise IndexError(pos, n)
-    return [tokenize(wanted[i]) for i in indices]
+    seqs = dict(zip(found, tokenize_lines(found.values())))
+    return [seqs[i] for i in indices]
 
 
 def lexicon_to_target(lexicon: dict[str, tuple[TokenSeq, ...]], emotions) -> TokenSeq:

@@ -18,11 +18,12 @@ import collections
 import itertools
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import TokenSeq
+from .corpus import Corpus, TokenSeq
 
 BOS = "<s>"
 EOS = "</s>"
@@ -86,22 +87,32 @@ def _task_features(task_texts: list[TokenSeq], max_order: int) -> tuple[dict, li
     return token_ids, order_keys, n_features
 
 
-def _sentence_features(sentences: Iterable[TokenSeq], token_ids: dict, order_keys: list[dict],
-                       n_features: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct (sentence, feature id) pairs of ``sentences``, ordered by
-    sentence, then feature id, as two int32 arrays, and the sentence lengths.
+def _token_blocks(corpus: Corpus | Iterable[TokenSeq]):
+    """The sentences of ``corpus`` as blocks of (tokens laid end to end,
+    each sentence's token count): a ``Corpus``'s own blocks, else one
+    sentence a block."""
+    if isinstance(corpus, Corpus):
+        return corpus.blocks()
+    return ((sent.tokens, (len(sent.tokens),)) for sent in corpus)
 
-    ``sentences`` is read once, and each sentence is dropped once its tokens
-    are mapped to task token ids.
+
+def _sentence_features(blocks, token_ids: dict, order_keys: list[dict],
+                       n_features: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct (sentence, feature id) pairs of the sentences of
+    ``blocks`` (``_token_blocks``), ordered by sentence, then feature id, as
+    two int32 arrays, and the sentence lengths.
+
+    ``blocks`` is read once, and each block is dropped once its tokens are
+    mapped to task token ids.
     """
     n_types = len(token_ids)
     # Flat corpus tokens as task token ids (-1: not a task token); ``cur``
     # holds the id of the task n-gram of the current order at each position.
     tokens, lengths = array.array("i"), array.array("i")
     not_task = itertools.repeat(-1)
-    for sent in sentences:
-        lengths.append(len(sent.tokens))
-        tokens.extend(map(token_ids.get, sent.tokens, not_task))
+    for block, counts in blocks:
+        lengths.extend(counts)
+        tokens.extend(map(token_ids.get, block, not_task))
     tokens = np.frombuffer(tokens, dtype=np.intc)
     lengths = np.frombuffer(lengths, dtype=np.intc)
     sent_of = np.repeat(np.arange(len(lengths), dtype=np.int32), lengths)
@@ -147,19 +158,20 @@ def _padded_groups(n_feats: np.ndarray, first: np.ndarray, pair_feat: np.ndarray
         bounds.append(4 * bounds[-1])
     group = np.searchsorted(bounds, n_feats)
     row = np.empty(len(n_feats), dtype=np.int64)
-    ids = np.append(pair_feat, np.int32(pad))
+    ids = np.concatenate([pair_feat, [pad]], dtype=np.intp)  # intp: no conversion per pick
     matrices = []
     for g in range(len(bounds)):
         members = np.flatnonzero(group == g)
         row[members] = np.arange(len(members))
         cols = np.arange(max(int(n_feats[members].max(initial=0)), 1))
         at = first[members, None] + cols
-        matrices.append(ids[np.where(cols < n_feats[members, None], at, len(pair_feat))])
+        at[cols >= n_feats[members, None]] = len(pair_feat)
+        matrices.append(ids[at])
     return group, row, matrices
 
 
 def select_interpretants(
-    corpus: Iterable[TokenSeq], task_texts: list[TokenSeq], cfg: FdaConfig
+    corpus: Corpus | Iterable[TokenSeq], task_texts: list[TokenSeq], cfg: FdaConfig
 ) -> InterpretantSet:
     """Greedy feature-decay selection of ``cfg.budget`` sentences of ``corpus``.
 
@@ -171,14 +183,16 @@ def select_interpretants(
     occurrence in the task texts), so a score does not depend on the hash
     seed.
 
-    ``corpus`` is read once, as a stream: a sentence is kept only as its
-    task token ids and its length.
+    ``corpus`` is read once, as a stream (a ``Corpus`` a block of lines at
+    a time, as bare tokens): a sentence is kept only as its task token ids
+    and its length.
     """
     if not task_texts:
         raise ValueError("task_texts must be nonempty")
 
     token_ids, order_keys, n_features = _task_features(task_texts, cfg.max_order)
-    pair_sent, pair_feat, lengths = _sentence_features(corpus, token_ids, order_keys, n_features)
+    pair_sent, pair_feat, lengths = _sentence_features(_token_blocks(corpus), token_ids,
+                                                       order_keys, n_features)
     n_sents = len(lengths)
     if cfg.budget > n_sents:
         raise ValueError(f"budget {cfg.budget} exceeds corpus size {n_sents}")
@@ -187,11 +201,12 @@ def select_interpretants(
     group, row, matrices = _padded_groups(n_feats, first, pair_feat, n_features)
     # Inverted index: the sentences containing feature g are
     # ``containing[starts[g]:starts[g + 1]]``.
-    containing = pair_sent[np.argsort(pair_feat, kind="stable")]
+    containing = pair_sent[np.argsort(pair_feat, kind="stable")].astype(np.intp)
     starts = [0, *np.cumsum(np.bincount(pair_feat, minlength=n_features)).tolist()]
     del pair_sent
+    sizes = _distinct(lengths)
     try:
-        inv_norm = np.array([1.0 / (n ** cfg.length_exponent) for n in lengths.tolist()])
+        inv_norm = np.array([1.0 / (n ** cfg.length_exponent) for n in sizes.tolist()])
     except OverflowError:
         longest = int(lengths.max())
         raise ValueError(
@@ -199,6 +214,7 @@ def select_interpretants(
             f"sentence has {longest} tokens, and {longest} ** {cfg.length_exponent} "
             "overflows a float"
         ) from None
+    inv_norm = inv_norm[np.searchsorted(sizes, lengths)]
 
     # The padding id ``n_features`` keeps weight 0.0.  cumsum adds each row
     # left to right (np.sum would add pairwise), and x + 0.0 == x, so the
@@ -206,17 +222,23 @@ def select_interpretants(
     weights = np.ones(n_features + 1)
     weights[n_features] = 0.0
 
+    # The gathers use ``take``, which costs less per call than indexing.
     def rescore(sents):
+        if len(matrices) == 1:  # one group holds every sentence, in order
+            rows = weights.take(matrices[0].take(sents, axis=0))
+            scores[sents] = rows.cumsum(axis=1)[:, -1] * inv_norm.take(sents)
+            return
         for g, matrix in enumerate(matrices):
-            part = sents[group[sents] == g]
-            scores[part] = weights[matrix[row[part]]].cumsum(axis=1)[:, -1] * inv_norm[part]
+            part = sents[group.take(sents) == g]
+            rows = weights.take(matrix.take(row.take(part), axis=0))
+            scores[part] = rows.cumsum(axis=1)[:, -1] * inv_norm.take(part)
 
-    scores = np.empty(n_sents)
-    rescore(np.arange(n_sents))
+    # Every weight starts at 1.0, and k ones added left to right are k exactly.
+    scores = n_feats * inv_norm
     selected: list[int] = []
     picked_scores: list[float] = []
     for _ in range(cfg.budget):
-        best = int(np.argmax(scores))  # the first maximum: ties -> lowest index
+        best = int(scores.argmax())  # the first maximum: ties -> lowest index
         selected.append(best)
         picked_scores.append(float(scores[best]))
         scores[best] = -np.inf  # picked
@@ -228,7 +250,7 @@ def select_interpretants(
         # unpicked sentences that hold a decayed feature leaves every score
         # equal to what a full rescan would compute.
         touched = np.concatenate([containing[starts[g] : starts[g + 1]] for g in decayed.tolist()])
-        rescore(touched[scores[touched] != -np.inf])
+        rescore(touched[scores.take(touched) != -np.inf])
     return InterpretantSet(selected, picked_scores)
 
 
@@ -240,11 +262,24 @@ def select_interpretants(
 # first n - 1 words of a stored n-gram are a stored (n - 1)-gram.
 
 
-def _vocabulary(sentences) -> tuple[dict, int, np.ndarray, np.ndarray]:
-    """Word -> id for the words of ``sentences`` in first-occurrence order,
-    then for whichever of BOS, EOS and UNK no sentence holds; the number of
-    sentence words; and the sentences as one flat array of ids with their
-    lengths."""
+class IdSentences(NamedTuple):
+    """Sentences mapped to one vocabulary (``map_sentences``): word -> id,
+    the number of sentence words, and the sentences as one flat int64 array
+    of ids with their lengths."""
+
+    ids: dict
+    n_words: int
+    tokens: np.ndarray
+    lengths: np.ndarray
+
+
+def map_sentences(sentences: list[TokenSeq] | IdSentences) -> IdSentences:
+    """``sentences`` as ids: word -> id for their words in first-occurrence
+    order, then for whichever of BOS, EOS and UNK no sentence holds.  The
+    weight table and the LM take the result in place of the sentences, so
+    one mapping serves both; mapped sentences are returned as they are."""
+    if isinstance(sentences, IdSentences):
+        return sentences
     ids: dict[str, int] = {}
     flat, lengths = array.array("q"), array.array("q")
     for sent in sentences:
@@ -253,7 +288,8 @@ def _vocabulary(sentences) -> tuple[dict, int, np.ndarray, np.ndarray]:
     n_words = len(ids)
     for special in (BOS, EOS, UNK):
         ids.setdefault(special, len(ids))
-    return ids, n_words, np.array(flat, dtype=np.int64), np.array(lengths, dtype=np.int64)
+    return IdSentences(ids, n_words, np.array(flat, dtype=np.int64),
+                       np.array(lengths, dtype=np.int64))
 
 
 def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -330,7 +366,7 @@ def _row_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 class NGramWeightTable:
     """Relative-frequency weights of n-grams (orders 1..3), id-indexed.
 
-    ``words`` is the vocabulary (``_vocabulary``).  For order n, ``keys[n - 1]``
+    ``words`` is the vocabulary (``map_sentences``).  For order n, ``keys[n - 1]``
     holds the sorted keys of the n-grams seen and ``weights[n - 1]`` their
     relative frequencies; ``totals[n - 1]`` is the order's n-gram count.
     Unseen n-grams fall back to a floor of ``1 / (2 * total count of that
@@ -366,12 +402,12 @@ class NGramWeightTable:
         return float(self.weigh(ids.reshape(1, len(gram)))[0])
 
 
-def build_ngram_weights(sentences: list[TokenSeq]) -> NGramWeightTable:
-    """Count n-grams of orders 1..3 over ``sentences`` and normalize each order
-    to sum to 1."""
-    if not sentences or all(len(s) == 0 for s in sentences):
+def build_ngram_weights(sentences: list[TokenSeq] | IdSentences) -> NGramWeightTable:
+    """Count n-grams of orders 1..3 over ``sentences`` (or the sentences
+    ``map_sentences`` mapped) and normalize each order to sum to 1."""
+    ids, _, tokens, lengths = map_sentences(sentences)
+    if not len(tokens):
         raise ValueError("need at least one nonempty sentence")
-    ids, _, tokens, lengths = _vocabulary(sentences)
     keys, weights, totals = [], [], []
     for order_keys, at in _windows(tokens, _room(lengths), len(ids), 3):
         counts = np.bincount(at[at >= 0], minlength=len(order_keys))
@@ -391,7 +427,7 @@ class WittenBellLM:
     vocabulary (the training words plus the unknown and end-of-sentence
     symbols), which gives the unknown symbol its continuation mass.
 
-    The model is id-indexed.  ``words`` is the vocabulary (``_vocabulary``):
+    The model is id-indexed.  ``words`` is the vocabulary (``map_sentences``):
     the ``n_words`` training words, then the symbols among BOS, EOS and UNK
     that are not training words.  For order n, ``keys[n - 1]`` holds the
     sorted keys of the n-grams of the BOS-padded training sentences and
@@ -401,12 +437,14 @@ class WittenBellLM:
     derived from them.
     """
 
-    def __init__(self, sentences: list[TokenSeq], order: int = 3):
+    def __init__(self, sentences: list[TokenSeq] | IdSentences, order: int = 3):
+        """The model of ``sentences`` (or the sentences ``map_sentences``
+        mapped)."""
         if order < 1:
             raise ValueError("order must be >= 1")
-        if not sentences or all(len(s) == 0 for s in sentences):
+        ids, n_words, tokens, lengths = map_sentences(sentences)
+        if not len(tokens):
             raise ValueError("need at least one nonempty sentence")
-        ids, n_words, tokens, lengths = _vocabulary(sentences)
         # each nonempty sentence as order - 1 BOS, its words, then EOS
         lengths = lengths[lengths > 0]
         sizes = lengths + order

@@ -933,10 +933,14 @@ def _fold_shares(specs, X, y, folds: int, seed: int) -> list[_Share]:
 
 def held_out(spec: ModelSpec, shares):
     """Yield each fold share of ``shares`` with the held-out predictions of
-    ``spec`` fitted on the share's training rows."""
-    for share in shares:
-        model = fit_model(spec, share.X, share.y, share)
-        predictions = share.held_out_predictions(model)
+    ``spec`` fitted on the share's training rows.  A fit that fails raises
+    ``ValueError`` naming the spec and the fold (from 1)."""
+    for fold, share in enumerate(shares, start=1):
+        try:
+            model = fit_model(spec, share.X, share.y, share)
+            predictions = share.held_out_predictions(model)
+        except (ValueError, ArithmeticError) as exc:
+            raise ValueError(f"{spec.label()}, fold {fold}: {exc}") from exc
         del model  # so the next fold's fit grows without this one beside it
         yield share, predictions
 

@@ -54,7 +54,7 @@ from .corpus import (
     load_corpus_sentences,
     load_lexicon,
     lexicon_to_target,
-    tokenize,
+    tokenize_lines,
 )
 from .features import (
     FEATURE_NAMES,
@@ -63,7 +63,13 @@ from .features import (
     build_feature_matrix,
     train_aligner,
 )
-from .interpretants import FdaConfig, WittenBellLM, build_ngram_weights, select_interpretants
+from .interpretants import (
+    FdaConfig,
+    WittenBellLM,
+    build_ngram_weights,
+    map_sentences,
+    select_interpretants,
+)
 from .learners import ModelSpec, average_top_k, default_grid, grid_search, small_grid
 from .metrics import (
     MetricConfig,
@@ -480,27 +486,30 @@ def _targets(cfg: RunConfig) -> list[TokenSeq]:
 
 def load_rows(cfg: RunConfig, inputs: dict[str, list]) -> tuple[RowSet, RowSet]:
     """The train and test RowSets of the datasets and targets that
-    ``_sources`` read (``inputs``), each dataset tokenized once.
+    ``_sources`` read (``inputs``), each dataset tokenized once, a block of
+    fields at a time.
 
     An intensity instance is one row per target: its text against each
     target.  A triple is two rows, word1 and word2 against the attribute.
     """
     targets = inputs["targets"]
     row_tags = "-" if cfg.architecture == "plain" else "ab"
+    width = 1 if cfg.task == "intensity" else 3  # the tokenized fields after the id
     out = []
     for split in ("train", "test"):
         rows = RowSet([], [], [], [])
-        for text, _ in inputs[split]:
-            fields = text.split("\t")
+        fields = [text.split("\t") for text, _ in inputs[split]]
+        seqs = tokenize_lines(f for row in fields for f in row[1 : 1 + width])
+        for row in fields:
+            texts = tuple(itertools.islice(seqs, width))
             if cfg.task == "intensity":
-                texts = (tokenize(fields[1]),)
                 pairs = [(texts[0], t) for t in targets]
             else:
-                w1, w2, attribute = texts = tuple(map(tokenize, fields[1:4]))
+                w1, w2, attribute = texts
                 pairs = [(w1, attribute), (w2, attribute)]
             rows.texts.extend(texts)
             for tag, pair in zip(row_tags, pairs):
-                rows.ids.append(fields[0])
+                rows.ids.append(row[0])
                 rows.tags.append(tag)
                 rows.pairs.append(pair)
         out.append(rows)
@@ -640,7 +649,7 @@ def _records(comments: list[str]) -> dict[str, str]:
 
 
 def stage_select_interpretants(cfg: RunConfig, out_dir: Path):
-    corpus = load_corpus(cfg.corpus)  # read once, a line at a time, by the selection
+    corpus = load_corpus(cfg.corpus)  # read once, a block of lines at a time, by the selection
     record, inputs = _sources(cfg, "select-interpretants")
     train, test = load_rows(cfg, inputs)
     # task texts: train texts, test texts, then the target(s)
@@ -681,9 +690,12 @@ def stage_build_resources(cfg: RunConfig, out_dir: Path):
         pos, n = exc.args
         raise StageError(f"{path}:{linenos[pos]}: sentence index {indices[pos]} is not in "
                          f"the corpus's range 0..{n - 1}") from None
+    mapped = map_sentences(sentences)  # one vocabulary for the weight table and the LM
+    table, lm = build_ngram_weights(mapped), WittenBellLM(mapped, order=cfg.lm_order)
+    del mapped  # not held while the aligner trains
     resources = FeatureResources(
-        weight_table=build_ngram_weights(sentences),
-        lm=WittenBellLM(sentences, order=cfg.lm_order),
+        weight_table=table,
+        lm=lm,
         aligner=train_aligner([(s, s) for s in sentences], cfg.aligner_iterations),
     )
     _write_artifact(out_dir / "resources.pkl", cfg, {"sources": current}, resources.to_arrays())

@@ -1,7 +1,10 @@
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+import rtm.corpus
+from hypothesis import given, settings, strategies as st
 
 from rtm.corpus import (
     DataFormatError,
@@ -14,7 +17,9 @@ from rtm.corpus import (
     load_corpus_sentences,
     load_lexicon,
     tokenize,
+    tokenize_lines,
 )
+from rtm.interpretants import FdaConfig, select_interpretants
 from rtm.pipeline import read_golds
 
 
@@ -70,6 +75,58 @@ class TestTokenize:
         first = tokenize(" ".join(parts))
         again = tokenize(" ".join(first.tokens))
         assert again.tokens == first.tokens
+
+    @pytest.mark.parametrize("text, tokens", [
+        ("مرحبا\u200f بكم", tokenize("مرحبا بكم").tokens),  # a right-to-left mark is removed
+        ("می\u200cخواهم", ("می\u200cخواهم",)),  # ZWNJ (Cf) inside one word
+        ("👍\U0001f3fd", ("👍\U0001f3fd",)),  # an emoji modifier extends
+        ("🇪🇸", ("🇪🇸",)),  # two regional indicators
+        ("👨\u200d👩\u200d👧", ("👨\u200d👩\u200d👧",)),  # ZWJ joins the next symbol
+        ("ab\xadcd", ("abcd",)),  # a soft hyphen is removed
+        ("e\xad\u0301", ("é",)),  # removed before NFC, which then composes
+        ("🇪🇸🇫🇷🇩", ("🇪🇸", "🇫🇷", "🇩")),  # indicators pair from the left
+        ("\u202bx\u202c \u2067y\u2069 \ufeffz", ("x", "y", "z")),
+    ])
+    def test_uax29_words(self, text, tokens):
+        assert tokenize(text).tokens == tokens
+
+    def test_char_count_after_removal(self):
+        assert tokenize("ab\xadcd \u200e").char_count == 5
+
+
+# Lines for the block tokenizer: whitespace (every str.split separator
+# class), marks, '#'/'@', the removed controls, ZWNJ, ZWJ, emoji, a modifier,
+# regional indicators, capital sigma (its lowercase depends on what follows)
+# and a dotted capital I (two code points once lowered).
+_LINE_CHARS = st.sampled_from(
+    list(" \t\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2028\u2029\u3000") + list("aZ9_#@!.")
+    + ["\u0301", "\u064e", "\u093e", "\u200e", "\u200f", "\u202a", "\u202e", "\u2066",
+       "\u2069", "\ufeff", "\xad", "\u200c", "\u200d", "👍", "👩", "\U0001f3fd",
+       "\U0001f1ea", "\U0001f1f8", "Σ", "σ", "İ", "é", "e\u0301"])
+_LINES = st.lists(st.lists(_LINE_CHARS, max_size=10).map("".join) | st.just(""), max_size=25)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_LINES, st.integers(1, 24))
+def test_blocks_tokenize_as_lines_one_at_a_time(lines, block_chars):
+    # Blocks of lines give each line the tokens and char count the line
+    # gets alone, however the lines fall into blocks; the corpus reads the
+    # same blocks from its file and skips the lines with no token.
+    expected = [tokenize(line) for line in lines]
+    assert all(tok and tok.split() == [tok] for seq in expected for tok in seq.tokens)
+    kept = [seq for seq in expected if seq.tokens]
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rtm.corpus, "_BLOCK_CHARS", block_chars)
+        assert list(tokenize_lines(lines)) == expected
+        path = Path(tmp) / "c.txt"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        corpus = load_corpus(path)
+        assert corpus.sentences == kept
+        blocks = list(corpus.blocks())
+        assert [tok for tokens, _ in blocks for tok in tokens] == [
+            tok for seq in kept for tok in seq.tokens]
+        assert [n for _, counts in blocks for n in counts] == [len(seq) for seq in kept]
+        assert load_corpus_sentences(path, list(range(len(kept)))[::-1]) == kept[::-1]
 
 
 class TestTokenSeq:
@@ -197,6 +254,13 @@ class TestTripleDataset:
         with pytest.raises(DataFormatError, match=r"t.tsv:2: id '#q2' starts with '#'"):
             _rows(path, "triples")
 
+    def test_word_of_removed_controls_rejected(self, tmp_path):
+        # no token once the invisible controls go, so it is empty
+        path = tmp_path / "t.tsv"
+        path.write_text("q0\tx\ty\tz\t0\nq1\t\u200f\xad\ty\tz\t1\n", encoding="utf-8")
+        with pytest.raises(DataFormatError, match=r"t.tsv:2: empty word1"):
+            _rows(path, "triples")
+
     @pytest.mark.parametrize("col, name", [(1, "word1"), (2, "word2"), (3, "attribute")])
     def test_empty_word_rejected(self, tmp_path, col, name):
         fields = ["q1", "apple", "banana", "red", "1"]
@@ -232,6 +296,11 @@ class TestLexicon:
         path.write_text("#joy\n#sadness\nblue\n")
         with pytest.raises(DataFormatError, match="no entries"):
             load_lexicon(path)
+
+    def test_line_of_removed_controls_is_blank(self, tmp_path):
+        path = tmp_path / "lex.txt"
+        path.write_text("\u200e\n#joy\n\ufeff\xad\nglad\n\u2066 \u2069\n", encoding="utf-8")
+        assert [w.tokens for w in load_lexicon(path)["joy"]] == [("glad",)]
 
     def test_entry_before_header_rejected(self, tmp_path):
         path = tmp_path / "lex.txt"
@@ -283,6 +352,21 @@ class TestCorpus:
         indices = [5, 0, 3, 3, 1]
         assert load_corpus_sentences(path, indices) == [corpus.sentences[i] for i in indices]
 
+    def test_line_of_removed_controls_holds_no_sentence(self, tmp_path):
+        # Both stages skip it, so an index names one sentence in both, and no
+        # sentence has length 0, which FDA would divide by (0 ** 0.5).
+        path = tmp_path / "c.txt"
+        lines = ["a b", "\u200e", "\ufeff\xad \u2066", "c", "\u200f\u200f", "\u2069"]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        corpus = load_corpus(path)
+        assert [s.tokens for s in corpus.sentences] == [("a", "b"), ("c",)]
+        assert load_corpus_sentences(path, [1, 0]) == corpus.sentences[::-1]
+        with pytest.raises(IndexError):
+            load_corpus_sentences(path, [2])
+        selection = select_interpretants(corpus, [tokenize("a c")], FdaConfig(budget=2))
+        assert selection.selected_indices == [1, 0]
+        assert selection.selection_scores == [1.0, 1 / 2 ** 0.5]
+
     def test_loaded_corpus_reads_its_file_per_pass(self, tmp_path):
         path = tmp_path / "c.txt"
         path.write_text("a b\n\nc\n")
@@ -299,4 +383,15 @@ def test_lines_read_one_at_a_time_are_the_split_lines(tmp_path, text):
     path = tmp_path / "f.txt"
     path.write_bytes(text.encode("utf-8"))
     whole = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    assert list(_read_lines(path)) == whole
+
+
+@pytest.mark.parametrize("block_chars", [1, 2, 3])
+def test_lines_read_in_small_blocks_are_the_split_lines(tmp_path, monkeypatch, block_chars):
+    # reads that end inside a line, inside "\r\n" and just after a "\n"
+    monkeypatch.setattr(rtm.corpus, "_BLOCK_CHARS", block_chars)
+    text = "\ufeffab\r\ncd\r\r\nefgh\n\nx\x0cy\x85z\u2028w\rlast"
+    path = tmp_path / "f.txt"
+    path.write_bytes(text.encode("utf-8"))
+    whole = text[1:].replace("\r\n", "\n").replace("\r", "\n").split("\n")
     assert list(_read_lines(path)) == whole

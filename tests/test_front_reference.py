@@ -300,16 +300,31 @@ class RefWittenBellLM:
         return logprob, len(padded) - start
 
 
+def ref_extends(ch):
+    """UAX #29's Extend, Format and ZWJ: a mark, a format character or an
+    emoji modifier."""
+    return (unicodedata.category(ch)[0] == "M" or unicodedata.category(ch) == "Cf"
+            or 0x1F3FB <= ord(ch) <= 0x1F3FF)
+
+
 def ref_split_chunk(chunk):
-    """The char loop; a combining mark extends the token before it, and a
-    word goes on through its marks."""
+    """The char loop.  An Extend character (``ref_extends``) extends the
+    token before it, and a word goes on through them; a symbol (So) right
+    after a ZWJ joins the ZWJ's token; a regional indicator right after a
+    lone one that began a token joins it."""
     out, buf = [], []
+    lone_ri = False
     for i, ch in enumerate(chunk):
-        if unicodedata.category(ch)[0] == "M" and (buf or out):
+        ri, after_lone_ri, lone_ri = 0x1F1E6 <= ord(ch) <= 0x1F1FF, lone_ri, False
+        joins = unicodedata.category(ch) == "So" and i and chunk[i - 1] == "\u200d"
+        if (ref_extends(ch) or joins) and (buf or out):
             if buf:
                 buf.append(ch)
             else:
                 out[-1] += ch
+            continue
+        if ri and after_lone_ri:
+            out[-1] += ch
             continue
         if ch.isalnum() or ch == "_":
             buf.append(ch)
@@ -321,6 +336,7 @@ def ref_split_chunk(chunk):
             buf.append(ch)
         else:
             out.append(ch)
+            lone_ri = ri
     if buf:
         out.append("".join(buf))
     return out
@@ -743,19 +759,26 @@ chunk_chars = st.sampled_from(
     + ["😀", "İ", "\x1c", "_#x"]
     # marks: Arabic fatha (Mn), Devanagari vowel sign aa (Mc), enclosing circle (Me)
     + ["\u064e", "\u093e", "\u20dd", "e\u0301"]
+    # the removed controls, ZWNJ, ZWJ, a tag, emoji, a modifier, regional indicators
+    + ["\u200e", "\u200f", "\u202b", "\u2067", "\ufeff", "\xad", "\u200c", "\u200d",
+       "\U000e0067", "👍", "👩", "\U0001f3fd", "\U0001f1ea", "\U0001f1f8"]
 )
+
+# The directional marks, embeddings and isolates, U+FEFF and the soft hyphen.
+INVISIBLE = re.compile("[\u200e\u200f\u202a-\u202e\u2066-\u2069\ufeff\xad]")
 
 
 def normalized(text):
-    return unicodedata.normalize("NFC", text).lower()
+    return unicodedata.normalize("NFC", INVISIBLE.sub("", text)).lower()
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(chunk_chars, min_size=1, max_size=10).map("".join))
 def test_split_chunk_matches_char_loop(chunk):
-    # "İ" lowercases to two code points, "e" + U+0301 composes to "é" and
-    # "\x1c" is whitespace, so the reference runs on each chunk of the
-    # normalized, lowered text, as tokenize documents.
+    # "İ" lowercases to two code points, "e" + U+0301 composes to "é",
+    # "\x1c" is whitespace and the invisible controls go, so the reference
+    # runs on each chunk of the normalized, lowered text, as tokenize
+    # documents.
     expected = [t for c in normalized(chunk).split() for t in ref_split_chunk(c)]
     assert list(tokenize(chunk).tokens) == expected
 
@@ -767,6 +790,15 @@ def test_mark_ranges_are_category_m():
     marks = re.findall(f"[{rtm.corpus._MARK}]", s)
     assert marks == [c for c in s if unicodedata.category(c)[0] == "M"], \
         f"regenerate _MARK_RANGES for Unicode {unicodedata.unidata_version}"
+
+
+@pytest.mark.parametrize("name, category", [("_FORMAT", "Cf"), ("_SYMBOL", "So")])
+def test_format_and_symbol_ranges_are_their_category(name, category):
+    # The pattern's format and symbol classes, as the mark class above.
+    s = "".join(map(chr, range(sys.maxunicode + 1)))
+    got = re.findall(f"[{getattr(rtm.corpus, name)}]", s)
+    assert got == [c for c in s if unicodedata.category(c) == category], \
+        f"regenerate {name}_RANGES for Unicode {unicodedata.unidata_version}"
 
 
 def test_pattern_classes_are_isalnum_and_isspace():

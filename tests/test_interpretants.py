@@ -8,13 +8,16 @@ import numpy as np
 import pytest
 
 import rtm
-from rtm.corpus import TokenSeq, tokenize
+import rtm.corpus
+from rtm.corpus import TokenSeq, load_corpus, tokenize
 from rtm.interpretants import (
     EOS,
     UNK,
     FdaConfig,
+    IdSentences,
     WittenBellLM,
     build_ngram_weights,
+    map_sentences,
     select_interpretants,
 )
 
@@ -100,6 +103,28 @@ class TestSelectInterpretants:
         expected = select_interpretants(sentences, task, cfg)
         assert select_interpretants((s for s in sentences), task, cfg) == expected
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_corpus_blocks_equal_a_list_of_its_sentences(self, tmp_path, monkeypatch, seed):
+        # FDA reads a Corpus as blocks of bare tokens (many small blocks
+        # here); the picks and every score's bits are those of a list of the
+        # corpus's sentences as TokenSeqs, each tokenized alone.
+        rng = np.random.default_rng(seed)
+        vocab = [f"w{i}" for i in range(25)] + ["#t", "x!", "\u200e", "e\u0301", "👍\U0001f3fd"]
+        lines = [" ".join(rng.choice(vocab, size=rng.integers(0, 15))) for _ in range(150)]
+        path = tmp_path / "c.txt"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        sentences = [seq for seq in map(tokenize, lines) if seq.tokens]
+        task = [tokenize(" ".join(rng.choice(vocab, size=12))) for _ in range(3)]
+        cfg = FdaConfig(max_order=int(rng.integers(1, 4)), decay=float(rng.choice([0.5, 0.9, 1.0])),
+                        budget=min(60, len(sentences)),
+                        length_exponent=float(rng.choice([0.0, 0.5, 1.0])))
+        monkeypatch.setattr(rtm.corpus, "_BLOCK_CHARS", int(rng.integers(1, 300)))
+        got = select_interpretants(load_corpus(path), task, cfg)
+        expected = select_interpretants(sentences, task, cfg)
+        assert got.selected_indices == expected.selected_indices
+        assert [s.hex() for s in got.selection_scores] == [
+            s.hex() for s in expected.selection_scores]
+
     @pytest.mark.parametrize("cfg, message", [
         (FdaConfig(budget=3), r"^budget 3 exceeds corpus size 2$"),
         (FdaConfig(budget=1, length_exponent=700.0),
@@ -111,6 +136,19 @@ class TestSelectInterpretants:
         for corpus in (sentences, (s for s in sentences)):
             with pytest.raises(ValueError, match=message):
                 select_interpretants(corpus, seqs("a"), cfg)
+
+
+def test_one_mapping_serves_the_table_and_the_lm():
+    sentences = seqs("a b c a", "b c", "d", "")
+    mapped = map_sentences(sentences)
+    assert isinstance(mapped, IdSentences) and map_sentences(mapped) is mapped
+    table, lm = build_ngram_weights(mapped), WittenBellLM(mapped, order=3)
+    alone_table, alone_lm = build_ngram_weights(sentences), WittenBellLM(sentences, order=3)
+    assert table.words == lm.words == alone_table.words == alone_lm.words
+    assert table.totals == alone_table.totals and lm.n_words == alone_lm.n_words
+    for got, alone in zip(table.keys + table.weights + lm.keys + lm.counts,
+                          alone_table.keys + alone_table.weights + alone_lm.keys + alone_lm.counts):
+        np.testing.assert_array_equal(got, alone)
 
 
 class TestNGramWeights:

@@ -627,3 +627,26 @@ def test_grid_search_refuses_non_finite_score():
     with np.errstate(invalid="ignore"):
         with pytest.raises(ValueError, match=r"rr\(alpha=1\) has a non-finite CV MAE"):
             grid_search([ModelSpec("knn", k=3), ModelSpec("rr", alpha=1.0)], X, y, 5, 0)
+
+
+def _golds_constant_off_one_fold(n, folds, seed, fold):
+    """Golds that vary over all rows but are constant on the training rows
+    of ``fold`` (from 0): only that fold's held-out rows differ."""
+    y = np.full(n, 0.5)
+    held = fold_indices(n, folds, seed)[fold]
+    y[held] = np.linspace(0.1, 0.9, len(held))
+    return y
+
+
+def test_failed_fold_fit_names_spec_and_fold():
+    # PLS extracts no component from constant golds, and only the third
+    # fold's training golds are constant.
+    X = rng.normal(size=(21, 5))
+    y = _golds_constant_off_one_fold(21, 7, 0, fold=2)
+    spec = ModelSpec("rr", alpha=0.01, n_components=2)
+    message = (r"^rr\(alpha=0\.01\)\+pls2, fold 3: no PLS component could be extracted "
+               r"\(constant input\)$")
+    with pytest.raises(ValueError, match=message):
+        grid_search([ModelSpec("rr", alpha=1.0), spec], X, y, 7, 0)
+    with pytest.raises(ValueError, match=message):
+        cross_validate(spec, X, y, 7, 0)

@@ -1302,20 +1302,18 @@ seed = 5
 class TestLoadOnce:
     def _reads_per_stage(self, cfg_path, monkeypatch):
         """Run every stage; return {stage: {file name: reads}}.  Every text
-        file rtm reads, input or output, is read through ``corpus._read_lines``."""
+        file rtm reads, input or output, is read through ``corpus._read_blocks``."""
         import rtm.corpus
-        import rtm.pipeline
 
         counts, stage_now = {}, [None]
-        real = rtm.corpus._read_lines
+        real = rtm.corpus._read_blocks
 
         def counted(path):
             per_stage = counts.setdefault(stage_now[0], {})
             per_stage[Path(path).name] = per_stage.get(Path(path).name, 0) + 1
             return real(path)
 
-        for module in (rtm.corpus, rtm.pipeline):
-            monkeypatch.setattr(module, "_read_lines", counted)
+        monkeypatch.setattr(rtm.corpus, "_read_blocks", counted)
         cfg = parse_config(cfg_path)
         for stage in STAGES:
             stage_now[0] = stage
@@ -1373,13 +1371,33 @@ class TestCorpusLoadedOnce:
         out = tiny_intensity_cfg.parent / "out"
         run_stage(cfg, out, "select-interpretants")
         texts = []
-        real = rtm.corpus.tokenize
-        monkeypatch.setattr(rtm.corpus, "tokenize", lambda text: texts.append(text) or real(text))
+        real = rtm.corpus._tokenize_block
+        monkeypatch.setattr(rtm.corpus, "_tokenize_block",
+                            lambda lines: texts.extend(lines) or real(lines))
         run_stage(cfg, out, "build-resources")
-        # and the lexicon's entries, for the digest of the emotion targets
+        # and the lexicon's lines, for the digest of the emotion targets
         lexicon = (tiny_intensity_cfg.parent / "lexicon.txt").read_text().split("\n")
-        entries = [line for line in lexicon if line.strip() and not line.startswith("#")]
-        assert len(texts) == 15 + len(entries)
+        assert len(texts) == 15 + len(lexicon)
+
+    def test_build_resources_maps_the_interpretants_once(self, tiny_intensity_cfg, monkeypatch):
+        import rtm.interpretants
+        import rtm.pipeline
+
+        out = tiny_intensity_cfg.parent / "out"
+        cfg = parse_config(tiny_intensity_cfg)
+        run_stage(cfg, out, "select-interpretants")
+        mapped = []
+        real = rtm.interpretants.map_sentences
+
+        def counted(sentences):
+            if not isinstance(sentences, rtm.interpretants.IdSentences):
+                mapped.append(len(sentences))
+            return real(sentences)
+
+        for module in (rtm.interpretants, rtm.pipeline):
+            monkeypatch.setattr(module, "map_sentences", counted)
+        run_stage(cfg, out, "build-resources")
+        assert mapped == [cfg.budget]
 
     def test_resources_match_a_full_corpus_load(self, tiny_intensity_cfg, monkeypatch):
         import rtm.pipeline
@@ -1396,9 +1414,9 @@ class TestCorpusLoadedOnce:
         assert (out / "resources.pkl").read_bytes() == selected
 
     def test_select_interpretants_streams_the_corpus(self, tiny_intensity_cfg):
-        # Each corpus line is tokenized, mapped to task token ids and dropped:
-        # 43 B per corpus token traced over 20k lines (124 B when every
-        # sentence was kept as a TokenSeq).
+        # Each block of corpus lines is tokenized, mapped to task token ids
+        # and dropped: 35 B per corpus token traced over 20k lines (124 B
+        # when every sentence was kept as a TokenSeq).
         rng = np.random.default_rng(5)
         vocab = [f"w{i:03d}" for i in range(400)]
         lines = [" ".join(rng.choice(vocab, size=rng.integers(3, 12))) for _ in range(20000)]
@@ -1407,7 +1425,7 @@ class TestCorpusLoadedOnce:
         cfg = parse_config(tiny_intensity_cfg)
         _, peak = traced_peak(run_stage, cfg, root / "out", "select-interpretants")
         tokens = sum(line.count(" ") + 1 for line in lines)
-        assert peak / tokens < 60
+        assert peak / tokens < 40
 
 
 def _perfbench_layers():

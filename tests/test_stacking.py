@@ -6,7 +6,7 @@ import pytest
 from rtm.corpus import tokenize
 from rtm.features import FeatureResources, N_FEATURES, build_feature_matrix, train_aligner
 from rtm.interpretants import WittenBellLM, build_ngram_weights
-from rtm.learners import ModelSpec, cross_validate
+from rtm.learners import ModelSpec, cross_validate, fold_indices
 from rtm.stacking import (
     N_STACK_FEATURES,
     StackConfig,
@@ -104,6 +104,17 @@ class TestCombinedStack:
             train_combined_stack_matrices(
                 np.zeros((1, N_FEATURES)), np.zeros((1, N_FEATURES)), [0.5], _stack_cfg()
             )
+
+
+    def test_failed_oof_fit_names_spec_and_fold(self):
+        # the base model's out-of-fold fits run through learners.held_out
+        feats_a, feats_b, _ = _paired_matrices(n=21)
+        gold = np.full(21, 0.5)
+        held = fold_indices(21, 7, 3)[4]
+        gold[held] = np.linspace(0.1, 0.9, len(held))
+        cfg = _stack_cfg(base_spec=ModelSpec("rr", alpha=1.0, n_components=2))
+        with pytest.raises(ValueError, match=r"^rr\(alpha=1\)\+pls2, fold 5: no PLS component"):
+            train_combined_stack_matrices(feats_a, feats_b, gold, cfg)
 
 
 class TestSeparateStack:
